@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .core import SamplerConfig, seeded_rng
+from .core import SamplerConfig, seeded_rng, validate_config
 from .data import SyntheticSpec, generate_synthetic, load_dataset, split_dataset
 from .embedder import load_checkpoint, save_checkpoint
 from .retrieval import default_k, evaluate, format_metric_table, write_metrics_csv
@@ -332,17 +332,21 @@ def cmd_evaluate(o: dict) -> int:
 def cmd_ablate(o: dict) -> int:
     ds = _load_data(o)
     out = _out_dir(o)
-    rows = []
-    counts = {}
+    cells = []
     for anchor, image in itertools.product(ANCHOR_CHOICES, IMAGE_CHOICES):
         cell = dict(o)
         cell["sampler"] = f"{anchor}-{image}"
         cfg = _train_config(cell, _sampler_config(cell))
+        # reject every cell up front, not after training the ones before it
+        validate_config(cfg.sampler, cfg.batch_size)
+        cells.append((cell["sampler"], cfg))
+    rows = []
+    counts = {}
+    for name, cfg in cells:
         net, log = train(ds, cfg)
         queries = ds.subset(ds.val_idx)
         archive = ds.subset(ds.test_idx)
         report = evaluate(net, queries, archive, _resolve_k(o, len(archive)))
-        name = f"{anchor}-{image}"
         rows.append((name, report))
         counts[name] = log.rows[-1].cum_triplets if log.rows else 0
     grid_path = os.path.join(out, "grid.csv")

@@ -20,6 +20,12 @@ COMBINATIONS = ("cartesian", "paired")
 LABEL_SIMILARITY_KINDS = ("cosine", "jaccard")
 DAS_REDUCTIONS = ("max", "min")
 
+# Upper bound on H*P*N, the triplets one batch may mine. Mining plus backward
+# peak at about 49 bytes per triplet (tracemalloc, bas-bis at B = 64, 100 and
+# 160: the (T, 3) int64 array and its build copies, then the loss's gathers),
+# so the limit is about 0.8 GB. bas-bis passes up to batch size 256.
+MAX_TRIPLETS_PER_BATCH = 1 << 24
+
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """Deterministic random stream backed by the PCG64 bit generator.
@@ -161,6 +167,18 @@ def validate_config(cfg: SamplerConfig, batch_size: int) -> SamplerConfig:
         raise ValueError(
             f"{cfg.image_strategy} needs positives + negatives <= batch size - 1 "
             f"({c_pos} + {c_neg} > {batch_size - 1})"
+        )
+    if cfg.image_strategy == "bis" and cfg.combination == "paired":
+        # positive i and negative i are the same image, so every triple is dropped
+        raise ValueError("bis with paired combination mines no triplets; use cartesian")
+    anchors = batch_size if cfg.anchor_strategy == "bas" else h
+    if cfg.image_strategy == "bis":
+        c_pos = c_neg = batch_size - 1
+    pairs = c_pos * c_neg if cfg.combination == "cartesian" else min(c_pos, c_neg)
+    if anchors * pairs > MAX_TRIPLETS_PER_BATCH:
+        raise ValueError(
+            f"{anchors} anchors x {pairs} pairs = {anchors * pairs} triplets per batch "
+            f"exceeds the limit of {MAX_TRIPLETS_PER_BATCH}; lower the batch size or per-anchor counts"
         )
     return cfg
 

@@ -7,17 +7,21 @@ architecture; there is no general autodiff.
 
 The margin loss operates on RAW Euclidean distances between embedding rows.
 The batch min-max normalization is used only by the selection scores, never
-inside the loss, so batch extremes do not couple into the gradient.
+inside the loss, so batch extremes do not couple into the gradient. Training
+reads the loss and its gradient off the batch's (B, B) raw distance matrix,
+the same one the miner uses.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import TripletSet, seeded_rng
+from .similarity import pairwise_euclidean
 
 CHECKPOINT_MAGIC = b"TMEMB001"
 
@@ -134,42 +138,47 @@ def triplet_loss(embeddings, triplets, alpha: float) -> float:
     return float(hinge_terms(d_ap, d_an, alpha).sum())
 
 
-def _unit_rows(diff: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    # subgradient choice at coincident points: zero direction
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return np.where((norms > 0.0)[:, None], diff / safe[:, None], 0.0)
-
-
-def backward(net: Embedder, features, triplets, alpha: float) -> GradientBundle:
+def backward(net: Embedder, features, triplets, alpha: float, dist_raw) -> GradientBundle:
     """Analytic gradient of the margin loss through the network.
+
+    ``dist_raw`` is the (B, B) Euclidean distance matrix of
+    ``forward(net, features)`` (the batch's ``BatchView.dist_raw``). The loss
+    and the embedding gradient are read off it pair by pair: per-triplet work
+    is index gathers and counts, so memory is O(B^2 + T), never O(T * d).
 
     The hinge subgradient at a pre-hinge value of exactly 0 is 0 (the triplet
     is treated as inactive), and likewise ReLU'(0) = 0.
     """
     acts, preacts, out_norms, emb = _forward_cached(net, features)
+    size = emb.shape[0]
+    dist = np.asarray(dist_raw, dtype=np.float64)
+    if dist.shape != (size, size):
+        raise ValueError(f"distance matrix of shape {dist.shape} does not match batch size {size}")
     t = _triplet_columns(triplets)
+    if t.shape[0] and (t.min() < 0 or t.max() >= size):
+        raise ValueError(f"triplet indices must lie in [0, {size})")
     zero_w = [np.zeros_like(w) for w in net.weights]
     zero_b = [np.zeros_like(b) for b in net.biases]
     if t.shape[0] == 0:
         return GradientBundle(zero_w, zero_b, 0.0)
 
     a_idx, p_idx, n_idx = t[:, 0], t[:, 1], t[:, 2]
-    diff_ap = emb[a_idx] - emb[p_idx]
-    diff_an = emb[a_idx] - emb[n_idx]
-    d_ap = np.linalg.norm(diff_ap, axis=1)
-    d_an = np.linalg.norm(diff_an, axis=1)
-    pre = d_ap - d_an + alpha
+    pre = dist[a_idx, p_idx] - dist[a_idx, n_idx] + alpha
     active = pre > 0.0
     loss = float(pre[active].sum())
     if not active.any():
         return GradientBundle(zero_w, zero_b, loss)
 
-    u_ap = _unit_rows(diff_ap[active], d_ap[active])
-    u_an = _unit_rows(diff_an[active], d_an[active])
-    d_emb = np.zeros_like(emb)
-    np.add.at(d_emb, a_idx[active], u_ap - u_an)
-    np.add.at(d_emb, p_idx[active], -u_ap)
-    np.add.at(d_emb, n_idx[active], u_an)
+    # coef[a, x] = #active triplets with (a, x) as the positive pair minus
+    # #active with (a, x) as the negative pair; each adds +-(e_a - e_x) / D(a, x)
+    # to row a and the opposite to row x
+    rows = a_idx[active] * size
+    coef = (np.bincount(rows + p_idx[active], minlength=size * size)
+            - np.bincount(rows + n_idx[active], minlength=size * size)).reshape(size, size)
+    # subgradient choice at coincident points: zero direction
+    m = np.divide(coef, dist, out=np.zeros((size, size)), where=dist > 0.0)
+    s = m + m.T
+    d_emb = s.sum(axis=1)[:, None] * emb - s @ emb
 
     if net.l2_normalize:
         # y = z / |z|  =>  dz = (dy - y (y . dy)) / |z|, zero rows pass through as zero
@@ -227,7 +236,7 @@ def finite_difference_check(net: Embedder, features, triplets, alpha: float,
         raise ValueError("step must be positive")
     x = np.asarray(features, dtype=np.float64)
     t = _triplet_columns(triplets)
-    bundle = backward(net, x, t, alpha)
+    bundle = backward(net, x, t, alpha, pairwise_euclidean(forward(net, x)))
     grads = gradient_list(bundle)
     g_scale = max((float(np.abs(g).max()) for g in grads if g.size), default=0.0)
     floor = max(0.01 * g_scale, 1e-12)
@@ -272,22 +281,42 @@ def save_checkpoint(net: Embedder, path) -> None:
 
 
 def load_checkpoint(path, l2_normalize: bool = False) -> Embedder:
-    """Read a checkpoint written by ``save_checkpoint``."""
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    The sizes the header declares are checked against the file length before
+    anything is allocated; a malformed file raises ``ValueError`` naming it.
+    """
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not an embedder checkpoint (bad magic)")
-        (n_dims,) = struct.unpack("<I", fh.read(4))
+        head = fh.read(4)
+        if len(head) < 4:
+            raise ValueError(f"{path}: checkpoint truncated in the header")
+        (n_dims,) = struct.unpack("<I", head)
+        header_size = len(CHECKPOINT_MAGIC) + 4 + 4 * n_dims
+        if file_size < header_size:
+            raise ValueError(f"{path}: checkpoint truncated in the header")
         dims = struct.unpack(f"<{n_dims}I", fh.read(4 * n_dims))
+        if n_dims < 2 or min(dims) < 1:
+            raise ValueError(f"{path}: checkpoint declares invalid layer sizes {list(dims)}")
+        # per layer: fan_in x fan_out weights plus fan_out biases, float64
+        expected = header_size + sum(8 * (fan_in + 1) * fan_out
+                                     for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+        if file_size < expected:
+            raise ValueError(
+                f"{path}: checkpoint truncated: layer sizes {list(dims)} need {expected} bytes, "
+                f"file has {file_size}"
+            )
+        if file_size > expected:
+            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             w = np.frombuffer(fh.read(8 * fan_in * fan_out), dtype="<f8").reshape(fan_in, fan_out)
             b = np.frombuffer(fh.read(8 * fan_out), dtype="<f8")
             weights.append(w.astype(np.float64))
             biases.append(b.astype(np.float64))
-        trailing = fh.read(1)
-        if trailing:
-            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
     return Embedder(layer_dims=tuple(dims), weights=weights, biases=biases, l2_normalize=l2_normalize)
 
 

@@ -162,7 +162,7 @@ def train(dataset, cfg: TrainConfig, epoch_callback=None) -> tuple:
             tset = sampler.mine_batch(batch, cfg.sampler, rng)
             cum_triplets += len(tset)
             if len(tset):
-                bundle = emb_mod.backward(net, x, tset, cfg.alpha)
+                bundle = emb_mod.backward(net, x, tset, cfg.alpha, batch.dist_raw)
                 adam_step(params, emb_mod.gradient_list(bundle), state, lr,
                           cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
                 losses.append(bundle.loss_value)

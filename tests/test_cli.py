@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import pytest
 
@@ -48,6 +49,20 @@ class TestTrain:
         assert code == 2
         assert "nope_labels.csv" in err
         assert "Traceback" not in err
+
+    def test_bis_with_paired_combination_exits_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "train", *TINY, "--sampler", "bas-bis", "--combination", "paired",
+                           "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "paired" in err
+        assert not (tmp_path / "o" / "model.ckpt").exists()
+
+    def test_triplet_count_over_limit_exits_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--synthetic", "--n-samples", "600", "--seed", "1",
+                           "--sampler", "bas-bis", "--batch-size", "300", "--embedding", "8",
+                           "--hidden", "8", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "triplets per batch" in err
 
     def test_stock_defaults_in_manifest(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -138,6 +153,18 @@ class TestEvaluate:
         assert code == 2
         assert "features" in err
 
+    @pytest.mark.parametrize("payload", [
+        b"TMEMB001",  # cut off right after the magic
+        b"TMEMB001" + struct.pack("<3I", 2, 65536, 65536),  # declares a 32 GB weight matrix
+    ])
+    def test_malformed_checkpoint_exits_2_naming_path(self, tmp_path, capsys, payload):
+        ckpt = tmp_path / "broken.ckpt"
+        ckpt.write_bytes(payload)
+        code, _, err = run(capsys, "evaluate", *TINY_DATA, "--checkpoint", str(ckpt),
+                           "--out", str(tmp_path / "o"), "--k", "5")
+        assert code == 2
+        assert "broken.ckpt" in err
+
     def test_prints_percent_table(self, trained, capsys):
         code, stdout, _ = run(capsys, "evaluate", *TINY_DATA, "--out", str(trained), "--k", "5")
         assert code == 0
@@ -163,6 +190,15 @@ class TestAblate:
                 assert 0.0 <= float(v) <= 1.0
         assert counts["bas-bis"] > counts["das-rhdis"]
         assert "Triplets" in stdout
+
+
+    def test_bis_with_paired_rejected_before_training(self, tmp_path, capsys):
+        out = tmp_path / "grid"
+        code, stdout, err = run(capsys, "ablate", *TINY, "--combination", "paired",
+                                "--out", str(out), "--k", "5")
+        assert code == 2
+        assert "paired" in err
+        assert stdout == ""
 
 
 class TestMineDebug:

@@ -85,6 +85,17 @@ class TestValidateConfig:
         with pytest.raises(ValueError, match="positives \\+ negatives"):
             validate_config(cfg, batch_size=6)
 
+    def test_rejects_bis_with_paired_combination(self):
+        cfg = SamplerConfig(anchor_strategy="bas", image_strategy="bis", combination="paired")
+        with pytest.raises(ValueError, match="paired"):
+            validate_config(cfg, batch_size=16)
+
+    def test_rejects_triplet_count_over_limit(self):
+        cfg = SamplerConfig(anchor_strategy="bas", image_strategy="bis")
+        assert validate_config(cfg, batch_size=256) is cfg  # 256 * 255 * 255 triplets
+        with pytest.raises(ValueError, match="triplets per batch"):
+            validate_config(cfg, batch_size=257)  # 257 * 256 * 256 > 2**24
+
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="anchor strategy"):
             validate_config(SamplerConfig(anchor_strategy="magic"), batch_size=10)

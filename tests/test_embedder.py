@@ -1,9 +1,13 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tripmine.core import seeded_rng
 from tripmine.embedder import (
     Embedder,
+    _forward_cached,
     backward,
     finite_difference_check,
     forward,
@@ -14,6 +18,8 @@ from tripmine.embedder import (
     save_checkpoint,
     triplet_loss,
 )
+from tripmine.sampler import build_triplets, select_anchors_bas, select_images_bis
+from tripmine.similarity import pairwise_euclidean
 
 
 def forward_oracle(net, x):
@@ -26,6 +32,52 @@ def forward_oracle(net, x):
                 z[i, j] = float(np.dot(a[i], w[:, j])) + b[j]
         a = np.maximum(z, 0.0) if l < len(net.weights) - 1 else z
     return a
+
+
+def backward_oracle(net, x, t, alpha):
+    """Per-triplet gradient: unit difference vectors scattered row by row.
+
+    Builds (T, d) arrays, so it is for small inputs only. Returns
+    (weight_grads, bias_grads, loss).
+    """
+    acts, preacts, out_norms, emb = _forward_cached(net, x)
+    t = np.asarray(t, dtype=np.int64).reshape(-1, 3)
+    a_idx, p_idx, n_idx = t[:, 0], t[:, 1], t[:, 2]
+    diff_ap = emb[a_idx] - emb[p_idx]
+    diff_an = emb[a_idx] - emb[n_idx]
+    d_ap = np.linalg.norm(diff_ap, axis=1)
+    d_an = np.linalg.norm(diff_an, axis=1)
+    pre = d_ap - d_an + alpha
+    active = pre > 0.0
+    loss = float(pre[active].sum())
+
+    def unit_rows(diff, norms):
+        safe = np.where(norms > 0.0, norms, 1.0)
+        return np.where((norms > 0.0)[:, None], diff / safe[:, None], 0.0)
+
+    u_ap = unit_rows(diff_ap[active], d_ap[active])
+    u_an = unit_rows(diff_an[active], d_an[active])
+    d_emb = np.zeros_like(emb)
+    np.add.at(d_emb, a_idx[active], u_ap - u_an)
+    np.add.at(d_emb, p_idx[active], -u_ap)
+    np.add.at(d_emb, n_idx[active], u_an)
+    if net.l2_normalize:
+        safe = np.where(out_norms > 0.0, out_norms, 1.0)
+        proj = np.einsum("ij,ij->i", emb, d_emb)
+        g = np.where((out_norms > 0.0)[:, None], (d_emb - emb * proj[:, None]) / safe[:, None], 0.0)
+    else:
+        g = d_emb
+    weight_grads, bias_grads = [None] * net.n_layers, [None] * net.n_layers
+    for l in range(net.n_layers - 1, -1, -1):
+        weight_grads[l] = acts[l].T @ g
+        bias_grads[l] = g.sum(axis=0)
+        if l > 0:
+            g = (g @ net.weights[l].T) * (preacts[l - 1] > 0.0)
+    return weight_grads, bias_grads, loss
+
+
+def pair_backward(net, x, t, alpha):
+    return backward(net, x, t, alpha, pairwise_euclidean(forward(net, x)))
 
 
 def random_triplets(rng, b, count=20):
@@ -100,7 +152,7 @@ class TestBackward:
     def test_all_trivial_triplets_give_zero_gradient(self):
         net = Embedder(layer_dims=(1, 1), weights=[np.eye(1)], biases=[np.zeros(1)])
         x = np.array([[0.0], [0.1], [5.0]])
-        bundle = backward(net, x, np.array([[0, 1, 2]]), 0.2)
+        bundle = pair_backward(net, x, np.array([[0, 1, 2]]), 0.2)
         assert bundle.loss_value == 0.0
         assert all(np.all(g == 0.0) for g in gradient_list(bundle))
 
@@ -109,7 +161,7 @@ class TestBackward:
         # active with alpha=1.5; unit vectors give dE rows, and dW = X^T dE
         net = Embedder(layer_dims=(2, 2), weights=[np.eye(2)], biases=[np.zeros(2)])
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        bundle = backward(net, x, np.array([[0, 1, 2]]), 1.5)
+        bundle = pair_backward(net, x, np.array([[0, 1, 2]]), 1.5)
         assert bundle.loss_value == pytest.approx(0.5, abs=1e-15)
         expected_dw = np.array([[1.0, 0.0], [0.0, -2.0]])
         assert np.allclose(bundle.weight_grads[0], expected_dw, atol=1e-14)
@@ -137,12 +189,96 @@ class TestBackward:
         net = Embedder.init([4, 6, 3], rng)
         x = rng.normal(size=(5, 4))
         t = np.array([[0, 1, 2]])
-        before = backward(net, x, t, 1.0)
+        before = pair_backward(net, x, t, 1.0)
         assert before.loss_value > 0.0
         for p, g in zip(parameters(net), gradient_list(before)):
             p -= 1e-3 * g
         after = triplet_loss(forward(net, x), t, 1.0)
         assert after < before.loss_value
+
+
+def assert_matches_oracle(net, x, t, alpha):
+    bundle = pair_backward(net, x, t, alpha)
+    ref_w, ref_b, ref_loss = backward_oracle(net, x, t, alpha)
+    ref = [g for pair in zip(ref_w, ref_b) for g in pair]
+    scale = max(float(np.abs(g).max()) for g in ref)
+    for got, want in zip(gradient_list(bundle), ref):
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(scale, 1e-300)
+    assert bundle.loss_value == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+    assert bundle.loss_value == pytest.approx(triplet_loss(forward(net, x), t, alpha), rel=1e-12, abs=0.0)
+    return bundle
+
+
+class TestPairMatrixBackward:
+    @pytest.mark.parametrize("l2", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_triplet_oracle(self, l2, seed):
+        rng = seeded_rng(100 + seed)
+        net = Embedder.init([8, 16, 6], rng, l2_normalize=l2)
+        x = rng.normal(size=(14, 8))
+        t = random_triplets(rng, 14, count=60)
+        bundle = assert_matches_oracle(net, x, t, 0.5)
+        assert bundle.loss_value > 0.0
+
+    @pytest.mark.parametrize("l2", [False, True])
+    def test_duplicated_triplets_count_each_time(self, l2):
+        rng = seeded_rng(110)
+        net = Embedder.init([5, 7, 4], rng, l2_normalize=l2)
+        x = rng.normal(size=(9, 5))
+        base = random_triplets(rng, 9, count=12)
+        t = np.concatenate([base, base[:4], base[:1]])
+        assert_matches_oracle(net, x, t, 1.0)
+
+    def test_coincident_rows_give_zero_direction(self):
+        # rows 0 and 1 are identical inputs, so D(0, 1) = 0 in embedding space
+        rng = seeded_rng(111)
+        net = Embedder.init([4, 6, 3], rng)
+        x = rng.normal(size=(6, 4))
+        x[1] = x[0]
+        t = np.array([[0, 1, 2], [0, 3, 1], [2, 0, 1], [1, 0, 4], [3, 4, 5]])
+        assert pairwise_euclidean(forward(net, x))[0, 1] == 0.0
+        bundle = assert_matches_oracle(net, x, t, 0.7)
+        assert all(np.isfinite(g).all() for g in gradient_list(bundle))
+
+    def test_hinge_exactly_zero_is_inactive(self):
+        # d(a,p) = d(a,n) = 1 with alpha = 0: pre-hinge value is exactly 0
+        net = Embedder(layer_dims=(2, 2), weights=[np.eye(2)], biases=[np.zeros(2)])
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        bundle = assert_matches_oracle(net, x, np.array([[0, 1, 2]]), 0.0)
+        assert bundle.loss_value == 0.0
+        assert all(np.all(g == 0.0) for g in gradient_list(bundle))
+
+    @pytest.mark.parametrize("bad", [[[0, 1, 5]], [[0, -1, 2]], [[-5, 1, 2]]])
+    def test_out_of_range_indices_rejected(self, bad):
+        net = Embedder.init([3, 2], seeded_rng(112))
+        x = seeded_rng(113).normal(size=(5, 3))
+        with pytest.raises(ValueError, match="triplet indices"):
+            pair_backward(net, x, np.array(bad), 0.2)
+
+    def test_distance_matrix_shape_checked(self):
+        net = Embedder.init([3, 2], seeded_rng(114))
+        x = seeded_rng(115).normal(size=(5, 3))
+        with pytest.raises(ValueError, match="distance matrix"):
+            backward(net, x, np.array([[0, 1, 2]]), 0.2, np.zeros((4, 4)))
+
+    def test_exhaustive_batch_memory_does_not_scale_with_triplets_times_dim(self):
+        # bas-bis at B=40, d=256: T = 40 * 39 * 38 = 59,280 triplets; a single
+        # (T, d) float64 array would take 121 MB
+        b, d = 40, 256
+        rng = seeded_rng(116)
+        net = Embedder.init([8, d], rng)
+        x = rng.normal(size=(b, 8))
+        anchors = select_anchors_bas(b)
+        tset = build_triplets(anchors, {a: select_images_bis(a, b) for a in anchors})
+        assert len(tset) == b * (b - 1) * (b - 2)
+        dist = pairwise_euclidean(forward(net, x))
+        tracemalloc.start()
+        try:
+            backward(net, x, tset, 0.2, dist)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestFiniteDifferenceCheck:
@@ -191,6 +327,38 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(ValueError, match="bad magic"):
+            load_checkpoint(path)
+
+    def test_cut_after_magic_rejected_naming_path(self, tmp_path):
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(b"TMEMB001")
+        with pytest.raises(ValueError, match="cut.ckpt.*truncated"):
+            load_checkpoint(path)
+
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(b"TMEMB001" + struct.pack("<3I", 2, 65536, 65536) + b"\x00" * 64)
+        with pytest.raises(ValueError, match="huge.ckpt.*truncated"):
+            load_checkpoint(path)
+
+    def test_dim_count_beyond_file_rejected(self, tmp_path):
+        path = tmp_path / "dims.ckpt"
+        path.write_bytes(b"TMEMB001" + struct.pack("<I", 2**31))
+        with pytest.raises(ValueError, match="dims.ckpt.*truncated"):
+            load_checkpoint(path)
+
+    def test_truncated_payload_rejected_naming_path(self, tmp_path):
+        net = Embedder.init([3, 4, 2], seeded_rng(19))
+        path = tmp_path / "short.ckpt"
+        save_checkpoint(net, path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="short.ckpt.*truncated"):
+            load_checkpoint(path)
+
+    def test_zero_layer_size_rejected(self, tmp_path):
+        path = tmp_path / "zero.ckpt"
+        path.write_bytes(b"TMEMB001" + struct.pack("<3I", 2, 0, 3) + b"\x00" * 24)
+        with pytest.raises(ValueError, match="zero.ckpt.*layer sizes"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
