@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .core import SamplerConfig, seeded_rng, validate_config
+from .core import ANCHOR_STRATEGIES, IMAGE_STRATEGIES, SamplerConfig, seeded_rng, validate_config
 from .data import SyntheticSpec, generate_synthetic, load_dataset, split_dataset
 from .embedder import load_checkpoint, save_checkpoint
 from .retrieval import default_k, evaluate, format_metric_table, write_metrics_csv
@@ -26,9 +26,7 @@ from .trainer import TrainConfig, train, write_train_log
 from .core import BatchView
 from . import embedder as emb_mod
 
-ANCHOR_CHOICES = ("das", "ras", "bas")
-IMAGE_CHOICES = ("rhdis", "ris", "bis")
-SAMPLER_CHOICES = tuple(f"{a}-{i}" for a in ANCHOR_CHOICES for i in IMAGE_CHOICES)
+SAMPLER_CHOICES = tuple(f"{a}-{i}" for a in ANCHOR_STRATEGIES for i in IMAGE_STRATEGIES)
 
 # the split permutation draws from seed + 1 so it is a stream independent
 # of both generation (seed) and training (seed)
@@ -305,7 +303,10 @@ def cmd_train(o: dict) -> int:
 
 
 def _resolve_k(o: dict, archive_size: int) -> int:
-    return o["k"] if o.get("k") else default_k(archive_size)
+    k = default_k(archive_size) if o.get("k") is None else o["k"]
+    if not 1 <= k <= archive_size:
+        raise UserError(f"k={k} must be between 1 and the archive size {archive_size}")
+    return k
 
 
 def cmd_evaluate(o: dict) -> int:
@@ -332,8 +333,11 @@ def cmd_evaluate(o: dict) -> int:
 def cmd_ablate(o: dict) -> int:
     ds = _load_data(o)
     out = _out_dir(o)
+    queries = ds.subset(ds.val_idx)
+    archive = ds.subset(ds.test_idx)
+    k = _resolve_k(o, len(archive))
     cells = []
-    for anchor, image in itertools.product(ANCHOR_CHOICES, IMAGE_CHOICES):
+    for anchor, image in itertools.product(ANCHOR_STRATEGIES, IMAGE_STRATEGIES):
         cell = dict(o)
         cell["sampler"] = f"{anchor}-{image}"
         cfg = _train_config(cell, _sampler_config(cell))
@@ -344,9 +348,7 @@ def cmd_ablate(o: dict) -> int:
     counts = {}
     for name, cfg in cells:
         net, log = train(ds, cfg)
-        queries = ds.subset(ds.val_idx)
-        archive = ds.subset(ds.test_idx)
-        report = evaluate(net, queries, archive, _resolve_k(o, len(archive)))
+        report = evaluate(net, queries, archive, k)
         rows.append((name, report))
         counts[name] = log.rows[-1].cum_triplets if log.rows else 0
     grid_path = os.path.join(out, "grid.csv")

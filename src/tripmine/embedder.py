@@ -284,7 +284,8 @@ def load_checkpoint(path, l2_normalize: bool = False) -> Embedder:
     """Read a checkpoint written by ``save_checkpoint``.
 
     The sizes the header declares are checked against the file length before
-    anything is allocated; a malformed file raises ``ValueError`` naming it.
+    anything is allocated; a malformed file, or one holding a NaN or
+    infinite parameter, raises ``ValueError`` naming it.
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -317,6 +318,8 @@ def load_checkpoint(path, l2_normalize: bool = False) -> Embedder:
             b = np.frombuffer(fh.read(8 * fan_out), dtype="<f8")
             weights.append(w.astype(np.float64))
             biases.append(b.astype(np.float64))
+    if not all(np.isfinite(p).all() for p in weights + biases):
+        raise ValueError(f"{path}: checkpoint holds non-finite weights")
     return Embedder(layer_dims=tuple(dims), weights=weights, biases=biases, l2_normalize=l2_normalize)
 
 

@@ -1,8 +1,11 @@
 """Exact k-nn retrieval over archive embeddings and multi-label metrics.
 
-Retrieval is brute force (archives here are at most tens of thousands of
-rows); metric averaging is macro: per-pair metrics are averaged over the k
-retrieved items of a query, then over queries.
+Retrieval is exact flat search, the design of FAISS's exact index (Johnson,
+Douze and Jegou, arXiv 1702.08734) in numpy: one GEMM screens a block of
+queries against the whole archive, and the rows the screen cannot rule out
+are re-measured from row differences. Metric averaging is macro: per-pair
+metrics are averaged over the k retrieved items of a query, then over
+queries.
 """
 
 from __future__ import annotations
@@ -14,16 +17,26 @@ import numpy as np
 
 from . import embedder as emb_mod
 
-_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class RetrievalResult:
-    """Ranked neighbors of one query: archive ids with non-decreasing distances."""
-
-    query_id: str
-    ids: tuple
-    distances: tuple
+# float64 values of (archive - query) row differences held at once (1 MB)
+_CHUNK_VALUES = 1 << 17
+# queries screened per GEMM, fewer when the (block, M) float64 screen
+# would exceed _SCREEN_VALUES (16 MB) for a large archive
+_QUERY_BLOCK = 64
+_SCREEN_VALUES = 1 << 21
+# Rounding allowance of the Gram screen, per embedding dimension. A d-term
+# float64 dot product summed in any order is within d * u * |x| |y| of its
+# real value (u = 2**-53; Higham, Accuracy and Stability of Numerical
+# Algorithms, sec. 3.1). So the screen |q|^2 + |a|^2 - 2 q.a is within
+# 2 (d + 2) u (|q|^2 + |a|^2) of the true squared distance, and the square
+# of an exact distance e (row differences, einsum, sqrt) is within
+# (d + 6) u e^2 of it. 4 u per dimension covers both with a factor 2 to spare.
+# Where squares underflow, each operation may also be off by half the
+# smallest subnormal; the same allowance times the smallest normal number
+# covers those absolute errors.
+_SCREEN_ERR_PER_DIM = 4 * 2.0**-53
+# squared norms stay this far below the float64 maximum, so no norm sum,
+# Gram term or squared row difference overflows
+_NORM_HEADROOM = 8.0
 
 
 @dataclass(frozen=True)
@@ -34,50 +47,116 @@ class MetricReport:
     f1: float
 
 
-def knn_retrieve(query_embedding, archive, k: int, exclude_index: int | None = None):
+def _squared_norms(x, what: str) -> np.ndarray:
+    sq = np.einsum("ij,ij->i", x, x)
+    if not np.isfinite(_NORM_HEADROOM * sq.max(initial=0.0)):
+        raise ValueError(f"{what} embeddings contain non-finite values or overflow float64 distances")
+    return sq
+
+
+def _pair_distances(q, a, q_rows, a_rows) -> np.ndarray:
+    """Exact ``|a[a_rows[t]] - q[q_rows[t]]|`` for every pair t."""
+    dist = np.empty(len(a_rows), dtype=np.float64)
+    step = max(1, _CHUNK_VALUES // a.shape[1])
+    for start in range(0, len(a_rows), step):
+        part = slice(start, start + step)
+        diff = a[a_rows[part]]
+        diff -= q[q_rows[part]]
+        dist[part] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return dist
+
+
+def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
     """Indices and distances of the k nearest archive rows, exact Euclidean.
 
-    Ties break toward the lowest archive index; ``exclude_index`` removes the
-    query's own archive row when the query is part of the archive.
+    A 1-D query gives (k,) arrays and takes one ``exclude_index`` (int or
+    None); a (Q, d) block gives (Q, k) arrays and takes None or one entry
+    per query. Distances are those of the row differences; ties break
+    toward the lowest archive index; an excluded row (the query's own
+    archive row, when the query is part of the archive) is never returned.
+
+    Per block of queries, one GEMM gives approximate squared distances to
+    every archive row; the exact distances of the k best of those bound the
+    k-th exact distance from above, and every row the screen's rounding
+    allowance cannot place beyond that bound is measured exactly and ranked.
     """
-    q = np.asarray(query_embedding, dtype=np.float64).reshape(-1)
+    q = np.asarray(query_embedding, dtype=np.float64)
+    single = q.ndim < 2
+    if single:
+        q = q.reshape(1, -1)
+        exclude_index = [exclude_index]
     a = np.asarray(archive, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != q.shape[0]:
-        raise ValueError(f"archive shape {a.shape} does not match query dim {q.shape[0]}")
-    m = a.shape[0]
-    usable = m - (1 if exclude_index is not None else 0)
+    if q.ndim != 2 or a.ndim != 2 or a.shape[1] != q.shape[1]:
+        raise ValueError(f"archive shape {a.shape} does not match query shape {q.shape}")
+    n_q, m = q.shape[0], a.shape[0]
+    excl = [None] * n_q if exclude_index is None else list(exclude_index)
+    if len(excl) != n_q:
+        raise ValueError(f"{len(excl)} exclude indices for {n_q} queries")
+    if any(e is not None and not 0 <= e < m for e in excl):
+        raise ValueError(f"exclude indices must lie in [0, {m})")
+    usable = m - (1 if any(e is not None for e in excl) else 0)
     if k < 1 or k > usable:
         raise ValueError(f"k={k} must be between 1 and {usable}")
-    dist = np.empty(m, dtype=np.float64)
-    for start in range(0, m, _CHUNK):
-        block = a[start : start + _CHUNK] - q
-        dist[start : start + _CHUNK] = np.sqrt(np.einsum("ij,ij->i", block, block))
-    if exclude_index is not None:
-        dist[exclude_index] = np.inf
-    order = np.argsort(dist, kind="stable")[:k]
-    return order, dist[order]
+    a_sq = _squared_norms(a, "archive")
+    q_sq = _squared_norms(q, "query")
+    slack = _SCREEN_ERR_PER_DIM * (q.shape[1] + 6)
+    block = max(1, min(_QUERY_BLOCK, _SCREEN_VALUES // m))
+    idx = np.empty((n_q, k), dtype=np.intp)
+    dist = np.empty((n_q, k), dtype=np.float64)
+    for start in range(0, n_q, block):
+        qb, qb_sq = q[start : start + block], q_sq[start : start + block, None]
+        rows = np.arange(qb.shape[0])
+        ex_rows = [r for r in rows if excl[start + r] is not None]
+        ex_cols = [excl[start + r] for r in ex_rows]
+        screen = qb_sq + a_sq - 2.0 * (qb @ a.T)
+        screen[ex_rows, ex_cols] = np.inf
+        # any k usable rows bound the k-th exact distance from above
+        cand = np.argpartition(screen, k - 1, axis=1)[:, :k]
+        worst = _pair_distances(qb, a, np.repeat(rows, k), cand.ravel()).reshape(-1, k).max(axis=1)
+        w2 = (worst * worst)[:, None]
+        allowance = slack * (2.0 * (qb_sq + a_sq) + np.finfo(np.float64).tiny)
+        keep = screen <= w2 * (1.0 + slack) + allowance
+        # the allowance keeps every row whose exact distance can be <= worst,
+        # the candidates among them, so each query keeps at least k rows.
+        # nonzero lists the pairs by query, then by archive index, and
+        # lexsort is stable: each query's pairs stay one run, ordered by
+        # distance with equal distances in index order
+        q_rows, a_rows = np.nonzero(keep)
+        exact = _pair_distances(qb, a, q_rows, a_rows)
+        order = np.lexsort((exact, q_rows))
+        take = order[np.searchsorted(q_rows, rows)[:, None] + np.arange(k)]
+        idx[start : start + len(rows)] = a_rows[take]
+        dist[start : start + len(rows)] = exact[take]
+    if single:
+        return idx[0], dist[0]
+    return idx, dist
 
 
 def pair_metrics(query_labels, retrieved_labels) -> tuple:
-    """(accuracy, precision, recall, f1) for one query/retrieved label pair.
+    """(accuracy, precision, recall, f1) of query/retrieved label vectors.
 
     With I the label intersection size: accuracy = I / |union|,
     precision = I / |retrieved|, recall = I / |query|, and f1 the harmonic
-    mean with the 0/0 -> 0 rule.
+    mean with the 0/0 -> 0 rule. Labels lie on the last axis and leading
+    axes broadcast; each metric has the broadcast leading shape, and two
+    1-D vectors give four Python floats.
     """
     q = np.asarray(query_labels, dtype=np.uint8)
     r = np.asarray(retrieved_labels, dtype=np.uint8)
-    if q.shape != r.shape:
+    if q.ndim == 0 or r.ndim == 0 or q.shape[-1] != r.shape[-1]:
         raise ValueError(f"label length mismatch: {q.shape} vs {r.shape}")
-    nq, nr = int(q.sum()), int(r.sum())
-    if nq == 0 or nr == 0:
+    nq, nr = q.sum(axis=-1), r.sum(axis=-1)
+    if (nq == 0).any() or (nr == 0).any():
         raise ValueError("label vectors must have at least one set bit")
-    inter = int((q & r).sum())
+    inter = (q & r).sum(axis=-1)
     union = nq + nr - inter
     acc = inter / union
     prec = inter / nr
     rec = inter / nq
-    f1 = 0.0 if prec + rec == 0 else 2.0 * prec * rec / (prec + rec)
+    with np.errstate(invalid="ignore"):
+        f1 = np.where(prec + rec == 0, 0.0, 2.0 * prec * rec / (prec + rec))
+    if f1.ndim == 0:
+        return float(acc), float(prec), float(rec), float(f1)
     return acc, prec, rec, f1
 
 
@@ -99,29 +178,17 @@ def evaluate(net, queries, archive, k: int) -> MetricReport:
     q_emb = emb_mod.forward(net, q_feats)
     a_emb = emb_mod.forward(net, a_feats)
     archive_pos = {s.id: i for i, s in enumerate(archive)}
-    totals = np.zeros(4, dtype=np.float64)
-    for qi, q in enumerate(queries):
-        exclude = archive_pos.get(q.id)
-        idxs, _ = knn_retrieve(q_emb[qi], a_emb, k, exclude_index=exclude)
-        per_query = np.zeros(4, dtype=np.float64)
-        for j in idxs:
-            per_query += pair_metrics(q.labels, archive[int(j)].labels)
-        totals += per_query / k
+    exclude = [archive_pos.get(q.id) for q in queries]
+    idxs, _ = knn_retrieve(q_emb, a_emb, k, exclude_index=exclude)
+    q_labels = np.stack([s.labels for s in queries])[:, None, :]
+    r_labels = np.array([[archive[j].labels for j in row] for row in idxs])
+    metrics = np.stack(pair_metrics(q_labels, r_labels), axis=-1)
+    # cumsum adds strictly left to right: neighbors in rank order, then
+    # queries in order, as a per-query loop would
+    per_query = np.cumsum(metrics, axis=1)[:, -1] / k
+    totals = np.cumsum(per_query, axis=0)[-1]
     acc, prec, rec, f1 = (totals / len(queries)).tolist()
     return MetricReport(accuracy=acc, precision=prec, recall=rec, f1=f1)
-
-
-def retrieve_for_query(query_id: str, query_embedding, archive_ids, archive_embeddings,
-                       k: int) -> RetrievalResult:
-    """knn_retrieve wrapped with id bookkeeping and self-exclusion by id."""
-    ids = list(archive_ids)
-    exclude = ids.index(query_id) if query_id in ids else None
-    idxs, dists = knn_retrieve(query_embedding, archive_embeddings, k, exclude_index=exclude)
-    return RetrievalResult(
-        query_id=query_id,
-        ids=tuple(ids[int(i)] for i in idxs),
-        distances=tuple(float(d) for d in dists),
-    )
 
 
 def write_metrics_csv(rows, path) -> None:

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from tripmine.cli import main
+from tripmine.cli import SAMPLER_CHOICES, main
 
 
 def run(capsys, *argv):
@@ -138,6 +138,26 @@ class TestEvaluate:
         assert code == 2
         assert "k=" in err
 
+    def test_k_zero_exits_2(self, trained, tmp_path, capsys):
+        code, _, err = run(capsys, "evaluate", *TINY_DATA, "--out", str(trained), "--k", "0")
+        assert code == 2
+        assert "k=0" in err
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("k=0\n")
+        code, _, err = run(capsys, "evaluate", *TINY_DATA, "--out", str(trained), "--config", str(cfg))
+        assert code == 2
+        assert "k=0" in err
+
+    def test_non_finite_checkpoint_exits_2_naming_path(self, trained, tmp_path, capsys):
+        data = bytearray((trained / "model.ckpt").read_bytes())
+        data[-8:] = struct.pack("<d", math.nan)  # the last bias entry
+        ckpt = tmp_path / "nan.ckpt"
+        ckpt.write_bytes(bytes(data))
+        code, _, err = run(capsys, "evaluate", *TINY_DATA, "--checkpoint", str(ckpt),
+                           "--out", str(tmp_path / "o"), "--k", "5")
+        assert code == 2
+        assert "nan.ckpt" in err and "non-finite" in err
+
     def test_repeat_evaluation_identical(self, trained, capsys):
         code1, out1, _ = run(capsys, "evaluate", *TINY_DATA, "--out", str(trained), "--k", "5")
         metrics1 = (trained / "metrics.csv").read_text()
@@ -189,7 +209,14 @@ class TestAblate:
             for v in parts[2:6]:
                 assert 0.0 <= float(v) <= 1.0
         assert counts["bas-bis"] > counts["das-rhdis"]
+        assert list(counts) == list(SAMPLER_CHOICES)
         assert "Triplets" in stdout
+
+    def test_k_zero_rejected_before_training(self, tmp_path, capsys):
+        code, stdout, err = run(capsys, "ablate", *TINY, "--out", str(tmp_path / "grid"), "--k", "0")
+        assert code == 2
+        assert "k=0" in err
+        assert stdout == ""
 
 
     def test_bis_with_paired_rejected_before_training(self, tmp_path, capsys):
@@ -228,6 +255,10 @@ class TestParser:
     def test_rejects_unknown_sampler_pair(self, capsys):
         with pytest.raises(SystemExit):
             main(["train", "--sampler", "das-unknown"])
+
+    def test_sampler_choices_cover_the_grid_anchor_major(self):
+        assert SAMPLER_CHOICES == ("das-rhdis", "das-ris", "das-bis", "ras-rhdis", "ras-ris",
+                                   "ras-bis", "bas-rhdis", "bas-ris", "bas-bis")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

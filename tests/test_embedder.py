@@ -361,6 +361,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="zero.ckpt.*layer sizes"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    def test_non_finite_weights_rejected_naming_path(self, tmp_path, bad_value):
+        net = Embedder.init([3, 4, 2], seeded_rng(20))
+        net.weights[1][2, 1] = bad_value
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(net, path)
+        with pytest.raises(ValueError, match="nan.ckpt.*non-finite"):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         net = Embedder.init([2, 2], seeded_rng(15))
         path = tmp_path / "model.ckpt"

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tripmine.core import Sample, seeded_rng
+from tripmine import retrieval
 from tripmine.embedder import Embedder, forward
 from tripmine.retrieval import (
     MetricReport,
@@ -13,7 +14,6 @@ from tripmine.retrieval import (
     format_metric_table,
     knn_retrieve,
     pair_metrics,
-    retrieve_for_query,
     write_metrics_csv,
 )
 
@@ -46,6 +46,15 @@ class TestKnnRetrieve:
         idx, _ = knn_retrieve([0.0], archive, k=3)
         assert idx.tolist() == [0, 1, 2]
 
+    def test_subnormal_ties_break_to_lowest_index(self):
+        # both rows are 1e-161 away; the squares are subnormal, where the
+        # screen's rounding error is absolute rather than relative
+        archive = np.array([[-2e-161], [0.0]])
+        idx, dist = knn_retrieve([-1e-161], archive, k=1)
+        want_idx, want_dist = knn_oracle(np.array([-1e-161]), archive, 1, None)
+        assert idx.tolist() == want_idx.tolist() == [0]
+        assert np.array_equal(dist, want_dist)
+
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError, match="k="):
             knn_retrieve([0.0], np.zeros((3, 1)), k=4)
@@ -56,6 +65,94 @@ class TestKnnRetrieve:
             knn_retrieve([0.0], archive, k=3, exclude_index=0)
         idx, _ = knn_retrieve([0.0], archive, k=2, exclude_index=0)
         assert 0 not in idx.tolist()
+
+    def test_exclude_indices_must_match_queries_and_archive(self):
+        archive = np.zeros((3, 1))
+        with pytest.raises(ValueError, match="exclude indices for 2 queries"):
+            knn_retrieve(np.zeros((2, 1)), archive, k=1, exclude_index=[0])
+        with pytest.raises(ValueError, match="exclude indices must lie"):
+            knn_retrieve([0.0], archive, k=1, exclude_index=3)
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("side", ["query", "archive"])
+    def test_non_finite_embeddings_rejected(self, side, bad_value):
+        # 1e200 is finite, but its squared norm overflows float64
+        query, archive = np.zeros(2), np.zeros((3, 2))
+        (query if side == "query" else archive)[1] = bad_value
+        with pytest.raises(ValueError, match=f"{side} embeddings"):
+            knn_retrieve(query, archive, k=1)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_block_matches_brute_force_oracle(self, data):
+        m = data.draw(st.integers(1, 12), label="archive rows")
+        d = data.draw(st.integers(1, 3), label="dim")
+        n_q = data.draw(st.integers(1, 4), label="queries")
+        # a few coarse values, so duplicate rows and equal distances are common
+        value = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0]),
+                          st.floats(-100.0, 100.0, allow_nan=False))
+        archive = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                              min_size=m, max_size=m)))
+        if data.draw(st.booleans(), label="duplicate a row"):
+            archive[-1] = archive[0]
+        queries = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                              min_size=n_q, max_size=n_q)))
+        # at 1e-161 the squares underflow into subnormals; at 1e150 they
+        # come within a few thousand of the float64 maximum
+        scale = data.draw(st.sampled_from([1.0, 1e-161, 1e150]), label="scale")
+        archive, queries = scale * archive, scale * queries
+        exclude = (data.draw(st.lists(st.one_of(st.none(), st.integers(0, m - 1)),
+                                      min_size=n_q, max_size=n_q), label="exclude")
+                   if m > 1 else [None] * n_q)
+        usable = m - (1 if any(e is not None for e in exclude) else 0)
+        k = data.draw(st.one_of(st.just(usable), st.integers(1, usable)), label="k")
+        idx, dist = knn_retrieve(queries, archive, k, exclude_index=exclude)
+        for qi in range(n_q):
+            want_idx, want_dist = knn_oracle(queries[qi], archive, k, exclude[qi])
+            assert np.array_equal(idx[qi], want_idx)
+            assert np.array_equal(dist[qi], want_dist)
+
+    def test_large_common_offset_keeps_exact_order(self):
+        # coordinates 1e8 + 1e-3 * step: in |q|^2 + |a|^2 - 2 q.a the terms
+        # near 3e16 cancel, and their rounding (steps of 8) swamps the squared
+        # distances (below 1e-3); row 5 is 5th nearest but screens at 8, not 0
+        steps = np.array([[9, 10, 15], [19, 0, 2], [16, 18, 4], [6, 17, 8], [5, 16, 5],
+                          [8, 12, 10], [1, 0, 17], [15, 16, 10], [16, 6, 9], [15, 2, 6],
+                          [2, 9, 19], [2, 7, 8], [18, 4, 10], [5, 0, 15], [1, 5, 9],
+                          [9, 2, 19], [14, 19, 1]])
+        archive = 1e8 + 1e-3 * steps
+        query = 1e8 + 1e-3 * np.array([14, 5, 10])
+        gram = query @ query + np.einsum("ij,ij->i", archive, archive) - 2.0 * archive @ query
+        want_idx, want_dist = knn_oracle(query, archive, 5, None)
+        assert gram[5] > 0.0 and (gram == 0.0).sum() == 15
+        idx, dist = knn_retrieve(query, archive, k=5)
+        assert idx.tolist() == want_idx.tolist() == [8, 12, 9, 0, 5]
+        assert np.array_equal(dist, want_dist)
+
+    @pytest.mark.parametrize("screen_values", [retrieval._SCREEN_VALUES, 1000])
+    def test_block_matches_single_query_calls(self, monkeypatch, screen_values):
+        # 1000 values hold 3 queries' screens of this archive: 27 blocks
+        monkeypatch.setattr(retrieval, "_SCREEN_VALUES", screen_values)
+        rng = seeded_rng(3)
+        archive = rng.normal(size=(300, 8))
+        archive[150:200] = archive[:50]
+        # 80 queries span two 64-query blocks; the last 10 are archive rows
+        queries = np.vstack([rng.normal(size=(70, 8)), archive[:10]])
+        exclude = [None] * 70 + list(range(10))
+        idx, dist = knn_retrieve(queries, archive, k=12, exclude_index=exclude)
+        assert idx.shape == dist.shape == (80, 12)
+        for qi, query in enumerate(queries):
+            one_idx, one_dist = knn_retrieve(query, archive, k=12, exclude_index=exclude[qi])
+            assert np.array_equal(idx[qi], one_idx)
+            assert np.array_equal(dist[qi], one_dist)
+
+
+def knn_oracle(query, archive, k, exclude):
+    """Stable argsort of per-row difference distances, the excluded row dropped."""
+    diff = archive - query
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    order = np.array([i for i in np.argsort(dist, kind="stable") if i != exclude][:k])
+    return order, dist[order]
 
 
 def pair_metrics_oracle(q, r):
@@ -84,6 +181,19 @@ class TestPairMetrics:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             pair_metrics([0, 0], [1, 0])
+
+    def test_broadcasts_over_leading_axes(self):
+        q = np.array([[0, 1, 1], [1, 0, 0]])
+        r = np.array([[[0, 1, 0], [0, 1, 1]], [[1, 0, 1], [0, 1, 1]]])
+        got = pair_metrics(q[:, None, :], r)
+        assert all(m.shape == (2, 2) for m in got)
+        for i in range(2):
+            for j in range(2):
+                assert tuple(m[i, j] for m in got) == pair_metrics(q[i], r[i, j])
+
+    def test_label_axis_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            pair_metrics([[1, 0]], [[1, 0, 1]])
 
     @given(
         st.lists(st.integers(0, 1), min_size=5, max_size=5).filter(lambda v: sum(v) > 0),
@@ -159,6 +269,14 @@ class TestEvaluate:
         rep = evaluate(identity_net(1), queries, archive, k=1)
         assert rep.f1 == 1.0
 
+    def test_query_sharing_an_archive_id_skips_that_row(self):
+        # query "a" sits on archive row "a"; k=2 must retrieve "b" and "c"
+        queries = [Sample(id="a", features=[0.0], labels=[1, 0])]
+        archive = [Sample(id=i, features=[f], labels=l)
+                   for i, f, l in (("a", 0.0, [1, 0]), ("b", 1.0, [1, 0]), ("c", 2.0, [0, 1]))]
+        rep = evaluate(identity_net(1), queries, archive, k=2)
+        assert rep == MetricReport(0.5, 0.5, 0.5, 0.5)  # ("a", "b") would score 1.0
+
     def test_archive_permutation_invariance(self):
         rng = seeded_rng(10)
         net = Embedder.init([2, 3], rng)
@@ -176,15 +294,6 @@ class TestEvaluate:
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             evaluate(identity_net(1), [], toy_samples([[0.0]], [[1]], "a"), 1)
-
-
-class TestRetrieveForQuery:
-    def test_wraps_ids_and_excludes_self(self):
-        archive_ids = ["a", "b", "c"]
-        emb = np.array([[0.0], [1.0], [2.0]])
-        res = retrieve_for_query("a", [0.0], archive_ids, emb, k=2)
-        assert res.ids == ("b", "c")
-        assert res.distances == (1.0, 2.0)
 
 
 class TestReports:
