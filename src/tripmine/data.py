@@ -8,9 +8,10 @@ binary columns. Rows are joined on id; the features file fixes the sample
 order.
 
 A binary feature format exists for bulk data: 8 magic bytes "TMFEAT01",
-uint32-LE row count M, uint32-LE feature count F, then M*F row-major
-float32-LE values. It carries no ids, so its rows pair positionally with
-the labels CSV.
+uint32-LE row count M >= 1, uint32-LE feature count F >= 1, then M*F
+row-major float32-LE values. It carries no ids, so its rows pair
+positionally with the labels CSV. Feature values must be finite in both
+formats.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def _looks_like_header(row) -> bool:
 
 
 def _read_features_csv(path):
-    ids, rows = [], []
+    ids, rows, line_nos = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for line_no, row in enumerate(reader):
@@ -106,9 +107,20 @@ def _read_features_csv(path):
                 raise ValueError(f"{path}: non-numeric feature in row {line_no + 1}: {exc}") from None
             ids.append(row[0])
             rows.append(values)
+            line_nos.append(line_no + 1)
     if not ids:
         raise ValueError(f"{path}: no feature rows")
-    return ids, np.asarray(rows, dtype=np.float64)
+    feats = np.asarray(rows, dtype=np.float64)
+    bad = _first_non_finite_row(feats)
+    if bad is not None:
+        raise ValueError(f"{path}: non-finite feature value in row {line_nos[bad]} (id {ids[bad]!r})")
+    return ids, feats
+
+
+def _first_non_finite_row(x):
+    """Index of the first row of ``x`` holding nan or +-inf, else None."""
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    return int(bad[0]) if bad.size else None
 
 
 def read_features_binary(path):
@@ -117,13 +129,21 @@ def read_features_binary(path):
         if magic != FEATURES_MAGIC:
             raise ValueError(f"{path}: not a binary feature file (bad magic)")
         header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError(f"{path}: header is cut off ({len(header)} of 8 size bytes after the magic)")
         m = int.from_bytes(header[:4], "little")
         f = int.from_bytes(header[4:], "little")
+        if m == 0 or f == 0:
+            raise ValueError(f"{path}: header declares {m} rows of {f} features; both must be positive")
         payload = fh.read()
     expected = 4 * m * f
     if len(payload) != expected:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(m, f)
+    values = np.frombuffer(payload, dtype="<f4").reshape(m, f)
+    bad = _first_non_finite_row(values)
+    if bad is not None:
+        raise ValueError(f"{path}: non-finite feature value in row {bad + 1} of {m}")
+    return values.astype(np.float64)
 
 
 def write_features_binary(path, features) -> None:

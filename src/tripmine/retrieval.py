@@ -66,7 +66,7 @@ def _pair_distances(q, a, q_rows, a_rows) -> np.ndarray:
     return dist
 
 
-def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
+def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, archive_sq_norms=None):
     """Indices and distances of the k nearest archive rows, exact Euclidean.
 
     A 1-D query gives (k,) arrays and takes one ``exclude_index`` (int or
@@ -74,6 +74,9 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
     per query. Distances are those of the row differences; ties break
     toward the lowest archive index; an excluded row (the query's own
     archive row, when the query is part of the archive) is never returned.
+    ``archive_sq_norms``, when given, must be the archive rows' squared
+    norms as ``_squared_norms`` returns them (it rejected non-finite and
+    overflowing archives already); by default they are computed here.
 
     Per block of queries, one GEMM gives approximate squared distances to
     every archive row; the exact distances of the k best of those bound the
@@ -97,7 +100,12 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
     usable = m - (1 if any(e is not None for e in excl) else 0)
     if k < 1 or k > usable:
         raise ValueError(f"k={k} must be between 1 and {usable}")
-    a_sq = _squared_norms(a, "archive")
+    if archive_sq_norms is None:
+        a_sq = _squared_norms(a, "archive")
+    else:
+        a_sq = np.asarray(archive_sq_norms, dtype=np.float64)
+        if a_sq.shape != (m,):
+            raise ValueError(f"{a_sq.shape} archive norms for {m} archive rows")
     q_sq = _squared_norms(q, "query")
     slack = _SCREEN_ERR_PER_DIM * (q.shape[1] + 6)
     block = max(1, min(_QUERY_BLOCK, _SCREEN_VALUES // m))
@@ -165,21 +173,79 @@ def default_k(archive_size: int) -> int:
     return 30 if archive_size >= 10_000 else 10
 
 
+def _bits(x) -> np.ndarray:
+    """float64 values of ``x`` as raw bits, so -0.0 differs from 0.0."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@dataclass(frozen=True)
+class _ArchiveEmbedding:
+    """An archive's embeddings and squared norms with bit copies of all they
+    depend on: the net's parameters, its ``l2_normalize`` flag and the
+    stacked archive features."""
+
+    params: tuple
+    l2_normalize: bool
+    features: np.ndarray
+    embeddings: np.ndarray
+    sq_norms: np.ndarray
+
+    def matches(self, net, features) -> bool:
+        # the parameters first: they are small, the archive is not
+        params = emb_mod.parameters(net)
+        return (
+            bool(net.l2_normalize) == self.l2_normalize
+            and len(params) == len(self.params)
+            and all(np.array_equal(_bits(p), c) for p, c in zip(params, self.params))
+            and np.array_equal(_bits(features), _bits(self.features))
+        )
+
+
+# The last archive ``evaluate`` embedded. Only the latest is kept: callers
+# search one archive many times (each evaluate call a block of its queries,
+# or one evaluation per epoch of a net trained in place).
+_archive_memo = None
+
+
+def _embed_archive(net, features):
+    """Embeddings and squared norms of the archive features, reused while the
+    net's parameters, ``l2_normalize`` and the features are bit-identical to
+    the last call's."""
+    global _archive_memo
+    memo = _archive_memo
+    if memo is not None and memo.matches(net, features):
+        return memo.embeddings, memo.sq_norms
+    # drop the old embedding before forward allocates the new one
+    _archive_memo = memo = None
+    emb = emb_mod.forward(net, features)
+    sq = _squared_norms(emb, "archive")
+    _archive_memo = _ArchiveEmbedding(
+        params=tuple(_bits(p).copy() for p in emb_mod.parameters(net)),
+        l2_normalize=bool(net.l2_normalize),
+        features=features,
+        embeddings=emb,
+        sq_norms=sq,
+    )
+    return emb, sq
+
+
 def evaluate(net, queries, archive, k: int) -> MetricReport:
     """Embed both splits, retrieve top-k per query, macro-average the metrics.
 
     A query that is also present in the archive (matched by id) never
-    retrieves itself.
+    retrieves itself. The archive's embeddings are reused from the previous
+    call while the net's weights, biases and ``l2_normalize`` and the
+    archive's stacked features are bit-identical to that call's.
     """
     if not queries or not archive:
         raise ValueError("queries and archive must be nonempty")
     q_feats = np.stack([s.features for s in queries])
     a_feats = np.stack([s.features for s in archive])
     q_emb = emb_mod.forward(net, q_feats)
-    a_emb = emb_mod.forward(net, a_feats)
+    a_emb, a_sq = _embed_archive(net, a_feats)
     archive_pos = {s.id: i for i, s in enumerate(archive)}
     exclude = [archive_pos.get(q.id) for q in queries]
-    idxs, _ = knn_retrieve(q_emb, a_emb, k, exclude_index=exclude)
+    idxs, _ = knn_retrieve(q_emb, a_emb, k, exclude_index=exclude, archive_sq_norms=a_sq)
     q_labels = np.stack([s.labels for s in queries])[:, None, :]
     r_labels = np.array([[archive[j].labels for j in row] for row in idxs])
     metrics = np.stack(pair_metrics(q_labels, r_labels), axis=-1)

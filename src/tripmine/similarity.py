@@ -78,8 +78,10 @@ def pairwise_euclidean(embeddings) -> np.ndarray:
         raise ValueError("embeddings contain non-finite values")
     b = x.shape[0]
     dist = np.zeros((b, b), dtype=np.float64)
+    # one difference buffer for every row; row i uses its first b - 1 - i rows
+    buf = np.empty((max(b - 1, 0), x.shape[1]), dtype=np.float64)
     for i in range(b - 1):
-        diff = x[i + 1 :] - x[i]
+        diff = np.subtract(x[i + 1 :], x[i], out=buf[: b - 1 - i])
         row = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         dist[i, i + 1 :] = row
         dist[i + 1 :, i] = row

@@ -50,6 +50,24 @@ class TestTrain:
         assert "nope_labels.csv" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, content", [
+        ("nan.csv", b"a,1.0,nan\nb,2.0,3.0\n"),
+        ("huge.csv", b"a,1.0,2.0\nb,1e309,3.0\n"),
+        ("cut.bin", b"TMFEAT01\x02\x00"),
+        ("empty.bin", b"TMFEAT01" + struct.pack("<2I", 2, 0)),
+        ("inf.bin", b"TMFEAT01" + struct.pack("<2I2f", 2, 1, 1.0, math.inf)),
+    ])
+    def test_bad_feature_file_exits_2_naming_path(self, tmp_path, capsys, name, content):
+        feats = tmp_path / name
+        feats.write_bytes(content)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,c0,c1\na,1,0\nb,0,1\n")
+        code, _, err = run(capsys, "train", "--features", str(feats), "--labels", str(labels),
+                           "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert name in err
+        assert "Traceback" not in err
+
     def test_bis_with_paired_combination_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "train", *TINY, "--sampler", "bas-bis", "--combination", "paired",
                            "--out", str(tmp_path / "o"))

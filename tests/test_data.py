@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from tripmine.core import seeded_rng
 from tripmine.data import (
+    FEATURES_MAGIC,
     Dataset,
     SyntheticSpec,
     generate_synthetic,
@@ -72,6 +75,13 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="non-binary"):
             load_dataset(fpath, lpath)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_csv_feature_names_file_row_and_id(self, tmp_path, cell):
+        fpath, lpath = write_toy_files(tmp_path, ["id,f0,f1", "a,1.0,2.0", f"b,3.0,{cell}"],
+                                       ["a,1,0", "b,0,1"])
+        with pytest.raises(ValueError, match=r"features\.csv: non-finite feature value in row 3 \(id 'b'\)"):
+            load_dataset(fpath, lpath)
+
 
 class TestRoundTrip:
     def test_csv_round_trip_is_exact(self, tmp_path):
@@ -110,6 +120,32 @@ class TestRoundTrip:
         lpath = tmp_path / "labels.csv"
         lpath.write_text("id,c0\nx,1\n")
         with pytest.raises(ValueError, match="pair by position"):
+            load_dataset(fpath, lpath)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_binary_feature_names_file_and_row(self, tmp_path, value):
+        feats = np.zeros((3, 2))
+        feats[1, 0] = value
+        fpath = tmp_path / "features.bin"
+        write_features_binary(fpath, feats)
+        lpath = tmp_path / "labels.csv"
+        lpath.write_text("id,c0\nx,1\ny,1\nz,1\n")
+        with pytest.raises(ValueError, match=r"features\.bin: non-finite feature value in row 2 of 3"):
+            load_dataset(fpath, lpath)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"", "header is cut off"),
+        (b"\x02\x00", "header is cut off"),
+        (b"\x02\x00\x00\x00\x01\x00\x00", "header is cut off"),
+        (struct.pack("<2I", 0, 2), "header declares 0 rows of 2 features"),
+        (struct.pack("<2I", 2, 0), "header declares 2 rows of 0 features"),
+    ])
+    def test_incomplete_or_empty_binary_header_rejected(self, tmp_path, header, message):
+        fpath = tmp_path / "features.bin"
+        fpath.write_bytes(FEATURES_MAGIC + header)
+        lpath = tmp_path / "labels.csv"
+        lpath.write_text("id,c0\nx,1\ny,1\n")
+        with pytest.raises(ValueError, match=rf"features\.bin: {message}"):
             load_dataset(fpath, lpath)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tripmine.core import Sample, seeded_rng
-from tripmine import retrieval
-from tripmine.embedder import Embedder, forward
+from tripmine import embedder, retrieval
+from tripmine.embedder import Embedder, forward, parameters
+from tripmine.trainer import adam_step, init_adam
 from tripmine.retrieval import (
     MetricReport,
     default_k,
@@ -72,6 +73,17 @@ class TestKnnRetrieve:
             knn_retrieve(np.zeros((2, 1)), archive, k=1, exclude_index=[0])
         with pytest.raises(ValueError, match="exclude indices must lie"):
             knn_retrieve([0.0], archive, k=1, exclude_index=3)
+
+    def test_given_archive_norms_match_computed_ones(self):
+        rng = seeded_rng(4)
+        q, a = rng.normal(size=(5, 3)), rng.normal(size=(20, 3))
+        sq = np.einsum("ij,ij->i", a, a)
+        expected = knn_retrieve(q, a, k=4, exclude_index=[0, None, 3, None, 19])
+        got = knn_retrieve(q, a, k=4, exclude_index=[0, None, 3, None, 19], archive_sq_norms=sq)
+        for e, g in zip(expected, got):
+            assert np.array_equal(e, g)
+        with pytest.raises(ValueError, match="archive norms for 20 archive rows"):
+            knn_retrieve(q, a, k=4, archive_sq_norms=sq[:-1])
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, 1e200])
     @pytest.mark.parametrize("side", ["query", "archive"])
@@ -294,6 +306,103 @@ class TestEvaluate:
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             evaluate(identity_net(1), [], toy_samples([[0.0]], [[1]], "a"), 1)
+
+
+def evaluate_without_memo(net, queries, archive, k):
+    """``evaluate`` as it was before the archive memo: both splits embedded on every call."""
+    q_emb = forward(net, np.stack([s.features for s in queries]))
+    a_emb = forward(net, np.stack([s.features for s in archive]))
+    archive_pos = {s.id: i for i, s in enumerate(archive)}
+    exclude = [archive_pos.get(q.id) for q in queries]
+    idxs, _ = knn_retrieve(q_emb, a_emb, k, exclude_index=exclude)
+    q_labels = np.stack([s.labels for s in queries])[:, None, :]
+    r_labels = np.array([[archive[j].labels for j in row] for row in idxs])
+    metrics = np.stack(pair_metrics(q_labels, r_labels), axis=-1)
+    per_query = np.cumsum(metrics, axis=1)[:, -1] / k
+    totals = np.cumsum(per_query, axis=0)[-1]
+    return MetricReport(*(totals / len(queries)).tolist())
+
+
+def random_split(rng, n, dim, n_classes, prefix):
+    labels = rng.integers(0, 2, size=(n, n_classes))
+    labels[np.arange(n), rng.integers(0, n_classes, size=n)] = 1
+    return toy_samples(rng.normal(size=(n, dim)), labels, prefix)
+
+
+class TestArchiveMemo:
+    @pytest.fixture
+    def forward_rows(self, monkeypatch):
+        """Starts with no stored archive; records the row count of every forward call."""
+        monkeypatch.setattr(retrieval, "_archive_memo", None, raising=False)
+        rows = []
+        real = embedder.forward
+
+        def counting(net, features):
+            rows.append(len(features))
+            return real(net, features)
+
+        monkeypatch.setattr(embedder, "forward", counting)
+        return rows
+
+    @pytest.fixture
+    def setup(self):
+        rng = seeded_rng(21)
+        net = Embedder.init([5, 7, 4], rng)
+        queries = random_split(rng, 9, 5, 4, "q")
+        archive = random_split(rng, 40, 5, 4, "a") + queries[:3]  # three queries sit in the archive
+        return net, queries, archive
+
+    def test_repeated_calls_embed_the_archive_once(self, forward_rows, setup):
+        net, queries, archive = setup
+        reports = [evaluate(net, queries[i : i + 3], archive, k=5) for i in (0, 3, 6, 0)]
+        assert forward_rows == [3, 43, 3, 3, 3]
+        assert reports[3] == reports[0]
+
+    @pytest.mark.parametrize("change", ["adam_step", "one_ulp", "negative_zero", "archive_features",
+                                        "l2_normalize", "other_archive"])
+    def test_any_bit_change_recomputes(self, forward_rows, setup, change):
+        net, queries, archive = setup
+        evaluate(net, queries, archive, k=5)
+        if change == "adam_step":
+            params = parameters(net)
+            grads = [seeded_rng(3).normal(size=p.shape) for p in params]
+            adam_step(params, grads, init_adam(params), lr=1e-3)
+        elif change == "one_ulp":
+            net.weights[1][2, 3] = np.nextafter(net.weights[1][2, 3], np.inf)
+        elif change == "negative_zero":
+            assert net.biases[0][4] == 0.0
+            net.biases[0][4] = -0.0
+        elif change == "archive_features":
+            archive[17].features[2] += 0.25
+        elif change == "l2_normalize":
+            net.l2_normalize = True
+        else:
+            archive = archive[:-1]
+        del forward_rows[:]
+        warm = evaluate(net, queries, archive, k=5)
+        assert forward_rows == [9, len(archive)]
+        assert warm == evaluate_without_memo(net, queries, archive, k=5)
+
+    @pytest.mark.parametrize("l2", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reports_bit_identical_to_the_uncached_path(self, monkeypatch, seed, l2):
+        monkeypatch.setattr(retrieval, "_archive_memo", None, raising=False)
+        rng = seeded_rng(seed)
+        net = Embedder.init([6, 8, 3], rng, l2_normalize=l2)
+        archive = random_split(rng, 120, 6, 5, "a")
+        archive += archive[:20]  # duplicated rows give distance ties
+        queries = random_split(rng, 30, 6, 5, "q") + archive[40:50]
+        expected = evaluate_without_memo(net, queries, archive, k=12)
+        assert evaluate(net, queries, archive, k=12) == expected  # cold
+        assert evaluate(net, queries, archive, k=12) == expected  # warm
+
+    def test_old_entry_dropped_before_a_failing_forward(self, forward_rows, setup):
+        net, queries, archive = setup
+        evaluate(net, queries, archive, k=5)
+        wide = [Sample(id=f"w{i}", features=np.zeros(6), labels=[1, 0, 0, 0]) for i in range(8)]
+        with pytest.raises(ValueError, match="does not match input dim 5"):
+            evaluate(net, queries, wide, k=5)
+        assert retrieval._archive_memo is None
 
 
 class TestReports:

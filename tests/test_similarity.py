@@ -61,7 +61,27 @@ class TestLabelSimilarity:
                 assert mat[i, j] == pytest.approx(label_similarity(labels[i], labels[j], kind), abs=1e-15)
 
 
+def pairwise_euclidean_loop(x):
+    """A fresh row-difference array per row: the form the buffered loop must match bit for bit."""
+    b = x.shape[0]
+    dist = np.zeros((b, b))
+    for i in range(b - 1):
+        diff = x[i + 1 :] - x[i]
+        row = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        dist[i, i + 1 :] = row
+        dist[i + 1 :, i] = row
+    return dist
+
+
 class TestPairwiseEuclidean:
+    @pytest.mark.parametrize("b", [1, 2, 3, 7, 32, 161])
+    @pytest.mark.parametrize("d", [1, 3, 17, 1024])
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e150])
+    def test_bit_identical_to_per_row_loop(self, b, d, scale):
+        x = np.random.default_rng(b * 7 + d).normal(size=(b, d)) * scale
+        got = pairwise_euclidean(x)
+        assert got.view(np.uint64).tobytes() == pairwise_euclidean_loop(x).view(np.uint64).tobytes()
+
     def test_identical_rows_have_zero_distance(self):
         d = pairwise_euclidean([[1.0, 2.0], [1.0, 2.0]])
         assert d[0, 1] == 0.0
