@@ -384,8 +384,8 @@ def cmd_mine_debug(o: dict) -> int:
     batch_size = o["batch_size"]
     if batch_size > len(ds.train_idx):
         raise UserError(f"batch size {batch_size} exceeds train split size {len(ds.train_idx)}")
-    features = ds.features_matrix()
-    labels = ds.labels_matrix()
+    features = ds.samples.features
+    labels = ds.samples.labels
     rng = seeded_rng(o["seed"])
     perm = rng.permutation(ds.train_idx)
     available = len(ds.train_idx) // batch_size

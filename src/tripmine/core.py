@@ -7,6 +7,7 @@ the loss, and the trainer; dataset-level indices appear only in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -69,6 +70,87 @@ class Sample:
             raise ValueError(f"sample {self.id!r} has non-finite feature values")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", as_label_vector(self.labels))
+
+
+class SampleTable:
+    """Samples as columns: ``ids`` (a tuple), ``features`` an (M, F) float64
+    matrix and ``labels`` an (M, N) uint8 matrix; row i is sample i.
+
+    The constructor checks what ``Sample`` checks, once per matrix: finite
+    features, 0/1 labels, at least one label per row, and one id per row.
+    Ids need not be unique (``load_dataset`` rejects duplicates in files);
+    ``row_of`` maps each id to its last row. The arrays are not copied when
+    they already have the right dtype, so they stay the caller's to edit.
+
+    ``len`` and iteration work as on a list of ``Sample``; an int index
+    gives a ``Sample`` viewing that row, a slice or an integer index array
+    gives a sub-table.
+    """
+
+    def __init__(self, ids, features, labels):
+        ids = tuple(ids)
+        feats = np.asarray(features, dtype=np.float64)
+        labs = np.asarray(labels)
+        if feats.ndim != 2 or labs.ndim != 2:
+            raise ValueError(f"features and labels must be matrices, got {feats.shape} and {labs.shape}")
+        if not len(ids) == feats.shape[0] == labs.shape[0]:
+            raise ValueError(
+                f"{len(ids)} ids, {feats.shape[0]} feature rows and {labs.shape[0]} label rows differ"
+            )
+        bad = _first_true(~np.isfinite(feats).all(axis=1))
+        if bad is not None:
+            raise ValueError(f"sample {ids[bad]!r} has non-finite feature values")
+        bad = _first_true(((labs != 0) & (labs != 1)).any(axis=1))
+        if bad is not None:
+            raise ValueError(f"sample {ids[bad]!r}: label entries must be 0 or 1")
+        labs = labs.astype(np.uint8, copy=False)
+        bad = _first_true(~labs.any(axis=1))
+        if bad is not None:
+            raise ValueError(f"sample {ids[bad]!r} has no class labels")
+        self.ids = ids
+        self.features = feats
+        self.labels = labs
+
+    @classmethod
+    def from_samples(cls, samples) -> "SampleTable":
+        samples = list(samples)
+        if not samples:
+            raise ValueError("a sample table needs at least one sample")
+        return cls([s.id for s in samples], np.stack([s.features for s in samples]),
+                   np.stack([s.labels for s in samples]))
+
+    @functools.cached_property
+    def row_of(self) -> dict:
+        """id -> row index, the last row for a repeated id."""
+        return {sample_id: row for row, sample_id in enumerate(self.ids)}
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return Sample(id=self.ids[key], features=self.features[key], labels=self.labels[key])
+        if isinstance(key, slice):
+            return SampleTable(self.ids[key], self.features[key], self.labels[key])
+        rows = np.asarray(key)
+        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+            raise TypeError(f"index a sample table with an int, a slice or a 1-D integer array, not {key!r}")
+        rows = rows.astype(np.intp)
+        return SampleTable([self.ids[i] for i in rows.tolist()], self.features[rows], self.labels[rows])
+
+
+def _first_true(hit):
+    """Index of the first True in the boolean vector ``hit``, else None."""
+    return int(hit.argmax()) if hit.any() else None
+
+
+def as_table(samples) -> SampleTable:
+    """``samples`` itself if it is a ``SampleTable``, else a table of the
+    ``Sample`` sequence."""
+    return samples if isinstance(samples, SampleTable) else SampleTable.from_samples(samples)
 
 
 @dataclass(frozen=True)

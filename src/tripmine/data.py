@@ -11,17 +11,21 @@ A binary feature format exists for bulk data: 8 magic bytes "TMFEAT01",
 uint32-LE row count M >= 1, uint32-LE feature count F >= 1, then M*F
 row-major float32-LE values. It carries no ids, so its rows pair
 positionally with the labels CSV. Feature values must be finite in both
-formats.
+formats. CSV files are UTF-8 text.
+
+A loaded dataset holds its samples as one ``SampleTable``: the ids, an
+(M, F) float64 feature matrix and an (M, N) uint8 label matrix.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Sample, seeded_rng
+from .core import SampleTable, as_table, seeded_rng
 
 FEATURES_MAGIC = b"TMFEAT01"
 _REDRAW_ATTEMPTS = 16
@@ -29,28 +33,28 @@ _REDRAW_ATTEMPTS = 16
 
 @dataclass
 class Dataset:
-    samples: list
+    """Samples (a ``SampleTable``; a list of ``Sample`` is converted), class
+    names, and the row indices of the train/val/test splits."""
+
+    samples: SampleTable
     class_names: list
     train_idx: list = field(default_factory=list)
     val_idx: list = field(default_factory=list)
     test_idx: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self.samples = as_table(self.samples)
+
     @property
     def n_features(self) -> int:
-        return int(self.samples[0].features.shape[0]) if self.samples else 0
+        return int(self.samples.features.shape[1])
 
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def features_matrix(self) -> np.ndarray:
-        return np.stack([s.features for s in self.samples])
-
-    def labels_matrix(self) -> np.ndarray:
-        return np.stack([s.labels for s in self.samples])
-
-    def subset(self, indices) -> list:
-        return [self.samples[int(i)] for i in indices]
+    def subset(self, indices) -> SampleTable:
+        return self.samples[list(indices)]
 
 
 @dataclass(frozen=True)
@@ -88,26 +92,39 @@ def _looks_like_header(row) -> bool:
         return True
 
 
+def _csv_rows(path):
+    """The rows of a UTF-8 CSV file, read lazily. Bytes that are not UTF-8
+    and malformed CSV raise ``ValueError`` naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+            ) from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_features_csv(path):
     ids, rows, line_nos = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader):
-            if not row:
-                continue
-            if line_no == 0 and _looks_like_header(row):
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}: row {line_no + 1} has no feature columns")
-            if rows and len(row) != len(rows[-1]) + 1:
-                raise ValueError(f"{path}: ragged row {line_no + 1} (id {row[0]!r})")
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}: non-numeric feature in row {line_no + 1}: {exc}") from None
-            ids.append(row[0])
-            rows.append(values)
-            line_nos.append(line_no + 1)
+    for line_no, row in enumerate(_csv_rows(path)):
+        if not row:
+            continue
+        if line_no == 0 and _looks_like_header(row):
+            continue
+        if len(row) < 2:
+            raise ValueError(f"{path}: row {line_no + 1} has no feature columns")
+        if rows and len(row) != len(rows[-1]) + 1:
+            raise ValueError(f"{path}: ragged row {line_no + 1} (id {row[0]!r})")
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: non-numeric feature in row {line_no + 1}: {exc}") from None
+        ids.append(row[0])
+        rows.append(values)
+        line_nos.append(line_no + 1)
     if not ids:
         raise ValueError(f"{path}: no feature rows")
     feats = np.asarray(rows, dtype=np.float64)
@@ -156,30 +173,39 @@ def write_features_binary(path, features) -> None:
 
 
 def _read_labels_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+    rows = [row for row in _csv_rows(path) if row]
     if len(rows) < 2:
         raise ValueError(f"{path}: expected a header row and at least one label row")
-    header = rows[0]
+    header, body = rows[0], rows[1:]
     class_names = header[1:]
     if not class_names:
         raise ValueError(f"{path}: header names no classes")
-    ids, labels = [], []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
+    n = len(class_names)
+    # Each cell is checked once per distinct value, and the bits of every
+    # row before the first bad one are read as one array; the first bad row
+    # gets the message a row-by-row check would give it.
+    ragged = next((r for r, row in enumerate(body) if len(row) != n + 1), len(body))
+    cells = list(itertools.chain.from_iterable(row[1:] for row in body[:ragged]))
+    stripped = {v: v.strip() for v in set(cells)}
+    end = ragged
+    if not set(stripped.values()) <= {"0", "1"}:
+        end = next(r for r, row in enumerate(body[:ragged])
+                   if any(stripped[v] not in ("0", "1") for v in row[1:]))
+    bits = "".join(map(stripped.__getitem__, cells[: end * n])).encode("ascii")
+    labels = np.frombuffer(bits, dtype=np.uint8).reshape(end, n) - ord("0")
+    empty = np.flatnonzero(~labels.any(axis=1))
+    if empty.size:
+        raise ValueError(f"{path}: sample {body[empty[0]][0]!r} has no class labels")
+    if end < len(body):
+        row, line_no = body[end], end + 2
+        if end == ragged:
             raise ValueError(f"{path}: ragged row {line_no} (id {row[0]!r})")
-        bits = []
-        for v in row[1:]:
-            v = v.strip()
-            if v not in ("0", "1"):
-                raise ValueError(f"{path}: non-binary label entry {v!r} in row {line_no}")
-            bits.append(int(v))
-        if sum(bits) == 0:
-            raise ValueError(f"{path}: sample {row[0]!r} has no class labels")
-        ids.append(row[0])
-        labels.append(bits)
-    return class_names, ids, np.asarray(labels, dtype=np.uint8)
+        v = next(stripped[v] for v in row[1:] if stripped[v] not in ("0", "1"))
+        raise ValueError(f"{path}: non-binary label entry {v!r} in row {line_no}")
+    ids = [row[0] for row in body]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{path}: duplicate ids")
+    return class_names, ids, labels
 
 
 def _is_binary_features(path) -> bool:
@@ -195,7 +221,7 @@ def load_dataset(features_path, labels_path) -> Dataset:
         if feats.shape[0] != len(label_ids):
             raise ValueError(
                 f"{features_path}: {feats.shape[0]} binary feature rows vs "
-                f"{len(label_ids)} label rows (binary features pair by position)"
+                f"{len(label_ids)} label rows in {labels_path} (binary features pair by position)"
             )
         ids = label_ids
     else:
@@ -203,31 +229,33 @@ def load_dataset(features_path, labels_path) -> Dataset:
         if len(set(ids)) != len(ids):
             raise ValueError(f"{features_path}: duplicate ids")
         by_id = {i: k for k, i in enumerate(label_ids)}
-        if len(by_id) != len(label_ids):
-            raise ValueError(f"{labels_path}: duplicate ids")
         missing = [i for i in ids if i not in by_id]
         if missing:
-            raise ValueError(f"id {missing[0]!r} present in features but not labels")
+            raise ValueError(
+                f"{features_path}: id {missing[0]!r} present in features but not labels ({labels_path})"
+            )
         extra = set(label_ids) - set(ids)
         if extra:
-            raise ValueError(f"id {sorted(extra)[0]!r} present in labels but not features")
+            raise ValueError(
+                f"{labels_path}: id {sorted(extra)[0]!r} present in labels but not features ({features_path})"
+            )
         labels = labels[[by_id[i] for i in ids]]
-    samples = [Sample(id=i, features=feats[k], labels=labels[k]) for k, i in enumerate(ids)]
-    return Dataset(samples=samples, class_names=list(class_names))
+    return Dataset(samples=SampleTable(ids, feats, labels), class_names=list(class_names))
 
 
 def write_dataset(ds: Dataset, features_path, labels_path) -> None:
     """Write the two CSVs; float formatting round-trips float64 exactly."""
+    table = ds.samples
     with open(features_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [f"f{j}" for j in range(ds.n_features)])
-        for s in ds.samples:
-            writer.writerow([s.id] + [repr(float(v)) for v in s.features])
+        for sample_id, row in zip(table.ids, table.features.tolist()):
+            writer.writerow([sample_id] + [repr(v) for v in row])
     with open(labels_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + list(ds.class_names))
-        for s in ds.samples:
-            writer.writerow([s.id] + [str(int(b)) for b in s.labels])
+        for sample_id, row in zip(table.ids, table.labels.tolist()):
+            writer.writerow([sample_id] + [str(b) for b in row])
 
 
 def split_dataset(ds: Dataset, fractions, rng: np.random.Generator) -> Dataset:
@@ -290,13 +318,14 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     rng = seeded_rng(spec.seed)
     centroids, proto_labels = _draw_prototypes(spec, rng)
     width = len(str(max(spec.n_samples - 1, 1)))
-    samples = []
+    features = np.empty((spec.n_samples, spec.feature_dim), dtype=np.float64)
+    labels = np.empty((spec.n_samples, spec.n_classes), dtype=np.uint8)
     for i in range(spec.n_samples):
         n_src = 1 if rng.random() < 0.7 else 2
         srcs = rng.choice(spec.n_prototypes, size=n_src, replace=False)
         w = rng.random(n_src)
         w /= w.sum()
-        feats = w @ centroids[srcs] + spec.feature_noise_sigma * rng.normal(size=spec.feature_dim)
+        features[i] = w @ centroids[srcs] + spec.feature_noise_sigma * rng.normal(size=spec.feature_dim)
         clean = proto_labels[srcs].max(axis=0)
         bits = clean.copy()
         for _ in range(_REDRAW_ATTEMPTS):
@@ -306,6 +335,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
                 break
         if bits.sum() == 0:
             bits[int(rng.integers(spec.n_classes))] = 1
-        samples.append(Sample(id=f"s{i:0{width}d}", features=feats, labels=bits))
+        labels[i] = bits
+    ids = [f"s{i:0{width}d}" for i in range(spec.n_samples)]
     class_names = [f"c{j}" for j in range(spec.n_classes)]
-    return Dataset(samples=samples, class_names=class_names)
+    return Dataset(samples=SampleTable(ids, features, labels), class_names=class_names)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embedder as emb_mod
+from .core import as_table
 
 # float64 values of (archive - query) row differences held at once (1 MB)
 _CHUNK_VALUES = 1 << 17
@@ -182,7 +183,7 @@ def _bits(x) -> np.ndarray:
 class _ArchiveEmbedding:
     """An archive's embeddings and squared norms with bit copies of all they
     depend on: the net's parameters, its ``l2_normalize`` flag and the
-    stacked archive features."""
+    archive feature matrix."""
 
     params: tuple
     l2_normalize: bool
@@ -222,7 +223,8 @@ def _embed_archive(net, features):
     _archive_memo = _ArchiveEmbedding(
         params=tuple(_bits(p).copy() for p in emb_mod.parameters(net)),
         l2_normalize=bool(net.l2_normalize),
-        features=features,
+        # a copy: the caller's table may be edited in place after this call
+        features=features.copy(),
         embeddings=emb,
         sq_norms=sq,
     )
@@ -232,23 +234,22 @@ def _embed_archive(net, features):
 def evaluate(net, queries, archive, k: int) -> MetricReport:
     """Embed both splits, retrieve top-k per query, macro-average the metrics.
 
-    A query that is also present in the archive (matched by id) never
-    retrieves itself. The archive's embeddings are reused from the previous
-    call while the net's weights, biases and ``l2_normalize`` and the
-    archive's stacked features are bit-identical to that call's.
+    ``queries`` and ``archive`` are ``SampleTable``s or sequences of
+    ``Sample``. A query that is also present in the archive (matched by id)
+    never retrieves the archive's last row with that id. The archive's
+    embeddings are reused from the previous call while the net's weights,
+    biases and ``l2_normalize`` and the archive's feature matrix are
+    bit-identical to that call's.
     """
     if not queries or not archive:
         raise ValueError("queries and archive must be nonempty")
-    q_feats = np.stack([s.features for s in queries])
-    a_feats = np.stack([s.features for s in archive])
-    q_emb = emb_mod.forward(net, q_feats)
-    a_emb, a_sq = _embed_archive(net, a_feats)
-    archive_pos = {s.id: i for i, s in enumerate(archive)}
-    exclude = [archive_pos.get(q.id) for q in queries]
+    queries, archive = as_table(queries), as_table(archive)
+    q_emb = emb_mod.forward(net, queries.features)
+    a_emb, a_sq = _embed_archive(net, archive.features)
+    row_of = archive.row_of
+    exclude = [row_of.get(i) for i in queries.ids]
     idxs, _ = knn_retrieve(q_emb, a_emb, k, exclude_index=exclude, archive_sq_norms=a_sq)
-    q_labels = np.stack([s.labels for s in queries])[:, None, :]
-    r_labels = np.array([[archive[j].labels for j in row] for row in idxs])
-    metrics = np.stack(pair_metrics(q_labels, r_labels), axis=-1)
+    metrics = np.stack(pair_metrics(queries.labels[:, None, :], archive.labels[idxs]), axis=-1)
     # cumsum adds strictly left to right: neighbors in rank order, then
     # queries in order, as a per-query loop would
     per_query = np.cumsum(metrics, axis=1)[:, -1] / k

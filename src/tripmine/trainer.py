@@ -137,8 +137,8 @@ def train(dataset, cfg: TrainConfig, epoch_callback=None) -> tuple:
         )
     validate_config(cfg.sampler, cfg.batch_size)
 
-    features = dataset.features_matrix()
-    labels = dataset.labels_matrix()
+    features = dataset.samples.features
+    labels = dataset.samples.labels
     rng = seeded_rng(cfg.seed)
     net = emb_mod.Embedder.init(
         [features.shape[1], *cfg.hidden_dims, cfg.embedding_dim], rng,

@@ -68,6 +68,29 @@ class TestTrain:
         assert name in err
         assert "Traceback" not in err
 
+    def test_duplicate_label_ids_with_binary_features_exit_2(self, tmp_path, capsys):
+        feats = tmp_path / "features.bin"
+        feats.write_bytes(b"TMFEAT01" + struct.pack("<2I3f", 3, 1, 0.0, 1.0, 2.0))
+        labels = tmp_path / "dup_labels.csv"
+        labels.write_text("id,c0,c1\na,1,0\na,0,1\nb,1,1\n")
+        code, _, err = run(capsys, "train", "--features", str(feats), "--labels", str(labels),
+                           "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "dup_labels.csv: duplicate ids" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("which", ["features", "labels"])
+    def test_undecodable_csv_exits_2_naming_path(self, tmp_path, capsys, which):
+        files = {"features": tmp_path / "features.csv", "labels": tmp_path / "labels.csv"}
+        files["features"].write_bytes(b"a,1.0\nb,2.0\n")
+        files["labels"].write_bytes(b"id,c0\na,1\nb,1\n")
+        files[which].write_bytes(files[which].read_bytes().replace(b"b,", b"b\xff,"))
+        code, _, err = run(capsys, "train", "--features", str(files["features"]),
+                           "--labels", str(files["labels"]), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"{which}.csv: not UTF-8 text" in err
+        assert "Traceback" not in err
+
     def test_bis_with_paired_combination_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "train", *TINY, "--sampler", "bas-bis", "--combination", "paired",
                            "--out", str(tmp_path / "o"))

@@ -4,9 +4,11 @@ import pytest
 from tripmine.core import (
     BatchView,
     Sample,
+    SampleTable,
     SamplerConfig,
     TripletSet,
     as_label_vector,
+    as_table,
     seeded_rng,
     validate_config,
 )
@@ -50,6 +52,108 @@ class TestSample:
     def test_features_coerced_to_float64(self):
         s = Sample(id="x", features=[1, 2], labels=[0, 1])
         assert s.features.dtype == np.float64
+
+
+def small_table():
+    feats = np.arange(12, dtype=np.float64).reshape(4, 3)
+    labels = np.array([[1, 0], [0, 1], [1, 1], [0, 1]], dtype=np.uint8)
+    return SampleTable(["a", "b", "c", "d"], feats, labels)
+
+
+class TestSampleTable:
+    def test_holds_ids_tuple_float64_features_uint8_labels(self):
+        t = SampleTable(["a", "b"], [[1, 2], [3, 4]], [[1, 0], [1, 1]])
+        assert t.ids == ("a", "b")
+        assert t.features.dtype == np.float64 and t.features.shape == (2, 2)
+        assert t.labels.dtype == np.uint8 and t.labels.tolist() == [[1, 0], [1, 1]]
+        assert len(t) == 2
+
+    def test_float64_features_are_the_callers_matrix(self):
+        feats = np.zeros((2, 3))
+        t = SampleTable(["a", "b"], feats, [[1], [1]])
+        assert t.features is feats
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features_naming_the_sample(self, value):
+        feats = np.zeros((3, 2))
+        feats[1, 1] = value
+        with pytest.raises(ValueError, match="sample 'b' has non-finite feature values"):
+            SampleTable(["a", "b", "c"], feats, np.ones((3, 1)))
+
+    @pytest.mark.parametrize("value", [2, -1, 0.5, np.nan])
+    def test_rejects_non_binary_labels_naming_the_sample(self, value):
+        labels = np.ones((3, 2))
+        labels[2, 0] = value
+        with pytest.raises(ValueError, match="sample 'c': label entries must be 0 or 1"):
+            SampleTable(["a", "b", "c"], np.zeros((3, 2)), labels)
+
+    def test_rejects_all_zero_label_row_naming_the_sample(self):
+        with pytest.raises(ValueError, match="sample 'b' has no class labels"):
+            SampleTable(["a", "b"], np.zeros((2, 2)), [[0, 1], [0, 0]])
+
+    @pytest.mark.parametrize("ids, n_feats, n_labels", [
+        (["a", "b"], 3, 3), (["a", "b", "c"], 2, 3), (["a", "b", "c"], 3, 2),
+    ])
+    def test_rejects_row_count_mismatch(self, ids, n_feats, n_labels):
+        with pytest.raises(ValueError, match="rows differ"):
+            SampleTable(ids, np.zeros((n_feats, 2)), np.ones((n_labels, 2)))
+
+    def test_rejects_non_matrix_columns(self):
+        with pytest.raises(ValueError, match="must be matrices"):
+            SampleTable(["a"], np.zeros(2), np.ones((1, 2)))
+        with pytest.raises(ValueError, match="must be matrices"):
+            SampleTable(["a"], np.zeros((1, 2)), np.ones(2))
+
+    def test_int_index_gives_a_sample_viewing_the_row(self):
+        t = small_table()
+        s = t[2]
+        assert isinstance(s, Sample)
+        assert s.id == "c" and s.features.tolist() == [6.0, 7.0, 8.0] and s.labels.tolist() == [1, 1]
+        assert t[-1].id == "d" and t[np.int64(1)].id == "b"
+        s.features[0] = -1.0
+        assert t.features[2, 0] == -1.0
+
+    def test_slice_gives_a_sub_table_view(self):
+        t = small_table()
+        sub = t[1:3]
+        assert isinstance(sub, SampleTable)
+        assert sub.ids == ("b", "c")
+        assert np.shares_memory(sub.features, t.features)
+        assert sub.labels.tolist() == [[0, 1], [1, 1]]
+
+    @pytest.mark.parametrize("rows", [[3, 0, 3], np.array([3, 0, 3]), np.array([3, 0, 3], dtype=np.uint8)])
+    def test_index_array_gives_a_sub_table(self, rows):
+        t = small_table()
+        sub = t[rows]
+        assert sub.ids == ("d", "a", "d")
+        assert sub.features.tolist() == [[9, 10, 11], [0, 1, 2], [9, 10, 11]]
+        assert sub.labels.tolist() == [[0, 1], [1, 0], [0, 1]]
+
+    def test_empty_index_gives_an_empty_table(self):
+        sub = small_table()[[]]
+        assert len(sub) == 0 and sub.features.shape == (0, 3) and sub.labels.shape == (0, 2)
+
+    @pytest.mark.parametrize("key", [np.array([True, False, True, False]), np.array([[0, 1]]), [0.0, 1.0]])
+    def test_rejects_boolean_float_and_2d_indices(self, key):
+        with pytest.raises(TypeError, match="index a sample table"):
+            small_table()[key]
+
+    def test_iteration_and_from_samples_round_trip(self):
+        t = small_table()
+        samples = list(t)
+        assert [s.id for s in samples] == list(t.ids)
+        back = SampleTable.from_samples(samples)
+        assert back.ids == t.ids
+        assert np.array_equal(back.features, t.features) and np.array_equal(back.labels, t.labels)
+        assert as_table(t) is t
+        assert as_table(samples).ids == t.ids
+        with pytest.raises(ValueError, match="at least one sample"):
+            SampleTable.from_samples([])
+
+    def test_row_of_maps_ids_to_their_last_row(self):
+        t = SampleTable(["a", "b", "a"], np.zeros((3, 1)), np.ones((3, 1)))
+        assert t.row_of == {"a": 2, "b": 1}
+        assert t.row_of is t.row_of
 
 
 class TestValidateConfig:

@@ -1,12 +1,15 @@
+import csv
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tripmine.core import seeded_rng
+from tripmine.core import Sample, SampleTable, seeded_rng
 from tripmine.data import (
     FEATURES_MAGIC,
     Dataset,
+    _read_labels_csv,
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
@@ -81,6 +84,172 @@ class TestLoadDataset:
                                        ["a,1,0", "b,0,1"])
         with pytest.raises(ValueError, match=r"features\.csv: non-finite feature value in row 3 \(id 'b'\)"):
             load_dataset(fpath, lpath)
+
+
+    def test_duplicate_label_ids_with_binary_features_rejected(self, tmp_path):
+        fpath = tmp_path / "features.bin"
+        write_features_binary(fpath, np.zeros((3, 2)))
+        lpath = tmp_path / "labels.csv"
+        lpath.write_text("id,c0\na,1\na,1\nb,1\n")
+        with pytest.raises(ValueError, match=r"labels\.csv: duplicate ids"):
+            load_dataset(fpath, lpath)
+
+    def test_duplicate_label_ids_with_csv_features_rejected(self, tmp_path):
+        fpath, lpath = write_toy_files(tmp_path, ["a,1.0", "b,2.0"], ["a,1,0", "b,0,1", "a,1,1"])
+        with pytest.raises(ValueError, match=r"labels\.csv: duplicate ids"):
+            load_dataset(fpath, lpath)
+
+    @pytest.mark.parametrize("which", ["features", "labels"])
+    def test_undecodable_csv_bytes_name_the_file(self, tmp_path, which):
+        fpath, lpath = write_toy_files(tmp_path, ["a,1.0,2.0", "b,3.0,4.0"], ["a,1,0", "b,0,1"])
+        bad = fpath if which == "features" else lpath
+        bad.write_bytes(bad.read_bytes().replace(b"b,", b"\xff,"))
+        with pytest.raises(ValueError, match=rf"{bad.name}: not UTF-8 text \(byte 0xff"):
+            load_dataset(fpath, lpath)
+
+    def test_malformed_csv_names_the_file(self, tmp_path):
+        fpath, lpath = write_toy_files(tmp_path, ["a,1.0,2.0"], ["a,1,0"])
+        fpath.write_text("a,1.0,2.0\nb,3.0," + "1" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(ValueError, match=r"features\.csv: line 2: field larger than field limit"):
+            load_dataset(fpath, lpath)
+
+    def test_join_errors_name_both_files(self, tmp_path):
+        fpath, lpath = write_toy_files(tmp_path, ["a,1.0,2.0", "zz,3.0,4.0"], ["a,1,0"])
+        with pytest.raises(ValueError, match=r"features\.csv: id 'zz' .*labels\.csv"):
+            load_dataset(fpath, lpath)
+        fpath, lpath = write_toy_files(tmp_path, ["a,1.0,2.0"], ["a,1,0", "b,0,1"])
+        with pytest.raises(ValueError, match=r"labels\.csv: id 'b' .*features\.csv"):
+            load_dataset(fpath, lpath)
+
+
+def per_sample_build(features_path, labels_path):
+    """The dataset as a list of ``Sample``, read row by row the way the
+    loader read it before it built one table."""
+    with open(labels_path, newline="") as fh:
+        label_rows = [row for row in csv.reader(fh) if row][1:]
+    labels = {row[0]: [int(v.strip()) for v in row[1:]] for row in label_rows}
+    with open(features_path, "rb") as fh:
+        binary = fh.read(8) == FEATURES_MAGIC
+    if binary:
+        raw = open(features_path, "rb").read()
+        m, f = struct.unpack("<2I", raw[8:16])
+        feats = np.frombuffer(raw[16:], dtype="<f4").reshape(m, f).astype(np.float64)
+        rows = [(row[0], feats[k]) for k, row in enumerate(label_rows)]
+    else:
+        with open(features_path, newline="") as fh:
+            feature_rows = [row for row in csv.reader(fh) if row]
+        if not feature_rows[0][1].replace(".", "").replace("-", "").isdigit():
+            feature_rows = feature_rows[1:]
+        rows = [(row[0], [float(v) for v in row[1:]]) for row in feature_rows]
+    return [Sample(id=i, features=x, labels=labels[i]) for i, x in rows]
+
+
+class TestSampleTableLoad:
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_table_matches_the_per_sample_build(self, tmp_path, binary):
+        ds = generate_synthetic(SyntheticSpec(n_samples=150, n_classes=6, feature_dim=9, seed=3))
+        fpath, lpath = tmp_path / "f.csv", tmp_path / "l.csv"
+        write_dataset(ds, fpath, lpath)
+        if binary:
+            fpath = tmp_path / "f.bin"
+            write_features_binary(fpath, ds.samples.features)
+        table = load_dataset(fpath, lpath).samples
+        expected = per_sample_build(fpath, lpath)
+        assert isinstance(table, SampleTable)
+        assert table.ids == tuple(s.id for s in expected)
+        assert table.features.dtype == np.float64 and table.labels.dtype == np.uint8
+        assert table.features.tobytes() == np.stack([s.features for s in expected]).tobytes()
+        assert table.labels.tobytes() == np.stack([s.labels for s in expected]).tobytes()
+
+    def test_csv_join_reorders_labels_to_the_feature_order(self, tmp_path):
+        fpath, lpath = write_toy_files(tmp_path, ["b,1.0", "a,2.0", "c,3.0"], ["a,1,0", "c,1,1", "b,0,1"])
+        table = load_dataset(fpath, lpath).samples
+        assert table.ids == ("b", "a", "c")
+        assert table.labels.tolist() == [[0, 1], [1, 0], [1, 1]]
+        assert table.labels.tobytes() == np.stack([s.labels for s in per_sample_build(fpath, lpath)]).tobytes()
+
+    def test_subset_is_a_sub_table_and_a_sample_list_becomes_a_table(self):
+        ds = generate_synthetic(SyntheticSpec(n_samples=12, seed=4))
+        sub = ds.subset([5, 1, 7])
+        assert isinstance(sub, SampleTable)
+        assert sub.ids == ("s05", "s01", "s07")
+        assert np.array_equal(sub.features, ds.samples.features[[5, 1, 7]])
+        listed = Dataset(samples=list(ds.samples), class_names=ds.class_names)
+        assert isinstance(listed.samples, SampleTable)
+        assert listed.samples.ids == ds.samples.ids and listed.n_features == ds.n_features
+        assert np.array_equal(listed.samples.features, ds.samples.features)
+
+
+def read_labels_row_by_row(path):
+    """The labels reader as it was, cell by cell: the reference for the
+    vectorized one (duplicate ids aside, which it did not check)."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if len(rows) < 2:
+        raise ValueError(f"{path}: expected a header row and at least one label row")
+    header = rows[0]
+    class_names = header[1:]
+    if not class_names:
+        raise ValueError(f"{path}: header names no classes")
+    ids, labels = [], []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: ragged row {line_no} (id {row[0]!r})")
+        bits = []
+        for v in row[1:]:
+            v = v.strip()
+            if v not in ("0", "1"):
+                raise ValueError(f"{path}: non-binary label entry {v!r} in row {line_no}")
+            bits.append(int(v))
+        if sum(bits) == 0:
+            raise ValueError(f"{path}: sample {row[0]!r} has no class labels")
+        ids.append(row[0])
+        labels.append(bits)
+    return class_names, ids, np.asarray(labels, dtype=np.uint8)
+
+
+def outcome(reader, path):
+    try:
+        names, ids, labels = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return names, ids, labels.dtype, labels.shape, labels.tobytes()
+
+
+class TestLabelsReader:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_row_by_row_reader(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 4), label="classes")
+        cell = st.sampled_from(["0", "1", "1", "0", " 1", "0 ", "\t1", "2", "", "x", "1.0"])
+        mostly_valid = data.draw(st.booleans(), label="mostly valid")
+        rows = []
+        for r in range(data.draw(st.integers(1, 8), label="rows")):
+            width = n if mostly_valid or data.draw(st.integers(0, 5)) else data.draw(st.integers(0, n + 2))
+            values = [data.draw(st.sampled_from(["0", "1"]) if mostly_valid else cell) for _ in range(width)]
+            rows.append(",".join([f"r{r}"] + values))
+        if mostly_valid and data.draw(st.booleans(), label="one bad cell"):
+            r = data.draw(st.integers(0, len(rows) - 1))
+            extra_cell = data.draw(st.booleans())
+            rows[r] = rows[r] + "," + data.draw(cell) if extra_cell else rows[r].replace(",1", ",2", 1)
+        path = tmp_path_factory.mktemp("labels") / "labels.csv"
+        path.write_text("\n".join([",".join(["id"] + [f"c{j}" for j in range(n)])] + rows) + "\n")
+        assert outcome(_read_labels_csv, path) == outcome(read_labels_row_by_row, path)
+
+    @pytest.mark.parametrize("body, message", [
+        (["a,0,0", "b,2,1"], "sample 'a' has no class labels"),
+        (["a,1,2", "b,0,0"], "non-binary label entry '2' in row 2"),
+        (["a,1,0", "b,0,0", "c,1"], "sample 'b' has no class labels"),
+        (["a,1,0", "b,1", "c,0,0"], "ragged row 3"),
+        (["a,1,0", "b, 1 ,x", "c,1"], "non-binary label entry 'x' in row 3"),
+    ])
+    def test_the_first_bad_row_is_reported(self, tmp_path, body, message):
+        path = tmp_path / "labels.csv"
+        path.write_text("\n".join(["id,p,q"] + body) + "\n")
+        with pytest.raises(ValueError, match=message):
+            _read_labels_csv(path)
+        with pytest.raises(ValueError, match=message):
+            read_labels_row_by_row(path)
 
 
 class TestRoundTrip:

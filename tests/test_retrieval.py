@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tripmine.core import Sample, seeded_rng
+from tripmine.core import Sample, SampleTable, seeded_rng
 from tripmine import embedder, retrieval
 from tripmine.embedder import Embedder, forward, parameters
 from tripmine.trainer import adam_step, init_adam
@@ -396,6 +396,19 @@ class TestArchiveMemo:
         assert evaluate(net, queries, archive, k=12) == expected  # cold
         assert evaluate(net, queries, archive, k=12) == expected  # warm
 
+    def test_in_place_table_edit_recomputes(self, forward_rows, setup):
+        net, queries, archive = setup
+        table = SampleTable.from_samples(archive)
+        evaluate(net, queries, table, k=5)
+        assert forward_rows == [9, len(table)]
+        evaluate(net, queries, table, k=5)
+        assert forward_rows == [9, len(table), 9]
+        table.features[17, 2] += 0.25
+        del forward_rows[:]
+        warm = evaluate(net, queries, table, k=5)
+        assert forward_rows == [9, len(table)]
+        assert warm == evaluate_without_memo(net, queries, list(table), k=5)
+
     def test_old_entry_dropped_before_a_failing_forward(self, forward_rows, setup):
         net, queries, archive = setup
         evaluate(net, queries, archive, k=5)
@@ -403,6 +416,41 @@ class TestArchiveMemo:
         with pytest.raises(ValueError, match="does not match input dim 5"):
             evaluate(net, queries, wide, k=5)
         assert retrieval._archive_memo is None
+
+
+class TestEvaluateTable:
+    @pytest.mark.parametrize("l2", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_table_and_sample_list_reports_bit_identical(self, monkeypatch, seed, l2):
+        rng = seeded_rng(40 + seed)
+        net = Embedder.init([6, 8, 3], rng, l2_normalize=l2)
+        feats = np.round(rng.normal(size=(150, 6)), 1)  # a coarse grid gives distance ties
+        labels = rng.integers(0, 2, size=(150, 5))
+        labels[np.arange(150), rng.integers(0, 5, size=150)] = 1
+        table = SampleTable([f"s{i}" for i in range(150)], feats, labels)
+        # queries 100-129 are archive rows too; 20-39 sit at odd row offsets
+        for q_rows, a_rows in ((slice(100, 150), slice(0, 130)), (slice(21, 40), slice(0, 150)),
+                               (np.arange(149, 90, -3), np.arange(120))):
+            queries, archive = table[q_rows], table[a_rows]
+            monkeypatch.setattr(retrieval, "_archive_memo", None)
+            from_lists = evaluate(net, list(queries), list(archive), k=9)
+            monkeypatch.setattr(retrieval, "_archive_memo", None)
+            cold = evaluate(net, queries, archive, k=9)
+            warm = evaluate(net, queries, archive, k=9)
+            assert cold == warm == from_lists == evaluate_without_memo(net, queries, archive, k=9)
+
+    def test_mixed_table_and_list_arguments(self):
+        queries = toy_samples([[0.0], [2.0]], [[1, 0], [0, 1]], "q")
+        archive = toy_samples([[0.0], [1.0], [2.0]], [[1, 0], [1, 0], [0, 1]], "a")
+        net = identity_net(1)
+        expected = evaluate(net, queries, archive, k=1)
+        assert evaluate(net, SampleTable.from_samples(queries), archive, k=1) == expected
+        assert evaluate(net, queries, SampleTable.from_samples(archive), k=1) == expected
+
+    def test_empty_table_rejected(self):
+        archive = SampleTable.from_samples(toy_samples([[0.0]], [[1]], "a"))
+        with pytest.raises(ValueError, match="nonempty"):
+            evaluate(identity_net(1), archive[:0], archive, 1)
 
 
 class TestReports:
