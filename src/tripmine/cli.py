@@ -384,6 +384,7 @@ def cmd_mine_debug(o: dict) -> int:
     batch_size = o["batch_size"]
     if batch_size > len(ds.train_idx):
         raise UserError(f"batch size {batch_size} exceeds train split size {len(ds.train_idx)}")
+    validate_config(scfg, batch_size)
     features = ds.samples.features
     labels = ds.samples.labels
     rng = seeded_rng(o["seed"])

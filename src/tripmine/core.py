@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,10 @@ LABEL_SIMILARITY_KINDS = ("cosine", "jaccard")
 DAS_REDUCTIONS = ("max", "min")
 
 # Upper bound on H*P*N, the triplets one batch may mine. Mining plus backward
-# peak at about 49 bytes per triplet (tracemalloc, bas-bis at B = 64, 100 and
-# 160: the (T, 3) int64 array and its build copies, then the loss's gathers),
-# so the limit is about 0.8 GB. bas-bis passes up to batch size 256.
+# peak at about 42 bytes per triplet (tracemalloc, bas-bis at B = 64, 100 and
+# 160: the build peaks at 33 with the (T, 3) int64 array and one column
+# temporary, then the loss's gathers run with that array live), so the limit
+# is about 0.7 GB. bas-bis passes up to batch size 256.
 MAX_TRIPLETS_PER_BATCH = 1 << 24
 
 
@@ -269,16 +270,16 @@ def validate_config(cfg: SamplerConfig, batch_size: int) -> SamplerConfig:
 class TripletSet:
     """Selected (anchor, positive, negative) batch-local index triples.
 
-    ``triplets`` is a (T, 3) int64 array ordered anchor-major; ``per_anchor``
-    maps each anchor to its ordered positive and negative index tuples.
+    ``triplets`` is a (T, 3) int64 array ordered anchor-major. ``anchors``
+    (H,) lists the anchors in selection order; row k of ``positives`` (H, P)
+    and ``negatives`` (H, N) holds anchor k's ordered positive and negative
+    indices.
     """
 
     triplets: np.ndarray
-    per_anchor: dict = field(default_factory=dict)
+    anchors: np.ndarray
+    positives: np.ndarray
+    negatives: np.ndarray
 
     def __len__(self) -> int:
         return int(self.triplets.shape[0])
-
-    @property
-    def anchors(self) -> list:
-        return list(self.per_anchor.keys())

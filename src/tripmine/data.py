@@ -108,6 +108,52 @@ def _csv_rows(path):
 
 
 def _read_features_csv(path):
+    parsed = _parse_features_loadtxt(path)
+    ids, feats, line_nos = parsed if parsed is not None else _parse_features_rows(path)
+    bad = _first_non_finite_row(feats)
+    if bad is not None:
+        raise ValueError(f"{path}: non-finite feature value in row {line_nos[bad]} (id {ids[bad]!r})")
+    return ids, feats
+
+
+def _parse_features_loadtxt(path):
+    """Ids, values and file line numbers of a plain features CSV, the values
+    parsed by ``np.loadtxt``; None where the row-by-row parser must decide.
+
+    That is text that is not UTF-8; quotes, NULs or a carriage return not
+    followed by a newline, where ``csv`` splits rows differently from
+    splitting lines at newlines and fields at commas; a blank, ragged or
+    featureless row; a line longer than ``csv``'s field limit; and any value
+    ``np.loadtxt`` rejects (``float()`` also accepts spellings such as ``1_0``
+    and non-ASCII digits). Both parsers round values with Python's own
+    string-to-double conversion, so their arrays are bit-identical.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    header = int(bool(lines) and _looks_like_header(lines[0].split(",")))
+    body = lines[header:]
+    width = body[0].count(",") if body else 0
+    if (width == 0 or any(line.count(",") != width for line in body)
+            or max(map(len, body)) > csv.field_size_limit()):
+        return None
+    try:
+        feats = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None,
+                           usecols=range(1, width + 1), ndmin=2)
+    except ValueError:
+        return None
+    ids = [line[: line.index(",")] for line in body]
+    return ids, feats, range(header + 1, header + 1 + len(body))
+
+
+def _parse_features_rows(path):
     ids, rows, line_nos = [], [], []
     for line_no, row in enumerate(_csv_rows(path)):
         if not row:
@@ -127,11 +173,7 @@ def _read_features_csv(path):
         line_nos.append(line_no + 1)
     if not ids:
         raise ValueError(f"{path}: no feature rows")
-    feats = np.asarray(rows, dtype=np.float64)
-    bad = _first_non_finite_row(feats)
-    if bad is not None:
-        raise ValueError(f"{path}: non-finite feature value in row {line_nos[bad]} (id {ids[bad]!r})")
-    return ids, feats
+    return ids, np.asarray(rows, dtype=np.float64), line_nos
 
 
 def _first_non_finite_row(x):

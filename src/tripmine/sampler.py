@@ -9,6 +9,8 @@ Two families are implemented:
 * baselines: random anchors (ras), all-batch anchors (bas), random images
   (ris), all-batch images (bis).
 
+Image selection takes an (H,) array of anchors and runs each pick step for
+all of them at once; an int anchor is the H = 1 case and gets lists back.
 All argmax scans break ties toward the lowest batch index, so every
 selection is deterministic given the RNG seed. Mining is strictly within
 the mini-batch; there is no cross-batch memory.
@@ -27,25 +29,27 @@ from .core import BatchView, SamplerConfig, TripletSet
 
 @dataclass(frozen=True)
 class InformativenessRow:
-    """Per-candidate positive/negative scores for one anchor.
+    """Per-candidate positive/negative scores: (B,) rows for one anchor, or
+    (H, B) rows for H anchors.
 
     ``i_pos[b] = beta * S(a, b) + (1 - beta) * D(a, b)`` and ``i_neg`` uses the
     complements of S and D, so ``i_neg = 1 - i_pos`` holds algebraically.
     The entry at the anchor's own index is never a valid candidate.
     """
 
-    anchor: int
     i_pos: np.ndarray
     i_neg: np.ndarray
 
 
-def informativeness(anchor: int, dist_norm: np.ndarray, label_sim_row: np.ndarray, beta: float) -> InformativenessRow:
-    """Score every batch item as a candidate positive and negative for ``anchor``."""
+def informativeness(anchor, dist_norm: np.ndarray, label_sim_row: np.ndarray, beta: float) -> InformativenessRow:
+    """Score every batch item as a candidate positive and negative for
+    ``anchor``: an int with its (B,) label-similarity row, or an (H,) array of
+    anchors with their (H, B) rows ``S[anchors]``."""
     s = np.asarray(label_sim_row, dtype=np.float64)
     d = np.asarray(dist_norm, dtype=np.float64)[anchor]
     i_pos = beta * s + (1.0 - beta) * d
     i_neg = beta * (1.0 - s) + (1.0 - beta) * (1.0 - d)
-    return InformativenessRow(anchor=int(anchor), i_pos=i_pos, i_neg=i_neg)
+    return InformativenessRow(i_pos=i_pos, i_neg=i_neg)
 
 
 def select_anchors_das(dist_norm: np.ndarray, h: int, rng: np.random.Generator,
@@ -96,75 +100,90 @@ def select_anchors_bas(batch_size: int) -> list[int]:
 
 
 def _iterative_pick(scores: np.ndarray, dist_norm: np.ndarray, count: int,
-                    gamma: float, blocked: np.ndarray) -> list[int]:
-    """Shared iterative argmax: first pick by score alone, then score blended
-    with the farthest-from-already-chosen diversity term."""
-    b = scores.shape[0]
-    available = int(b - blocked.sum())
+                    gamma: float, blocked: np.ndarray) -> np.ndarray:
+    """Shared iterative argmax, each step for all H rows of ``scores`` at
+    once: first pick by score alone, then score blended with the
+    farthest-from-already-chosen diversity term. Marks picks in ``blocked``."""
+    h, b = scores.shape
+    available = int(b - blocked.sum(axis=1).max(initial=0))
     if count > available:
         raise ValueError(f"cannot select {count} images from {available} candidates")
-    blocked = blocked.copy()
-    chosen: list[int] = []
-    first = int(np.argmax(np.where(blocked, -np.inf, scores)))
-    chosen.append(first)
-    blocked[first] = True
-    spread = dist_norm[:, first].copy()
-    while len(chosen) < count:
-        blended = gamma * scores + (1.0 - gamma) * spread
-        nxt = int(np.argmax(np.where(blocked, -np.inf, blended)))
-        chosen.append(nxt)
-        blocked[nxt] = True
-        spread = np.maximum(spread, dist_norm[:, nxt])
+    rows = np.arange(h)
+    chosen = np.empty((h, count), dtype=np.int64)
+    spread = None
+    for k in range(count):
+        blended = scores if spread is None else gamma * scores + (1.0 - gamma) * spread
+        # argmax takes the first maximum: the lowest index wins ties
+        nxt = np.argmax(np.where(blocked, -np.inf, blended), axis=1)
+        chosen[:, k] = nxt
+        blocked[rows, nxt] = True
+        column = dist_norm[:, nxt].T
+        spread = column if spread is None else np.maximum(spread, column)
     return chosen
 
 
-def select_positives_rhdis(anchor: int, row: InformativenessRow, dist_norm: np.ndarray,
-                           c: int, gamma: float) -> list[int]:
-    """Ordered positives for one anchor: highest ``i_pos`` first, then iterative
-    argmax of ``gamma * i_pos + (1 - gamma) * max-distance-to-chosen``."""
-    b = row.i_pos.shape[0]
-    blocked = np.zeros(b, dtype=bool)
-    blocked[anchor] = True
-    return _iterative_pick(row.i_pos, np.asarray(dist_norm, dtype=np.float64), c, gamma, blocked)
+def _pick_rhdis(anchor, scores: np.ndarray, dist_norm: np.ndarray, count: int,
+                gamma: float, exclude=()):
+    """Picks for an int anchor (a list) or an (H,) anchor array ((H, count));
+    an anchor's own index and its ``exclude`` row are never picked."""
+    anchors = np.atleast_1d(anchor)
+    scores = np.atleast_2d(scores)
+    rows = np.arange(anchors.size)[:, None]
+    blocked = np.zeros(scores.shape, dtype=bool)
+    blocked[rows, anchors[:, None]] = True
+    blocked[rows, np.asarray(exclude, dtype=np.int64).reshape(anchors.size, -1)] = True
+    picks = _iterative_pick(scores, np.asarray(dist_norm, dtype=np.float64), count, gamma, blocked)
+    return picks if np.ndim(anchor) else picks[0].tolist()
 
 
-def select_negatives_rhdis(anchor: int, row: InformativenessRow, dist_norm: np.ndarray,
-                           c: int, gamma: float, exclude=()) -> list[int]:
-    """Mirror of the positive selection with ``i_neg`` scores.
-
-    ``exclude`` removes indices already chosen as positives for the same
-    anchor, keeping the two sets disjoint.
-    """
-    b = row.i_neg.shape[0]
-    blocked = np.zeros(b, dtype=bool)
-    blocked[anchor] = True
-    for i in exclude:
-        blocked[int(i)] = True
-    return _iterative_pick(row.i_neg, np.asarray(dist_norm, dtype=np.float64), c, gamma, blocked)
+def select_positives_rhdis(anchor, row: InformativenessRow, dist_norm: np.ndarray,
+                           c: int, gamma: float):
+    """Ordered positives: highest ``i_pos`` first, then iterative argmax of
+    ``gamma * i_pos + (1 - gamma) * max-distance-to-chosen``. A list for an
+    int anchor; (H, c) for an (H,) anchor array with (H, B) score rows."""
+    return _pick_rhdis(anchor, row.i_pos, dist_norm, c, gamma)
 
 
-def select_images_ris(anchor: int, batch_size: int, c_pos: int, c_neg: int,
-                      rng: np.random.Generator) -> tuple[list[int], list[int]]:
-    """Random positives and negatives: distinct uniform draws, never the anchor."""
+def select_negatives_rhdis(anchor, row: InformativenessRow, dist_norm: np.ndarray,
+                           c: int, gamma: float, exclude=()):
+    """Mirror of the positive selection with ``i_neg`` scores. ``exclude``
+    (one row per anchor for an anchor array) removes the anchor's chosen
+    positives, keeping the two sets disjoint."""
+    return _pick_rhdis(anchor, row.i_neg, dist_norm, c, gamma, exclude)
+
+
+def _all_but_anchor(anchor, batch_size: int) -> np.ndarray:
+    """(H, B-1): row k lists every batch index but anchor k, ascending."""
+    j = np.arange(batch_size - 1)
+    return j + (j >= np.atleast_1d(anchor)[:, None])
+
+
+def select_images_ris(anchor, batch_size: int, c_pos: int, c_neg: int, rng: np.random.Generator):
+    """Random positives and negatives: distinct uniform draws, never the
+    anchor. Lists for an int anchor; for an (H,) anchor array, (H, c_pos) and
+    (H, c_neg) arrays, drawn anchor by anchor in array order."""
     if c_pos + c_neg > batch_size - 1:
         raise ValueError(
             f"cannot draw {c_pos} + {c_neg} distinct images from {batch_size - 1} candidates"
         )
-    pool = np.delete(np.arange(batch_size), anchor)
-    picks = rng.choice(pool, size=c_pos + c_neg, replace=False)
-    return [int(i) for i in picks[:c_pos]], [int(i) for i in picks[c_pos:]]
+    picks = np.stack([rng.choice(pool, size=c_pos + c_neg, replace=False)
+                      for pool in _all_but_anchor(anchor, batch_size)])
+    pos, neg = picks[:, :c_pos], picks[:, c_pos:]
+    return (pos, neg) if np.ndim(anchor) else (pos[0].tolist(), neg[0].tolist())
 
 
-def select_images_bis(anchor: int, batch_size: int) -> tuple[list[int], list[int]]:
-    """Every non-anchor image as both a positive and a negative."""
+def select_images_bis(anchor, batch_size: int):
+    """Every non-anchor image as both a positive and a negative: lists for an
+    int anchor, the (H, B-1) all-but-the-anchor matrix for an (H,) array."""
     if batch_size < 2:
         raise ValueError("bis needs a batch of at least 2")
-    others = [i for i in range(batch_size) if i != anchor]
-    return others, list(others)
+    others = _all_but_anchor(anchor, batch_size)
+    return (others, others) if np.ndim(anchor) else (others[0].tolist(), others[0].tolist())
 
 
-def build_triplets(anchors, per_anchor: dict, combination: str = "cartesian") -> TripletSet:
-    """Combine per-anchor positive/negative sets into (a, p, n) triples.
+def build_triplets(anchors, positives, negatives, combination: str = "cartesian") -> TripletSet:
+    """Combine (H,) anchors with their (H, P) positives and (H, N) negatives
+    into (a, p, n) triples, ordered by anchor, then positive, then negative.
 
     "cartesian" pairs every positive with every negative; "paired" matches
     them by rank. Degenerate triples with p == n are dropped in both modes
@@ -172,88 +191,68 @@ def build_triplets(anchors, per_anchor: dict, combination: str = "cartesian") ->
     """
     if combination not in ("cartesian", "paired"):
         raise ValueError(f"unknown combination {combination!r}")
-    rows = []
-    for a in anchors:
-        pos, neg = per_anchor[a]
-        p = np.asarray(pos, dtype=np.int64)
-        n = np.asarray(neg, dtype=np.int64)
-        if combination == "cartesian":
-            pp, nn = np.meshgrid(p, n, indexing="ij")
-            pp, nn = pp.ravel(), nn.ravel()
-        else:
-            t = min(len(p), len(n))
-            pp, nn = p[:t], n[:t]
-        keep = pp != nn
-        pp, nn = pp[keep], nn[keep]
-        rows.append(np.column_stack([np.full(pp.shape, a, dtype=np.int64), pp, nn]))
-    triplets = np.concatenate(rows, axis=0) if rows else np.empty((0, 3), dtype=np.int64)
-    per = {int(a): (tuple(int(i) for i in per_anchor[a][0]), tuple(int(i) for i in per_anchor[a][1]))
-           for a in anchors}
-    return TripletSet(triplets=triplets, per_anchor=per)
-
-
-def _select_anchors(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -> list[int]:
-    h = cfg.num_anchors(batch.size)
-    if cfg.anchor_strategy == "das":
-        return select_anchors_das(batch.dist_norm, h, rng, reduce=cfg.das_reduce)
-    if cfg.anchor_strategy == "ras":
-        return select_anchors_ras(batch.size, h, rng)
-    return select_anchors_bas(batch.size)
-
-
-def _select_pair(anchor: int, batch: BatchView, cfg: SamplerConfig, s_matrix, rng):
-    if cfg.image_strategy == "rhdis":
-        row = informativeness(anchor, batch.dist_norm, s_matrix[anchor], cfg.beta)
-        pos = select_positives_rhdis(anchor, row, batch.dist_norm, cfg.positives_per_anchor, cfg.gamma)
-        neg = select_negatives_rhdis(anchor, row, batch.dist_norm, cfg.negatives_per_anchor,
-                                     cfg.gamma, exclude=pos)
-        return pos, neg
-    if cfg.image_strategy == "ris":
-        return select_images_ris(anchor, batch.size, cfg.positives_per_anchor,
-                                 cfg.negatives_per_anchor, rng)
-    return select_images_bis(anchor, batch.size)
+    a, p, n = (np.asarray(x, dtype=np.int64) for x in (anchors, positives, negatives))
+    if combination == "cartesian":
+        cols = (a[:, None, None], p[:, :, None], n[:, None, :])
+    else:
+        t = min(p.shape[1], n.shape[1])
+        cols = (a[:, None], p[:, :t], n[:, :t])
+    keep = cols[1] != cols[2]
+    triplets = np.empty((int(np.count_nonzero(keep)), 3), dtype=np.int64)
+    for j, col in enumerate(cols):
+        # column by column, so only one T-length temporary is live at a time
+        triplets[:, j] = np.broadcast_to(col, keep.shape)[keep]
+    return TripletSet(triplets=triplets, anchors=a, positives=p, negatives=n)
 
 
 def mine_batch(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -> TripletSet:
-    """Run the configured anchor and image strategies over one batch."""
-    anchors = _select_anchors(batch, cfg, rng)
-    s_matrix = None
+    """Run the configured anchor and image strategies over one batch. Images
+    are selected for all anchors in one call, then assembled in one call."""
+    h = cfg.num_anchors(batch.size)
+    if cfg.anchor_strategy == "das":
+        anchors = select_anchors_das(batch.dist_norm, h, rng, reduce=cfg.das_reduce)
+    elif cfg.anchor_strategy == "ras":
+        anchors = select_anchors_ras(batch.size, h, rng)
+    else:
+        anchors = select_anchors_bas(batch.size)
+    anchors = np.asarray(anchors, dtype=np.int64)
+    c_pos, c_neg = cfg.positives_per_anchor, cfg.negatives_per_anchor
     if cfg.image_strategy == "rhdis":
         s_matrix = similarity.label_similarity_matrix(batch.labels, cfg.label_similarity)
-    per_anchor = {a: _select_pair(a, batch, cfg, s_matrix, rng) for a in anchors}
-    return build_triplets(anchors, per_anchor, cfg.combination)
+        rows = informativeness(anchors, batch.dist_norm, s_matrix[anchors], cfg.beta)
+        pos = select_positives_rhdis(anchors, rows, batch.dist_norm, c_pos, cfg.gamma)
+        neg = select_negatives_rhdis(anchors, rows, batch.dist_norm, c_neg, cfg.gamma, exclude=pos)
+    elif cfg.image_strategy == "ris":
+        pos, neg = select_images_ris(anchors, batch.size, c_pos, c_neg, rng)
+    else:
+        pos, neg = select_images_bis(anchors, batch.size)
+    return build_triplets(anchors, pos, neg, cfg.combination)
 
 
 def mine_debug_lines(batch_index: int, batch: BatchView, cfg: SamplerConfig,
                      rng: np.random.Generator) -> list[str]:
-    """Mining dump for the ``mine-debug`` CLI hook: one JSON line per batch
-    header, then one per anchor with its informativeness row, score extremes,
+    """Mining dump for the ``mine-debug`` CLI hook, a view of ``mine_batch``:
+    one JSON line per batch header, then one per anchor with its
+    informativeness row (scored for every image strategy), score extremes,
     and chosen positives/negatives."""
-    anchors = _select_anchors(batch, cfg, rng)
+    tset = mine_batch(batch, cfg, rng)
     s_matrix = similarity.label_similarity_matrix(batch.labels, cfg.label_similarity)
-    per_anchor = {}
-    rows = {}
-    for a in anchors:
-        rows[a] = informativeness(a, batch.dist_norm, s_matrix[a], cfg.beta)
-        per_anchor[a] = _select_pair(a, batch, cfg, s_matrix, rng)
-    tset = build_triplets(anchors, per_anchor, cfg.combination)
+    rows = informativeness(tset.anchors, batch.dist_norm, s_matrix[tset.anchors], cfg.beta)
+    anchors = tset.anchors.tolist()
     lines = [json.dumps({"batch": batch_index, "anchors": anchors, "triplet_count": len(tset)})]
-    candidates = np.ones(batch.size, dtype=bool)
-    for a in anchors:
-        candidates[:] = True
-        candidates[a] = False
-        row = rows[a]
-        pos, neg = per_anchor[a]
+    for k, a in enumerate(anchors):
+        candidates = np.arange(batch.size) != a
+        i_pos, i_neg = rows.i_pos[k], rows.i_neg[k]
         lines.append(json.dumps({
             "batch": batch_index,
             "anchor": a,
-            "i_pos_min": float(row.i_pos[candidates].min()),
-            "i_pos_max": float(row.i_pos[candidates].max()),
-            "i_neg_min": float(row.i_neg[candidates].min()),
-            "i_neg_max": float(row.i_neg[candidates].max()),
-            "i_pos": [float(v) for v in row.i_pos],
-            "i_neg": [float(v) for v in row.i_neg],
-            "positives": list(pos),
-            "negatives": list(neg),
+            "i_pos_min": float(i_pos[candidates].min()),
+            "i_pos_max": float(i_pos[candidates].max()),
+            "i_neg_min": float(i_neg[candidates].min()),
+            "i_neg_max": float(i_neg[candidates].max()),
+            "i_pos": i_pos.tolist(),
+            "i_neg": i_neg.tolist(),
+            "positives": tset.positives[k].tolist(),
+            "negatives": tset.negatives[k].tolist(),
         }))
     return lines

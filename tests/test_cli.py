@@ -291,6 +291,26 @@ class TestMineDebug:
         assert code == 2
         assert "checkpoint" in err
 
+    def test_bis_with_paired_combination_exits_2_like_train(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(capsys, "train", *TINY, "--out", str(out))[0] == 0
+        flags = ["--batch-size", "16", "--sampler", "bas-bis", "--combination", "paired"]
+        train_code, _, train_err = run(capsys, "train", *TINY, *flags, "--out", str(tmp_path / "o"))
+        code, stdout, err = run(capsys, "mine-debug", *TINY_DATA, *flags, "--out", str(out))
+        assert (code, train_code) == (2, 2)
+        assert err == train_err
+        assert "paired" in err
+        assert stdout == ""
+
+    def test_triplet_count_over_limit_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(capsys, "train", *TINY, "--out", str(out))[0] == 0
+        code, stdout, err = run(capsys, "mine-debug", "--synthetic", "--n-samples", "600", "--seed", "1",
+                                "--sampler", "bas-bis", "--batch-size", "300", "--out", str(out))
+        assert code == 2
+        assert "triplets per batch" in err
+        assert stdout == ""
+
 
 class TestParser:
     def test_rejects_unknown_sampler_pair(self, capsys):

@@ -229,6 +229,7 @@ class TestBatchView:
 
 class TestTripletSet:
     def test_len_counts_triples(self):
-        ts = TripletSet(triplets=np.array([[0, 1, 2], [0, 2, 1]]), per_anchor={0: ((1, 2), (2, 1))})
+        ts = TripletSet(triplets=np.array([[0, 1, 2], [0, 2, 1]]), anchors=np.array([0]),
+                        positives=np.array([[1, 2]]), negatives=np.array([[2, 1]]))
         assert len(ts) == 2
-        assert ts.anchors == [0]
+        assert ts.anchors.tolist() == [0]

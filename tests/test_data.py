@@ -9,6 +9,10 @@ from tripmine.core import Sample, SampleTable, seeded_rng
 from tripmine.data import (
     FEATURES_MAGIC,
     Dataset,
+    _csv_rows,
+    _looks_like_header,
+    _parse_features_loadtxt,
+    _read_features_csv,
     _read_labels_csv,
     SyntheticSpec,
     generate_synthetic,
@@ -250,6 +254,101 @@ class TestLabelsReader:
             _read_labels_csv(path)
         with pytest.raises(ValueError, match=message):
             read_labels_row_by_row(path)
+
+
+def parse_features_with_float(path):
+    """The features reader as it was, ``float()`` per value, up to its
+    non-finite check: the reference for the ``np.loadtxt`` parse."""
+    ids, rows, line_nos = [], [], []
+    for line_no, row in enumerate(_csv_rows(path)):
+        if not row:
+            continue
+        if line_no == 0 and _looks_like_header(row):
+            continue
+        if len(row) < 2:
+            raise ValueError(f"{path}: row {line_no + 1} has no feature columns")
+        if rows and len(row) != len(rows[-1]) + 1:
+            raise ValueError(f"{path}: ragged row {line_no + 1} (id {row[0]!r})")
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: non-numeric feature in row {line_no + 1}: {exc}") from None
+        ids.append(row[0])
+        rows.append(values)
+        line_nos.append(line_no + 1)
+    if not ids:
+        raise ValueError(f"{path}: no feature rows")
+    return ids, np.asarray(rows, dtype=np.float64), line_nos
+
+
+def read_features_row_by_row(path):
+    ids, feats, line_nos = parse_features_with_float(path)
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite feature value in row {line_nos[bad[0]]} (id {ids[bad[0]]!r})")
+    return ids, feats
+
+
+def features_outcome(reader, path):
+    try:
+        ids, feats = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return ids, feats.dtype, feats.shape, feats.tobytes()
+
+
+# spellings float() and np.loadtxt may disagree on, and ones both reject
+ODD_FEATURE_CELLS = [
+    "1_0", "\u0661\u0662", "\uff11.5", "0x10", " 2.5", "3.0 ", "\t4", "\u00a01", "1\u2003", "+1", "-0.0",
+    ".5", "5.", "1e-320", "4.9e-324", "1e309", "-1e309", "nan", "-nan", "NaN", "inf", "-Infinity", "",
+    " ", "x", "1e", "1.5E+3", "1,5", "\"2\"", "#3", "1e5#",
+]
+
+
+class TestFeaturesReader:
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_float_reader(self, tmp_path_factory, data):
+        width = data.draw(st.integers(1, 4), label="features")
+        mostly_valid = data.draw(st.booleans(), label="mostly valid")
+        finite = st.floats(allow_nan=False, allow_infinity=False, width=data.draw(st.sampled_from([16, 32, 64])))
+        value = finite.map(repr) | st.integers(-10**20, 10**20).map(str)
+        odd = st.sampled_from(ODD_FEATURE_CELLS)
+        lines = []
+        if data.draw(st.booleans(), label="header"):
+            lines.append(",".join(["id"] + [f"f{j}" for j in range(width)]))
+        for r in range(data.draw(st.integers(0, 6), label="rows")):
+            n = width if mostly_valid or data.draw(st.integers(0, 3)) else data.draw(st.integers(0, width + 2))
+            cells = [data.draw(value if mostly_valid or data.draw(st.booleans()) else odd) for _ in range(n)]
+            row_id = data.draw(st.sampled_from(["s", "\u00e9t\u00e9", "\ufeffs", " s"])) + str(r)
+            lines.append(",".join([row_id] + cells))
+        if lines and mostly_valid and data.draw(st.booleans(), label="one odd line"):
+            r = data.draw(st.integers(0, len(lines) - 1))
+            lines[r] = data.draw(st.sampled_from(["", lines[r] + ",", lines[r].replace(",", ",1_0", 1),
+                                                  lines[r].replace(",", ',"', 1) + '"', "s\x00,1"]))
+        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
+        text = end.join(lines) + (end if data.draw(st.booleans(), label="final newline") else "")
+        path = tmp_path_factory.mktemp("features") / "features.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = features_outcome(read_features_row_by_row, path)
+        assert features_outcome(_read_features_csv, path) == expected
+        parsed = _parse_features_loadtxt(path)
+        if parsed is not None:
+            # the loadtxt parse accepts only files the float() parse reads to the same bits
+            ids, feats, line_nos = parse_features_with_float(path)
+            assert parsed[0] == ids
+            assert parsed[1].shape == feats.shape and parsed[1].tobytes() == feats.tobytes()
+            assert list(parsed[2]) == line_nos
+
+    def test_written_dataset_takes_the_loadtxt_parse(self, tmp_path):
+        ds = generate_synthetic(SyntheticSpec(n_samples=40, feature_dim=5, seed=8))
+        fpath, lpath = tmp_path / "f.csv", tmp_path / "l.csv"
+        write_dataset(ds, fpath, lpath)
+        ids, feats, line_nos = _parse_features_loadtxt(fpath)
+        assert ids == list(ds.samples.ids)
+        assert feats.tobytes() == ds.samples.features.tobytes()
+        assert list(line_nos) == list(range(2, 42))
+        assert features_outcome(_read_features_csv, fpath) == features_outcome(read_features_row_by_row, fpath)
 
 
 class TestRoundTrip:

@@ -268,8 +268,8 @@ class TestPairMatrixBackward:
         rng = seeded_rng(116)
         net = Embedder.init([8, d], rng)
         x = rng.normal(size=(b, 8))
-        anchors = select_anchors_bas(b)
-        tset = build_triplets(anchors, {a: select_images_bis(a, b) for a in anchors})
+        anchors = np.array(select_anchors_bas(b))
+        tset = build_triplets(anchors, *select_images_bis(anchors, b))
         assert len(tset) == b * (b - 1) * (b - 2)
         dist = pairwise_euclidean(forward(net, x))
         tracemalloc.start()

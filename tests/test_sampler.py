@@ -5,11 +5,16 @@ plain Python, with strict-greater comparison so ties keep the lowest index,
 exactly like the library's argmax scans.
 """
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tripmine.core import BatchView, SamplerConfig, seeded_rng
+from tripmine.core import (
+    ANCHOR_STRATEGIES, IMAGE_STRATEGIES, LABEL_SIMILARITY_KINDS, BatchView, SamplerConfig, seeded_rng,
+)
 from tripmine.sampler import (
     build_triplets,
     informativeness,
@@ -302,7 +307,7 @@ class TestBatchImages:
     def test_cartesian_count_after_degenerate_filter(self):
         b = 6
         pos, neg = select_images_bis(0, b)
-        ts = build_triplets([0], {0: (pos, neg)}, "cartesian")
+        ts = build_triplets([0], [pos], [neg], "cartesian")
         # counting oracle: (B-1)^2 pairs minus the B-1 cases with p == n
         assert len(ts) == (b - 1) * (b - 2)
 
@@ -311,21 +316,38 @@ class TestBatchImages:
 
 class TestBuildTriplets:
     def test_cartesian_two_by_two(self):
-        ts = build_triplets([0], {0: ([1, 2], [3, 4])}, "cartesian")
+        ts = build_triplets([0], [[1, 2]], [[3, 4]], "cartesian")
         assert ts.triplets.tolist() == [[0, 1, 3], [0, 1, 4], [0, 2, 3], [0, 2, 4]]
 
     def test_paired_matches_by_rank(self):
-        ts = build_triplets([0], {0: ([1, 2], [3, 4])}, "paired")
+        ts = build_triplets([0], [[1, 2]], [[3, 4]], "paired")
         assert ts.triplets.tolist() == [[0, 1, 3], [0, 2, 4]]
 
     def test_cartesian_drops_p_equals_n(self):
-        ts = build_triplets([0], {0: ([1, 2], [2, 5])}, "cartesian")
+        ts = build_triplets([0], [[1, 2]], [[2, 5]], "cartesian")
         assert ts.triplets.tolist() == [[0, 1, 2], [0, 1, 5], [0, 2, 5]]
 
+    def test_exhaustive_build_peaks_below_40_bytes_per_triplet(self):
+        # bas-bis at B = 100: T = 100 * 99 * 98 = 970,200 triplets. The (T, 3)
+        # output is 24 bytes per triplet; a build that stacks three T-length
+        # columns peaks near 49, the per-anchor build near 48.
+        b = 100
+        anchors = np.arange(b)
+        pos, neg = select_images_bis(anchors, b)
+        tracemalloc.start()
+        try:
+            ts = build_triplets(anchors, pos, neg, "cartesian")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ts) == b * (b - 1) * (b - 2)
+        assert peak < 40 * len(ts)
+
     def test_per_anchor_preserved(self):
-        ts = build_triplets([3, 1], {3: ([0], [2]), 1: ([2], [0])}, "cartesian")
-        assert list(ts.per_anchor) == [3, 1]
-        assert ts.per_anchor[3] == ((0,), (2,))
+        ts = build_triplets([3, 1], [[0], [2]], [[2], [0]], "cartesian")
+        assert ts.anchors.tolist() == [3, 1]
+        assert (ts.positives[0].tolist(), ts.negatives[0].tolist()) == ([0], [2])
+        assert ts.triplets.tolist() == [[3, 0, 2], [1, 2, 0]]
 
 
 # ---------------------------------------------------------------- batch mining
@@ -359,7 +381,7 @@ class TestMineBatch:
         cfg = SamplerConfig(anchor_fraction=0.2, positives_per_anchor=3, negatives_per_anchor=3)
         ts = mine_batch(batch, cfg, rng)
         h = cfg.num_anchors(20)
-        assert len(ts.per_anchor) == h
+        assert ts.anchors.shape == (h,)
         assert len(ts) == h * 3 * 3  # disjoint sets: no p == n drops
 
     def test_das_spreads_anchors_more_than_ras(self):
@@ -400,5 +422,109 @@ def test_property_every_index_below_batch_size(seed, anchor_strategy, image_stra
     ts = mine_batch(batch, cfg, rng)
     assert ts.triplets.min() >= 0
     assert ts.triplets.max() < b
-    for a, (pos, neg) in ts.per_anchor.items():
+    for a, pos, neg in zip(ts.anchors, ts.positives, ts.negatives):
         assert a not in pos and a not in neg
+
+
+# ---------------------------------------------------------------- lockstep vs per-anchor reference
+# The per-anchor miner that the lockstep one replaced, kept as the reference:
+# one score row, two iterative picks and one triplet block per anchor.
+
+def _reference_iterative_pick(scores, dist_norm, count, gamma, blocked):
+    blocked = blocked.copy()
+    chosen = []
+    first = int(np.argmax(np.where(blocked, -np.inf, scores)))
+    chosen.append(first)
+    blocked[first] = True
+    spread = dist_norm[:, first].copy()
+    while len(chosen) < count:
+        blended = gamma * scores + (1.0 - gamma) * spread
+        nxt = int(np.argmax(np.where(blocked, -np.inf, blended)))
+        chosen.append(nxt)
+        blocked[nxt] = True
+        spread = np.maximum(spread, dist_norm[:, nxt])
+    return chosen
+
+
+def _reference_select_pair(anchor, batch, cfg, s_matrix, rng):
+    b = batch.size
+    if cfg.image_strategy == "rhdis":
+        s, d = s_matrix[anchor], batch.dist_norm[anchor]
+        i_pos = cfg.beta * s + (1.0 - cfg.beta) * d
+        i_neg = cfg.beta * (1.0 - s) + (1.0 - cfg.beta) * (1.0 - d)
+        blocked = np.zeros(b, dtype=bool)
+        blocked[anchor] = True
+        pos = _reference_iterative_pick(i_pos, batch.dist_norm, cfg.positives_per_anchor, cfg.gamma, blocked)
+        blocked[pos] = True
+        neg = _reference_iterative_pick(i_neg, batch.dist_norm, cfg.negatives_per_anchor, cfg.gamma, blocked)
+        return pos, neg
+    if cfg.image_strategy == "ris":
+        pool = np.delete(np.arange(b), anchor)
+        picks = rng.choice(pool, size=cfg.positives_per_anchor + cfg.negatives_per_anchor, replace=False)
+        c = cfg.positives_per_anchor
+        return [int(i) for i in picks[:c]], [int(i) for i in picks[c:]]
+    others = [i for i in range(b) if i != anchor]
+    return others, list(others)
+
+
+def mine_batch_reference(batch, cfg, rng):
+    """(anchors, {anchor: (positives, negatives)}, (T, 3) triplets)."""
+    h = cfg.num_anchors(batch.size)
+    if cfg.anchor_strategy == "das":
+        anchors = select_anchors_das(batch.dist_norm, h, rng, reduce=cfg.das_reduce)
+    elif cfg.anchor_strategy == "ras":
+        anchors = select_anchors_ras(batch.size, h, rng)
+    else:
+        anchors = select_anchors_bas(batch.size)
+    s_matrix = label_similarity_matrix(batch.labels, cfg.label_similarity)
+    per_anchor = {a: _reference_select_pair(a, batch, cfg, s_matrix, rng) for a in anchors}
+    rows = []
+    for a in anchors:
+        p, n = (np.asarray(x, dtype=np.int64) for x in per_anchor[a])
+        if cfg.combination == "cartesian":
+            pp, nn = (m.ravel() for m in np.meshgrid(p, n, indexing="ij"))
+        else:
+            t = min(len(p), len(n))
+            pp, nn = p[:t], n[:t]
+        keep = pp != nn
+        rows.append(np.column_stack([np.full(keep.sum(), a, dtype=np.int64), pp[keep], nn[keep]]))
+    return anchors, per_anchor, np.concatenate(rows, axis=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(itertools.product(ANCHOR_STRATEGIES, IMAGE_STRATEGIES))),
+       st.sampled_from(["cartesian", "paired"]), st.sampled_from(LABEL_SIMILARITY_KINDS),
+       st.sampled_from(["max", "min"]), st.booleans())
+def test_lockstep_mining_matches_per_anchor_reference(seed, pair, combination, label_sim, das_reduce, quantized):
+    anchor_strategy, image_strategy = pair
+    rng = seeded_rng(seed)
+    b = int(rng.integers(3, 25))
+    c_pos = int(rng.integers(1, b - 1))
+    c_neg = int(rng.integers(1, b - c_pos))
+    cfg = SamplerConfig(
+        anchor_strategy=anchor_strategy, image_strategy=image_strategy,
+        anchor_fraction=float(rng.uniform(0.01, 1.0)), positives_per_anchor=c_pos, negatives_per_anchor=c_neg,
+        beta=float(rng.choice([0.0, 0.5, 1.0, rng.random()])),
+        gamma=float(rng.choice([0.0, 0.1, 1.0, rng.random()])),
+        combination="cartesian" if image_strategy == "bis" else combination,
+        label_similarity=label_sim, das_reduce=das_reduce,
+    )
+    lockstep_rng, reference_rng = seeded_rng(seed + 1), seeded_rng(seed + 1)
+    for _ in range(3):
+        if quantized:
+            # a coarse grid: tied and zero distances, tied label similarities
+            emb = rng.integers(0, 3, size=(b, 2)).astype(np.float64)
+            labels = (rng.random((b, 2)) < 0.5).astype(np.uint8)
+        else:
+            emb = rng.normal(size=(b, 4))
+            labels = (rng.random((b, 6)) < 0.4).astype(np.uint8)
+        labels[labels.sum(axis=1) == 0, 0] = 1
+        batch = BatchView.from_embeddings(np.arange(b), emb, labels)
+        ts = mine_batch(batch, cfg, lockstep_rng)
+        anchors, per_anchor, triplets = mine_batch_reference(batch, cfg, reference_rng)
+        assert ts.triplets.dtype == triplets.dtype and ts.triplets.shape == triplets.shape
+        assert ts.triplets.tobytes() == triplets.tobytes()
+        assert ts.anchors.tolist() == anchors
+        assert ts.positives.tolist() == [list(per_anchor[a][0]) for a in anchors]
+        assert ts.negatives.tolist() == [list(per_anchor[a][1]) for a in anchors]
+        assert lockstep_rng.bit_generator.state == reference_rng.bit_generator.state
