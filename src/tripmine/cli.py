@@ -388,6 +388,9 @@ def cmd_mine_debug(o: dict) -> int:
     features = ds.samples.features
     labels = ds.samples.labels
     rng = seeded_rng(o["seed"])
+    # train draws the initial weights from this stream before its first
+    # permutation; spending the same draws replays the batches it mined
+    emb_mod.Embedder.init(net.layer_dims, rng)
     perm = rng.permutation(ds.train_idx)
     available = len(ds.train_idx) // batch_size
     for b in range(min(o["batches"], available)):

@@ -2,9 +2,11 @@ import json
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from tripmine.cli import SAMPLER_CHOICES, main
+from tripmine.core import BatchView
 
 
 def run(capsys, *argv):
@@ -285,6 +287,26 @@ class TestMineDebug:
             for key in ("anchors", "positives", "negatives"):
                 for idx in entry.get(key, []):
                     assert 0 <= idx < batch_size
+
+    def test_mines_the_batches_training_mined(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        build = BatchView.from_embeddings.__func__
+
+        def record(cls, sample_indices, embeddings, labels):
+            seen.append(np.array(sample_indices))
+            return build(cls, sample_indices, embeddings, labels)
+
+        monkeypatch.setattr(BatchView, "from_embeddings", classmethod(record))
+        out = tmp_path / "run"
+        opts = ["--synthetic", "--n-samples", "200", "--seed", "3", "--sampler", "ras-ris",
+                "--batch-size", "16", "--out", str(out)]
+        assert run(capsys, "train", *opts, "--embedding", "8", "--hidden", "8", "--epochs", "1")[0] == 0
+        trained = seen[:2]
+        seen.clear()
+        assert run(capsys, "mine-debug", *opts, "--batches", "2")[0] == 0
+        assert len(seen) == 2
+        for debug, train in zip(seen, trained):
+            assert np.array_equal(debug, train)
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "mine-debug", *TINY_DATA, "--out", str(tmp_path / "void"))

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import tripmine
 from tripmine.similarity import (
     DistancePair,
+    _scaled_row_distances,
     label_similarity,
     label_similarity_matrix,
     minmax_normalize,
@@ -62,7 +67,7 @@ class TestLabelSimilarity:
 
 
 def pairwise_euclidean_loop(x):
-    """A fresh row-difference array per row: the form the buffered loop must match bit for bit."""
+    """Exact distances from one fresh row-difference array per row: the oracle."""
     b = x.shape[0]
     dist = np.zeros((b, b))
     for i in range(b - 1):
@@ -73,14 +78,125 @@ def pairwise_euclidean_loop(x):
     return dist
 
 
+def max_exponent(x):
+    """The power of two that brings the largest |entry| into [0.5, 1)."""
+    return int(np.frexp(np.abs(x).max())[1])
+
+
+def rescaled_loop(x):
+    """The oracle on rows rescaled by a power of two, so no square over- or
+    underflows; where the plain loop neither overflows nor underflows it is
+    bit-identical to it."""
+    e = max_exponent(x)
+    return np.ldexp(pairwise_euclidean_loop(np.ldexp(x, -e)), e)
+
+
+def distance_bound(d):
+    """The documented accuracy of ``pairwise_euclidean``, relative."""
+    return 2.0**-41 + (d + 4) * 2.0**-53
+
+
+def assert_within_bound(got, x):
+    """Every entry within the documented bound of the oracle (which may be
+    off by its own rounding, (d + 4) * 2**-53 relative), the same zeros,
+    exact symmetry and a zero diagonal."""
+    ref = rescaled_loop(x)
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, got.T)
+    assert np.all(np.diagonal(got) == 0.0)
+    assert np.array_equal(got == 0.0, ref == 0.0)
+    tol = (distance_bound(x.shape[1]) + (x.shape[1] + 4) * 2.0**-53) * ref
+    assert np.all(np.abs(got - ref) <= tol)
+
+
+@st.composite
+def clustered_rows(draw):
+    """Near-duplicate clusters (down to exact copies) or integer-grid rows
+    with ties, at a common offset and an overall scale."""
+    b = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.integers(-3, 4, size=(b, d)).astype(np.float64)
+    else:
+        centres = rng.normal(size=(draw(st.integers(1, 4)), d))
+        spread = draw(st.sampled_from([0.0, 1e-3, 1e-6, 1e-9, 1e-12]))
+        x = centres[rng.integers(len(centres), size=b)] + spread * rng.normal(size=(b, d))
+    x += draw(st.sampled_from([0.0, 1.0, 1e6]))
+    return x * draw(st.sampled_from([1e-160, 1.0, 1e150]))
+
+
+# run in a fresh interpreter, since BLAS reads its thread count at start-up;
+# unpadded, the Gram product of the first two shapes differs between 1 and
+# 2 OpenBLAS threads
+_THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+from tripmine.similarity import pairwise_euclidean
+for b, d in ((100, 1024), (161, 1024), (161, 17), (7, 3)):
+    x = np.random.default_rng(b * 7 + d).normal(size=(b, d))
+    print(hashlib.sha256(pairwise_euclidean(x).tobytes()).hexdigest())
+"""
+
+
+def distance_digests(threads):
+    env = dict(os.environ)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = str(threads)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tripmine.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
 class TestPairwiseEuclidean:
     @pytest.mark.parametrize("b", [1, 2, 3, 7, 32, 161])
     @pytest.mark.parametrize("d", [1, 3, 17, 1024])
     @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e150])
     def test_bit_identical_to_per_row_loop(self, b, d, scale):
+        # the exact re-measure of near pairs is the loop on rescaled rows
         x = np.random.default_rng(b * 7 + d).normal(size=(b, d)) * scale
+        e = max_exponent(x)
+        rows_i, rows_j = np.triu_indices(b, 1)
+        got = np.ldexp(_scaled_row_distances(x, rows_i, rows_j, e), e)
+        want = rescaled_loop(x)[rows_i, rows_j]
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 7, 32, 161])
+    @pytest.mark.parametrize("d", [1, 3, 17, 1024])
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e150])
+    def test_within_bound_of_per_row_loop(self, b, d, scale):
+        x = np.random.default_rng(b * 7 + d).normal(size=(b, d)) * scale
+        assert_within_bound(pairwise_euclidean(x), x)
+
+    @pytest.mark.parametrize("scale, d, b", [(1e155, 1024, 32), (1e-160, 1, 32), (1e-160, 1, 161)])
+    def test_finite_and_within_bound_where_squares_leave_float64(self, scale, d, b):
+        # squares of these distances overflow (1e155) or underflow (1e-160)
+        x = np.random.default_rng(b * 7 + d).normal(size=(b, d)) * scale
+        assert_within_bound(pairwise_euclidean(x), x)
+
+    @given(clustered_rows())
+    @settings(deadline=None)
+    def test_near_duplicates_offsets_and_ties_within_bound(self, x):
+        assert_within_bound(pairwise_euclidean(x), x)
+
+    def test_common_offset_near_float64_maximum(self):
+        x = np.array([[1.7e308, 0.0], [1.7e308 * (1 - 1e-10), 1.0], [1.7e308, 0.0]])
         got = pairwise_euclidean(x)
-        assert got.view(np.uint64).tobytes() == pairwise_euclidean_loop(x).view(np.uint64).tobytes()
+        assert got[0, 2] == 0.0
+        assert_within_bound(got, x)
+
+    @pytest.mark.parametrize("rows", [[[1e308, 0.0], [-1e308, 0.0]],
+                                      [[1.5e308, 1.5e308], [-1.5e308, -1.5e308], [0.0, 0.0]]])
+    def test_rejects_distances_beyond_float64(self, rows):
+        with pytest.raises(ValueError, match="overflow"):
+            pairwise_euclidean(rows)
+
+    def test_bit_identical_across_blas_thread_counts(self):
+        one = distance_digests(1)
+        assert len(one) == 4
+        assert distance_digests(2) == one
 
     def test_identical_rows_have_zero_distance(self):
         d = pairwise_euclidean([[1.0, 2.0], [1.0, 2.0]])
@@ -143,6 +259,12 @@ class TestMinmaxNormalize:
     def test_rejects_single_item(self):
         with pytest.raises(ValueError, match="at least 2"):
             minmax_normalize(np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        d = _symmetric([1.0, bad, 2.0], 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            minmax_normalize(d)
 
     @given(st.lists(st.floats(0.1, 100.0), min_size=6, max_size=6))
     def test_non_degenerate_output_spans_unit_interval(self, values):
