@@ -78,12 +78,17 @@ def gradient_list(bundle: GradientBundle) -> list:
     return out
 
 
-def _forward_cached(net: Embedder, features):
+def _feature_matrix(net: Embedder, features) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.layer_dims[0]:
         raise ValueError(
             f"feature matrix of shape {x.shape} does not match input dim {net.layer_dims[0]}"
         )
+    return x
+
+
+def _forward_cached(net: Embedder, features):
+    x = _feature_matrix(net, features)
     acts = [x]
     preacts = []
     a = x
@@ -148,9 +153,17 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw) -> Gradi
 
     The hinge subgradient at a pre-hinge value of exactly 0 is 0 (the triplet
     is treated as inactive), and likewise ReLU'(0) = 0.
+
+    Only the rows with a non-zero entry in ``S`` (the rows active triplets
+    touch, less pulls that cancel exactly) are re-embedded and carried
+    through the layers: the rest get an exactly-zero embedding gradient and
+    add nothing to any parameter gradient.
+
+    Without ``l2_normalize`` the output bias gradient is returned as exact
+    zeros: the loss reads only distances, which a common shift leaves alone.
     """
-    acts, preacts, out_norms, emb = _forward_cached(net, features)
-    size = emb.shape[0]
+    x = _feature_matrix(net, features)
+    size = x.shape[0]
     dist = np.asarray(dist_raw, dtype=np.float64)
     if dist.shape != (size, size):
         raise ValueError(f"distance matrix of shape {dist.shape} does not match batch size {size}")
@@ -178,6 +191,12 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw) -> Gradi
     # subgradient choice at coincident points: zero direction
     m = np.divide(coef, dist, out=np.zeros((size, size)), where=dist > 0.0)
     s = m + m.T
+    # s is symmetric, so an all-zero row is also an all-zero column
+    touched = np.flatnonzero(s.any(axis=1))
+    if touched.size < size:
+        x = x[touched]
+        s = s[np.ix_(touched, touched)]
+    acts, preacts, out_norms, emb = _forward_cached(net, x)
     d_emb = s.sum(axis=1)[:, None] * emb - s @ emb
 
     if net.l2_normalize:
@@ -195,6 +214,8 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw) -> Gradi
         bias_grads[l] = g.sum(axis=0)
         if l > 0:
             g = (g @ net.weights[l].T) * (preacts[l - 1] > 0.0)
+    if not net.l2_normalize:
+        bias_grads[-1] = zero_b[-1]
     return GradientBundle(weight_grads, bias_grads, loss)
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tripmine.embedder as embedder_mod
 from tripmine.core import seeded_rng
 from tripmine.embedder import (
     Embedder,
@@ -279,6 +280,151 @@ class TestPairMatrixBackward:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def sparse_triplets(b, anchors, per_anchor, rng):
+    """Triplets over a few anchors whose positives and negatives are distinct rows."""
+    others = rng.permutation(np.setdiff1d(np.arange(b), anchors))
+    t = []
+    for k, a in enumerate(anchors):
+        pos = others[4 * k * per_anchor:][:per_anchor]
+        neg = others[4 * k * per_anchor + per_anchor:][:per_anchor]
+        t.extend((a, p, n) for p in pos for n in neg)
+    return np.array(t, dtype=np.int64)
+
+
+def embedded_by_backward(monkeypatch, net, x, t, alpha):
+    """The feature matrices ``backward`` passes to ``_forward_cached``."""
+    dist = pairwise_euclidean(forward(net, x))
+    seen = []
+    real = embedder_mod._forward_cached
+
+    def spy(net, features):
+        seen.append(features)
+        return real(net, features)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(embedder_mod, "_forward_cached", spy)
+        backward(net, x, t, alpha, dist)
+    return seen
+
+
+class TestTouchedRowBackward:
+    # an alpha this large keeps every triplet active, so the touched rows are
+    # exactly the rows the triplets name
+    ALPHA = 100.0
+
+    @pytest.mark.parametrize("l2", [False, True])
+    def test_most_rows_untouched_matches_oracle(self, l2, monkeypatch):
+        rng = seeded_rng(120)
+        net = Embedder.init([8, 16, 6], rng, l2_normalize=l2)
+        x = rng.normal(size=(40, 8))
+        t = sparse_triplets(40, [3, 17, 29], 2, rng)
+        assert t.shape == (12, 3) and np.unique(t).size == 15
+        assert_matches_oracle(net, x, t, self.ALPHA)
+        seen = embedded_by_backward(monkeypatch, net, x, t, self.ALPHA)
+        assert len(seen) == 1 and np.array_equal(seen[0], x[np.unique(t)])
+
+    @pytest.mark.parametrize("l2", [False, True])
+    def test_duplicated_sparse_triplets(self, l2):
+        rng = seeded_rng(121)
+        net = Embedder.init([5, 7, 4], rng, l2_normalize=l2)
+        x = rng.normal(size=(40, 5))
+        base = sparse_triplets(40, [0, 21, 39], 2, rng)
+        assert_matches_oracle(net, x, np.concatenate([base, base[:5], base[:1]]), self.ALPHA)
+
+    @pytest.mark.parametrize("l2", [False, True])
+    def test_coincident_rows_in_sparse_batch(self, l2):
+        rng = seeded_rng(122)
+        net = Embedder.init([4, 6, 3], rng, l2_normalize=l2)
+        x = rng.normal(size=(40, 4))
+        t = sparse_triplets(40, [5, 25], 2, rng)
+        x[t[0, 1]] = x[t[0, 0]]
+        assert pairwise_euclidean(forward(net, x))[t[0, 0], t[0, 1]] == 0.0
+        bundle = assert_matches_oracle(net, x, t, self.ALPHA)
+        assert all(np.isfinite(g).all() for g in gradient_list(bundle))
+
+    @pytest.mark.parametrize("l2", [False, True])
+    def test_single_active_triplet(self, l2, monkeypatch):
+        rng = seeded_rng(123)
+        net = Embedder.init([6, 9, 5], rng, l2_normalize=l2)
+        x = rng.normal(size=(40, 6))
+        t = np.array([[31, 4, 17]])
+        bundle = assert_matches_oracle(net, x, t, self.ALPHA)
+        assert bundle.loss_value > 0.0
+        seen = embedded_by_backward(monkeypatch, net, x, t, self.ALPHA)
+        assert len(seen) == 1 and np.array_equal(seen[0], x[[4, 17, 31]])
+
+    @pytest.mark.parametrize("l2", [False, True])
+    def test_every_row_touched_embeds_the_batch_without_a_gather(self, l2, monkeypatch):
+        rng = seeded_rng(124)
+        net = Embedder.init([6, 9, 5], rng, l2_normalize=l2)
+        x = rng.normal(size=(40, 6))
+        rows = np.arange(40)
+        t = np.stack([rows, (rows + 1) % 40, (rows + 3) % 40], axis=1)
+        assert_matches_oracle(net, x, t, self.ALPHA)
+        seen = embedded_by_backward(monkeypatch, net, x, t, self.ALPHA)
+        assert len(seen) == 1 and seen[0] is x
+
+    def test_cancelling_triplet_touches_no_row(self, monkeypatch):
+        # positive == negative: active (loss alpha) but the two pulls cancel
+        rng = seeded_rng(125)
+        net = Embedder.init([4, 5, 3], rng)
+        x = rng.normal(size=(10, 4))
+        t = np.array([[2, 7, 7]])
+        bundle = assert_matches_oracle(net, x, t, 0.5)
+        assert bundle.loss_value == 0.5
+        assert all(np.all(g == 0.0) for g in gradient_list(bundle))
+        seen = embedded_by_backward(monkeypatch, net, x, t, 0.5)
+        assert len(seen) == 1 and seen[0].shape == (0, 4)
+
+    @pytest.mark.parametrize("triplets", [np.empty((0, 3), dtype=np.int64), np.array([[0, 1, 2]])])
+    def test_feature_width_checked_before_early_returns(self, triplets):
+        # all-zero distances with alpha 0: no triplet is active
+        net = Embedder.init([3, 2], seeded_rng(126))
+        with pytest.raises(ValueError, match="does not match input dim"):
+            backward(net, np.ones((5, 4)), triplets, 0.0, np.zeros((5, 5)))
+
+    @pytest.mark.parametrize("l2", [False, True])
+    def test_output_bias_gradient(self, l2):
+        rng = seeded_rng(127)
+        net = Embedder.init([8, 16, 6], rng, l2_normalize=l2)
+        x = rng.normal(size=(14, 8))
+        bundle = pair_backward(net, x, random_triplets(rng, 14, count=60), 0.5)
+        assert bundle.loss_value > 0.0
+        assert np.all(bundle.bias_grads[-1] == 0.0) != l2
+
+
+# prints, per case, the rows backward embedded and a digest of the gradients
+_THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+import tripmine.embedder as E
+from tripmine.similarity import pairwise_euclidean
+real = E._forward_cached
+rows = []
+E._forward_cached = lambda net, x: (rows.append(len(x)), real(net, x))[1]
+b = 100
+for l2 in (False, True):
+    rng = np.random.default_rng(7 + l2)
+    net = E.Embedder.init([128, 64, 1024], rng, l2_normalize=l2)
+    x = rng.normal(size=(b, 128))
+    dist = pairwise_euclidean(E.forward(net, x))
+    for k in (2, 3, 7, 29, 70, 99, 100):
+        r = rng.permutation(b)[:k]
+        # one anchor pulls r[1] and pushes the rest; r[0] as its own negative adds nothing
+        t = np.array([(r[0], r[1], r[j]) for j in range(2, k)] or [(r[0], r[1], r[0])])
+        del rows[:]
+        g = E.backward(net, x, t, 1e3, dist)
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in E.gradient_list(g)))
+        print(rows[-1], digest.hexdigest())
+"""
+
+
+def test_gradients_bit_identical_across_blas_thread_counts(stdout_at_blas_threads):
+    one = stdout_at_blas_threads(_THREAD_SCRIPT, 1)
+    assert [int(n) for n in one[::2]] == [2, 3, 7, 29, 70, 99, 100] * 2
+    assert stdout_at_blas_threads(_THREAD_SCRIPT, 2) == one
 
 
 class TestFiniteDifferenceCheck:

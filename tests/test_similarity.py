@@ -1,13 +1,9 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import tripmine
 from tripmine.similarity import (
     DistancePair,
     _scaled_row_distances,
@@ -126,7 +122,6 @@ def clustered_rows(draw):
     return x * draw(st.sampled_from([1e-160, 1.0, 1e150]))
 
 
-# run in a fresh interpreter, since BLAS reads its thread count at start-up;
 # unpadded, the Gram product of the first two shapes differs between 1 and
 # 2 OpenBLAS threads
 _THREAD_SCRIPT = """
@@ -137,17 +132,6 @@ for b, d in ((100, 1024), (161, 1024), (161, 17), (7, 3)):
     x = np.random.default_rng(b * 7 + d).normal(size=(b, d))
     print(hashlib.sha256(pairwise_euclidean(x).tobytes()).hexdigest())
 """
-
-
-def distance_digests(threads):
-    env = dict(os.environ)
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[name] = str(threads)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tripmine.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env,
-                          capture_output=True, text=True, check=True)
-    return done.stdout.split()
 
 
 class TestPairwiseEuclidean:
@@ -193,10 +177,10 @@ class TestPairwiseEuclidean:
         with pytest.raises(ValueError, match="overflow"):
             pairwise_euclidean(rows)
 
-    def test_bit_identical_across_blas_thread_counts(self):
-        one = distance_digests(1)
+    def test_bit_identical_across_blas_thread_counts(self, stdout_at_blas_threads):
+        one = stdout_at_blas_threads(_THREAD_SCRIPT, 1)
         assert len(one) == 4
-        assert distance_digests(2) == one
+        assert stdout_at_blas_threads(_THREAD_SCRIPT, 2) == one
 
     def test_identical_rows_have_zero_distance(self):
         d = pairwise_euclidean([[1.0, 2.0], [1.0, 2.0]])

@@ -169,6 +169,13 @@ class TestTrain:
         train(ds, small_config(epochs=3), epoch_callback=lambda e, net, row: seen.append(e))
         assert seen == [0, 1, 2]
 
+    def test_output_bias_stays_zero_without_l2_normalization(self):
+        ds = small_dataset()
+        plain, _ = train(ds, small_config(epochs=3))
+        assert np.all(plain.biases[-1] == 0.0)
+        normalized, _ = train(ds, small_config(epochs=3, l2_normalize=True))
+        assert np.all(normalized.biases[-1] != 0.0)
+
     def test_empty_train_split_rejected(self):
         ds = small_dataset()
         ds.train_idx = []
