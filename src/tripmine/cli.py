@@ -11,20 +11,21 @@ the training manifest must survive an evaluation.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
-from .core import ANCHOR_STRATEGIES, IMAGE_STRATEGIES, SamplerConfig, seeded_rng, validate_config
+from . import embedder as emb_mod
+from .core import (ANCHOR_STRATEGIES, IMAGE_STRATEGIES, BatchView, SamplerConfig, seeded_rng,
+                   validate_config)
 from .data import SyntheticSpec, generate_synthetic, load_dataset, split_dataset
 from .embedder import load_checkpoint, save_checkpoint
-from .retrieval import default_k, evaluate, format_metric_table, write_metrics_csv
+from .retrieval import MetricReport, default_k, evaluate, format_metric_table, write_metrics_csv
 from .sampler import mine_debug_lines
 from .trainer import TrainConfig, train, write_train_log
-from .core import BatchView
-from . import embedder as emb_mod
 
 SAMPLER_CHOICES = tuple(f"{a}-{i}" for a in ANCHOR_STRATEGIES for i in IMAGE_STRATEGIES)
 
@@ -72,6 +73,9 @@ SAMPLER_OPTS = (
     Opt("das_reduce", str, "max", "reduction over selected anchors", choices=("max", "min")),
 )
 
+L2_NORMALIZE = Opt("l2_normalize", flag=True, default=False, help="L2-normalize embeddings")
+CHECKPOINT = Opt("checkpoint", str, None, "model checkpoint (default: <out>/model.ckpt)")
+
 TRAIN_OPTS = (
     Opt("epochs", int, 100, "training epochs"),
     Opt("batch_size", int, 100, "mini-batch size (trailing remainder dropped)"),
@@ -81,25 +85,27 @@ TRAIN_OPTS = (
     Opt("alpha", float, 0.2, "triplet margin"),
     Opt("embedding", int, 1024, "embedding dimension"),
     Opt("hidden", str, "64", "comma-separated hidden layer sizes"),
-    Opt("l2_normalize", flag=True, default=False, help="L2-normalize embeddings"),
+    L2_NORMALIZE,
     Opt("checkpoint_every", int, 0, "also write model_epoch{N}.ckpt every N epochs (0: final only)"),
 )
 
+SEED = Opt("seed", int, 0, "master seed")
+SEEDS = Opt("seed", str, "0", "master seed, or comma-separated seeds to average the grid over")
+
 COMMON_OPTS = (
-    Opt("seed", int, 0, "master seed"),
     Opt("out", str, "out", "output directory"),
     Opt("preset", str, "full", "option preset", choices=("full", "ci")),
     Opt("config", str, None, "key=value file; explicit flags override it"),
 )
 
 EVAL_OPTS = (
-    Opt("checkpoint", str, None, "model checkpoint (default: <out>/model.ckpt)"),
+    CHECKPOINT,
     Opt("k", int, None, "retrieved neighbors per query (default: 10, or 30 for archives >= 10000)"),
     Opt("method", str, "model", "method label used in reports"),
 )
 
 MINE_DEBUG_OPTS = (
-    Opt("checkpoint", str, None, "model checkpoint (default: <out>/model.ckpt)"),
+    CHECKPOINT,
     Opt("batches", int, 1, "number of batches to dump"),
 )
 
@@ -109,14 +115,12 @@ PRESETS = {
 }
 
 COMMAND_OPTS = {
-    "train": COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + TRAIN_OPTS,
-    "evaluate": COMMON_OPTS + DATA_OPTS + EVAL_OPTS + (
-        Opt("l2_normalize", flag=True, default=False, help="L2-normalize embeddings"),),
-    "ablate": COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + TRAIN_OPTS + (
+    "train": (SEED,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + TRAIN_OPTS,
+    "evaluate": (SEED,) + COMMON_OPTS + DATA_OPTS + EVAL_OPTS + (L2_NORMALIZE,),
+    "ablate": (SEEDS,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + TRAIN_OPTS + (
         Opt("k", int, None, "retrieved neighbors per query"),),
-    "mine-debug": COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + MINE_DEBUG_OPTS + (
-        Opt("batch_size", int, 100, "mini-batch size"),
-        Opt("l2_normalize", flag=True, default=False, help="L2-normalize embeddings"),),
+    "mine-debug": (SEED,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + MINE_DEBUG_OPTS + (
+        Opt("batch_size", int, 100, "mini-batch size"), L2_NORMALIZE),
 }
 
 
@@ -146,7 +150,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if t in ("false", "0", "no"):
         return False
-    raise UserError(f"cannot parse boolean value {text!r}")
+    raise ValueError(f"cannot parse boolean value {text!r}")
 
 
 def _known_option_names():
@@ -175,14 +179,17 @@ def _read_config_file(path, opts_by_name):
                 raise UserError(f"{path}:{line_no}: unknown option {key!r}")
             o = opts_by_name[key]
             raw = value.strip()
-            if o.flag:
-                values[key] = _parse_bool(raw)
-            elif raw in ("", "None"):
-                values[key] = None
-            else:
-                values[key] = o.type(raw)
-                if o.choices and values[key] not in o.choices:
-                    raise UserError(f"{path}:{line_no}: {key} must be one of {o.choices}")
+            try:
+                if o.flag:
+                    values[key] = _parse_bool(raw)
+                elif raw in ("", "None"):
+                    values[key] = None
+                else:
+                    values[key] = o.type(raw)
+                    if o.choices and values[key] not in o.choices:
+                        raise UserError(f"{path}:{line_no}: {key} must be one of {o.choices}")
+            except ValueError as exc:
+                raise UserError(f"{path}:{line_no}: {key}: {exc}") from None
     return values
 
 
@@ -262,7 +269,7 @@ def _sampler_config(o: dict) -> SamplerConfig:
         anchor_fraction=o["anchors_fraction"],
         positives_per_anchor=o["positives"], negatives_per_anchor=o["negatives"],
         beta=o["beta"], gamma=o["gamma"], combination=o["combination"],
-        label_similarity=o["label_sim"], das_reduce=o["das_reduce"], seed=o["seed"],
+        label_similarity=o["label_sim"], das_reduce=o["das_reduce"],
     )
 
 
@@ -309,8 +316,8 @@ def _resolve_k(o: dict, archive_size: int) -> int:
     return k
 
 
-def cmd_evaluate(o: dict) -> int:
-    ds = _load_data(o)
+def _load_net(o: dict, ds):
+    """The --checkpoint (default <out>/model.ckpt), checked against the dataset's width."""
     ckpt = o["checkpoint"] or os.path.join(o["out"], "model.ckpt")
     if not os.path.exists(ckpt):
         raise UserError(f"checkpoint not found: {ckpt}")
@@ -319,6 +326,12 @@ def cmd_evaluate(o: dict) -> int:
         raise UserError(
             f"checkpoint expects {net.layer_dims[0]} features but dataset has {ds.n_features}"
         )
+    return net
+
+
+def cmd_evaluate(o: dict) -> int:
+    ds = _load_data(o)
+    net = _load_net(o, ds)
     queries = ds.subset(ds.val_idx)
     archive = ds.subset(ds.test_idx)
     report = evaluate(net, queries, archive, _resolve_k(o, len(archive)))
@@ -330,35 +343,68 @@ def cmd_evaluate(o: dict) -> int:
     return 0
 
 
-def cmd_ablate(o: dict) -> int:
+def _metric_fields(rep: MetricReport) -> list:
+    return [repr(float(v)) for v in (rep.accuracy, rep.precision, rep.recall, rep.f1)]
+
+
+def _ablate_seed(o: dict, curve: list) -> dict:
+    """Train and score the nine cells on the data and split of ``o["seed"]``.
+
+    Every cell is scored val -> test after each epoch; each score becomes
+    one ``curve.csv`` line appended to ``curve``. Returns
+    {cell: (its last score, its cumulative triplets)}.
+    """
     ds = _load_data(o)
-    out = _out_dir(o)
     queries = ds.subset(ds.val_idx)
     archive = ds.subset(ds.test_idx)
     k = _resolve_k(o, len(archive))
     cells = []
-    for anchor, image in itertools.product(ANCHOR_STRATEGIES, IMAGE_STRATEGIES):
-        cell = dict(o)
-        cell["sampler"] = f"{anchor}-{image}"
+    for name in SAMPLER_CHOICES:
+        cell = dict(o, sampler=name)
         cfg = _train_config(cell, _sampler_config(cell))
         # reject every cell up front, not after training the ones before it
         validate_config(cfg.sampler, cfg.batch_size)
-        cells.append((cell["sampler"], cfg))
-    rows = []
-    counts = {}
+        cells.append((name, cfg))
+    results = {}
     for name, cfg in cells:
-        net, log = train(ds, cfg)
-        report = evaluate(net, queries, archive, k)
-        rows.append((name, report))
-        counts[name] = log.rows[-1].cum_triplets if log.rows else 0
+        reports = []
+
+        def score(epoch, net, row):
+            reports.append(evaluate(net, queries, archive, k))
+            curve.append(",".join([str(o["seed"]), *name.split("-"), str(row.epoch), str(row.cum_triplets),
+                                   f"{row.seconds:.3f}", *_metric_fields(reports[-1])]))
+
+        net, log = train(ds, cfg, epoch_callback=score)
+        # with --epochs 0 no epoch ran, so the untrained net is scored
+        report = reports[-1] if reports else evaluate(net, queries, archive, k)
+        results[name] = (report, log.rows[-1].cum_triplets if log.rows else 0)
+    return results
+
+
+def cmd_ablate(o: dict) -> int:
+    seeds = _parse_int_list(o["seed"] or "")
+    if not seeds:
+        raise UserError("--seed needs at least one integer seed")
+    o["seed"] = ",".join(map(str, seeds))
+    out = _out_dir(o)
+    sums = {name: np.zeros(4) for name in SAMPLER_CHOICES}
+    counts = {}
+    curve = []
+    for seed in seeds:
+        for name, (rep, cum) in _ablate_seed(dict(o, seed=seed), curve).items():
+            sums[name] += (rep.accuracy, rep.precision, rep.recall, rep.f1)
+            # the triplet count does not depend on the seed
+            counts[name] = cum
+    rows = [(name, MetricReport(*(sums[name] / len(seeds)).tolist())) for name in SAMPLER_CHOICES]
     grid_path = os.path.join(out, "grid.csv")
     with open(grid_path, "w", newline="") as fh:
         fh.write("anchor_strategy,image_strategy,accuracy,precision,recall,f1,cum_triplets\n")
         for name, rep in rows:
-            anchor, image = name.split("-")
-            fh.write(",".join([anchor, image] +
-                              [repr(float(v)) for v in (rep.accuracy, rep.precision, rep.recall, rep.f1)] +
-                              [str(counts[name])]) + "\n")
+            fh.write(",".join([*name.split("-"), *_metric_fields(rep), str(counts[name])]) + "\n")
+    with open(os.path.join(out, "curve.csv"), "w", newline="") as fh:
+        fh.write("seed,anchor_strategy,image_strategy,epoch,cum_triplets,seconds,"
+                 "accuracy,precision,recall,f1\n")
+        fh.writelines(line + "\n" for line in curve)
     write_manifest(os.path.join(out, "manifest.txt"), "ablate", o)
     table = format_metric_table(rows).splitlines()
     width = max(len(str(c)) for c in counts.values())
@@ -372,14 +418,7 @@ def cmd_ablate(o: dict) -> int:
 
 def cmd_mine_debug(o: dict) -> int:
     ds = _load_data(o)
-    ckpt = o["checkpoint"] or os.path.join(o["out"], "model.ckpt")
-    if not os.path.exists(ckpt):
-        raise UserError(f"checkpoint not found: {ckpt}")
-    net = load_checkpoint(ckpt, l2_normalize=o["l2_normalize"])
-    if net.layer_dims[0] != ds.n_features:
-        raise UserError(
-            f"checkpoint expects {net.layer_dims[0]} features but dataset has {ds.n_features}"
-        )
+    net = _load_net(o, ds)
     scfg = _sampler_config(o)
     batch_size = o["batch_size"]
     if batch_size > len(ds.train_idx):

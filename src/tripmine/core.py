@@ -7,7 +7,6 @@ the loss, and the trainer; dataset-level indices appear only in
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -78,10 +77,10 @@ class SampleTable:
     matrix and ``labels`` an (M, N) uint8 matrix; row i is sample i.
 
     The constructor checks what ``Sample`` checks, once per matrix: finite
-    features, 0/1 labels, at least one label per row, and one id per row.
-    Ids need not be unique (``load_dataset`` rejects duplicates in files);
-    ``row_of`` maps each id to its last row. The arrays are not copied when
-    they already have the right dtype, so they stay the caller's to edit.
+    features, 0/1 labels, at least one label per row, and one distinct id
+    per row; ``row_of`` maps each id to its row. The arrays are not copied
+    when they already have the right dtype, so they stay the caller's to
+    edit.
 
     ``len`` and iteration work as on a list of ``Sample``; an int index
     gives a ``Sample`` viewing that row, a slice or an integer index array
@@ -108,6 +107,11 @@ class SampleTable:
         bad = _first_true(~labs.any(axis=1))
         if bad is not None:
             raise ValueError(f"sample {ids[bad]!r} has no class labels")
+        row_of = {sample_id: row for row, sample_id in enumerate(ids)}
+        if len(row_of) != len(ids):
+            repeated = next(i for row, i in enumerate(ids) if row_of[i] != row)
+            raise ValueError(f"sample id {repeated!r} is repeated")
+        self.row_of = row_of
         self.ids = ids
         self.features = feats
         self.labels = labs
@@ -119,11 +123,6 @@ class SampleTable:
             raise ValueError("a sample table needs at least one sample")
         return cls([s.id for s in samples], np.stack([s.features for s in samples]),
                    np.stack([s.labels for s in samples]))
-
-    @functools.cached_property
-    def row_of(self) -> dict:
-        """id -> row index, the last row for a repeated id."""
-        return {sample_id: row for row, sample_id in enumerate(self.ids)}
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -184,9 +183,6 @@ class BatchView:
             dist_norm=similarity.minmax_normalize(raw),
         )
 
-    def distance(self, i: int, j: int) -> similarity.DistancePair:
-        return similarity.DistancePair(raw=float(self.dist_raw[i, j]), norm=float(self.dist_norm[i, j]))
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -197,7 +193,8 @@ class SamplerConfig:
     ``gamma`` weights informativeness vs diversity during iterative picks.
     ``das_reduce`` selects the reduction over already-chosen anchors:
     "max" is the default scoring rule, "min" is the classic farthest-point
-    variant kept for comparison only.
+    variant kept for comparison only. ``seed`` is not read: mining draws
+    from the trainer's random stream, which ``TrainConfig.seed`` seeds.
     """
 
     anchor_strategy: str = "das"

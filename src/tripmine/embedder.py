@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TripletSet, seeded_rng
+from .core import TripletSet
 from .similarity import pairwise_euclidean
 
 CHECKPOINT_MAGIC = b"TMEMB001"
@@ -343,9 +343,3 @@ def load_checkpoint(path, l2_normalize: bool = False) -> Embedder:
         raise ValueError(f"{path}: checkpoint holds non-finite weights")
     return Embedder(layer_dims=tuple(dims), weights=weights, biases=biases, l2_normalize=l2_normalize)
 
-
-def init_embedder(feature_dim: int, hidden_dims, embedding_dim: int, seed: int,
-                  l2_normalize: bool = False) -> Embedder:
-    """Convenience constructor from a seed rather than an RNG instance."""
-    dims = [int(feature_dim), *(int(h) for h in hidden_dims), int(embedding_dim)]
-    return Embedder.init(dims, seeded_rng(seed), l2_normalize=l2_normalize)

@@ -236,7 +236,7 @@ def evaluate(net, queries, archive, k: int) -> MetricReport:
 
     ``queries`` and ``archive`` are ``SampleTable``s or sequences of
     ``Sample``. A query that is also present in the archive (matched by id)
-    never retrieves the archive's last row with that id. The archive's
+    never retrieves the archive row with that id. The archive's
     embeddings are reused from the previous call while the net's weights,
     biases and ``l2_normalize`` and the archive's feature matrix are
     bit-identical to that call's.

@@ -9,8 +9,6 @@ rescaled rows, with the pairs it cannot tell from 0 re-measured exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _FLOAT_TINY = np.finfo(np.float64).tiny
@@ -42,14 +40,6 @@ _GRAM_ERR_PER_DIM = 4 * 2.0**-53
 # rounding error, so its distance is within 2**-42 of the exact one,
 # relative, plus the rounding of the square root.
 _REMEASURE_ALLOWANCES = 2.0**40
-
-
-@dataclass(frozen=True)
-class DistancePair:
-    """One pairwise distance in raw Euclidean units and batch-normalized form."""
-
-    raw: float
-    norm: float
 
 
 def _check_binary_rows(labels: np.ndarray) -> np.ndarray:

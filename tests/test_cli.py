@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import struct
@@ -24,6 +25,14 @@ TINY = TINY_DATA + [
 def read_log_without_seconds(path):
     lines = path.read_text().splitlines()
     return [",".join(line.split(",")[:4]) for line in lines]
+
+
+def read_csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+METRICS = ("accuracy", "precision", "recall", "f1")
 
 
 class TestTrain:
@@ -152,6 +161,15 @@ class TestTrain:
         assert code == 2
         assert "warp_factor" in err
 
+    @pytest.mark.parametrize("line, key", [("epochs=ten", "epochs"), ("synthetic=maybe", "synthetic")])
+    def test_unparsable_config_value_exits_2_naming_file_line_and_key(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"beta=0.7\n{line}\n")
+        code, _, err = run(capsys, "train", *TINY, "--out", str(tmp_path / "o"), "--config", str(cfg))
+        assert code == 2
+        assert f"{cfg}:2: {key}:" in err
+        assert "Traceback" not in err
+
     def test_other_subcommands_manifest_keys_are_skipped(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k=5\nmethod=model\nbeta=0.7\n")  # k/method belong to evaluate
@@ -234,7 +252,81 @@ class TestEvaluate:
         assert "Method" in stdout and "Accuracy" in stdout
 
 
+CI_ABLATE = ["--synthetic", "--n-samples", "100", "--preset", "ci"]
+
+
+def ablate(capsys, out, *argv):
+    """Run ablate at ci size; returns the rows of grid.csv and curve.csv."""
+    code, _, err = run(capsys, "ablate", *CI_ABLATE, "--out", str(out), *argv)
+    assert code == 0, err
+    return read_csv_rows(out / "grid.csv"), read_csv_rows(out / "curve.csv")
+
+
+def cell_of(row):
+    return f"{row['anchor_strategy']}-{row['image_strategy']}"
+
+
+def without_seconds(rows):
+    return [{key: v for key, v in r.items() if key != "seconds"} for r in rows]
+
+
 class TestAblate:
+    def test_grid_cells_triplet_counts_and_metric_ranges(self, tmp_path, capsys):
+        grid, curve = ablate(capsys, tmp_path / "grid", "--seed", "1", "--epochs", "1")
+        assert [cell_of(r) for r in grid] == list(SAMPLER_CHOICES)
+        # one batch of 32: das/ras mine 4 anchors x 3 x 3, bas 32 x 3 x 3, bis 31 x 30 pairs
+        counts = {cell_of(r): int(r["cum_triplets"]) for r in grid}
+        assert counts["das-rhdis"] == 36 and counts["bas-rhdis"] == 288
+        assert counts["das-bis"] == 4 * 31 * 30 and counts["bas-bis"] == 32 * 31 * 30
+        for r in grid + curve:
+            assert all(0.0 <= float(r[m]) <= 1.0 for m in METRICS)
+
+    def test_curve_adds_each_epoch_and_its_last_rows_are_the_grid(self, tmp_path, capsys):
+        grid, curve = ablate(capsys, tmp_path / "grid", "--seed", "1", "--epochs", "2")
+        assert list(curve[0]) == ["seed", "anchor_strategy", "image_strategy", "epoch", "cum_triplets",
+                                  "seconds", *METRICS]
+        by_cell = {}
+        for r in curve:
+            by_cell.setdefault(cell_of(r), []).append(r)
+        assert list(by_cell) == list(SAMPLER_CHOICES)
+        for name, triplets in {"das-rhdis": 36, "ras-ris": 36, "bas-bis": 32 * 31 * 30}.items():
+            assert [int(r["cum_triplets"]) for r in by_cell[name]] == [triplets, 2 * triplets]
+        for g in grid:
+            last = by_cell[cell_of(g)][-1]
+            assert (last["seed"], last["epoch"]) == ("1", "1")
+            assert [last[c] for c in (*METRICS, "cum_triplets")] == [g[c] for c in (*METRICS, "cum_triplets")]
+
+    def test_seed_list_grid_is_the_mean_of_the_single_seed_grids(self, tmp_path, capsys):
+        singles = [ablate(capsys, tmp_path / f"seed{s}", "--seed", str(s), "--epochs", "1") for s in (1, 2)]
+        out = tmp_path / "both"
+        grid, curve = ablate(capsys, out, "--seed", "1,2", "--epochs", "1")
+        for i, row in enumerate(grid):
+            total = np.zeros(4)
+            for single_grid, _ in singles:
+                total += tuple(float(single_grid[i][m]) for m in METRICS)
+            assert [row[m] for m in METRICS] == [repr(v) for v in (total / 2).tolist()]
+            assert row["cum_triplets"] == singles[1][0][i]["cum_triplets"]
+        assert without_seconds(curve) == without_seconds(singles[0][1] + singles[1][1])
+        # the manifest replays through ablate, and train names the line it cannot take
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert "seed=1,2" in lines
+        code, _, err = run(capsys, "train", "--config", str(out / "manifest.txt"), "--out", str(tmp_path / "t"))
+        assert code == 2
+        assert f"manifest.txt:{lines.index('seed=1,2') + 1}: seed:" in err
+
+    def test_zero_epochs_scores_the_untrained_nets(self, tmp_path, capsys):
+        grid, curve = ablate(capsys, tmp_path / "grid", "--seed", "1", "--epochs", "0")
+        assert [cell_of(r) for r in grid] == list(SAMPLER_CHOICES)
+        assert all(r["cum_triplets"] == "0" and 0.0 < float(r["f1"]) < 1.0 for r in grid)
+        assert curve == []
+
+    @pytest.mark.parametrize("seeds", ["1,x", ","])
+    def test_bad_seed_list_rejected_before_training(self, tmp_path, capsys, seeds):
+        code, stdout, err = run(capsys, "ablate", *CI_ABLATE, "--seed", seeds, "--out", str(tmp_path / "grid"))
+        assert code == 2
+        assert "integer" in err
+        assert stdout == ""
+
     def test_grid_has_nine_rows_and_budget_ordering(self, tmp_path, capsys):
         out = tmp_path / "grid"
         code, stdout, _ = run(capsys, "ablate", "--synthetic", "--n-samples", "60",

@@ -121,13 +121,13 @@ class TestSampleTable:
         assert np.shares_memory(sub.features, t.features)
         assert sub.labels.tolist() == [[0, 1], [1, 1]]
 
-    @pytest.mark.parametrize("rows", [[3, 0, 3], np.array([3, 0, 3]), np.array([3, 0, 3], dtype=np.uint8)])
+    @pytest.mark.parametrize("rows", [[3, 0, 2], np.array([3, 0, 2]), np.array([3, 0, 2], dtype=np.uint8)])
     def test_index_array_gives_a_sub_table(self, rows):
         t = small_table()
         sub = t[rows]
-        assert sub.ids == ("d", "a", "d")
-        assert sub.features.tolist() == [[9, 10, 11], [0, 1, 2], [9, 10, 11]]
-        assert sub.labels.tolist() == [[0, 1], [1, 0], [0, 1]]
+        assert sub.ids == ("d", "a", "c")
+        assert sub.features.tolist() == [[9, 10, 11], [0, 1, 2], [6, 7, 8]]
+        assert sub.labels.tolist() == [[0, 1], [1, 0], [1, 1]]
 
     def test_empty_index_gives_an_empty_table(self):
         sub = small_table()[[]]
@@ -150,10 +150,12 @@ class TestSampleTable:
         with pytest.raises(ValueError, match="at least one sample"):
             SampleTable.from_samples([])
 
-    def test_row_of_maps_ids_to_their_last_row(self):
-        t = SampleTable(["a", "b", "a"], np.zeros((3, 1)), np.ones((3, 1)))
-        assert t.row_of == {"a": 2, "b": 1}
-        assert t.row_of is t.row_of
+    def test_repeated_ids_rejected_naming_the_first(self):
+        assert SampleTable(["a", "b", "c"], np.zeros((3, 1)), np.ones((3, 1))).row_of == {"a": 0, "b": 1, "c": 2}
+        with pytest.raises(ValueError, match="sample id 'a' is repeated"):
+            SampleTable(["a", "b", "b", "a"], np.zeros((4, 1)), np.ones((4, 1)))
+        with pytest.raises(ValueError, match="'b' is repeated"):
+            small_table()[[0, 1, 1]]
 
 
 class TestValidateConfig:
@@ -218,13 +220,6 @@ class TestBatchView:
         off = ~np.eye(5, dtype=bool)
         assert bv.dist_norm[off].min() == 0.0
         assert bv.dist_norm[off].max() == 1.0
-
-    def test_distance_accessor_pairs_raw_and_norm(self):
-        emb = np.array([[0.0], [1.0], [3.0]])
-        bv = BatchView.from_embeddings(np.arange(3), emb, np.ones((3, 2), dtype=np.uint8))
-        pair = bv.distance(0, 2)
-        assert pair.raw == 3.0
-        assert pair.norm == 1.0
 
 
 class TestTripletSet:

@@ -390,7 +390,8 @@ class TestArchiveMemo:
         rng = seeded_rng(seed)
         net = Embedder.init([6, 8, 3], rng, l2_normalize=l2)
         archive = random_split(rng, 120, 6, 5, "a")
-        archive += archive[:20]  # duplicated rows give distance ties
+        # duplicated rows, under their own ids, give distance ties
+        archive += toy_samples([s.features for s in archive[:20]], [s.labels for s in archive[:20]], "dup")
         queries = random_split(rng, 30, 6, 5, "q") + archive[40:50]
         expected = evaluate_without_memo(net, queries, archive, k=12)
         assert evaluate(net, queries, archive, k=12) == expected  # cold

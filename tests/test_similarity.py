@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tripmine.similarity import (
-    DistancePair,
     _scaled_row_distances,
     label_similarity,
     label_similarity_matrix,
@@ -268,9 +267,3 @@ class TestMinmaxNormalize:
         raw_order = np.argsort(d[iu])
         norm_order = np.argsort(norm[iu])
         assert np.array_equal(raw_order, norm_order)
-
-
-class TestDistancePair:
-    def test_holds_raw_and_normalized(self):
-        p = DistancePair(raw=2.5, norm=0.5)
-        assert p.raw == 2.5 and p.norm == 0.5
