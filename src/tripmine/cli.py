@@ -317,11 +317,13 @@ def _resolve_k(o: dict, archive_size: int) -> int:
 
 
 def _load_net(o: dict, ds):
-    """The --checkpoint (default <out>/model.ckpt), checked against the dataset's width."""
+    """The --checkpoint (default <out>/model.ckpt), checked against the
+    dataset's width. A checkpoint that records its l2_normalize flag sets it;
+    --l2-normalize on one saved without it is an error naming the file."""
     ckpt = o["checkpoint"] or os.path.join(o["out"], "model.ckpt")
     if not os.path.exists(ckpt):
         raise UserError(f"checkpoint not found: {ckpt}")
-    net = load_checkpoint(ckpt, l2_normalize=o["l2_normalize"])
+    net = load_checkpoint(ckpt, l2_normalize=True if o["l2_normalize"] else None)
     if net.layer_dims[0] != ds.n_features:
         raise UserError(
             f"checkpoint expects {net.layer_dims[0]} features but dataset has {ds.n_features}"

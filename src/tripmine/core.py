@@ -21,10 +21,12 @@ LABEL_SIMILARITY_KINDS = ("cosine", "jaccard")
 DAS_REDUCTIONS = ("max", "min")
 
 # Upper bound on H*P*N, the triplets one batch may mine. Mining plus backward
-# peak at about 42 bytes per triplet (tracemalloc, bas-bis at B = 64, 100 and
-# 160: the build peaks at 33 with the (T, 3) int64 array and one column
-# temporary, then the loss's gathers run with that array live), so the limit
-# is about 0.7 GB. bas-bis passes up to batch size 256.
+# peak at 10.6 bytes per triplet at bas-bis B = 256 (16.6M triplets, 168 MB),
+# 13.6 at B = 100 and 19.9 at B = 64 (tracemalloc, embedding 1024, about half
+# the triplets active; every one active: 10.3, 14.0 and 24.3). Per triplet
+# that is the boolean keep block, the float64 pre-hinge block and the active
+# mask; the rest is O(B^2) or 1 MB chunks. So the limit is about 0.2 GB, and
+# bas-bis passes up to batch size 256.
 MAX_TRIPLETS_PER_BATCH = 1 << 24
 
 
@@ -265,18 +267,52 @@ def validate_config(cfg: SamplerConfig, batch_size: int) -> SamplerConfig:
 
 @dataclass(frozen=True)
 class TripletSet:
-    """Selected (anchor, positive, negative) batch-local index triples.
+    """Selected (anchor, positive, negative) batch-local index triples, kept
+    as per-anchor blocks.
 
-    ``triplets`` is a (T, 3) int64 array ordered anchor-major. ``anchors``
-    (H,) lists the anchors in selection order; row k of ``positives`` (H, P)
-    and ``negatives`` (H, N) holds anchor k's ordered positive and negative
-    indices.
+    ``anchors`` (H,) lists the anchors in selection order; row k of
+    ``positives`` (H, P) and ``negatives`` (H, N) holds anchor k's ordered
+    positive and negative indices. ``keep`` marks the triples of the block:
+    (H, P, N) pairs every positive with every negative ("cartesian"), and
+    (H, t) pairs them by rank over the first t of each ("paired"). ``len``
+    counts ``keep``; ``triplets`` builds the anchor-major (T, 3) list on
+    access.
     """
 
-    triplets: np.ndarray
     anchors: np.ndarray
     positives: np.ndarray
     negatives: np.ndarray
+    keep: np.ndarray
+
+    @classmethod
+    def from_triplets(cls, triplets) -> "TripletSet":
+        """A (T, 3) index list as the H = T, P = N = 1 paired block, every
+        triple kept (p == n included)."""
+        t = np.asarray(triplets, dtype=np.int64)
+        if t.size == 0:
+            t = np.empty((0, 3), dtype=np.int64)
+        elif t.ndim != 2 or t.shape[1] != 3:
+            raise ValueError(f"triplets must be a (T, 3) index array, got shape {t.shape}")
+        return cls(anchors=t[:, 0], positives=t[:, 1:2], negatives=t[:, 2:3],
+                   keep=np.ones((t.shape[0], 1), dtype=bool))
+
+    def columns(self) -> tuple:
+        """Anchor, positive and negative index blocks, each broadcastable to
+        ``keep.shape``."""
+        if self.keep.ndim == 3:
+            return self.anchors[:, None, None], self.positives[:, :, None], self.negatives[:, None, :]
+        t = self.keep.shape[1]
+        return self.anchors[:, None], self.positives[:, :t], self.negatives[:, :t]
+
+    @property
+    def triplets(self) -> np.ndarray:
+        """The kept triples as a (T, 3) int64 array, ordered by anchor, then
+        positive, then negative."""
+        out = np.empty((len(self), 3), dtype=np.int64)
+        for j, col in enumerate(self.columns()):
+            # column by column, so only one T-length temporary is live at a time
+            out[:, j] = np.broadcast_to(col, self.keep.shape)[self.keep]
+        return out
 
     def __len__(self) -> int:
-        return int(self.triplets.shape[0])
+        return int(np.count_nonzero(self.keep))

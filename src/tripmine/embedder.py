@@ -23,7 +23,13 @@ import numpy as np
 from .core import TripletSet
 from .similarity import pairwise_euclidean
 
-CHECKPOINT_MAGIC = b"TMEMB001"
+CHECKPOINT_MAGIC = b"TMEMB002"
+# the format before the flags field; still read, with l2_normalize taken from the caller
+CHECKPOINT_MAGIC_V1 = b"TMEMB001"
+# bits of the TMEMB002 flags field
+FLAG_L2_NORMALIZE = 1
+# float64 values of embedding row differences held at once (1 MB)
+_CHUNK_VALUES = 1 << 17
 
 
 @dataclass
@@ -113,13 +119,19 @@ def forward(net: Embedder, features) -> np.ndarray:
     return _forward_cached(net, features)[3]
 
 
-def _triplet_columns(triplets) -> np.ndarray:
-    t = triplets.triplets if isinstance(triplets, TripletSet) else np.asarray(triplets, dtype=np.int64)
-    if t.size == 0:
-        return np.empty((0, 3), dtype=np.int64)
-    if t.ndim != 2 or t.shape[1] != 3:
-        raise ValueError(f"triplets must be a (T, 3) index array, got shape {t.shape}")
-    return t
+def _triplet_set(triplets) -> TripletSet:
+    return triplets if isinstance(triplets, TripletSet) else TripletSet.from_triplets(triplets)
+
+
+def _row_distances(e: np.ndarray, rows_i, rows_j) -> np.ndarray:
+    """``np.linalg.norm(e[rows_i] - e[rows_j], axis=1)``, gathered in 1 MB
+    chunks of rows; each row's value does not depend on the chunking."""
+    out = np.empty(len(rows_i), dtype=np.float64)
+    step = max(1, _CHUNK_VALUES // max(e.shape[1], 1))
+    for start in range(0, len(rows_i), step):
+        part = slice(start, start + step)
+        out[part] = np.linalg.norm(e[rows_i[part]] - e[rows_j[part]], axis=1)
+    return out
 
 
 def hinge_terms(d_ap, d_an, alpha: float) -> np.ndarray:
@@ -134,13 +146,34 @@ def triplet_loss(embeddings, triplets, alpha: float) -> float:
     """
     if alpha < 0:
         raise ValueError("margin alpha must be >= 0")
-    t = _triplet_columns(triplets)
+    t = _triplet_set(triplets).triplets
     if t.shape[0] == 0:
         return 0.0
     e = np.asarray(embeddings, dtype=np.float64)
-    d_ap = np.linalg.norm(e[t[:, 0]] - e[t[:, 1]], axis=1)
-    d_an = np.linalg.norm(e[t[:, 0]] - e[t[:, 2]], axis=1)
+    d_ap = _row_distances(e, t[:, 0], t[:, 1])
+    d_an = _row_distances(e, t[:, 0], t[:, 2])
     return float(hinge_terms(d_ap, d_an, alpha).sum())
+
+
+def _masked_sum(values: np.ndarray, mask: np.ndarray) -> float:
+    """``values[mask].sum()``: the same values, summed in the same order.
+    ``values`` (C-contiguous) is overwritten.
+
+    One 1 MB chunk at a time, the selected values are gathered with
+    ``flatnonzero`` and ``take`` and moved to the front of ``values``, which
+    then holds ``values[mask]`` as its prefix. A boolean-mask gather branches
+    on every element and took 4x as long on the half-active masks of a
+    bas-bis batch, and it would allocate up to 8 more bytes per triplet.
+    """
+    flat_v, flat_m = values.reshape(-1), mask.reshape(-1)
+    k = 0
+    for start in range(0, flat_m.size, _CHUNK_VALUES):
+        part = slice(start, start + _CHUNK_VALUES)
+        picked = flat_v[part].take(np.flatnonzero(flat_m[part]))
+        # k <= start: the write never reaches values not yet read
+        flat_v[k:k + picked.size] = picked
+        k += picked.size
+    return float(flat_v[:k].sum())
 
 
 def backward(net: Embedder, features, triplets, alpha: float, dist_raw) -> GradientBundle:
@@ -148,8 +181,11 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw) -> Gradi
 
     ``dist_raw`` is the (B, B) Euclidean distance matrix of
     ``forward(net, features)`` (the batch's ``BatchView.dist_raw``). The loss
-    and the embedding gradient are read off it pair by pair: per-triplet work
-    is index gathers and counts, so memory is O(B^2 + T), never O(T * d).
+    and the embedding gradient are read off it over the ``TripletSet`` block
+    (a raw (T, 3) list goes in through ``TripletSet.from_triplets``): each
+    anchor's (P,) positive and (N,) negative distances broadcast to its
+    pre-hinge values, so per-triplet work is elementwise and memory is
+    O(B^2 + T), never O(T * d).
 
     The hinge subgradient at a pre-hinge value of exactly 0 is 0 (the triplet
     is treated as inactive), and likewise ReLU'(0) = 0.
@@ -167,27 +203,38 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw) -> Gradi
     dist = np.asarray(dist_raw, dtype=np.float64)
     if dist.shape != (size, size):
         raise ValueError(f"distance matrix of shape {dist.shape} does not match batch size {size}")
-    t = _triplet_columns(triplets)
-    if t.shape[0] and (t.min() < 0 or t.max() >= size):
-        raise ValueError(f"triplet indices must lie in [0, {size})")
+    tset = _triplet_set(triplets)
     zero_w = [np.zeros_like(w) for w in net.weights]
     zero_b = [np.zeros_like(b) for b in net.biases]
-    if t.shape[0] == 0:
+    if not len(tset):
         return GradientBundle(zero_w, zero_b, 0.0)
+    cols = tset.columns()
+    if min(c.min() for c in cols) < 0 or max(c.max() for c in cols) >= size:
+        raise ValueError(f"triplet indices must lie in [0, {size})")
+    a_col, p_col, n_col = cols
 
-    a_idx, p_idx, n_idx = t[:, 0], t[:, 1], t[:, 2]
-    pre = dist[a_idx, p_idx] - dist[a_idx, n_idx] + alpha
+    # pre-hinge values over the block: (H, P, N) from (H, P, 1) and (H, 1, N)
+    # reads when cartesian, (H, t) when paired; kept triples in C order are
+    # the anchor-major list, so the loss sums the same values in the same order
+    pre = np.subtract(dist[a_col, p_col], dist[a_col, n_col])
+    pre += alpha
     active = pre > 0.0
-    loss = float(pre[active].sum())
+    active &= tset.keep
+    loss = _masked_sum(pre, active)
     if not active.any():
         return GradientBundle(zero_w, zero_b, loss)
 
     # coef[a, x] = #active triplets with (a, x) as the positive pair minus
     # #active with (a, x) as the negative pair; each adds +-(e_a - e_x) / D(a, x)
-    # to row a and the opposite to row x
-    rows = a_idx[active] * size
-    coef = (np.bincount(rows + p_idx[active], minlength=size * size)
-            - np.bincount(rows + n_idx[active], minlength=size * size)).reshape(size, size)
+    # to row a and the opposite to row x. Each positive (negative) slot of the
+    # block adds its count of active triplets, an exact integer, to its bin.
+    cartesian = active.ndim == 3
+    pos_counts = active.sum(axis=2) if cartesian else active
+    neg_counts = active.sum(axis=1) if cartesian else active
+    n_bins = size * size
+    coef = (np.bincount((a_col * size + p_col).ravel(), weights=pos_counts.ravel(), minlength=n_bins)
+            - np.bincount((a_col * size + n_col).ravel(), weights=neg_counts.ravel(), minlength=n_bins)
+            ).reshape(size, size)
     # subgradient choice at coincident points: zero direction
     m = np.divide(coef, dist, out=np.zeros((size, size)), where=dist > 0.0)
     s = m + m.T
@@ -223,8 +270,8 @@ def _loss_and_kink_signature(net: Embedder, features, t: np.ndarray, alpha: floa
     acts, preacts, out_norms, emb = _forward_cached(net, features)
     sig = [b"".join((z > 0.0).tobytes() for z in preacts[:-1])]
     if t.shape[0]:
-        d_ap = np.linalg.norm(emb[t[:, 0]] - emb[t[:, 1]], axis=1)
-        d_an = np.linalg.norm(emb[t[:, 0]] - emb[t[:, 2]], axis=1)
+        d_ap = _row_distances(emb, t[:, 0], t[:, 1])
+        d_an = _row_distances(emb, t[:, 0], t[:, 2])
         pre = d_ap - d_an + alpha
         loss = float(pre[pre > 0.0].sum())
         sig.append((pre > 0.0).tobytes())
@@ -256,8 +303,9 @@ def finite_difference_check(net: Embedder, features, triplets, alpha: float,
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(features, dtype=np.float64)
-    t = _triplet_columns(triplets)
-    bundle = backward(net, x, t, alpha, pairwise_euclidean(forward(net, x)))
+    tset = _triplet_set(triplets)
+    t = tset.triplets
+    bundle = backward(net, x, tset, alpha, pairwise_euclidean(forward(net, x)))
     grads = gradient_list(bundle)
     g_scale = max((float(np.abs(g).max()) for g in grads if g.size), default=0.0)
     floor = max(0.01 * g_scale, 1e-12)
@@ -287,22 +335,30 @@ def finite_difference_check(net: Embedder, features, triplets, alpha: float,
 def save_checkpoint(net: Embedder, path) -> None:
     """Write the versioned binary checkpoint.
 
-    Layout: 8 magic bytes "TMEMB001", uint32-LE count of layer dims, each
-    layer dim as uint32-LE, then per layer the weight matrix (row-major
-    float64-LE, shape dims[l] x dims[l+1]) followed by the bias vector
-    (float64-LE, length dims[l+1]).
+    Layout: 8 magic bytes "TMEMB002", uint32-LE flags (bit 0:
+    ``l2_normalize``), uint32-LE count of layer dims, each layer dim as
+    uint32-LE, then per layer the weight matrix (row-major float64-LE, shape
+    dims[l] x dims[l+1]) followed by the bias vector (float64-LE, length
+    dims[l+1]).
     """
+    flags = FLAG_L2_NORMALIZE if net.l2_normalize else 0
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(net.layer_dims)))
+        fh.write(struct.pack("<2I", flags, len(net.layer_dims)))
         fh.write(struct.pack(f"<{len(net.layer_dims)}I", *net.layer_dims))
         for w, b in zip(net.weights, net.biases):
             fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path, l2_normalize: bool = False) -> Embedder:
-    """Read a checkpoint written by ``save_checkpoint``.
+def load_checkpoint(path, l2_normalize: bool | None = None) -> Embedder:
+    """Read a checkpoint written by ``save_checkpoint``, or a ``TMEMB001``
+    one written before the flags field.
+
+    A ``TMEMB002`` file carries its ``l2_normalize`` flag: ``None`` takes
+    it, and a value that contradicts it raises ``ValueError`` naming the
+    file. A ``TMEMB001`` file carries none, so ``l2_normalize`` (default
+    off) applies.
 
     The sizes the header declares are checked against the file length before
     anything is allocated; a malformed file, or one holding a NaN or
@@ -311,13 +367,21 @@ def load_checkpoint(path, l2_normalize: bool = False) -> Embedder:
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+        if magic not in (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1):
             raise ValueError(f"{path}: not an embedder checkpoint (bad magic)")
-        head = fh.read(4)
-        if len(head) < 4:
+        head_size = 8 if magic == CHECKPOINT_MAGIC else 4
+        head = fh.read(head_size)
+        if len(head) < head_size:
             raise ValueError(f"{path}: checkpoint truncated in the header")
-        (n_dims,) = struct.unpack("<I", head)
-        header_size = len(CHECKPOINT_MAGIC) + 4 + 4 * n_dims
+        if magic == CHECKPOINT_MAGIC:
+            flags, n_dims = struct.unpack("<2I", head)
+            if flags & ~FLAG_L2_NORMALIZE:
+                raise ValueError(f"{path}: checkpoint sets unknown flags {flags:#x}")
+            saved = bool(flags & FLAG_L2_NORMALIZE)
+        else:
+            (n_dims,) = struct.unpack("<I", head)
+            saved = None
+        header_size = len(CHECKPOINT_MAGIC) + head_size + 4 * n_dims
         if file_size < header_size:
             raise ValueError(f"{path}: checkpoint truncated in the header")
         dims = struct.unpack(f"<{n_dims}I", fh.read(4 * n_dims))
@@ -341,5 +405,12 @@ def load_checkpoint(path, l2_normalize: bool = False) -> Embedder:
             biases.append(b.astype(np.float64))
     if not all(np.isfinite(p).all() for p in weights + biases):
         raise ValueError(f"{path}: checkpoint holds non-finite weights")
-    return Embedder(layer_dims=tuple(dims), weights=weights, biases=biases, l2_normalize=l2_normalize)
+    if saved is not None:
+        if l2_normalize is not None and bool(l2_normalize) != saved:
+            raise ValueError(
+                f"{path}: checkpoint was saved with l2_normalize={saved}, not l2_normalize={bool(l2_normalize)}"
+            )
+        l2_normalize = saved
+    return Embedder(layer_dims=tuple(dims), weights=weights, biases=biases,
+                    l2_normalize=bool(l2_normalize))
 

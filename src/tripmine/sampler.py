@@ -183,26 +183,22 @@ def select_images_bis(anchor, batch_size: int):
 
 def build_triplets(anchors, positives, negatives, combination: str = "cartesian") -> TripletSet:
     """Combine (H,) anchors with their (H, P) positives and (H, N) negatives
-    into (a, p, n) triples, ordered by anchor, then positive, then negative.
+    into the block of (a, p, n) triples, ordered by anchor, then positive,
+    then negative.
 
     "cartesian" pairs every positive with every negative; "paired" matches
-    them by rank. Degenerate triples with p == n are dropped in both modes
-    (bis inherently generates them).
+    them by rank. Degenerate triples with p == n are cleared from ``keep``
+    in both modes (bis inherently generates them).
     """
     if combination not in ("cartesian", "paired"):
         raise ValueError(f"unknown combination {combination!r}")
     a, p, n = (np.asarray(x, dtype=np.int64) for x in (anchors, positives, negatives))
     if combination == "cartesian":
-        cols = (a[:, None, None], p[:, :, None], n[:, None, :])
+        keep = p[:, :, None] != n[:, None, :]
     else:
         t = min(p.shape[1], n.shape[1])
-        cols = (a[:, None], p[:, :t], n[:, :t])
-    keep = cols[1] != cols[2]
-    triplets = np.empty((int(np.count_nonzero(keep)), 3), dtype=np.int64)
-    for j, col in enumerate(cols):
-        # column by column, so only one T-length temporary is live at a time
-        triplets[:, j] = np.broadcast_to(col, keep.shape)[keep]
-    return TripletSet(triplets=triplets, anchors=a, positives=p, negatives=n)
+        keep = p[:, :t] != n[:, :t]
+    return TripletSet(anchors=a, positives=p, negatives=n, keep=keep)
 
 
 def mine_batch(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -> TripletSet:

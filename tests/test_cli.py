@@ -246,6 +246,20 @@ class TestEvaluate:
         assert code == 2
         assert "broken.ckpt" in err
 
+    def test_takes_l2_normalize_from_the_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(capsys, "train", *TINY, "--l2-normalize", "--out", str(out))[0] == 0
+        flagged = run(capsys, "evaluate", *TINY_DATA, "--l2-normalize", "--out", str(out), "--k", "5")
+        unflagged = run(capsys, "evaluate", *TINY_DATA, "--out", str(out), "--k", "5")
+        assert flagged[0] == unflagged[0] == 0
+        assert flagged[1] == unflagged[1]
+
+    def test_l2_normalize_contradicting_the_checkpoint_exits_2(self, trained, capsys):
+        code, stdout, err = run(capsys, "evaluate", *TINY_DATA, "--l2-normalize", "--out", str(trained))
+        assert code == 2
+        assert str(trained / "model.ckpt") in err and "l2_normalize" in err
+        assert "Traceback" not in err and stdout == ""
+
     def test_prints_percent_table(self, trained, capsys):
         code, stdout, _ = run(capsys, "evaluate", *TINY_DATA, "--out", str(trained), "--k", "5")
         assert code == 0
@@ -399,6 +413,24 @@ class TestMineDebug:
         assert len(seen) == 2
         for debug, train in zip(seen, trained):
             assert np.array_equal(debug, train)
+
+    def test_takes_l2_normalize_from_the_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(capsys, "train", *TINY, "--l2-normalize", "--out", str(out))[0] == 0
+        opts = [*TINY_DATA, "--batch-size", "16", "--out", str(out), "--batches", "2"]
+        flagged = run(capsys, "mine-debug", *opts, "--l2-normalize")
+        unflagged = run(capsys, "mine-debug", *opts)
+        assert flagged[0] == unflagged[0] == 0
+        assert flagged[1] == unflagged[1]
+
+    def test_l2_normalize_contradicting_the_checkpoint_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(capsys, "train", *TINY, "--out", str(out))[0] == 0
+        code, stdout, err = run(capsys, "mine-debug", *TINY_DATA, "--batch-size", "16", "--l2-normalize",
+                                "--out", str(out))
+        assert code == 2
+        assert str(out / "model.ckpt") in err and "l2_normalize" in err
+        assert stdout == ""
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "mine-debug", *TINY_DATA, "--out", str(tmp_path / "void"))

@@ -224,7 +224,39 @@ class TestBatchView:
 
 class TestTripletSet:
     def test_len_counts_triples(self):
-        ts = TripletSet(triplets=np.array([[0, 1, 2], [0, 2, 1]]), anchors=np.array([0]),
-                        positives=np.array([[1, 2]]), negatives=np.array([[2, 1]]))
+        ts = TripletSet.from_triplets(np.array([[0, 1, 2], [0, 2, 1]]))
         assert len(ts) == 2
-        assert ts.anchors.tolist() == [0]
+        assert ts.anchors.tolist() == [0, 0]
+        assert ts.triplets.tolist() == [[0, 1, 2], [0, 2, 1]]
+
+    def test_from_triplets_is_the_paired_block_of_one(self):
+        t = np.array([[4, 1, 1], [0, 2, 3], [4, 1, 1]])
+        ts = TripletSet.from_triplets(t)
+        assert ts.keep.shape == (3, 1) and ts.keep.all()
+        assert len(ts) == 3
+        assert ts.triplets.tolist() == t.tolist()
+
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 3)), np.empty((0,))])
+    def test_from_triplets_empty(self, empty):
+        ts = TripletSet.from_triplets(empty)
+        assert len(ts) == 0
+        assert ts.triplets.shape == (0, 3) and ts.triplets.dtype == np.int64
+
+    @pytest.mark.parametrize("bad", [[0, 1, 2], [[0, 1]], [[[0, 1, 2]]]])
+    def test_from_triplets_rejects_other_shapes(self, bad):
+        with pytest.raises(ValueError, match=r"\(T, 3\)"):
+            TripletSet.from_triplets(np.array(bad))
+
+    def test_cartesian_block_counts_its_mask(self):
+        keep = np.array([[[True, False], [True, True]]])
+        ts = TripletSet(anchors=np.array([7]), positives=np.array([[1, 2]]),
+                        negatives=np.array([[1, 3]]), keep=keep)
+        assert len(ts) == 3
+        assert ts.triplets.tolist() == [[7, 1, 1], [7, 2, 1], [7, 2, 3]]
+
+    def test_paired_block_reads_the_first_t_of_each(self):
+        # three positives and two negatives pair by rank over the first two
+        ts = TripletSet(anchors=np.array([0, 5]), positives=np.array([[1, 2, 3], [6, 7, 8]]),
+                        negatives=np.array([[4, 2], [9, 1]]), keep=np.array([[True, False], [True, True]]))
+        assert len(ts) == 3
+        assert ts.triplets.tolist() == [[0, 1, 4], [5, 6, 9], [5, 7, 1]]

@@ -1,13 +1,18 @@
+import itertools
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tripmine.embedder as embedder_mod
-from tripmine.core import seeded_rng
+from tripmine.core import (
+    ANCHOR_STRATEGIES, IMAGE_STRATEGIES, LABEL_SIMILARITY_KINDS, BatchView, SamplerConfig, TripletSet, seeded_rng,
+)
 from tripmine.embedder import (
     Embedder,
+    GradientBundle,
     _forward_cached,
     backward,
     finite_difference_check,
@@ -19,7 +24,7 @@ from tripmine.embedder import (
     save_checkpoint,
     triplet_loss,
 )
-from tripmine.sampler import build_triplets, select_anchors_bas, select_images_bis
+from tripmine.sampler import build_triplets, mine_batch, select_anchors_bas, select_images_bis
 from tripmine.similarity import pairwise_euclidean
 
 
@@ -143,6 +148,33 @@ class TestTripletLoss:
     def test_hinge_terms_vectorized(self):
         terms = hinge_terms(np.array([0.3, 0.9]), np.array([0.9, 0.3]), 0.2)
         assert terms.tolist() == [0.0, pytest.approx(0.8)]
+
+    def test_chunked_distances_bit_identical_to_one_gather(self):
+        # d = 1024 gives 128-row chunks; 1,000 triplets span eight of them
+        rng = seeded_rng(7)
+        emb = rng.normal(size=(30, 1024)) * rng.choice([1e-3, 1.0, 1e3], size=(30, 1))
+        t = random_triplets(rng, 30, count=1200)
+        assert t.shape[0] > 1000
+        d_ap = np.linalg.norm(emb[t[:, 0]] - emb[t[:, 1]], axis=1)
+        d_an = np.linalg.norm(emb[t[:, 0]] - emb[t[:, 2]], axis=1)
+        for alpha in (0.0, 10.0, 1e4):
+            assert triplet_loss(emb, t, alpha) == float(hinge_terms(d_ap, d_an, alpha).sum())
+
+    def test_memory_does_not_scale_with_triplets_times_dim(self):
+        # bas-bis at B = 40, d = 1024: one (T, d) gather of the 59,280
+        # triplets' row differences would take 485 MB
+        b = 40
+        emb = seeded_rng(8).normal(size=(b, 1024))
+        anchors = np.array(select_anchors_bas(b))
+        tset = build_triplets(anchors, *select_images_bis(anchors, b))
+        tracemalloc.start()
+        try:
+            loss = triplet_loss(emb, tset, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loss > 0.0
+        assert peak < 16 * 2**20
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -395,6 +427,141 @@ class TestTouchedRowBackward:
         assert np.all(bundle.bias_grads[-1] == 0.0) != l2
 
 
+def flat_list_backward(net, x, t, alpha, dist):
+    """``backward`` over the (T, 3) list, as it was before the block form,
+    kept as the reference: per-triplet gathers, an index check and two
+    integer bincounts."""
+    size = x.shape[0]
+    t = np.asarray(t, dtype=np.int64)
+    if t.size == 0:
+        t = np.empty((0, 3), dtype=np.int64)
+    if t.shape[0] and (t.min() < 0 or t.max() >= size):
+        raise ValueError(f"triplet indices must lie in [0, {size})")
+    zero_w = [np.zeros_like(w) for w in net.weights]
+    zero_b = [np.zeros_like(b) for b in net.biases]
+    if t.shape[0] == 0:
+        return GradientBundle(zero_w, zero_b, 0.0)
+    a_idx, p_idx, n_idx = t[:, 0], t[:, 1], t[:, 2]
+    pre = dist[a_idx, p_idx] - dist[a_idx, n_idx] + alpha
+    active = pre > 0.0
+    loss = float(pre[active].sum())
+    if not active.any():
+        return GradientBundle(zero_w, zero_b, loss)
+    rows = a_idx[active] * size
+    coef = (np.bincount(rows + p_idx[active], minlength=size * size)
+            - np.bincount(rows + n_idx[active], minlength=size * size)).reshape(size, size)
+    m = np.divide(coef, dist, out=np.zeros((size, size)), where=dist > 0.0)
+    s = m + m.T
+    touched = np.flatnonzero(s.any(axis=1))
+    if touched.size < size:
+        x = x[touched]
+        s = s[np.ix_(touched, touched)]
+    acts, preacts, out_norms, emb = _forward_cached(net, x)
+    d_emb = s.sum(axis=1)[:, None] * emb - s @ emb
+    if net.l2_normalize:
+        safe = np.where(out_norms > 0.0, out_norms, 1.0)
+        proj = np.einsum("ij,ij->i", emb, d_emb)
+        g = np.where((out_norms > 0.0)[:, None], (d_emb - emb * proj[:, None]) / safe[:, None], 0.0)
+    else:
+        g = d_emb
+    weight_grads, bias_grads = [None] * net.n_layers, [None] * net.n_layers
+    for l in range(net.n_layers - 1, -1, -1):
+        weight_grads[l] = acts[l].T @ g
+        bias_grads[l] = g.sum(axis=0)
+        if l > 0:
+            g = (g @ net.weights[l].T) * (preacts[l - 1] > 0.0)
+    if not net.l2_normalize:
+        bias_grads[-1] = zero_b[-1]
+    return GradientBundle(weight_grads, bias_grads, loss)
+
+
+def assert_bit_identical(got, want):
+    assert got.loss_value == want.loss_value
+    for g, w in zip(gradient_list(got), gradient_list(want), strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def integer_net(rng, l2):
+    """Two layers of small integer weights: integer-grid inputs stay on an
+    integer grid, so distances tie and duplicate rows coincide."""
+    weights = [rng.integers(-2, 3, size=(2, 4)).astype(np.float64),
+               rng.integers(-2, 3, size=(4, 3)).astype(np.float64)]
+    return Embedder(layer_dims=(2, 4, 3), weights=weights, biases=[np.zeros(4), np.zeros(3)],
+                    l2_normalize=l2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(itertools.product(ANCHOR_STRATEGIES, IMAGE_STRATEGIES))),
+       st.sampled_from(["cartesian", "paired"]), st.sampled_from(LABEL_SIMILARITY_KINDS), st.booleans(),
+       st.sampled_from([0.0, 0.2, 1.0]))
+def test_block_backward_bit_identical_to_flat_list(seed, pair, combination, label_sim, l2, alpha):
+    anchor_strategy, image_strategy = pair
+    rng = seeded_rng(seed)
+    b = int(rng.integers(3, 25))
+    c_pos = int(rng.integers(1, b - 1))
+    c_neg = int(rng.integers(1, b - c_pos))
+    # bis with paired combination clears every triple, which backward must handle too
+    cfg = SamplerConfig(
+        anchor_strategy=anchor_strategy, image_strategy=image_strategy,
+        anchor_fraction=float(rng.uniform(0.01, 1.0)), positives_per_anchor=c_pos, negatives_per_anchor=c_neg,
+        combination=combination, label_similarity=label_sim,
+    )
+    net = integer_net(rng, l2)
+    mine_rng = seeded_rng(seed + 1)
+    for _ in range(3):
+        x = rng.integers(0, 3, size=(b, 2)).astype(np.float64)
+        labels = (rng.random((b, 2)) < 0.5).astype(np.uint8)
+        labels[labels.sum(axis=1) == 0, 0] = 1
+        batch = BatchView.from_embeddings(np.arange(b), forward(net, x), labels)
+        tset = mine_batch(batch, cfg, mine_rng)
+        want = flat_list_backward(net, x, tset.triplets, alpha, batch.dist_raw)
+        assert_bit_identical(backward(net, x, tset, alpha, batch.dist_raw), want)
+        assert_bit_identical(backward(net, x, tset.triplets, alpha, batch.dist_raw), want)
+
+
+class TestBlockBackward:
+    @pytest.mark.parametrize("l2", [False, True])
+    def test_raw_list_with_repeats_and_p_equal_n(self, l2):
+        rng = seeded_rng(130)
+        net = Embedder.init([5, 7, 4], rng, l2_normalize=l2)
+        x = rng.normal(size=(12, 5))
+        x[4] = x[9]
+        # unfiltered draws: repeated triplets, a == p, a == n and p == n all occur
+        t = rng.integers(0, 12, size=(80, 3))
+        t = np.concatenate([t, t[:10], [[3, 5, 5], [5, 5, 5], [4, 9, 9], [4, 9, 1]]])
+        dist = pairwise_euclidean(forward(net, x))
+        for alpha in (0.0, 0.5, 3.0):
+            assert_bit_identical(backward(net, x, t, alpha, dist), flat_list_backward(net, x, t, alpha, dist))
+
+    def test_bad_list_shape_rejected(self):
+        net = Embedder.init([3, 2], seeded_rng(132))
+        x = np.ones((4, 3))
+        with pytest.raises(ValueError, match="triplets must be a"):
+            backward(net, x, np.array([[0, 1]]), 0.2, np.zeros((4, 4)))
+
+    def test_paper_default_bas_bis_batch_peaks_below_20_bytes_per_triplet(self):
+        # mine plus backward at batch 100, embedding 1024: 970,200 triplets
+        b = 100
+        rng = seeded_rng(133)
+        net = Embedder.init([16, 64, 1024], rng)
+        x = rng.normal(size=(b, 16))
+        labels = (rng.random((b, 8)) < 0.3).astype(np.uint8)
+        labels[:, 0] = 1
+        batch = BatchView.from_embeddings(np.arange(b), forward(net, x), labels)
+        cfg = SamplerConfig(anchor_strategy="bas", image_strategy="bis")
+        tracemalloc.start()
+        try:
+            tset = mine_batch(batch, cfg, seeded_rng(134))
+            bundle = backward(net, x, tset, 0.2, batch.dist_raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tset) == b * (b - 1) * (b - 2)
+        assert bundle.loss_value > 0.0
+        assert peak / len(tset) < 20.0
+
+
 # prints, per case, the rows backward embedded and a digest of the gradients
 _THREAD_SCRIPT = """
 import hashlib
@@ -514,6 +681,46 @@ class TestCheckpoint:
         path = tmp_path / "nan.ckpt"
         save_checkpoint(net, path)
         with pytest.raises(ValueError, match="nan.ckpt.*non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("l2", [False, True])
+    def test_records_l2_normalize(self, tmp_path, l2):
+        net = Embedder.init([3, 4, 2], seeded_rng(21), l2_normalize=l2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(net, path)
+        assert path.read_bytes()[:16] == b"TMEMB002" + struct.pack("<2I", int(l2), 3)
+        assert load_checkpoint(path).l2_normalize is l2
+        assert load_checkpoint(path, l2_normalize=l2).l2_normalize is l2
+        with pytest.raises(ValueError, match=f"model.ckpt.*l2_normalize={l2}, not l2_normalize={not l2}"):
+            load_checkpoint(path, l2_normalize=not l2)
+
+    def test_reads_the_format_without_flags(self, tmp_path):
+        net = Embedder.init([3, 4, 2], seeded_rng(22))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(net, path)
+        v1 = tmp_path / "v1.ckpt"
+        # TMEMB001: the same file less the flags field
+        v1.write_bytes(b"TMEMB001" + path.read_bytes()[12:])
+        for l2 in (False, True):
+            loaded = load_checkpoint(v1, l2_normalize=l2)
+            assert loaded.l2_normalize is l2
+            for got, want in zip(loaded.weights + loaded.biases, net.weights + net.biases):
+                assert np.array_equal(got, want)
+        assert load_checkpoint(v1).l2_normalize is False
+
+    def test_unknown_flags_rejected(self, tmp_path):
+        net = Embedder.init([2, 2], seeded_rng(23))
+        path = tmp_path / "flags.ckpt"
+        save_checkpoint(net, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + struct.pack("<I", 2) + raw[12:])
+        with pytest.raises(ValueError, match="flags.ckpt.*unknown flags 0x2"):
+            load_checkpoint(path)
+
+    def test_cut_in_flags_rejected(self, tmp_path):
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(b"TMEMB002\x00\x00\x00\x00")
+        with pytest.raises(ValueError, match="cut.ckpt.*truncated"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -328,15 +328,17 @@ class TestBuildTriplets:
         assert ts.triplets.tolist() == [[0, 1, 2], [0, 1, 5], [0, 2, 5]]
 
     def test_exhaustive_build_peaks_below_40_bytes_per_triplet(self):
-        # bas-bis at B = 100: T = 100 * 99 * 98 = 970,200 triplets. The (T, 3)
-        # output is 24 bytes per triplet; a build that stacks three T-length
-        # columns peaks near 49, the per-anchor build near 48.
+        # bas-bis at B = 100: T = 100 * 99 * 98 = 970,200 triplets. The block
+        # is 1 byte per triplet and the (T, 3) list read from it 24; a list
+        # that stacks three T-length columns peaks near 49, the per-anchor
+        # build near 48.
         b = 100
         anchors = np.arange(b)
         pos, neg = select_images_bis(anchors, b)
         tracemalloc.start()
         try:
             ts = build_triplets(anchors, pos, neg, "cartesian")
+            assert ts.triplets.shape == (len(ts), 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tripmine.core import SamplerConfig, seeded_rng
+from tripmine.core import SamplerConfig, TripletSet, seeded_rng
 from tripmine.data import SyntheticSpec, generate_synthetic, split_dataset
 from tripmine.embedder import Embedder, forward
 from tripmine.trainer import (
@@ -175,6 +175,20 @@ class TestTrain:
         assert np.all(plain.biases[-1] == 0.0)
         normalized, _ = train(ds, small_config(epochs=3, l2_normalize=True))
         assert np.all(normalized.biases[-1] != 0.0)
+
+    @pytest.mark.parametrize("anchor, image", [("bas", "bis"), ("das", "rhdis")])
+    def test_training_never_builds_the_triplet_list(self, anchor, image, monkeypatch):
+        def refuse(tset):
+            raise AssertionError("training built the (T, 3) triplet list")
+
+        ds = small_dataset()
+        want_net, want_log = train(ds, small_config(epochs=2, anchor=anchor, image=image))
+        monkeypatch.setattr(TripletSet, "triplets", property(refuse))
+        net, log = train(ds, small_config(epochs=2, anchor=anchor, image=image))
+        assert log.rows[-1].cum_triplets == want_log.rows[-1].cum_triplets > 0
+        assert [r.mean_loss for r in log.rows] == [r.mean_loss for r in want_log.rows]
+        for w1, w2 in zip(net.weights, want_net.weights):
+            assert np.array_equal(w1, w2)
 
     def test_empty_train_split_rejected(self):
         ds = small_dataset()
