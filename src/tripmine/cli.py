@@ -1,11 +1,16 @@
 """Command-line entry point: train, evaluate, ablate, mine-debug.
 
-Flag names mirror the sampler/trainer parameters one-to-one. Every run
-writes a ``manifest.txt`` of fully resolved key=value options into --out;
-feeding that file back through ``--config`` re-runs the experiment
-identically (explicit flags still override it). Each command overwrites
-``manifest.txt`` in its --out, so use a fresh directory per command when
-the training manifest must survive an evaluation.
+Sampler and trainer flags set ``SamplerConfig`` and ``TrainConfig`` fields
+(``_sampler_config`` and ``_train_config`` hold the mapping). Most share
+the field's name, nine do not: ``--lr`` sets ``lr0``, for example, and
+``--sampler`` sets both strategy fields.
+
+train, evaluate and ablate write a ``manifest.txt`` of fully resolved
+key=value options into --out; feeding that file back through ``--config``
+re-runs the experiment identically (explicit flags still override it).
+Each of them overwrites ``manifest.txt`` in its --out, so use a fresh
+directory per command when the training manifest must survive an
+evaluation. mine-debug only prints and writes no file.
 """
 
 from __future__ import annotations
@@ -18,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from . import embedder as emb_mod
-from .core import (ANCHOR_STRATEGIES, IMAGE_STRATEGIES, BatchView, SamplerConfig, seeded_rng,
-                   validate_config)
+from .core import (ANCHOR_STRATEGIES, COMBINATIONS, DAS_REDUCTIONS, IMAGE_STRATEGIES,
+                   LABEL_SIMILARITY_KINDS, SamplerConfig, seeded_rng, validate_config)
 from .data import SyntheticSpec, generate_synthetic, load_dataset, split_dataset
 from .embedder import load_checkpoint, save_checkpoint
 from .retrieval import MetricReport, default_k, evaluate, format_metric_table, write_metrics_csv
 from .sampler import mine_debug_lines
-from .trainer import TrainConfig, train, write_train_log
+from .trainer import TrainConfig, batch_stream, train, write_train_log
 
 SAMPLER_CHOICES = tuple(f"{a}-{i}" for a in ANCHOR_STRATEGIES for i in IMAGE_STRATEGIES)
 
@@ -68,9 +72,9 @@ SAMPLER_OPTS = (
     Opt("negatives", int, 3, "negatives per anchor"),
     Opt("beta", float, 0.5, "relevancy vs hardness weight"),
     Opt("gamma", float, 0.1, "informativeness vs diversity weight"),
-    Opt("combination", str, "cartesian", "triplet combination mode", choices=("cartesian", "paired")),
-    Opt("label_sim", str, "cosine", "label similarity kind", choices=("cosine", "jaccard")),
-    Opt("das_reduce", str, "max", "reduction over selected anchors", choices=("max", "min")),
+    Opt("combination", str, "cartesian", "triplet combination mode", choices=COMBINATIONS),
+    Opt("label_sim", str, "cosine", "label similarity kind", choices=LABEL_SIMILARITY_KINDS),
+    Opt("das_reduce", str, "max", "reduction over selected anchors", choices=DAS_REDUCTIONS),
 )
 
 L2_NORMALIZE = Opt("l2_normalize", flag=True, default=False, help="L2-normalize embeddings")
@@ -422,22 +426,12 @@ def cmd_mine_debug(o: dict) -> int:
     ds = _load_data(o)
     net = _load_net(o, ds)
     scfg = _sampler_config(o)
-    batch_size = o["batch_size"]
-    if batch_size > len(ds.train_idx):
-        raise UserError(f"batch size {batch_size} exceeds train split size {len(ds.train_idx)}")
-    validate_config(scfg, batch_size)
-    features = ds.samples.features
-    labels = ds.samples.labels
-    rng = seeded_rng(o["seed"])
-    # train draws the initial weights from this stream before its first
-    # permutation; spending the same draws replays the batches it mined
-    emb_mod.Embedder.init(net.layer_dims, rng)
-    perm = rng.permutation(ds.train_idx)
-    available = len(ds.train_idx) // batch_size
-    for b in range(min(o["batches"], available)):
-        idx = perm[b * batch_size : (b + 1) * batch_size]
-        x = features[idx]
-        batch = BatchView.from_embeddings(idx, emb_mod.forward(net, x), labels[idx])
+    # the checkpoint's layer sizes make the stream spend training's Glorot
+    # draws before its first permutation; the checkpoint embeds the batches
+    cfg = TrainConfig(batch_size=o["batch_size"], hidden_dims=net.layer_dims[1:-1],
+                      embedding_dim=net.layer_dims[-1], sampler=scfg, seed=o["seed"])
+    _, rng, epoch_batches = batch_stream(ds, cfg)
+    for b, (_, batch) in zip(range(o["batches"]), epoch_batches(net)):
         for line in mine_debug_lines(b, batch, scfg, rng):
             print(line)
     return 0

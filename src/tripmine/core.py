@@ -157,29 +157,26 @@ def as_table(samples) -> SampleTable:
 
 @dataclass(frozen=True)
 class BatchView:
-    """One mini-batch frozen for mining: embeddings, labels, and distances.
+    """One mini-batch frozen for mining: labels and embedding distances.
 
     ``dist_norm`` is ``dist_raw`` rescaled to [0, 1] by the batch min-max rule
     (off-diagonal statistics, zero diagonal).
     """
 
     sample_indices: np.ndarray
-    embeddings: np.ndarray
     labels: np.ndarray
     dist_raw: np.ndarray
     dist_norm: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.embeddings.shape[0]
+        return self.dist_raw.shape[0]
 
     @classmethod
     def from_embeddings(cls, sample_indices, embeddings, labels) -> "BatchView":
-        emb = np.asarray(embeddings, dtype=np.float64)
-        raw = similarity.pairwise_euclidean(emb)
+        raw = similarity.pairwise_euclidean(embeddings)
         return cls(
             sample_indices=np.asarray(sample_indices, dtype=np.int64),
-            embeddings=emb,
             labels=np.asarray(labels, dtype=np.uint8),
             dist_raw=raw,
             dist_norm=similarity.minmax_normalize(raw),

@@ -21,15 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TripletSet
-from .similarity import pairwise_euclidean
+from .similarity import _CHUNK_VALUES, pairwise_euclidean
 
 CHECKPOINT_MAGIC = b"TMEMB002"
 # the format before the flags field; still read, with l2_normalize taken from the caller
 CHECKPOINT_MAGIC_V1 = b"TMEMB001"
 # bits of the TMEMB002 flags field
 FLAG_L2_NORMALIZE = 1
-# float64 values of embedding row differences held at once (1 MB)
-_CHUNK_VALUES = 1 << 17
 
 
 @dataclass

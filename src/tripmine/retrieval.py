@@ -17,24 +17,12 @@ import numpy as np
 
 from . import embedder as emb_mod
 from .core import as_table
+from .similarity import _GRAM_ERR_PER_DIM, _scaled_row_distances
 
-# float64 values of (archive - query) row differences held at once (1 MB)
-_CHUNK_VALUES = 1 << 17
 # queries screened per GEMM, fewer when the (block, M) float64 screen
 # would exceed _SCREEN_VALUES (16 MB) for a large archive
 _QUERY_BLOCK = 64
 _SCREEN_VALUES = 1 << 21
-# Rounding allowance of the Gram screen, per embedding dimension. A d-term
-# float64 dot product summed in any order is within d * u * |x| |y| of its
-# real value (u = 2**-53; Higham, Accuracy and Stability of Numerical
-# Algorithms, sec. 3.1). So the screen |q|^2 + |a|^2 - 2 q.a is within
-# 2 (d + 2) u (|q|^2 + |a|^2) of the true squared distance, and the square
-# of an exact distance e (row differences, einsum, sqrt) is within
-# (d + 6) u e^2 of it. 4 u per dimension covers both with a factor 2 to spare.
-# Where squares underflow, each operation may also be off by half the
-# smallest subnormal; the same allowance times the smallest normal number
-# covers those absolute errors.
-_SCREEN_ERR_PER_DIM = 4 * 2.0**-53
 # squared norms stay this far below the float64 maximum, so no norm sum,
 # Gram term or squared row difference overflows
 _NORM_HEADROOM = 8.0
@@ -53,18 +41,6 @@ def _squared_norms(x, what: str) -> np.ndarray:
     if not np.isfinite(_NORM_HEADROOM * sq.max(initial=0.0)):
         raise ValueError(f"{what} embeddings contain non-finite values or overflow float64 distances")
     return sq
-
-
-def _pair_distances(q, a, q_rows, a_rows) -> np.ndarray:
-    """Exact ``|a[a_rows[t]] - q[q_rows[t]]|`` for every pair t."""
-    dist = np.empty(len(a_rows), dtype=np.float64)
-    step = max(1, _CHUNK_VALUES // a.shape[1])
-    for start in range(0, len(a_rows), step):
-        part = slice(start, start + step)
-        diff = a[a_rows[part]]
-        diff -= q[q_rows[part]]
-        dist[part] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return dist
 
 
 def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, archive_sq_norms=None):
@@ -108,7 +84,7 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, archive_s
         if a_sq.shape != (m,):
             raise ValueError(f"{a_sq.shape} archive norms for {m} archive rows")
     q_sq = _squared_norms(q, "query")
-    slack = _SCREEN_ERR_PER_DIM * (q.shape[1] + 6)
+    slack = _GRAM_ERR_PER_DIM * (q.shape[1] + 6)
     block = max(1, min(_QUERY_BLOCK, _SCREEN_VALUES // m))
     idx = np.empty((n_q, k), dtype=np.intp)
     dist = np.empty((n_q, k), dtype=np.float64)
@@ -121,7 +97,7 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, archive_s
         screen[ex_rows, ex_cols] = np.inf
         # any k usable rows bound the k-th exact distance from above
         cand = np.argpartition(screen, k - 1, axis=1)[:, :k]
-        worst = _pair_distances(qb, a, np.repeat(rows, k), cand.ravel()).reshape(-1, k).max(axis=1)
+        worst = _scaled_row_distances(qb, np.repeat(rows, k), cand.ravel(), y=a).reshape(-1, k).max(axis=1)
         w2 = (worst * worst)[:, None]
         allowance = slack * (2.0 * (qb_sq + a_sq) + np.finfo(np.float64).tiny)
         keep = screen <= w2 * (1.0 + slack) + allowance
@@ -131,7 +107,7 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, archive_s
         # lexsort is stable: each query's pairs stay one run, ordered by
         # distance with equal distances in index order
         q_rows, a_rows = np.nonzero(keep)
-        exact = _pair_distances(qb, a, q_rows, a_rows)
+        exact = _scaled_row_distances(qb, q_rows, a_rows, y=a)
         order = np.lexsort((exact, q_rows))
         take = order[np.searchsorted(q_rows, rows)[:, None] + np.arange(k)]
         idx[start : start + len(rows)] = a_rows[take]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import similarity
-from .core import BatchView, SamplerConfig, TripletSet
+from .core import COMBINATIONS, DAS_REDUCTIONS, BatchView, SamplerConfig, TripletSet
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def select_anchors_das(dist_norm: np.ndarray, h: int, rng: np.random.Generator,
     taken = np.zeros(b, dtype=bool)
     taken[first] = True
     combine = np.maximum if reduce == "max" else np.minimum
-    if reduce not in ("max", "min"):
+    if reduce not in DAS_REDUCTIONS:
         raise ValueError(f"unknown das reduction {reduce!r}")
     score = d[:, first].copy()
     while len(selected) < h:
@@ -190,7 +190,7 @@ def build_triplets(anchors, positives, negatives, combination: str = "cartesian"
     them by rank. Degenerate triples with p == n are cleared from ``keep``
     in both modes (bis inherently generates them).
     """
-    if combination not in ("cartesian", "paired"):
+    if combination not in COMBINATIONS:
         raise ValueError(f"unknown combination {combination!r}")
     a, p, n = (np.asarray(x, dtype=np.int64) for x in (anchors, positives, negatives))
     if combination == "cartesian":

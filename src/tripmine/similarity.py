@@ -5,6 +5,8 @@ the raw Euclidean values are kept alongside because the margin loss uses
 them unnormalized. The batch distance matrix is the Gram form of exact
 flat L2 search (Johnson, Douze and Jegou, arXiv 1702.08734) on centred,
 rescaled rows, with the pairs it cannot tell from 0 re-measured exactly.
+Exact k-nn retrieval follows the same design, so its screen takes its
+rounding allowance and its exact re-measure from here too.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 _FLOAT_TINY = np.finfo(np.float64).tiny
-# float64 values of row differences held at once while re-measuring (1 MB)
+# float64 values of row differences held at once (1 MB)
 _CHUNK_VALUES = 1 << 17
 # The Gram product's right-hand operand is padded with zero columns to a
 # multiple of this, which keeps its values bit-identical across BLAS thread
@@ -21,19 +23,21 @@ _CHUNK_VALUES = 1 << 17
 # 1 and 2 threads for 245 of them (B = 100 and 161 with d = 1024 among them);
 # padded, none differed at 1, 2 or 4 threads.
 _GEMM_PAD = 32
-# Rounding allowance of the Gram form, per embedding dimension, in units of
-# |c_i|^2 + |c_j|^2 for the centred, rescaled rows c (every |c_ik| < 1). A
-# d-term float64 dot product summed in any order is within d * u of its
-# real value times the sum of the |products| (u = 2**-53; Higham, Accuracy
-# and Stability of Numerical Algorithms, sec. 3.1). So each squared norm is
-# within d * u |c_i|^2, the Gram term 2 c_i.c_j within d * u (|c_i|^2 +
-# |c_j|^2), the two roundings of the sum within 3 u of that, and the
-# rounding of the centring moves the squared distance by at most 4 u of it:
-# (2 d + 7) u in all. 4 u per dimension over d + 6 covers it with a factor
-# 2 to spare. Where squares or rescaled entries underflow, each of the at
-# most 3 d + 5 operations may also be off by half the smallest subnormal;
-# the same allowance times the smallest normal number covers those
-# absolute errors.
+# Rounding allowance of a Gram-form squared distance |x|^2 + |y|^2 - 2 x.y
+# of d-wide rows, per dimension, in units of |x|^2 + |y|^2: the batch
+# matrix (on centred rows rescaled below 1) and retrieval's k-nn screen
+# both use it. A d-term float64 dot product summed in any order is within
+# d * u of its real value times the sum of the |products| (u = 2**-53;
+# Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1). So
+# each squared norm is within d * u |x|^2, the Gram term 2 x.y within
+# d * u (|x|^2 + |y|^2), the two roundings of the sum within 3 u of that,
+# and centring the rows adds at most 4 u: (2 d + 7) u in all. A distance
+# measured from row differences (``_scaled_row_distances``) has its square
+# within (d + 6) u of itself. 4 u per dimension over d + 6 covers both
+# with a factor 2 to spare. Where squares or rescaled entries underflow,
+# each of the at most 3 d + 5 operations may also be off by half the
+# smallest subnormal; the same allowance times the smallest normal number
+# covers those absolute errors.
 _GRAM_ERR_PER_DIM = 4 * 2.0**-53
 # Pairs whose Gram value is at most this many allowances are re-measured
 # from row differences; every other one is more than 2**41 times its
@@ -87,14 +91,18 @@ def label_similarity_matrix(labels, kind: str = "cosine") -> np.ndarray:
     raise ValueError(f"unknown label similarity kind {kind!r}")
 
 
-def _scaled_row_distances(x, rows_i, rows_j, exp: int) -> np.ndarray:
-    """``|x[rows_i[t]] - x[rows_j[t]]| * 2**-exp`` for every pair t, from row
-    differences rescaled before squaring (identical rows give exactly 0)."""
+def _scaled_row_distances(x, rows_i, rows_j, exp: int = 0, y=None) -> np.ndarray:
+    """``|x[rows_i[t]] - y[rows_j[t]]| * 2**-exp`` for every pair t (``y`` is
+    ``x`` by default), from row differences rescaled before squaring
+    (identical rows give exactly 0), in 1 MB chunks of rows."""
+    y = x if y is None else y
     dist = np.empty(len(rows_i), dtype=np.float64)
     step = max(1, _CHUNK_VALUES // x.shape[1])
     for start in range(0, len(rows_i), step):
         part = slice(start, start + step)
-        diff = x[rows_i[part]] - x[rows_j[part]]
+        # in place: a fresh difference array took twice as long
+        diff = x[rows_i[part]]
+        diff -= y[rows_j[part]]
         np.ldexp(diff, -exp, out=diff)
         dist[part] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return dist

@@ -29,9 +29,6 @@ class TrainConfig:
     decay_every_epochs: int = 5
     decay_factor: float = 0.95
     alpha: float = 0.2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     hidden_dims: tuple = (64,)
     embedding_dim: int = 1024
     l2_normalize: bool = False
@@ -39,12 +36,13 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> "TrainConfig":
-        if self.epochs < 0 or self.batch_size < 1 or self.lr0 <= 0:
-            raise ValueError("epochs must be >= 0, batch_size >= 1, lr0 > 0")
+        # the comparisons are written so that NaN fails them
+        if self.epochs < 0 or self.batch_size < 1 or not 0 < self.lr0 < np.inf:
+            raise ValueError("epochs must be >= 0, batch_size >= 1, lr0 > 0 and finite")
         if self.decay_every_epochs < 1 or not 0.0 < self.decay_factor <= 1.0:
             raise ValueError("decay_every_epochs must be >= 1 and decay_factor in (0, 1]")
-        if self.alpha < 0:
-            raise ValueError("margin alpha must be >= 0")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError("margin alpha must be >= 0 and finite")
         if self.embedding_dim < 1 or any(h < 1 for h in self.hidden_dims):
             raise ValueError("layer sizes must be >= 1")
         return self
@@ -117,15 +115,15 @@ def adam_step(params, grads, state: AdamState, lr: float,
     return state
 
 
-def train(dataset, cfg: TrainConfig, epoch_callback=None) -> tuple:
-    """Train an embedder on the dataset's train split.
+def batch_stream(dataset, cfg: TrainConfig) -> tuple:
+    """Training's seeded batch stream, for ``train`` and ``mine-debug``.
 
-    Each epoch shuffles the split with the seeded RNG, partitions it into
-    full batches (remainder dropped), mines triplets per the configured
-    strategy on the current embeddings, and takes one Adam step per batch.
-    ``epoch_callback(epoch, net, row)``, when given, runs after each epoch.
-
-    Returns (Embedder, TrainLog).
+    Checks ``cfg`` against the train split, seeds ``rng`` with ``cfg.seed``
+    and draws the Glorot weights of ``net`` from it first. Returns
+    ``(net, rng, epoch)``; each ``epoch(net)`` call draws one permutation
+    and yields every full batch as ``(x, BatchView)``, embedded by ``net``
+    as it stands (mining draws from ``rng`` in between). Any net of the
+    same layer sizes, such as a checkpoint, sees training's batches.
     """
     cfg.validate()
     train_idx = np.asarray(dataset.train_idx, dtype=np.int64)
@@ -144,27 +142,44 @@ def train(dataset, cfg: TrainConfig, epoch_callback=None) -> tuple:
         [features.shape[1], *cfg.hidden_dims, cfg.embedding_dim], rng,
         l2_normalize=cfg.l2_normalize,
     )
+    n_batches = train_idx.size // cfg.batch_size
+
+    def epoch(net):
+        perm = rng.permutation(train_idx)
+        for b in range(n_batches):
+            idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            x = features[idx]
+            yield x, BatchView.from_embeddings(idx, emb_mod.forward(net, x), labels[idx])
+
+    return net, rng, epoch
+
+
+def train(dataset, cfg: TrainConfig, epoch_callback=None) -> tuple:
+    """Train an embedder on the dataset's train split.
+
+    Each epoch takes the full batches of one ``batch_stream`` epoch, mines
+    triplets per the configured strategy on the current embeddings, and
+    takes one Adam step per batch. ``epoch_callback(epoch, net, row)``,
+    when given, runs after each epoch.
+
+    Returns (Embedder, TrainLog).
+    """
+    net, rng, epoch_batches = batch_stream(dataset, cfg)
     params = emb_mod.parameters(net)
     state = init_adam(params)
 
     log = TrainLog()
     cum_triplets = 0
-    n_batches = train_idx.size // cfg.batch_size
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         lr = lr_schedule(epoch, cfg)
-        perm = rng.permutation(train_idx)
         losses = []
-        for b in range(n_batches):
-            idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            x = features[idx]
-            batch = BatchView.from_embeddings(idx, emb_mod.forward(net, x), labels[idx])
+        for x, batch in epoch_batches(net):
             tset = sampler.mine_batch(batch, cfg.sampler, rng)
             cum_triplets += len(tset)
             if len(tset):
                 bundle = emb_mod.backward(net, x, tset, cfg.alpha, batch.dist_raw)
-                adam_step(params, emb_mod.gradient_list(bundle), state, lr,
-                          cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+                adam_step(params, emb_mod.gradient_list(bundle), state, lr)
                 losses.append(bundle.loss_value)
             else:
                 losses.append(0.0)

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from tripmine import sampler
 from tripmine.cli import SAMPLER_CHOICES, main
 from tripmine.core import BatchView
 
@@ -115,6 +116,21 @@ class TestTrain:
                            "--hidden", "8", "--out", str(tmp_path / "o"))
         assert code == 2
         assert "triplets per batch" in err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"), ("--lr", "nan", "lr0"), ("--lr", "inf", "lr0"),
+    ])
+    def test_non_finite_alpha_or_lr_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                             flag, value, field):
+        mined = []
+        real = sampler.mine_batch
+        monkeypatch.setattr(sampler, "mine_batch", lambda *args: mined.append(args) or real(*args))
+        code, stdout, err = run(capsys, "train", *TINY, flag, value, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert field in err and "finite" in err
+        assert "Traceback" not in err
+        assert stdout == "" and mined == []
+        assert not (tmp_path / "o" / "model.ckpt").exists()
 
     def test_stock_defaults_in_manifest(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -245,6 +261,32 @@ class TestEvaluate:
                            "--out", str(tmp_path / "o"), "--k", "5")
         assert code == 2
         assert "broken.ckpt" in err
+
+    @pytest.mark.parametrize("pair", SAMPLER_CHOICES)
+    def test_prints_the_first_block_training_mined(self, tmp_path, capsys, monkeypatch, pair):
+        opts = [*TINY_DATA, "--batch-size", "16", "--sampler", pair]
+        net_opts = ["--embedding", "8", "--hidden", "8"]
+        # --epochs 0 saves the initial net, which embeds training's first batch
+        init = tmp_path / "init"
+        assert run(capsys, "train", *opts, *net_opts, "--epochs", "0", "--out", str(init))[0] == 0
+        mined = []
+        real = sampler.mine_batch
+
+        def record(*args):
+            mined.append(real(*args))
+            return mined[-1]
+
+        monkeypatch.setattr(sampler, "mine_batch", record)
+        assert run(capsys, "train", *opts, *net_opts, "--epochs", "1", "--out", str(tmp_path / "o"))[0] == 0
+        monkeypatch.undo()
+        code, stdout, _ = run(capsys, "mine-debug", *opts, "--batches", "1", "--out", str(init))
+        assert code == 0
+        header, *rows = [json.loads(line) for line in stdout.splitlines()]
+        first = mined[0]
+        assert header["anchors"] == first.anchors.tolist()
+        assert header["triplet_count"] == len(first)
+        assert [r["positives"] for r in rows] == first.positives.tolist()
+        assert [r["negatives"] for r in rows] == first.negatives.tolist()
 
     def test_takes_l2_normalize_from_the_checkpoint(self, tmp_path, capsys):
         out = tmp_path / "run"
