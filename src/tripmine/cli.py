@@ -423,6 +423,8 @@ def cmd_ablate(o: dict) -> int:
 
 
 def cmd_mine_debug(o: dict) -> int:
+    if o["batches"] < 1:
+        raise UserError(f"--batches must be >= 1, got {o['batches']}")
     ds = _load_data(o)
     net = _load_net(o, ds)
     scfg = _sampler_config(o)

@@ -39,26 +39,12 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def as_label_vector(bits) -> np.ndarray:
-    """Validate and normalize a multi-label annotation to a uint8 0/1 vector.
-
-    Rejects non-binary entries and all-zero vectors (every sample must carry
-    at least one class label).
-    """
-    arr = np.asarray(bits)
-    if arr.ndim != 1:
-        raise ValueError(f"label vector must be one-dimensional, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError("label vector entries must be 0 or 1")
-    arr = arr.astype(np.uint8)
-    if int(arr.sum()) == 0:
-        raise ValueError("label vector must have at least one set bit")
-    return arr
-
-
 @dataclass(frozen=True)
 class Sample:
-    """One dataset item: opaque id, feature vector, and multi-label vector."""
+    """One dataset item: opaque id, feature vector, and multi-label vector.
+
+    The two vectors form a one-row ``SampleTable``, whose checks they pass.
+    """
 
     id: str
     features: np.ndarray
@@ -66,19 +52,22 @@ class Sample:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 1:
-            raise ValueError(f"features must be one-dimensional, got shape {feats.shape}")
-        if not np.isfinite(feats).all():
-            raise ValueError(f"sample {self.id!r} has non-finite feature values")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", as_label_vector(self.labels))
+        labs = np.asarray(self.labels)
+        if feats.ndim != 1 or labs.ndim != 1:
+            raise ValueError(
+                f"sample {self.id!r}: features and labels must be one-dimensional, "
+                f"got shapes {feats.shape} and {labs.shape}"
+            )
+        row = SampleTable([self.id], feats[None], labs[None])
+        object.__setattr__(self, "features", row.features[0])
+        object.__setattr__(self, "labels", row.labels[0])
 
 
 class SampleTable:
     """Samples as columns: ``ids`` (a tuple), ``features`` an (M, F) float64
     matrix and ``labels`` an (M, N) uint8 matrix; row i is sample i.
 
-    The constructor checks what ``Sample`` checks, once per matrix: finite
+    The constructor holds the sample checks, run once per matrix: finite
     features, 0/1 labels, at least one label per row, and one distinct id
     per row; ``row_of`` maps each id to its row. The arrays are not copied
     when they already have the right dtype, so they stay the caller's to
@@ -238,9 +227,6 @@ def validate_config(cfg: SamplerConfig, batch_size: int) -> SamplerConfig:
         raise ValueError(
             f"per-anchor counts ({c_pos}, {c_neg}) must not exceed batch size - 1 = {batch_size - 1}"
         )
-    h = cfg.num_anchors(batch_size)
-    if h > batch_size:
-        raise ValueError(f"anchor count {h} exceeds batch size {batch_size}")
     if cfg.image_strategy in ("rhdis", "ris") and c_pos + c_neg > batch_size - 1:
         # rhdis keeps positives and negatives disjoint; ris draws them jointly
         raise ValueError(
@@ -250,7 +236,7 @@ def validate_config(cfg: SamplerConfig, batch_size: int) -> SamplerConfig:
     if cfg.image_strategy == "bis" and cfg.combination == "paired":
         # positive i and negative i are the same image, so every triple is dropped
         raise ValueError("bis with paired combination mines no triplets; use cartesian")
-    anchors = batch_size if cfg.anchor_strategy == "bas" else h
+    anchors = batch_size if cfg.anchor_strategy == "bas" else cfg.num_anchors(batch_size)
     if cfg.image_strategy == "bis":
         c_pos = c_neg = batch_size - 1
     pairs = c_pos * c_neg if cfg.combination == "cartesian" else min(c_pos, c_neg)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SampleTable, as_table, seeded_rng
+from .core import SampleTable, _first_true, as_table, seeded_rng
 
 FEATURES_MAGIC = b"TMFEAT01"
 _REDRAW_ATTEMPTS = 16
@@ -77,8 +77,9 @@ class SyntheticSpec:
             raise ValueError("n_samples, n_classes, and feature_dim must be >= 1")
         if not 0.0 <= self.label_noise_rate <= 1.0:
             raise ValueError("label_noise_rate must be in [0, 1]")
-        if self.feature_noise_sigma < 0:
-            raise ValueError("feature_noise_sigma must be >= 0")
+        # written so that NaN fails it
+        if not 0.0 <= self.feature_noise_sigma < np.inf:
+            raise ValueError(f"feature_noise_sigma must be >= 0 and finite, got {self.feature_noise_sigma}")
         return self
 
 
@@ -110,7 +111,7 @@ def _csv_rows(path):
 def _read_features_csv(path):
     parsed = _parse_features_loadtxt(path)
     ids, feats, line_nos = parsed if parsed is not None else _parse_features_rows(path)
-    bad = _first_non_finite_row(feats)
+    bad = _first_true(~np.isfinite(feats).all(axis=1))
     if bad is not None:
         raise ValueError(f"{path}: non-finite feature value in row {line_nos[bad]} (id {ids[bad]!r})")
     return ids, feats
@@ -176,12 +177,6 @@ def _parse_features_rows(path):
     return ids, np.asarray(rows, dtype=np.float64), line_nos
 
 
-def _first_non_finite_row(x):
-    """Index of the first row of ``x`` holding nan or +-inf, else None."""
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    return int(bad[0]) if bad.size else None
-
-
 def read_features_binary(path):
     with open(path, "rb") as fh:
         magic = fh.read(len(FEATURES_MAGIC))
@@ -199,7 +194,7 @@ def read_features_binary(path):
     if len(payload) != expected:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
     values = np.frombuffer(payload, dtype="<f4").reshape(m, f)
-    bad = _first_non_finite_row(values)
+    bad = _first_true(~np.isfinite(values).all(axis=1))
     if bad is not None:
         raise ValueError(f"{path}: non-finite feature value in row {bad + 1} of {m}")
     return values.astype(np.float64)
@@ -307,7 +302,8 @@ def split_dataset(ds: Dataset, fractions, rng: np.random.Generator) -> Dataset:
     to test.
     """
     f_train, f_val, f_test = fractions
-    if min(f_train, f_val, f_test) <= 0 or f_train + f_val + f_test > 1.0 + 1e-9:
+    # written so that NaN fails it
+    if not (min(f_train, f_val, f_test) > 0 and f_train + f_val + f_test <= 1.0 + 1e-9):
         raise ValueError(f"fractions must be positive and sum to at most 1, got {fractions}")
     m = len(ds.samples)
     n_train = int(round(f_train * m, 9) // 1)

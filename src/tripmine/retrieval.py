@@ -17,7 +17,7 @@ import numpy as np
 
 from . import embedder as emb_mod
 from .core import as_table
-from .similarity import _GRAM_ERR_PER_DIM, _scaled_row_distances
+from .similarity import _GRAM_ERR_PER_DIM, _check_binary_rows, _scaled_row_distances
 
 # queries screened per GEMM, fewer when the (block, M) float64 screen
 # would exceed _SCREEN_VALUES (16 MB) for a large archive
@@ -124,16 +124,17 @@ def pair_metrics(query_labels, retrieved_labels) -> tuple:
     precision = I / |retrieved|, recall = I / |query|, and f1 the harmonic
     mean with the 0/0 -> 0 rule. Labels lie on the last axis and leading
     axes broadcast; each metric has the broadcast leading shape, and two
-    1-D vectors give four Python floats.
+    1-D vectors give four Python floats. Entries must be 0 or 1, with at
+    least one set per vector, as for ``similarity.label_similarity``.
     """
-    q = np.asarray(query_labels, dtype=np.uint8)
-    r = np.asarray(retrieved_labels, dtype=np.uint8)
+    q = np.asarray(query_labels)
+    r = np.asarray(retrieved_labels)
     if q.ndim == 0 or r.ndim == 0 or q.shape[-1] != r.shape[-1]:
         raise ValueError(f"label length mismatch: {q.shape} vs {r.shape}")
+    # 0/1 float64 rows, so every count below is an exact integer
+    q, r = _check_binary_rows(q), _check_binary_rows(r)
     nq, nr = q.sum(axis=-1), r.sum(axis=-1)
-    if (nq == 0).any() or (nr == 0).any():
-        raise ValueError("label vectors must have at least one set bit")
-    inter = (q & r).sum(axis=-1)
+    inter = (q * r).sum(axis=-1)
     union = nq + nr - inter
     acc = inter / union
     prec = inter / nr

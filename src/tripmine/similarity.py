@@ -103,7 +103,8 @@ def _scaled_row_distances(x, rows_i, rows_j, exp: int = 0, y=None) -> np.ndarray
         # in place: a fresh difference array took twice as long
         diff = x[rows_i[part]]
         diff -= y[rows_j[part]]
-        np.ldexp(diff, -exp, out=diff)
+        if exp:
+            np.ldexp(diff, -exp, out=diff)
         dist[part] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return dist
 

@@ -183,7 +183,8 @@ def train(dataset, cfg: TrainConfig, epoch_callback=None) -> tuple:
                 losses.append(bundle.loss_value)
             else:
                 losses.append(0.0)
-        mean_loss = float(np.mean(losses)) if losses else 0.0
+        # batch_stream yields at least one batch per epoch
+        mean_loss = float(np.mean(losses))
         if not np.isfinite(mean_loss):
             raise FloatingPointError(f"non-finite loss at epoch {epoch}")
         row = TrainLogRow(epoch=epoch, mean_loss=mean_loss, cum_triplets=cum_triplets,

@@ -132,6 +132,21 @@ class TestTrain:
         assert stdout == "" and mined == []
         assert not (tmp_path / "o" / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_feature_noise_exits_2_naming_the_field(self, tmp_path, capsys, value):
+        code, stdout, err = run(capsys, "train", "--synthetic", "--seed", "1", "--n-samples", "100",
+                                "--preset", "ci", "--feature-noise", value, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "feature_noise_sigma must be >= 0 and finite" in err
+        assert "sample" not in err and stdout == ""
+
+    def test_nan_split_fraction_exits_2_naming_the_fractions(self, tmp_path, capsys):
+        code, stdout, err = run(capsys, "train", "--synthetic", "--seed", "1", "--n-samples", "100",
+                                "--preset", "ci", "--split", "nan,0.2,0.2", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "fractions must be positive and sum to at most 1" in err and "nan" in err
+        assert stdout == ""
+
     def test_stock_defaults_in_manifest(self, tmp_path, capsys):
         out = tmp_path / "run"
         code, _, _ = run(capsys, "train", *TINY, "--out", str(out))
@@ -472,6 +487,16 @@ class TestMineDebug:
                                 "--out", str(out))
         assert code == 2
         assert str(out / "model.ckpt") in err and "l2_normalize" in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("batches", ["0", "-3"])
+    def test_batches_below_one_exits_2(self, tmp_path, capsys, batches):
+        out = tmp_path / "run"
+        assert run(capsys, "train", *TINY, "--out", str(out))[0] == 0
+        code, stdout, err = run(capsys, "mine-debug", *TINY_DATA, "--batch-size", "16",
+                                "--out", str(out), "--batches", batches)
+        assert code == 2
+        assert f"--batches must be >= 1, got {batches}" in err
         assert stdout == ""
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):

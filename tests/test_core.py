@@ -7,7 +7,6 @@ from tripmine.core import (
     SampleTable,
     SamplerConfig,
     TripletSet,
-    as_label_vector,
     as_table,
     seeded_rng,
     validate_config,
@@ -29,22 +28,20 @@ class TestSeededRng:
         assert len(set(draws.tolist())) == 10
 
 
-class TestLabelVector:
-    def test_normalizes_to_uint8(self):
-        v = as_label_vector([1, 0, 1])
-        assert v.dtype == np.uint8
-        assert v.tolist() == [1, 0, 1]
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            as_label_vector([1, 2, 0])
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(ValueError, match="at least one"):
-            as_label_vector([0, 0, 0])
-
-
 class TestSample:
+    def test_labels_normalize_to_uint8(self):
+        s = Sample(id="x", features=[0.0], labels=[1, 0, 1])
+        assert s.labels.dtype == np.uint8
+        assert s.labels.tolist() == [1, 0, 1]
+
+    def test_rejects_non_binary_labels_naming_the_sample(self):
+        with pytest.raises(ValueError, match="sample 'x': label entries must be 0 or 1"):
+            Sample(id="x", features=[0.0], labels=[1, 2, 0])
+
+    def test_rejects_all_zero_labels_naming_the_sample(self):
+        with pytest.raises(ValueError, match="sample 'x' has no class labels"):
+            Sample(id="x", features=[0.0], labels=[0, 0, 0])
+
     def test_rejects_non_finite_features(self):
         with pytest.raises(ValueError, match="non-finite"):
             Sample(id="x", features=[1.0, np.inf], labels=[1, 0])
@@ -52,6 +49,13 @@ class TestSample:
     def test_features_coerced_to_float64(self):
         s = Sample(id="x", features=[1, 2], labels=[0, 1])
         assert s.features.dtype == np.float64
+
+    @pytest.mark.parametrize("features, labels", [
+        ([[1.0, 2.0]], [1, 0]), ([1.0, 2.0], [[1, 0]]), (1.0, [1, 0]), ([1.0, 2.0], 1),
+    ])
+    def test_rejects_vectors_that_are_not_one_dimensional(self, features, labels):
+        with pytest.raises(ValueError, match="sample 'x': features and labels must be one-dimensional"):
+            Sample(id="x", features=features, labels=labels)
 
 
 def small_table():

@@ -453,6 +453,14 @@ class TestSplitDataset:
         with pytest.raises(ValueError, match="fractions"):
             split_dataset(ds, (0.6, 0.0, 0.4), seeded_rng(0))
 
+    @pytest.mark.parametrize("fractions", [
+        (np.nan, 0.2, 0.2), (0.6, np.nan, 0.2), (0.6, 0.2, np.nan), (np.inf, 0.2, 0.2), (0.6, -np.inf, 0.2),
+    ])
+    def test_non_finite_fractions_rejected(self, fractions):
+        ds = generate_synthetic(SyntheticSpec(n_samples=10, seed=11))
+        with pytest.raises(ValueError, match="fractions must be positive and sum to at most 1"):
+            split_dataset(ds, fractions, seeded_rng(0))
+
 
 class TestGenerateSynthetic:
     def test_deterministic_under_seed(self):
@@ -490,6 +498,11 @@ class TestGenerateSynthetic:
             generate_synthetic(SyntheticSpec(n_prototypes=1))
         with pytest.raises(ValueError, match="label_noise_rate"):
             generate_synthetic(SyntheticSpec(label_noise_rate=1.5))
+
+    @pytest.mark.parametrize("sigma", [-0.1, np.nan, np.inf])
+    def test_negative_or_non_finite_feature_noise_rejected(self, sigma):
+        with pytest.raises(ValueError, match="feature_noise_sigma must be >= 0 and finite"):
+            generate_synthetic(SyntheticSpec(feature_noise_sigma=sigma))
 
     def test_prototype_replay_matches_generation(self):
         spec = SyntheticSpec(seed=16)

@@ -207,6 +207,15 @@ class TestPairMetrics:
         with pytest.raises(ValueError, match="mismatch"):
             pair_metrics([[1, 0]], [[1, 0, 1]])
 
+    @pytest.mark.parametrize("bad", [[2, 1], [0.5, 1], [-1, 1]])
+    def test_non_binary_entries_rejected_on_either_side(self, bad):
+        with pytest.raises(ValueError, match="0 or 1"):
+            pair_metrics(bad, [1, 1])
+        with pytest.raises(ValueError, match="0 or 1"):
+            pair_metrics([1, 1], bad)
+        with pytest.raises(ValueError, match="0 or 1"):
+            pair_metrics(np.array([[1, 0], [1, 1]])[:, None, :], np.array([[[1, 0]], [bad]]))
+
     @given(
         st.lists(st.integers(0, 1), min_size=5, max_size=5).filter(lambda v: sum(v) > 0),
         st.lists(st.integers(0, 1), min_size=5, max_size=5).filter(lambda v: sum(v) > 0),
