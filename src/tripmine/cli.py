@@ -90,7 +90,6 @@ TRAIN_OPTS = (
     Opt("embedding", int, 1024, "embedding dimension"),
     Opt("hidden", str, "64", "comma-separated hidden layer sizes"),
     L2_NORMALIZE,
-    Opt("checkpoint_every", int, 0, "also write model_epoch{N}.ckpt every N epochs (0: final only)"),
 )
 
 SEED = Opt("seed", int, 0, "master seed")
@@ -119,7 +118,8 @@ PRESETS = {
 }
 
 COMMAND_OPTS = {
-    "train": (SEED,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + TRAIN_OPTS,
+    "train": (SEED,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + TRAIN_OPTS + (
+        Opt("checkpoint_every", int, 0, "also write model_epoch{N}.ckpt every N epochs (0: final only)"),),
     "evaluate": (SEED,) + COMMON_OPTS + DATA_OPTS + EVAL_OPTS + (L2_NORMALIZE,),
     "ablate": (SEEDS,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + TRAIN_OPTS + (
         Opt("k", int, None, "retrieved neighbors per query"),),
@@ -293,10 +293,12 @@ def _out_dir(o: dict) -> str:
 
 
 def cmd_train(o: dict) -> int:
+    every = o["checkpoint_every"]
+    if every < 0:
+        raise UserError(f"--checkpoint-every must be >= 0, got {every}")
     ds = _load_data(o)
     cfg = _train_config(o, _sampler_config(o))
     out = _out_dir(o)
-    every = o["checkpoint_every"]
 
     def checkpoint_hook(epoch, net, row):
         if every > 0 and (epoch + 1) % every == 0:
@@ -433,7 +435,7 @@ def cmd_mine_debug(o: dict) -> int:
     cfg = TrainConfig(batch_size=o["batch_size"], hidden_dims=net.layer_dims[1:-1],
                       embedding_dim=net.layer_dims[-1], sampler=scfg, seed=o["seed"])
     _, rng, epoch_batches = batch_stream(ds, cfg)
-    for b, (_, batch) in zip(range(o["batches"]), epoch_batches(net)):
+    for b, (_, _, batch) in zip(range(o["batches"]), epoch_batches(net)):
         for line in mine_debug_lines(b, batch, scfg, rng):
             print(line)
     return 0

@@ -10,6 +10,14 @@ The batch min-max normalization is used only by the selection scores, never
 inside the loss, so batch extremes do not couple into the gradient. Training
 reads the loss and its gradient off the batch's (B, B) raw distance matrix,
 the same one the miner uses.
+
+Without L2 normalization the output layer is linear, so the distance of two
+embeddings is ``|(h_i - h_j) W|`` for the last hidden activations ``h`` and
+the output weights ``W``: the metric ``W W^T`` of the hidden space. Training
+measures it on the rows ``h @ F`` (``distance_factor``, ``distance_rows``),
+with ``F`` the Cholesky factor of ``W W^T`` when the hidden layer is
+narrower than the embedding, and ``W`` itself otherwise; ``backward`` works
+in the same width and never forms the d-wide embedding.
 """
 
 from __future__ import annotations
@@ -21,13 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TripletSet
-from .similarity import _CHUNK_VALUES, pairwise_euclidean
+from .similarity import _CHUNK_VALUES, _GEMM_PAD, _scaled_row_distances, pairwise_euclidean
 
 CHECKPOINT_MAGIC = b"TMEMB002"
 # the format before the flags field; still read, with l2_normalize taken from the caller
 CHECKPOINT_MAGIC_V1 = b"TMEMB001"
 # bits of the TMEMB002 flags field
 FLAG_L2_NORMALIZE = 1
+# LAPACK factors diagonal blocks of at most this size: with OpenBLAS 0.3.31
+# on a 2-core AVX-512 Xeon VM, np.linalg.cholesky gave different bits at 1
+# and 2 threads for every size from 100 up that was tried
+_CHOLESKY_BLOCK = 96
 
 
 @dataclass
@@ -91,17 +103,27 @@ def _feature_matrix(net: Embedder, features) -> np.ndarray:
     return x
 
 
-def _forward_cached(net: Embedder, features):
+def _hidden_cached(net: Embedder, features):
+    """Activations ``[x, a_1, ..., a_h]`` up to the last hidden layer and
+    the hidden pre-activations; for a net without hidden layers, ``[x]``
+    and ``[]``."""
     x = _feature_matrix(net, features)
     acts = [x]
     preacts = []
     a = x
-    last = net.n_layers - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
         z = a @ w + b
         preacts.append(z)
-        a = np.maximum(z, 0.0) if l < last else z
+        a = np.maximum(z, 0.0)
         acts.append(a)
+    return acts, preacts
+
+
+def _forward_cached(net: Embedder, features):
+    acts, preacts = _hidden_cached(net, features)
+    a = acts[-1] @ net.weights[-1] + net.biases[-1]
+    preacts.append(a)
+    acts.append(a)
     if net.l2_normalize:
         norms = np.sqrt(np.einsum("ij,ij->i", a, a))
         safe = np.where(norms > 0.0, norms, 1.0)
@@ -121,15 +143,94 @@ def _triplet_set(triplets) -> TripletSet:
     return triplets if isinstance(triplets, TripletSet) else TripletSet.from_triplets(triplets)
 
 
-def _row_distances(e: np.ndarray, rows_i, rows_j) -> np.ndarray:
-    """``np.linalg.norm(e[rows_i] - e[rows_j], axis=1)``, gathered in 1 MB
-    chunks of rows; each row's value does not depend on the chunking."""
-    out = np.empty(len(rows_i), dtype=np.float64)
-    step = max(1, _CHUNK_VALUES // max(e.shape[1], 1))
-    for start in range(0, len(rows_i), step):
-        part = slice(start, start + step)
-        out[part] = np.linalg.norm(e[rows_i[part]] - e[rows_j[part]], axis=1)
-    return out
+def _matmul_padded(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with ``b``'s columns padded by zeros to a multiple of
+    ``_GEMM_PAD``, which keeps it bit-identical across BLAS thread counts
+    (an unpadded (64, 64) @ (64, 500) product is not)."""
+    n = b.shape[1]
+    if n % _GEMM_PAD == 0:
+        return a @ b
+    padded = np.zeros((b.shape[0], n + -n % _GEMM_PAD))
+    padded[:, :n] = b
+    return (a @ padded)[:, :n]
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric positive definite ``a``, the
+    same bits at any BLAS thread count; ``np.linalg.LinAlgError`` when
+    ``a`` is not positive definite.
+
+    Left-looking by block columns: LAPACK factors each diagonal block of at
+    most ``_CHOLESKY_BLOCK`` rows, and the panel below it is solved column
+    by column with ``einsum``, which does not call BLAS. Every entry is the
+    usual inner-product formula in some order, so the unblocked
+    algorithm's backward error bound holds.
+    """
+    n = a.shape[0]
+    low = np.zeros_like(a)
+    for j0 in range(0, n, _CHOLESKY_BLOCK):
+        j1 = min(j0 + _CHOLESKY_BLOCK, n)
+        col = a[j0:, j0:j1] - _matmul_padded(low[j0:, :j0], low[j0:j1, :j0].T)
+        diag = np.linalg.cholesky(col[:j1 - j0])
+        low[j0:j1, j0:j1] = diag
+        if j1 < n:
+            # the panel times diag^-T
+            panel = col[j1 - j0:]
+            for k in range(j1 - j0):
+                panel[:, k] -= np.einsum("ij,j->i", panel[:, :k], diag[k, :k])
+                panel[:, k] /= diag[k, k]
+            low[j1:, j0:j1] = panel
+    return low
+
+
+def distance_factor(net: Embedder):
+    """The (h, k) map ``F`` with ``F F^T = W W^T`` for the output weights
+    ``W`` (h, d), or None with ``l2_normalize`` on.
+
+    Then ``|(h_i - h_j) F| = |e_i - e_j|`` for embeddings ``e = h W + b``,
+    up to rounding. ``F`` is the Cholesky factor ``L`` of ``W W^T`` when
+    h < d and the factorisation succeeds; otherwise it is ``W`` itself,
+    which is exact (h >= d, or a rank-deficient ``W`` such as zero
+    weights).
+
+    The computed ``L`` satisfies ``L L^T = W W^T + E`` with
+    ``|E_ij| <= (d + h + 2) u |W_i| |W_j|`` (rows ``W_i``, u = 2**-53;
+    Higham, Accuracy and Stability of Numerical Algorithms, thm. 10.3 and
+    sec. 3.5): the Gram product is within ``d u |W_i| |W_j|``, and the
+    factorisation is backward stable with each row of ``L`` no longer than
+    the matching row of ``W``. That is the kind of error the forward's own
+    rounding makes, and it does not depend on the conditioning of ``W``.
+    """
+    if net.l2_normalize:
+        return None
+    w = net.weights[-1]
+    h, d = w.shape
+    if h < d:
+        if h % _GEMM_PAD:
+            # unpadded, the Gram product (OpenBLAS syrk) gave different bits
+            # at 1 and 2 threads for most h from 97 up
+            padded = np.zeros((h + -h % _GEMM_PAD, d))
+            padded[:h] = w
+            gram = (padded @ padded.T)[:h, :h]
+        else:
+            gram = w @ w.T
+        try:
+            low = _cholesky(gram)
+        except np.linalg.LinAlgError:
+            return w
+        if np.isfinite(low).all():
+            return low
+    return w
+
+
+def distance_rows(net: Embedder, features, factor) -> np.ndarray:
+    """Rows whose pairwise Euclidean distances are those of
+    ``forward(net, features)``: ``h @ factor`` for the last hidden
+    activations ``h`` and ``factor = distance_factor(net)``, or the
+    embedding itself when ``factor`` is None (``l2_normalize`` on)."""
+    if factor is None:
+        return forward(net, features)
+    return _matmul_padded(_hidden_cached(net, features)[0][-1], factor)
 
 
 def hinge_terms(d_ap, d_an, alpha: float) -> np.ndarray:
@@ -148,8 +249,8 @@ def triplet_loss(embeddings, triplets, alpha: float) -> float:
     if t.shape[0] == 0:
         return 0.0
     e = np.asarray(embeddings, dtype=np.float64)
-    d_ap = _row_distances(e, t[:, 0], t[:, 1])
-    d_an = _row_distances(e, t[:, 0], t[:, 2])
+    d_ap = _scaled_row_distances(e, t[:, 0], t[:, 1])
+    d_an = _scaled_row_distances(e, t[:, 0], t[:, 2])
     return float(hinge_terms(d_ap, d_an, alpha).sum())
 
 
@@ -174,16 +275,20 @@ def _masked_sum(values: np.ndarray, mask: np.ndarray) -> float:
     return float(flat_v[:k].sum())
 
 
-def backward(net: Embedder, features, triplets, alpha: float, dist_raw) -> GradientBundle:
+def _zero_gradients(net: Embedder, loss: float) -> GradientBundle:
+    return GradientBundle([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases], loss)
+
+
+def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=None) -> GradientBundle:
     """Analytic gradient of the margin loss through the network.
 
-    ``dist_raw`` is the (B, B) Euclidean distance matrix of
-    ``forward(net, features)`` (the batch's ``BatchView.dist_raw``). The loss
-    and the embedding gradient are read off it over the ``TripletSet`` block
-    (a raw (T, 3) list goes in through ``TripletSet.from_triplets``): each
-    anchor's (P,) positive and (N,) negative distances broadcast to its
-    pre-hinge values, so per-triplet work is elementwise and memory is
-    O(B^2 + T), never O(T * d).
+    ``dist_raw`` is the (B, B) Euclidean distance matrix of the batch's
+    embeddings (its ``BatchView.dist_raw``, measured on ``distance_rows``).
+    The loss and the pair coefficients are read off it over the
+    ``TripletSet`` block (a raw (T, 3) list goes in through
+    ``TripletSet.from_triplets``): each anchor's (P,) positive and (N,)
+    negative distances broadcast to its pre-hinge values, so per-triplet work
+    is elementwise and memory is O(B^2 + T), never O(T * d).
 
     The hinge subgradient at a pre-hinge value of exactly 0 is 0 (the triplet
     is treated as inactive), and likewise ReLU'(0) = 0.
@@ -193,8 +298,13 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw) -> Gradi
     through the layers: the rest get an exactly-zero embedding gradient and
     add nothing to any parameter gradient.
 
-    Without ``l2_normalize`` the output bias gradient is returned as exact
-    zeros: the loss reads only distances, which a common shift leaves alone.
+    Without ``l2_normalize`` the touched rows are embedded only to their last
+    hidden activations ``h``. With ``Lap(S) = diag(S 1) - S``, the embedding
+    gradient would be ``Lap(S) h W``, so the output weights get
+    ``(h^T Lap(S) h) W`` and ``h`` gets ``Lap(S) h F F^T``, where ``factor``
+    is the net's ``distance_factor`` (computed when not given). The output
+    bias gradient is exact zeros: the loss reads only distances, which a
+    common shift leaves alone.
     """
     x = _feature_matrix(net, features)
     size = x.shape[0]
@@ -202,10 +312,8 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw) -> Gradi
     if dist.shape != (size, size):
         raise ValueError(f"distance matrix of shape {dist.shape} does not match batch size {size}")
     tset = _triplet_set(triplets)
-    zero_w = [np.zeros_like(w) for w in net.weights]
-    zero_b = [np.zeros_like(b) for b in net.biases]
     if not len(tset):
-        return GradientBundle(zero_w, zero_b, 0.0)
+        return _zero_gradients(net, 0.0)
     cols = tset.columns()
     if min(c.min() for c in cols) < 0 or max(c.max() for c in cols) >= size:
         raise ValueError(f"triplet indices must lie in [0, {size})")
@@ -220,7 +328,7 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw) -> Gradi
     active &= tset.keep
     loss = _masked_sum(pre, active)
     if not active.any():
-        return GradientBundle(zero_w, zero_b, loss)
+        return _zero_gradients(net, loss)
 
     # coef[a, x] = #active triplets with (a, x) as the positive pair minus
     # #active with (a, x) as the negative pair; each adds +-(e_a - e_x) / D(a, x)
@@ -241,26 +349,37 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw) -> Gradi
     if touched.size < size:
         x = x[touched]
         s = s[np.ix_(touched, touched)]
-    acts, preacts, out_norms, emb = _forward_cached(net, x)
-    d_emb = s.sum(axis=1)[:, None] * emb - s @ emb
-
+    last = net.n_layers - 1
+    weight_grads = [None] * net.n_layers
+    bias_grads = [None] * net.n_layers
     if net.l2_normalize:
+        acts, preacts, out_norms, emb = _forward_cached(net, x)
+        d_emb = s.sum(axis=1)[:, None] * emb - s @ emb
         # y = z / |z|  =>  dz = (dy - y (y . dy)) / |z|, zero rows pass through as zero
         safe = np.where(out_norms > 0.0, out_norms, 1.0)
         proj = np.einsum("ij,ij->i", emb, d_emb)
         g = np.where((out_norms > 0.0)[:, None], (d_emb - emb * proj[:, None]) / safe[:, None], 0.0)
+        weight_grads[last] = acts[last].T @ g
+        bias_grads[last] = g.sum(axis=0)
+        if last > 0:
+            g = g @ net.weights[last].T
     else:
-        g = d_emb
-
-    weight_grads = [None] * net.n_layers
-    bias_grads = [None] * net.n_layers
-    for l in range(net.n_layers - 1, -1, -1):
+        if factor is None:
+            factor = distance_factor(net)
+        acts, preacts = _hidden_cached(net, x)
+        h = acts[last]
+        lap_h = s.sum(axis=1)[:, None] * h - s @ h
+        weight_grads[last] = _matmul_padded(h.T @ lap_h, net.weights[last])
+        bias_grads[last] = np.zeros_like(net.biases[last])
+        if last > 0:
+            g = _matmul_padded(_matmul_padded(lap_h, factor), factor.T)
+    # g is now the gradient of the last hidden activations
+    for l in range(last - 1, -1, -1):
+        g *= preacts[l] > 0.0
         weight_grads[l] = acts[l].T @ g
         bias_grads[l] = g.sum(axis=0)
         if l > 0:
-            g = (g @ net.weights[l].T) * (preacts[l - 1] > 0.0)
-    if not net.l2_normalize:
-        bias_grads[-1] = zero_b[-1]
+            g = g @ net.weights[l].T
     return GradientBundle(weight_grads, bias_grads, loss)
 
 
@@ -268,8 +387,8 @@ def _loss_and_kink_signature(net: Embedder, features, t: np.ndarray, alpha: floa
     acts, preacts, out_norms, emb = _forward_cached(net, features)
     sig = [b"".join((z > 0.0).tobytes() for z in preacts[:-1])]
     if t.shape[0]:
-        d_ap = _row_distances(emb, t[:, 0], t[:, 1])
-        d_an = _row_distances(emb, t[:, 0], t[:, 2])
+        d_ap = _scaled_row_distances(emb, t[:, 0], t[:, 1])
+        d_an = _scaled_row_distances(emb, t[:, 0], t[:, 2])
         pre = d_ap - d_an + alpha
         loss = float(pre[pre > 0.0].sum())
         sig.append((pre > 0.0).tobytes())
@@ -303,7 +422,8 @@ def finite_difference_check(net: Embedder, features, triplets, alpha: float,
     x = np.asarray(features, dtype=np.float64)
     tset = _triplet_set(triplets)
     t = tset.triplets
-    bundle = backward(net, x, tset, alpha, pairwise_euclidean(forward(net, x)))
+    factor = distance_factor(net)
+    bundle = backward(net, x, tset, alpha, pairwise_euclidean(distance_rows(net, x, factor)), factor)
     grads = gradient_list(bundle)
     g_scale = max((float(np.abs(g).max()) for g in grads if g.size), default=0.0)
     floor = max(0.01 * g_scale, 1e-12)

@@ -1,6 +1,7 @@
 """Mini-batch training loop: shuffle, embed, mine, step Adam, log.
 
-Mining always runs on the current network's embeddings (online mining).
+Mining always runs on the current network's embedding distances (online
+mining), measured in the last hidden width when the output layer is linear.
 Trailing partial batches are dropped so per-batch triplet counts stay
 comparable across epochs. One Adam step per batch, a single logical
 training thread, sequential accumulation everywhere: two runs with the
@@ -121,9 +122,12 @@ def batch_stream(dataset, cfg: TrainConfig) -> tuple:
     Checks ``cfg`` against the train split, seeds ``rng`` with ``cfg.seed``
     and draws the Glorot weights of ``net`` from it first. Returns
     ``(net, rng, epoch)``; each ``epoch(net)`` call draws one permutation
-    and yields every full batch as ``(x, BatchView)``, embedded by ``net``
-    as it stands (mining draws from ``rng`` in between). Any net of the
-    same layer sizes, such as a checkpoint, sees training's batches.
+    and yields every full batch as ``(x, factor, BatchView)``, measured by
+    ``net`` as it stands (mining draws from ``rng`` in between):
+    ``factor`` is ``net``'s ``distance_factor``, and the view's distances are
+    those of the ``distance_rows`` it gives, so without ``l2_normalize`` the
+    (B, d) embedding is never built. Any net of the same layer sizes, such
+    as a checkpoint, sees training's batches.
     """
     cfg.validate()
     train_idx = np.asarray(dataset.train_idx, dtype=np.int64)
@@ -149,7 +153,9 @@ def batch_stream(dataset, cfg: TrainConfig) -> tuple:
         for b in range(n_batches):
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             x = features[idx]
-            yield x, BatchView.from_embeddings(idx, emb_mod.forward(net, x), labels[idx])
+            factor = emb_mod.distance_factor(net)
+            rows = emb_mod.distance_rows(net, x, factor)
+            yield x, factor, BatchView.from_embeddings(idx, rows, labels[idx])
 
     return net, rng, epoch
 
@@ -174,11 +180,11 @@ def train(dataset, cfg: TrainConfig, epoch_callback=None) -> tuple:
         started = time.perf_counter()
         lr = lr_schedule(epoch, cfg)
         losses = []
-        for x, batch in epoch_batches(net):
+        for x, factor, batch in epoch_batches(net):
             tset = sampler.mine_batch(batch, cfg.sampler, rng)
             cum_triplets += len(tset)
             if len(tset):
-                bundle = emb_mod.backward(net, x, tset, cfg.alpha, batch.dist_raw)
+                bundle = emb_mod.backward(net, x, tset, cfg.alpha, batch.dist_raw, factor)
                 adam_step(params, emb_mod.gradient_list(bundle), state, lr)
                 losses.append(bundle.loss_value)
             else:

@@ -166,6 +166,13 @@ class TestTrain:
         assert (out / "model_epoch2.ckpt").exists()
         assert not (out / "model_epoch3.ckpt").exists()
 
+    def test_negative_checkpoint_every_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, _, err = run(capsys, "train", *TINY, "--out", str(out), "--checkpoint-every", "-3")
+        assert code == 2
+        assert "--checkpoint-every" in err and "-3" in err
+        assert not out.exists()
+
     def test_manifest_reruns_identically_via_config(self, tmp_path, capsys):
         out1 = tmp_path / "a"
         run(capsys, "train", *TINY, "--out", str(out1))
@@ -529,6 +536,14 @@ class TestParser:
     def test_rejects_unknown_sampler_pair(self, capsys):
         with pytest.raises(SystemExit):
             main(["train", "--sampler", "das-unknown"])
+
+    def test_ablate_rejects_checkpoint_every(self, tmp_path, capsys):
+        # ablate writes no checkpoint, so the flag would be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", *TINY_DATA, "--out", str(tmp_path / "grid"), "--checkpoint-every", "1"])
+        assert exc.value.code == 2
+        assert "--checkpoint-every" in capsys.readouterr().err
+        assert not (tmp_path / "grid").exists()
 
     def test_sampler_choices_cover_the_grid_anchor_major(self):
         assert SAMPLER_CHOICES == ("das-rhdis", "das-ris", "das-bis", "ras-rhdis", "ras-ris",

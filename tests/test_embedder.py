@@ -14,7 +14,10 @@ from tripmine.embedder import (
     Embedder,
     GradientBundle,
     _forward_cached,
+    _matmul_padded,
     backward,
+    distance_factor,
+    distance_rows,
     finite_difference_check,
     forward,
     gradient_list,
@@ -326,17 +329,18 @@ def sparse_triplets(b, anchors, per_anchor, rng):
 
 
 def embedded_by_backward(monkeypatch, net, x, t, alpha):
-    """The feature matrices ``backward`` passes to ``_forward_cached``."""
+    """The feature matrices ``backward`` passes through the hidden layers
+    (``_hidden_cached``, which ``_forward_cached`` calls too)."""
     dist = pairwise_euclidean(forward(net, x))
     seen = []
-    real = embedder_mod._forward_cached
+    real = embedder_mod._hidden_cached
 
     def spy(net, features):
         seen.append(features)
         return real(net, features)
 
     with monkeypatch.context() as patch:
-        patch.setattr(embedder_mod, "_forward_cached", spy)
+        patch.setattr(embedder_mod, "_hidden_cached", spy)
         backward(net, x, t, alpha, dist)
     return seen
 
@@ -430,7 +434,8 @@ class TestTouchedRowBackward:
 def flat_list_backward(net, x, t, alpha, dist):
     """``backward`` over the (T, 3) list, as it was before the block form,
     kept as the reference: per-triplet gathers, an index check and two
-    integer bincounts."""
+    integer bincounts. Without l2 normalization its layers follow the
+    hidden-width gradient of ``backward``."""
     size = x.shape[0]
     t = np.asarray(t, dtype=np.int64)
     if t.size == 0:
@@ -456,22 +461,31 @@ def flat_list_backward(net, x, t, alpha, dist):
     if touched.size < size:
         x = x[touched]
         s = s[np.ix_(touched, touched)]
-    acts, preacts, out_norms, emb = _forward_cached(net, x)
-    d_emb = s.sum(axis=1)[:, None] * emb - s @ emb
+    last = net.n_layers - 1
+    weight_grads, bias_grads = [None] * net.n_layers, [None] * net.n_layers
     if net.l2_normalize:
+        acts, preacts, out_norms, emb = _forward_cached(net, x)
+        d_emb = s.sum(axis=1)[:, None] * emb - s @ emb
         safe = np.where(out_norms > 0.0, out_norms, 1.0)
         proj = np.einsum("ij,ij->i", emb, d_emb)
         g = np.where((out_norms > 0.0)[:, None], (d_emb - emb * proj[:, None]) / safe[:, None], 0.0)
+        weight_grads[last] = acts[last].T @ g
+        bias_grads[last] = g.sum(axis=0)
+        g = g @ net.weights[last].T
     else:
-        g = d_emb
-    weight_grads, bias_grads = [None] * net.n_layers, [None] * net.n_layers
-    for l in range(net.n_layers - 1, -1, -1):
+        # the last hidden width: Lap(S) h, never the embedding
+        factor = distance_factor(net)
+        acts, preacts = embedder_mod._hidden_cached(net, x)
+        lap_h = s.sum(axis=1)[:, None] * acts[last] - s @ acts[last]
+        weight_grads[last] = _matmul_padded(acts[last].T @ lap_h, net.weights[last])
+        bias_grads[last] = zero_b[last]
+        g = _matmul_padded(_matmul_padded(lap_h, factor), factor.T)
+    for l in range(last - 1, -1, -1):
+        g = g * (preacts[l] > 0.0)
         weight_grads[l] = acts[l].T @ g
         bias_grads[l] = g.sum(axis=0)
         if l > 0:
-            g = (g @ net.weights[l].T) * (preacts[l - 1] > 0.0)
-    if not net.l2_normalize:
-        bias_grads[-1] = zero_b[-1]
+            g = g @ net.weights[l].T
     return GradientBundle(weight_grads, bias_grads, loss)
 
 
@@ -562,36 +576,152 @@ class TestBlockBackward:
         assert peak / len(tset) < 20.0
 
 
-# prints, per case, the rows backward embedded and a digest of the gradients
+# prints, per net, a digest of the batch distances training measures, then
+# per case the rows backward embedded and a digest of the gradients; the
+# nets cover the Cholesky factor at hidden widths 64, 96 and 128 (over
+# 96, blocked) and embedding sizes 500, 1024 and 1030 (padded products),
+# a hidden width of 100 (padded Gram product), the output weights
+# themselves as the factor (hidden >= d), and l2 normalization
 _THREAD_SCRIPT = """
 import hashlib
 import numpy as np
 import tripmine.embedder as E
 from tripmine.similarity import pairwise_euclidean
-real = E._forward_cached
+real = E._hidden_cached
 rows = []
-E._forward_cached = lambda net, x: (rows.append(len(x)), real(net, x))[1]
+E._hidden_cached = lambda net, x: (rows.append(len(x)), real(net, x))[1]
+digest = lambda arrays: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 b = 100
-for l2 in (False, True):
-    rng = np.random.default_rng(7 + l2)
-    net = E.Embedder.init([128, 64, 1024], rng, l2_normalize=l2)
-    x = rng.normal(size=(b, 128))
-    dist = pairwise_euclidean(E.forward(net, x))
+nets = [(128, h, d, False) for h in (64, 96, 128) for d in (500, 1024, 1030)]
+nets += [(16, 100, 210, False), (128, 128, 100, False), (128, 64, 1024, True)]
+for seed, (f, h, d, l2) in enumerate(nets):
+    rng = np.random.default_rng(7 + seed)
+    net = E.Embedder.init([f, h, d], rng, l2_normalize=l2)
+    x = rng.normal(size=(b, f))
+    factor = E.distance_factor(net)
+    dist = pairwise_euclidean(E.distance_rows(net, x, factor))
+    print(h, d, "none" if factor is None else factor.shape[1], digest([dist]))
     for k in (2, 3, 7, 29, 70, 99, 100):
         r = rng.permutation(b)[:k]
         # one anchor pulls r[1] and pushes the rest; r[0] as its own negative adds nothing
         t = np.array([(r[0], r[1], r[j]) for j in range(2, k)] or [(r[0], r[1], r[0])])
         del rows[:]
-        g = E.backward(net, x, t, 1e3, dist)
-        digest = hashlib.sha256(b"".join(a.tobytes() for a in E.gradient_list(g)))
-        print(rows[-1], digest.hexdigest())
+        g = E.backward(net, x, t, 1e3, dist, factor)
+        print(rows[-1], digest(E.gradient_list(g)))
 """
 
 
 def test_gradients_bit_identical_across_blas_thread_counts(stdout_at_blas_threads):
     one = stdout_at_blas_threads(_THREAD_SCRIPT, 1)
-    assert [int(n) for n in one[::2]] == [2, 3, 7, 29, 70, 99, 100] * 2
+    per_net = 4 + 2 * 7
+    nets = [one[i:i + per_net] for i in range(0, len(one), per_net)]
+    assert [n[:3] for n in nets] == (
+        [[str(h), str(d), str(h)] for h in (64, 96, 128) for d in (500, 1024, 1030)]
+        + [["100", "210", "100"], ["128", "100", "100"], ["64", "1024", "none"]])
+    assert all([int(c) for c in n[4::2]] == [2, 3, 7, 29, 70, 99, 100] for n in nets)
     assert stdout_at_blas_threads(_THREAD_SCRIPT, 2) == one
+
+
+U = 2.0**-53
+
+
+@st.composite
+def hidden_width_nets(draw):
+    """A net with one or two hidden layers and input rows for it. The output
+    weights are Glorot draws, some rows zeroed or duplicated (rank-deficient
+    W W^T), or rows rescaled over six orders of magnitude (ill-conditioned);
+    the hidden width ranges past the Cholesky block size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = draw(st.one_of(st.integers(1, 12), st.integers(90, 130)))
+    d = draw(st.one_of(st.integers(1, 16), st.integers(h + 1, h + 40)))
+    dims = [5, *draw(st.sampled_from([[], [7]])), h, d]
+    net = Embedder.init(dims, rng)
+    net.biases[-1] = draw(st.sampled_from([0.0, 1.0, 1e3])) * rng.normal(size=d)
+    w = net.weights[-1] * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    kind = draw(st.sampled_from(["glorot", "zero rows", "duplicate rows", "rescaled rows"]))
+    if kind == "zero rows":
+        w[rng.random(h) < 0.5] = 0.0
+        w[0] = 0.0
+    elif kind == "duplicate rows" and h > 1:
+        w[rng.integers(1, h, size=max(1, h // 3))] = w[0]
+    elif kind == "rescaled rows":
+        w *= 10.0 ** rng.uniform(-6, 0, size=(h, 1))
+    net.weights[-1] = w
+    x = rng.normal(size=(draw(st.integers(2, 20)), 5))
+    x[rng.random(len(x)) < 0.2] = x[0]
+    return net, x, kind
+
+
+class TestDistanceFactor:
+    @settings(max_examples=200, deadline=None)
+    @given(hidden_width_nets())
+    def test_factor_distances_within_bound_of_embedding_distances(self, case):
+        # rows h F of the last hidden activations h, against the forward's
+        # d-wide embedding. With E = L L^T - W W^T, |E_ab| <= (d + h + 2) u
+        # |W_a| |W_b|, so the squared distances of a pair d = h_i - h_j differ
+        # by at most A = (d + h + 2) u sigma^2 with sigma = sum_a |d_a| |W_a|,
+        # and the distances by at most A / max(t_F + t, sqrt(A)). Each side
+        # also carries its products' rounding (at most (h + 1) u rho per row
+        # pair, rho = sum_a (|h_ia| + |h_ja|) |W_a| + 2 |b|) and
+        # pairwise_euclidean's relative error; every term is doubled.
+        net, x, kind = case
+        w = net.weights[-1]
+        h, d = w.shape
+        factor = distance_factor(net)
+        if kind == "glorot" and h < d:
+            assert factor.shape == (h, h) and np.array_equal(factor, np.tril(factor))
+        if h >= d or kind == "zero rows":
+            assert factor is w
+        rows = distance_rows(net, x, factor)
+        d_f = pairwise_euclidean(rows)
+        d_e = pairwise_euclidean(forward(net, x))
+        hid = embedder_mod._hidden_cached(net, x)[0][-1]
+        w_norms = np.linalg.norm(w, axis=1)
+        sigma = np.abs(hid[:, None] - hid[None]) @ w_norms
+        row_sums = np.abs(hid) @ w_norms
+        rho = row_sums[:, None] + row_sums[None] + 2.0 * np.linalg.norm(net.biases[-1])
+        noise = ((2 * h + 3) * U * rho + (2.0**-41 + (rows.shape[1] + 4) * U) * d_f
+                 + (2.0**-41 + (d + 4) * U) * d_e)
+        a = (0.0 if factor is w else (d + h + 2) * U) * sigma**2
+        lower = np.maximum(d_f + d_e - 2.0 * noise, np.sqrt(a))
+        gap = np.divide(a, lower, out=np.zeros_like(a), where=lower > 0.0)
+        assert np.all(np.abs(d_f - d_e) <= 2.0 * (noise + gap))
+
+    def test_rows_are_the_embedding_with_l2_normalization(self):
+        rng = seeded_rng(140)
+        net = Embedder.init([4, 6, 9], rng, l2_normalize=True)
+        x = rng.normal(size=(5, 4))
+        assert distance_factor(net) is None
+        assert np.array_equal(distance_rows(net, x, None), forward(net, x))
+
+    @pytest.mark.parametrize("dims", [[6, 10, 8, 16], [6, 10, 12, 5]])
+    def test_matches_finite_differences_with_two_hidden_layers(self, dims):
+        # hidden 8 < d 16 measures on the Cholesky factor, hidden 12 >= d 5
+        # on the output weights themselves
+        rng = seeded_rng(141)
+        net = Embedder.init(dims, rng)
+        factor = distance_factor(net)
+        assert (factor is net.weights[-1]) == (dims[-2] >= dims[-1])
+        x = rng.normal(size=(12, 6))
+        report = finite_difference_check(net, x, random_triplets(rng, 12, count=30), 0.3, step=1e-5)
+        assert report.n_checked > 0
+        assert report.max_rel_error < 1e-4
+
+    def test_blocked_cholesky_is_backward_stable(self):
+        # 250 rows: three diagonal blocks, the middle one with panels both sides
+        rng = seeded_rng(142)
+        w = rng.normal(size=(250, 400)) * 10.0 ** rng.uniform(-4, 4, size=(250, 1))
+        gram = w @ w.T
+        low = embedder_mod._cholesky(gram)
+        assert np.array_equal(low, np.tril(low))
+        norms = np.linalg.norm(w, axis=1)
+        assert np.all(np.abs(low @ low.T - gram) <= (400 + 250 + 2) * U * np.outer(norms, norms))
+
+    def test_not_positive_definite_falls_back_to_the_output_weights(self):
+        net = Embedder.init([3, 4, 8], seeded_rng(143))
+        net.weights[-1][2] = net.weights[-1][1]
+        net.weights[-1][3] = 0.0
+        assert distance_factor(net) is net.weights[-1]
 
 
 class TestFiniteDifferenceCheck:

@@ -122,12 +122,12 @@ def clustered_rows(draw):
 
 
 # unpadded, the Gram product of the first two shapes differs between 1 and
-# 2 OpenBLAS threads
+# 2 OpenBLAS threads; the widths 64 to 128 are training's distance rows
 _THREAD_SCRIPT = """
 import hashlib
 import numpy as np
 from tripmine.similarity import pairwise_euclidean
-for b, d in ((100, 1024), (161, 1024), (161, 17), (7, 3)):
+for b, d in ((100, 1024), (161, 1024), (161, 17), (7, 3), (100, 64), (100, 96), (100, 128)):
     x = np.random.default_rng(b * 7 + d).normal(size=(b, d))
     print(hashlib.sha256(pairwise_euclidean(x).tobytes()).hexdigest())
 """
@@ -178,7 +178,7 @@ class TestPairwiseEuclidean:
 
     def test_bit_identical_across_blas_thread_counts(self, stdout_at_blas_threads):
         one = stdout_at_blas_threads(_THREAD_SCRIPT, 1)
-        assert len(one) == 4
+        assert len(one) == 7
         assert stdout_at_blas_threads(_THREAD_SCRIPT, 2) == one
 
     def test_identical_rows_have_zero_distance(self):

@@ -5,11 +5,14 @@ import pytest
 
 from tripmine.core import SamplerConfig, TripletSet, seeded_rng
 from tripmine.data import SyntheticSpec, generate_synthetic, split_dataset
+import tripmine.embedder as emb_mod
 from tripmine.embedder import Embedder, forward
+from tripmine.sampler import mine_batch
 from tripmine.trainer import (
     AdamState,
     TrainConfig,
     adam_step,
+    batch_stream,
     init_adam,
     lr_schedule,
     train,
@@ -189,6 +192,45 @@ class TestTrain:
         assert [r.mean_loss for r in log.rows] == [r.mean_loss for r in want_log.rows]
         for w1, w2 in zip(net.weights, want_net.weights):
             assert np.array_equal(w1, w2)
+
+    def test_l2_off_training_never_builds_the_embedding(self, monkeypatch):
+        # hidden 8 < embedding 16: distances and gradients in the hidden width
+        def refuse(*args):
+            raise AssertionError("training built the d-wide embedding")
+
+        ds = small_dataset()
+        cfg = small_config(epochs=2, embedding_dim=16)
+        want_net, want_log = train(ds, cfg)
+        monkeypatch.setattr(emb_mod, "_forward_cached", refuse)
+        net, log = train(ds, cfg)
+        assert [r.mean_loss for r in log.rows] == [r.mean_loss for r in want_log.rows]
+        for w1, w2 in zip(net.weights, want_net.weights):
+            assert np.array_equal(w1, w2)
+
+    @pytest.mark.parametrize("rows", ["zero", "duplicate", "all zero"])
+    def test_rank_deficient_output_weights_train(self, rows):
+        # W W^T is singular, so the distances fall back to W itself or come
+        # from a factor with tiny pivots; either way one epoch trains
+        ds = small_dataset()
+        cfg = small_config(embedding_dim=16)
+        net, rng, epoch_batches = batch_stream(ds, cfg)
+        w = net.weights[-1]
+        if rows == "zero":
+            w[::2] = 0.0
+        elif rows == "duplicate":
+            w[1::2] = w[0]
+        else:
+            w[:] = 0.0
+        if rows != "duplicate":
+            assert emb_mod.distance_factor(net) is w
+        params = emb_mod.parameters(net)
+        state = init_adam(params)
+        for x, factor, batch in epoch_batches(net):
+            tset = mine_batch(batch, cfg.sampler, rng)
+            bundle = emb_mod.backward(net, x, tset, cfg.alpha, batch.dist_raw, factor)
+            assert np.isfinite(bundle.loss_value)
+            adam_step(params, emb_mod.gradient_list(bundle), state, cfg.lr0)
+        assert all(np.isfinite(p).all() for p in params)
 
     def test_empty_train_split_rejected(self):
         ds = small_dataset()
