@@ -15,9 +15,9 @@ Without L2 normalization the output layer is linear, so the distance of two
 embeddings is ``|(h_i - h_j) W|`` for the last hidden activations ``h`` and
 the output weights ``W``: the metric ``W W^T`` of the hidden space. Training
 measures it on the rows ``h @ F`` (``distance_factor``, ``distance_rows``),
-with ``F`` the Cholesky factor of ``W W^T`` when the hidden layer is
-narrower than the embedding, and ``W`` itself otherwise; ``backward`` works
-in the same width and never forms the d-wide embedding.
+with ``F`` the Cholesky factor of ``W W^T`` when the hidden layer is at
+most 96 wide and narrower than the embedding, and ``W`` itself otherwise;
+``backward`` works in the same width and never forms the d-wide embedding.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ CHECKPOINT_MAGIC = b"TMEMB002"
 CHECKPOINT_MAGIC_V1 = b"TMEMB001"
 # bits of the TMEMB002 flags field
 FLAG_L2_NORMALIZE = 1
-# LAPACK factors diagonal blocks of at most this size: with OpenBLAS 0.3.31
-# on a 2-core AVX-512 Xeon VM, np.linalg.cholesky gave different bits at 1
-# and 2 threads for every size from 100 up that was tried
-_CHOLESKY_BLOCK = 96
+# the widest hidden layer whose W W^T is factored: with OpenBLAS 0.3.31 on a
+# 2-core AVX-512 Xeon VM, np.linalg.cholesky gave different bits at 1 and 2
+# threads for every size from 100 up that was tried, and the Gram product
+# for most sizes from 97 up
+_CHOLESKY_MAX = 96
 
 
 @dataclass
@@ -143,44 +144,21 @@ def _triplet_set(triplets) -> TripletSet:
     return triplets if isinstance(triplets, TripletSet) else TripletSet.from_triplets(triplets)
 
 
+def _pad_columns(b: np.ndarray) -> np.ndarray:
+    """``b`` with zero columns appended up to a multiple of ``_GEMM_PAD``."""
+    n = b.shape[1]
+    if n % _GEMM_PAD == 0:
+        return b
+    padded = np.zeros((b.shape[0], n + -n % _GEMM_PAD))
+    padded[:, :n] = b
+    return padded
+
+
 def _matmul_padded(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` with ``b``'s columns padded by zeros to a multiple of
     ``_GEMM_PAD``, which keeps it bit-identical across BLAS thread counts
     (an unpadded (64, 64) @ (64, 500) product is not)."""
-    n = b.shape[1]
-    if n % _GEMM_PAD == 0:
-        return a @ b
-    padded = np.zeros((b.shape[0], n + -n % _GEMM_PAD))
-    padded[:, :n] = b
-    return (a @ padded)[:, :n]
-
-
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric positive definite ``a``, the
-    same bits at any BLAS thread count; ``np.linalg.LinAlgError`` when
-    ``a`` is not positive definite.
-
-    Left-looking by block columns: LAPACK factors each diagonal block of at
-    most ``_CHOLESKY_BLOCK`` rows, and the panel below it is solved column
-    by column with ``einsum``, which does not call BLAS. Every entry is the
-    usual inner-product formula in some order, so the unblocked
-    algorithm's backward error bound holds.
-    """
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j0 in range(0, n, _CHOLESKY_BLOCK):
-        j1 = min(j0 + _CHOLESKY_BLOCK, n)
-        col = a[j0:, j0:j1] - _matmul_padded(low[j0:, :j0], low[j0:j1, :j0].T)
-        diag = np.linalg.cholesky(col[:j1 - j0])
-        low[j0:j1, j0:j1] = diag
-        if j1 < n:
-            # the panel times diag^-T
-            panel = col[j1 - j0:]
-            for k in range(j1 - j0):
-                panel[:, k] -= np.einsum("ij,j->i", panel[:, :k], diag[k, :k])
-                panel[:, k] /= diag[k, k]
-            low[j1:, j0:j1] = panel
-    return low
+    return (a @ _pad_columns(b))[:, :b.shape[1]]
 
 
 def distance_factor(net: Embedder):
@@ -189,33 +167,31 @@ def distance_factor(net: Embedder):
 
     Then ``|(h_i - h_j) F| = |e_i - e_j|`` for embeddings ``e = h W + b``,
     up to rounding. ``F`` is the Cholesky factor ``L`` of ``W W^T`` when
-    h < d and the factorisation succeeds; otherwise it is ``W`` itself,
-    which is exact (h >= d, or a rank-deficient ``W`` such as zero
-    weights).
+    h < d, h <= ``_CHOLESKY_MAX`` and the factorisation succeeds; otherwise
+    it is ``W`` itself, which is exact (h >= d, a wider hidden layer, or a
+    rank-deficient ``W`` such as zero weights).
 
     The computed ``L`` satisfies ``L L^T = W W^T + E`` with
     ``|E_ij| <= (d + h + 2) u |W_i| |W_j|`` (rows ``W_i``, u = 2**-53;
     Higham, Accuracy and Stability of Numerical Algorithms, thm. 10.3 and
     sec. 3.5): the Gram product is within ``d u |W_i| |W_j|``, and the
     factorisation is backward stable with each row of ``L`` no longer than
-    the matching row of ``W``. That is the kind of error the forward's own
-    rounding makes, and it does not depend on the conditioning of ``W``.
+    the matching row of ``W``. That bound on ``E`` does not depend on the
+    conditioning of ``W``, but the distances do: a pair
+    ``delta = h_i - h_j`` has its squared distance moved by up to
+    ``A = (d + h + 2) u sigma^2``, ``sigma = sum_a |delta_a| |W_a|``, so its
+    relative distance error scales like ``(d + h) u kappa(W)^2`` and reaches
+    about ``sqrt((d + h) u) sigma`` for pairs nearer than ``sqrt(A)``, where
+    the forward's own error is O(u). ``TestDistanceFactor`` holds the factor
+    distances to this bound.
     """
     if net.l2_normalize:
         return None
     w = net.weights[-1]
     h, d = w.shape
-    if h < d:
-        if h % _GEMM_PAD:
-            # unpadded, the Gram product (OpenBLAS syrk) gave different bits
-            # at 1 and 2 threads for most h from 97 up
-            padded = np.zeros((h + -h % _GEMM_PAD, d))
-            padded[:h] = w
-            gram = (padded @ padded.T)[:h, :h]
-        else:
-            gram = w @ w.T
+    if h < d and h <= _CHOLESKY_MAX:
         try:
-            low = _cholesky(gram)
+            low = np.linalg.cholesky(w @ w.T)
         except np.linalg.LinAlgError:
             return w
         if np.isfinite(low).all():
@@ -227,10 +203,16 @@ def distance_rows(net: Embedder, features, factor) -> np.ndarray:
     """Rows whose pairwise Euclidean distances are those of
     ``forward(net, features)``: ``h @ factor`` for the last hidden
     activations ``h`` and ``factor = distance_factor(net)``, or the
-    embedding itself when ``factor`` is None (``l2_normalize`` on)."""
+    embedding itself when ``factor`` is None (``l2_normalize`` on).
+
+    The rows keep the zero columns that pad ``factor`` to a multiple of
+    ``_GEMM_PAD``: they change no distance, and they keep both this product
+    and ``pairwise_euclidean``'s Gram product bit-identical across BLAS
+    thread counts (unpadded, the latter differed at widths 500, 700, 1030
+    and 1500)."""
     if factor is None:
         return forward(net, features)
-    return _matmul_padded(_hidden_cached(net, features)[0][-1], factor)
+    return _hidden_cached(net, features)[0][-1] @ _pad_columns(factor)
 
 
 def hinge_terms(d_ap, d_an, alpha: float) -> np.ndarray:
@@ -372,7 +354,10 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
         weight_grads[last] = _matmul_padded(h.T @ lap_h, net.weights[last])
         bias_grads[last] = np.zeros_like(net.biases[last])
         if last > 0:
-            g = _matmul_padded(_matmul_padded(lap_h, factor), factor.T)
+            # the second product's inner dimension is padded too: unpadded,
+            # its bits moved with the thread count at F = W, d = 500 and 1030
+            padded = _pad_columns(factor)
+            g = _matmul_padded(lap_h @ padded, padded.T)
     # g is now the gradient of the last hidden activations
     for l in range(last - 1, -1, -1):
         g *= preacts[l] > 0.0
