@@ -457,7 +457,7 @@ def main(argv=None) -> int:
     try:
         resolved = resolve_options(command, explicit)
         return COMMANDS[command](resolved)
-    except (UserError, ValueError, OSError) as exc:
+    except (UserError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

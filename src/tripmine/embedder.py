@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TripletSet
-from .similarity import _CHUNK_VALUES, _GEMM_PAD, _scaled_row_distances, pairwise_euclidean
+from .similarity import _CHUNK_VALUES, _scaled_row_distances, padded_matmul, pairwise_euclidean
 
 CHECKPOINT_MAGIC = b"TMEMB002"
 # the format before the flags field; still read, with l2_normalize taken from the caller
@@ -39,7 +39,7 @@ FLAG_L2_NORMALIZE = 1
 # the widest hidden layer whose W W^T is factored: with OpenBLAS 0.3.31 on a
 # 2-core AVX-512 Xeon VM, np.linalg.cholesky gave different bits at 1 and 2
 # threads for every size from 100 up that was tried, and the Gram product
-# for most sizes from 97 up
+# w @ w.T for most sizes from 97 up, but for none up to 96 (d up to 2100)
 _CHOLESKY_MAX = 96
 
 
@@ -113,7 +113,7 @@ def _hidden_cached(net: Embedder, features):
     preacts = []
     a = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = a @ w + b
+        z = padded_matmul(a, w) + b
         preacts.append(z)
         a = np.maximum(z, 0.0)
         acts.append(a)
@@ -122,7 +122,7 @@ def _hidden_cached(net: Embedder, features):
 
 def _forward_cached(net: Embedder, features):
     acts, preacts = _hidden_cached(net, features)
-    a = acts[-1] @ net.weights[-1] + net.biases[-1]
+    a = padded_matmul(acts[-1], net.weights[-1]) + net.biases[-1]
     preacts.append(a)
     acts.append(a)
     if net.l2_normalize:
@@ -142,23 +142,6 @@ def forward(net: Embedder, features) -> np.ndarray:
 
 def _triplet_set(triplets) -> TripletSet:
     return triplets if isinstance(triplets, TripletSet) else TripletSet.from_triplets(triplets)
-
-
-def _pad_columns(b: np.ndarray) -> np.ndarray:
-    """``b`` with zero columns appended up to a multiple of ``_GEMM_PAD``."""
-    n = b.shape[1]
-    if n % _GEMM_PAD == 0:
-        return b
-    padded = np.zeros((b.shape[0], n + -n % _GEMM_PAD))
-    padded[:, :n] = b
-    return padded
-
-
-def _matmul_padded(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` with ``b``'s columns padded by zeros to a multiple of
-    ``_GEMM_PAD``, which keeps it bit-identical across BLAS thread counts
-    (an unpadded (64, 64) @ (64, 500) product is not)."""
-    return (a @ _pad_columns(b))[:, :b.shape[1]]
 
 
 def distance_factor(net: Embedder):
@@ -191,6 +174,7 @@ def distance_factor(net: Embedder):
     h, d = w.shape
     if h < d and h <= _CHOLESKY_MAX:
         try:
+            # plain: a symmetric rank-k product, thread-stable up to _CHOLESKY_MAX
             low = np.linalg.cholesky(w @ w.T)
         except np.linalg.LinAlgError:
             return w
@@ -203,16 +187,10 @@ def distance_rows(net: Embedder, features, factor) -> np.ndarray:
     """Rows whose pairwise Euclidean distances are those of
     ``forward(net, features)``: ``h @ factor`` for the last hidden
     activations ``h`` and ``factor = distance_factor(net)``, or the
-    embedding itself when ``factor`` is None (``l2_normalize`` on).
-
-    The rows keep the zero columns that pad ``factor`` to a multiple of
-    ``_GEMM_PAD``: they change no distance, and they keep both this product
-    and ``pairwise_euclidean``'s Gram product bit-identical across BLAS
-    thread counts (unpadded, the latter differed at widths 500, 700, 1030
-    and 1500)."""
+    embedding itself when ``factor`` is None (``l2_normalize`` on)."""
     if factor is None:
         return forward(net, features)
-    return _hidden_cached(net, features)[0][-1] @ _pad_columns(factor)
+    return padded_matmul(_hidden_cached(net, features)[0][-1], factor)
 
 
 def hinge_terms(d_ap, d_an, alpha: float) -> np.ndarray:
@@ -336,35 +314,32 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
     bias_grads = [None] * net.n_layers
     if net.l2_normalize:
         acts, preacts, out_norms, emb = _forward_cached(net, x)
-        d_emb = s.sum(axis=1)[:, None] * emb - s @ emb
+        d_emb = s.sum(axis=1)[:, None] * emb - padded_matmul(s, emb)
         # y = z / |z|  =>  dz = (dy - y (y . dy)) / |z|, zero rows pass through as zero
         safe = np.where(out_norms > 0.0, out_norms, 1.0)
         proj = np.einsum("ij,ij->i", emb, d_emb)
         g = np.where((out_norms > 0.0)[:, None], (d_emb - emb * proj[:, None]) / safe[:, None], 0.0)
-        weight_grads[last] = acts[last].T @ g
+        weight_grads[last] = padded_matmul(acts[last].T, g)
         bias_grads[last] = g.sum(axis=0)
         if last > 0:
-            g = g @ net.weights[last].T
+            g = padded_matmul(g, net.weights[last].T)
     else:
         if factor is None:
             factor = distance_factor(net)
         acts, preacts = _hidden_cached(net, x)
         h = acts[last]
-        lap_h = s.sum(axis=1)[:, None] * h - s @ h
-        weight_grads[last] = _matmul_padded(h.T @ lap_h, net.weights[last])
+        lap_h = s.sum(axis=1)[:, None] * h - padded_matmul(s, h)
+        weight_grads[last] = padded_matmul(padded_matmul(h.T, lap_h), net.weights[last])
         bias_grads[last] = np.zeros_like(net.biases[last])
         if last > 0:
-            # the second product's inner dimension is padded too: unpadded,
-            # its bits moved with the thread count at F = W, d = 500 and 1030
-            padded = _pad_columns(factor)
-            g = _matmul_padded(lap_h @ padded, padded.T)
+            g = padded_matmul(padded_matmul(lap_h, factor), factor.T)
     # g is now the gradient of the last hidden activations
     for l in range(last - 1, -1, -1):
         g *= preacts[l] > 0.0
-        weight_grads[l] = acts[l].T @ g
+        weight_grads[l] = padded_matmul(acts[l].T, g)
         bias_grads[l] = g.sum(axis=0)
         if l > 0:
-            g = g @ net.weights[l].T
+            g = padded_matmul(g, net.weights[l].T)
     return GradientBundle(weight_grads, bias_grads, loss)
 
 

@@ -93,6 +93,7 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, archive_s
         rows = np.arange(qb.shape[0])
         ex_rows = [r for r in rows if excl[start + r] is not None]
         ex_cols = [excl[start + r] for r in ex_rows]
+        # plain: the allowance and the exact re-measure decide the result
         screen = qb_sq + a_sq - 2.0 * (qb @ a.T)
         screen[ex_rows, ex_cols] = np.inf
         # any k usable rows bound the k-th exact distance from above

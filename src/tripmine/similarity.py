@@ -16,12 +16,11 @@ import numpy as np
 _FLOAT_TINY = np.finfo(np.float64).tiny
 # float64 values of row differences held at once (1 MB)
 _CHUNK_VALUES = 1 << 17
-# The Gram product's right-hand operand is padded with zero columns to a
-# multiple of this, which keeps its values bit-identical across BLAS thread
-# counts. With OpenBLAS 0.3.31 on a 2-core AVX-512 Xeon VM, over 858 shapes
-# (B from 2 to 300, d from 3 to 2048), the unpadded product differed between
-# 1 and 2 threads for 245 of them (B = 100 and 161 with d = 1024 among them);
-# padded, none differed at 1, 2 or 4 threads.
+# ``padded_matmul`` zero-pads a product's inner and output dimensions to a
+# multiple of this, which keeps its bits the same at any BLAS thread count.
+# With OpenBLAS 0.3.31 on a 2-core AVX-512 Xeon VM, unpadded, 245 of 858 Gram
+# shapes (B 2-300, d 3-2048) and inner dimensions past 384 (the Gram product of
+# (100, 500) rows, a 400-row batch's backward) differed at 1 and 2 threads.
 _GEMM_PAD = 32
 # Rounding allowance of a Gram-form squared distance |x|^2 + |y|^2 - 2 x.y
 # of d-wide rows, per dimension, in units of |x|^2 + |y|^2: the batch
@@ -81,6 +80,7 @@ def label_similarity_matrix(labels, kind: str = "cosine") -> np.ndarray:
     arr = _check_binary_rows(np.asarray(labels))
     if arr.ndim != 2:
         raise ValueError(f"expected a (B, N) label matrix, got shape {arr.shape}")
+    # plain: the counts of 0/1 products are exact integers in any order
     inter = arr @ arr.T
     sizes = arr.sum(axis=1)
     if kind == "cosine":
@@ -109,6 +109,22 @@ def _scaled_row_distances(x, rows_i, rows_j, exp: int = 0, y=None) -> np.ndarray
     return dist
 
 
+def padded_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for an (m, k) ``a`` and a (k, n) ``b``, computed with k and n
+    zero-padded to a multiple of ``_GEMM_PAD``, so its bits are the same at
+    any BLAS thread count; nothing is copied when both already are. The zero
+    terms change no value, and the result may be a view of a wider product."""
+    k, n = b.shape
+    k_pad, n_pad = k + -k % _GEMM_PAD, n + -n % _GEMM_PAD
+    if k_pad > k:
+        a = np.concatenate((a, np.zeros((len(a), k_pad - k), dtype=a.dtype)), axis=1)
+    if (k_pad, n_pad) != (k, n):
+        wide = np.zeros((k_pad, n_pad), dtype=b.dtype)
+        wide[:k, :n] = b
+        b = wide
+    return (a @ b)[:, :n]
+
+
 def pairwise_euclidean(embeddings) -> np.ndarray:
     """All-pairs Euclidean distance matrix for a (B, d) array.
 
@@ -119,7 +135,7 @@ def pairwise_euclidean(embeddings) -> np.ndarray:
     of 0 is re-measured from its rescaled row difference, so identical rows
     are exactly 0 apart. Each entry is within 2**-41 + (d + 4) * 2**-53 of
     the exact distance, relative. The result is exactly symmetric with an
-    exactly zero diagonal, and the padded product keeps it bit-identical
+    exactly zero diagonal, and ``padded_matmul`` keeps it bit-identical
     across BLAS thread counts. A distance beyond the float64 range raises
     ``ValueError``.
     """
@@ -132,13 +148,11 @@ def pairwise_euclidean(embeddings) -> np.ndarray:
     if b < 2:
         return np.zeros((b, b), dtype=np.float64)
     lo, hi = x.min(axis=0), x.max(axis=0)
-    padded = np.empty((-(-b // _GEMM_PAD) * _GEMM_PAD, d), dtype=np.float64)
-    padded[b:] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         # a mean that overflowed falls back into the column's range, so a
         # centred entry overflows only if the column's spread does
         centre = np.fmin(np.fmax(x.mean(axis=0), lo), hi)
-        scaled = np.subtract(x, centre, out=padded[:b])
+        scaled = x - centre
         # the centred entries of the rows holding lo and hi are the extremes
         top = max(np.max(hi - centre, initial=0.0), np.max(centre - lo, initial=0.0))
     if not np.isfinite(top):
@@ -149,7 +163,7 @@ def pairwise_euclidean(embeddings) -> np.ndarray:
     np.ldexp(scaled, -exp, out=scaled)
     sq = np.einsum("ij,ij->i", scaled, scaled)
     sq_sum = sq[:, None] + sq
-    gram = (scaled @ padded.T)[:, :b]
+    gram = padded_matmul(scaled, scaled.T)
     gram *= -2.0
     gram += sq_sum
     # both triangles hold each pair's value up to rounding; the smaller one

@@ -121,13 +121,14 @@ def batch_stream(dataset, cfg: TrainConfig) -> tuple:
 
     Checks ``cfg`` against the train split, seeds ``rng`` with ``cfg.seed``
     and draws the Glorot weights of ``net`` from it first. Returns
-    ``(net, rng, epoch)``; each ``epoch(net)`` call draws one permutation
+    ``(net, rng, epoch)``; each ``epoch(net, n=0)`` call draws one permutation
     and yields every full batch as ``(x, factor, BatchView)``, measured by
     ``net`` as it stands (mining draws from ``rng`` in between):
     ``factor`` is ``net``'s ``distance_factor``, and the view's distances are
     those of the ``distance_rows`` it gives, so without ``l2_normalize`` the
     (B, d) embedding is never built. Any net of the same layer sizes, such
-    as a checkpoint, sees training's batches.
+    as a checkpoint, sees training's batches. A batch whose distances are not
+    finite raises ``FloatingPointError`` naming it and epoch ``n``.
     """
     cfg.validate()
     train_idx = np.asarray(dataset.train_idx, dtype=np.int64)
@@ -148,25 +149,31 @@ def batch_stream(dataset, cfg: TrainConfig) -> tuple:
     )
     n_batches = train_idx.size // cfg.batch_size
 
-    def epoch(net):
+    def epoch(net, n=0):
         perm = rng.permutation(train_idx)
         for b in range(n_batches):
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             x = features[idx]
             factor = emb_mod.distance_factor(net)
             rows = emb_mod.distance_rows(net, x, factor)
-            yield x, factor, BatchView.from_embeddings(idx, rows, labels[idx])
+            try:
+                view = BatchView.from_embeddings(idx, rows, labels[idx])
+            except ValueError as exc:  # the features are finite: the weights outgrew float64
+                raise FloatingPointError(f"training diverged at epoch {n}, batch {b}: {exc}") from None
+            yield x, factor, view
 
     return net, rng, epoch
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset, cfg: TrainConfig, epoch_callback=None) -> tuple:
     """Train an embedder on the dataset's train split.
 
     Each epoch takes the full batches of one ``batch_stream`` epoch, mines
     triplets per the configured strategy on the current embeddings, and
     takes one Adam step per batch. ``epoch_callback(epoch, net, row)``,
-    when given, runs after each epoch.
+    when given, runs after each epoch. A diverging net raises
+    ``FloatingPointError`` naming the epoch, not numpy's overflow warnings.
 
     Returns (Embedder, TrainLog).
     """
@@ -180,7 +187,7 @@ def train(dataset, cfg: TrainConfig, epoch_callback=None) -> tuple:
         started = time.perf_counter()
         lr = lr_schedule(epoch, cfg)
         losses = []
-        for x, factor, batch in epoch_batches(net):
+        for x, factor, batch in epoch_batches(net, epoch):
             tset = sampler.mine_batch(batch, cfg.sampler, rng)
             cum_triplets += len(tset)
             if len(tset):
@@ -192,7 +199,7 @@ def train(dataset, cfg: TrainConfig, epoch_callback=None) -> tuple:
         # batch_stream yields at least one batch per epoch
         mean_loss = float(np.mean(losses))
         if not np.isfinite(mean_loss):
-            raise FloatingPointError(f"non-finite loss at epoch {epoch}")
+            raise FloatingPointError(f"training diverged at epoch {epoch}: non-finite loss")
         row = TrainLogRow(epoch=epoch, mean_loss=mean_loss, cum_triplets=cum_triplets,
                           lr=lr, seconds=time.perf_counter() - started)
         log.rows.append(row)

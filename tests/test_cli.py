@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,18 @@ class TestTrain:
                            "--hidden", "8", "--out", str(tmp_path / "o"))
         assert code == 2
         assert "triplets per batch" in err
+
+    @pytest.mark.parametrize("l2", [[], ["--l2-normalize"]])
+    def test_divergence_exits_2_naming_epoch_and_batch(self, tmp_path, capsys, l2):
+        # the weights outgrow float64 after the first epoch's steps; numpy's
+        # overflow warnings would be raised here as errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "train", "--synthetic", "--seed", "1", "--n-samples", "200",
+                               "--epochs", "3", "--lr", "1e300", *l2, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err == "error: training diverged at epoch 1, batch 0: embeddings contain non-finite values\n"
+        assert not (tmp_path / "o" / "model.ckpt").exists()
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"), ("--lr", "nan", "lr0"), ("--lr", "inf", "lr0"),

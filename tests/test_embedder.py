@@ -27,7 +27,7 @@ from tripmine.embedder import (
     triplet_loss,
 )
 from tripmine.sampler import build_triplets, mine_batch, select_anchors_bas, select_images_bis
-from tripmine.similarity import pairwise_euclidean
+from tripmine.similarity import padded_matmul, pairwise_euclidean
 
 U = 2.0**-53
 
@@ -464,13 +464,14 @@ def flat_list_backward(net, x, t, alpha, dist):
     """``backward`` as it was before the block form and the hidden-width
     layers, kept as the reference: the flat list's coefficients, then the
     embedding gradient ``Lap(S) e`` carried back through every layer from
-    the d-wide embedding."""
+    the d-wide embedding, each product taken from ``padded_matmul`` as in
+    ``backward``."""
     loss, x, s = flat_list_coefficients(x, t, alpha, dist)
     if s is None:
         return GradientBundle([np.zeros_like(w) for w in net.weights],
                               [np.zeros_like(b) for b in net.biases], loss)
     acts, preacts, out_norms, emb = _forward_cached(net, x)
-    d_emb = s.sum(axis=1)[:, None] * emb - s @ emb
+    d_emb = s.sum(axis=1)[:, None] * emb - padded_matmul(s, emb)
     if net.l2_normalize:
         safe = np.where(out_norms > 0.0, out_norms, 1.0)
         proj = np.einsum("ij,ij->i", emb, d_emb)
@@ -479,10 +480,10 @@ def flat_list_backward(net, x, t, alpha, dist):
         g = d_emb
     weight_grads, bias_grads = [None] * net.n_layers, [None] * net.n_layers
     for l in range(net.n_layers - 1, -1, -1):
-        weight_grads[l] = acts[l].T @ g
+        weight_grads[l] = padded_matmul(acts[l].T, g)
         bias_grads[l] = g.sum(axis=0)
         if l > 0:
-            g = (g @ net.weights[l].T) * (preacts[l - 1] > 0.0)
+            g = padded_matmul(g, net.weights[l].T) * (preacts[l - 1] > 0.0)
     return GradientBundle(weight_grads, bias_grads, loss)
 
 
@@ -624,9 +625,12 @@ class TestBlockBackward:
 # prints, per net, a digest of the batch distances training measures, then
 # per case the rows backward embedded and a digest of the gradients; the
 # nets cover the Cholesky factor at hidden widths 64 and 96, the output
-# weights themselves as the factor at hidden 128 (over the widest factored
-# width) and 128 >= d = 100, embedding sizes 500, 1024 and 1030 (padded
-# products), and l2 normalization
+# weights themselves as the factor at hidden 100 and 128 (over the widest
+# factored width) and 128 >= d = 100, embedding sizes 500, 1024 and 1030
+# (padded products), and l2 normalization at d = 1024 and 500. The last
+# case is a 400-row batch whose backward sums over 390 touched rows: an
+# inner dimension past 384, which OpenBLAS splits differently at 1 and 2
+# threads unless it is padded
 _THREAD_SCRIPT = """
 import hashlib
 import numpy as np
@@ -636,36 +640,41 @@ real = E._hidden_cached
 rows = []
 E._hidden_cached = lambda net, x: (rows.append(len(x)), real(net, x))[1]
 digest = lambda arrays: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-b = 100
-nets = [(128, h, d, False) for h in (64, 96, 128) for d in (500, 1024, 1030)]
-nets += [(128, 128, 100, False), (128, 64, 1024, True)]
-for seed, (f, h, d, l2) in enumerate(nets):
-    rng = np.random.default_rng(7 + seed)
-    net = E.Embedder.init([f, h, d], rng, l2_normalize=l2)
-    x = rng.normal(size=(b, f))
+
+def cases(net, x, counts):
     factor = E.distance_factor(net)
     dist = pairwise_euclidean(E.distance_rows(net, x, factor))
-    print(h, d, "none" if factor is None else factor.shape[1], digest([dist]))
-    for k in (2, 3, 7, 29, 70, 99, 100):
-        r = rng.permutation(b)[:k]
+    print(*net.layer_dims[1:], "none" if factor is None else factor.shape[1], digest([dist]))
+    for k in counts:
+        r = rng.permutation(len(x))[:k]
         # one anchor pulls r[1] and pushes the rest; r[0] as its own negative adds nothing
         t = np.array([(r[0], r[1], r[j]) for j in range(2, k)] or [(r[0], r[1], r[0])])
         del rows[:]
         g = E.backward(net, x, t, 1e3, dist, factor)
         print(rows[-1], digest(E.gradient_list(g)))
+
+nets = [(128, h, d, False) for h in (64, 96, 128) for d in (500, 1024, 1030)]
+nets += [(128, 128, 100, False), (128, 64, 1024, True), (128, 100, 1024, False), (128, 64, 500, True)]
+for seed, (f, h, d, l2) in enumerate(nets):
+    rng = np.random.default_rng(7 + seed)
+    net = E.Embedder.init([f, h, d], rng, l2_normalize=l2)
+    cases(net, rng.normal(size=(100, f)), (2, 3, 7, 29, 70, 99, 100))
+rng = np.random.default_rng(3)
+net = E.Embedder.init([128, 64, 1024], rng)
+cases(net, rng.normal(size=(400, 128)), (390,))
 """
 
 
 def test_gradients_bit_identical_across_blas_thread_counts(stdout_at_blas_threads):
     one = stdout_at_blas_threads(_THREAD_SCRIPT, 1)
     per_net = 4 + 2 * 7
-    nets = [one[i:i + per_net] for i in range(0, len(one), per_net)]
+    nets = [one[i:i + per_net] for i in range(0, len(one) - 6, per_net)]
     assert [n[:3] for n in nets] == (
         [[str(h), str(d), str(h if h <= 96 else d)] for h in (64, 96, 128) for d in (500, 1024, 1030)]
-        + [["128", "100", "100"], ["64", "1024", "none"]])
+        + [["128", "100", "100"], ["64", "1024", "none"], ["100", "1024", "1024"], ["64", "500", "none"]])
     assert all([int(c) for c in n[4::2]] == [2, 3, 7, 29, 70, 99, 100] for n in nets)
+    assert one[-6:-3] == ["64", "1024", "64"] and one[-2] == "390"
     assert stdout_at_blas_threads(_THREAD_SCRIPT, 2) == one
-
 
 
 @st.composite

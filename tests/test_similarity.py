@@ -9,6 +9,7 @@ from tripmine.similarity import (
     label_similarity,
     label_similarity_matrix,
     minmax_normalize,
+    padded_matmul,
     pairwise_euclidean,
 )
 
@@ -122,15 +123,39 @@ def clustered_rows(draw):
 
 
 # unpadded, the Gram product of the first two shapes differs between 1 and
-# 2 OpenBLAS threads; the widths 64 to 128 are training's distance rows
+# 2 OpenBLAS threads, and with only its output dimension padded, that of the
+# last three; the widths 64 to 128 are training's distance rows
 _THREAD_SCRIPT = """
 import hashlib
 import numpy as np
 from tripmine.similarity import pairwise_euclidean
-for b, d in ((100, 1024), (161, 1024), (161, 17), (7, 3), (100, 64), (100, 96), (100, 128)):
+for b, d in ((100, 1024), (161, 1024), (161, 17), (7, 3), (100, 64), (100, 96), (100, 128),
+             (100, 500), (100, 700), (100, 1030)):
     x = np.random.default_rng(b * 7 + d).normal(size=(b, d))
     print(hashlib.sha256(pairwise_euclidean(x).tobytes()).hexdigest())
 """
+
+
+class TestPaddedMatmul:
+    @pytest.mark.parametrize("m, k, n", [(100, 128, 64), (100, 64, 1024), (32, 32, 32), (1, 64, 96)])
+    def test_aligned_shapes_give_the_plain_product(self, m, k, n):
+        rng = np.random.default_rng(m + k + n)
+        a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+        assert padded_matmul(a, b).tobytes() == (a @ b).tobytes()
+
+    @pytest.mark.parametrize("m, k, n", [(1, 1, 1), (7, 3, 5), (100, 100, 64), (64, 500, 64), (100, 50, 1030),
+                                         (400, 390, 64), (3, 64, 33)])
+    def test_unaligned_shapes_within_the_rounding_of_the_sum(self, m, k, n):
+        # against a long double product, which is exact to its own rounding;
+        # a k-term sum in any order is within k u / (1 - k u) of sum |a_i b_i|
+        rng = np.random.default_rng(m + k + n)
+        a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-3, 3, size=n)
+        got = padded_matmul(a, b)
+        assert got.shape == (m, n) and got.dtype == np.float64
+        exact = a.astype(np.longdouble) @ b.astype(np.longdouble)
+        u = 2.0**-53 + float(np.finfo(np.longdouble).eps) / 2
+        tol = k * u / (1 - k * u) * (np.abs(a) @ np.abs(b))
+        assert np.all(np.abs(got - exact) <= tol)
 
 
 class TestPairwiseEuclidean:
@@ -178,7 +203,7 @@ class TestPairwiseEuclidean:
 
     def test_bit_identical_across_blas_thread_counts(self, stdout_at_blas_threads):
         one = stdout_at_blas_threads(_THREAD_SCRIPT, 1)
-        assert len(one) == 7
+        assert len(one) == 10
         assert stdout_at_blas_threads(_THREAD_SCRIPT, 2) == one
 
     def test_identical_rows_have_zero_distance(self):

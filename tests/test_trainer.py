@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,3 +265,14 @@ class TestTrainLogCsv:
             rows = [line.split(",")[:4] for line in path.read_text().splitlines()]
             outs.append(rows)
         assert outs[0] == outs[1]
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's "Library use" block, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    f1, cum_triplets = capsys.readouterr().out.split()
+    assert 0.0 < float(f1) <= 1.0
+    assert int(cum_triplets) > 0
