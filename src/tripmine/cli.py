@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,8 +325,9 @@ def _resolve_k(o: dict, archive_size: int) -> int:
 
 def _load_net(o: dict, ds):
     """The --checkpoint (default <out>/model.ckpt), checked against the
-    dataset's width. A checkpoint that records its l2_normalize flag sets it;
-    --l2-normalize on one saved without it is an error naming the file."""
+    dataset's width, and its path. A checkpoint that records its l2_normalize
+    flag sets it; --l2-normalize on one saved without it is an error naming
+    the file."""
     ckpt = o["checkpoint"] or os.path.join(o["out"], "model.ckpt")
     if not os.path.exists(ckpt):
         raise UserError(f"checkpoint not found: {ckpt}")
@@ -334,15 +336,25 @@ def _load_net(o: dict, ds):
         raise UserError(
             f"checkpoint expects {net.layer_dims[0]} features but dataset has {ds.n_features}"
         )
-    return net
+    return net, ckpt
+
+
+@contextmanager
+def _naming_checkpoint(ckpt):
+    """Weights that overflow float64 on the data: one error naming ``ckpt``."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise UserError(f"{ckpt}: {exc}") from None
 
 
 def cmd_evaluate(o: dict) -> int:
     ds = _load_data(o)
-    net = _load_net(o, ds)
+    net, ckpt = _load_net(o, ds)
     queries = ds.subset(ds.val_idx)
     archive = ds.subset(ds.test_idx)
-    report = evaluate(net, queries, archive, _resolve_k(o, len(archive)))
+    with _naming_checkpoint(ckpt):
+        report = evaluate(net, queries, archive, _resolve_k(o, len(archive)))
     out = _out_dir(o)
     rows = [(o["method"], report)]
     write_metrics_csv(rows, os.path.join(out, "metrics.csv"))
@@ -428,16 +440,17 @@ def cmd_mine_debug(o: dict) -> int:
     if o["batches"] < 1:
         raise UserError(f"--batches must be >= 1, got {o['batches']}")
     ds = _load_data(o)
-    net = _load_net(o, ds)
+    net, ckpt = _load_net(o, ds)
     scfg = _sampler_config(o)
     # the checkpoint's layer sizes make the stream spend training's Glorot
     # draws before its first permutation; the checkpoint embeds the batches
     cfg = TrainConfig(batch_size=o["batch_size"], hidden_dims=net.layer_dims[1:-1],
                       embedding_dim=net.layer_dims[-1], sampler=scfg, seed=o["seed"])
     _, rng, epoch_batches = batch_stream(ds, cfg)
-    for b, (_, _, batch) in zip(range(o["batches"]), epoch_batches(net)):
-        for line in mine_debug_lines(b, batch, scfg, rng):
-            print(line)
+    with _naming_checkpoint(ckpt):
+        for b, (_, _, batch) in zip(range(o["batches"]), epoch_batches(net)):
+            for line in mine_debug_lines(b, batch, scfg, rng):
+                print(line)
     return 0
 
 

@@ -14,9 +14,9 @@ the same one the miner uses.
 Without L2 normalization the output layer is linear, so the distance of two
 embeddings is ``|(h_i - h_j) W|`` for the last hidden activations ``h`` and
 the output weights ``W``: the metric ``W W^T`` of the hidden space. Training
-measures it on the rows ``h @ F`` (``distance_factor``, ``distance_rows``),
-with ``F`` the Cholesky factor of ``W W^T`` when the hidden layer is at
-most 96 wide and narrower than the embedding, and ``W`` itself otherwise;
+and retrieval measure it on the rows ``h @ F`` (``distance_factor``,
+``distance_rows``), ``F`` the Cholesky factor of ``W W^T`` when the hidden
+layer is at most 96 wide and narrower than the embedding, else ``W``;
 ``backward`` works in the same width and never forms the d-wide embedding.
 """
 

@@ -3,7 +3,8 @@
 Retrieval is exact flat search, the design of FAISS's exact index (Johnson,
 Douze and Jegou, arXiv 1702.08734) in numpy: one GEMM screens a block of
 queries against the whole archive, and the rows the screen cannot rule out
-are re-measured from row differences. Metric averaging is macro: per-pair
+are re-measured from row differences. ``evaluate`` searches the rows training
+measures (``embedder.distance_rows``). Metric averaging is macro: per-pair
 metrics are averaged over the k retrieved items of a query, then over
 queries.
 """
@@ -43,7 +44,7 @@ def _squared_norms(x, what: str) -> np.ndarray:
     return sq
 
 
-def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, archive_sq_norms=None):
+def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
     """Indices and distances of the k nearest archive rows, exact Euclidean.
 
     A 1-D query gives (k,) arrays and takes one ``exclude_index`` (int or
@@ -51,9 +52,8 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, archive_s
     per query. Distances are those of the row differences; ties break
     toward the lowest archive index; an excluded row (the query's own
     archive row, when the query is part of the archive) is never returned.
-    ``archive_sq_norms``, when given, must be the archive rows' squared
-    norms as ``_squared_norms`` returns them (it rejected non-finite and
-    overflowing archives already); by default they are computed here.
+    Non-finite rows, or rows whose squared distances would overflow
+    float64, raise ``ValueError``.
 
     Per block of queries, one GEMM gives approximate squared distances to
     every archive row; the exact distances of the k best of those bound the
@@ -77,12 +77,7 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, archive_s
     usable = m - (1 if any(e is not None for e in excl) else 0)
     if k < 1 or k > usable:
         raise ValueError(f"k={k} must be between 1 and {usable}")
-    if archive_sq_norms is None:
-        a_sq = _squared_norms(a, "archive")
-    else:
-        a_sq = np.asarray(archive_sq_norms, dtype=np.float64)
-        if a_sq.shape != (m,):
-            raise ValueError(f"{a_sq.shape} archive norms for {m} archive rows")
+    a_sq = _squared_norms(a, "archive")
     q_sq = _squared_norms(q, "query")
     slack = _GRAM_ERR_PER_DIM * (q.shape[1] + 6)
     block = max(1, min(_QUERY_BLOCK, _SCREEN_VALUES // m))
@@ -152,81 +147,28 @@ def default_k(archive_size: int) -> int:
     return 30 if archive_size >= 10_000 else 10
 
 
-def _bits(x) -> np.ndarray:
-    """float64 values of ``x`` as raw bits, so -0.0 differs from 0.0."""
-    return np.asarray(x, dtype=np.float64).view(np.uint64)
-
-
-@dataclass(frozen=True)
-class _ArchiveEmbedding:
-    """An archive's embeddings and squared norms with bit copies of all they
-    depend on: the net's parameters, its ``l2_normalize`` flag and the
-    archive feature matrix."""
-
-    params: tuple
-    l2_normalize: bool
-    features: np.ndarray
-    embeddings: np.ndarray
-    sq_norms: np.ndarray
-
-    def matches(self, net, features) -> bool:
-        # the parameters first: they are small, the archive is not
-        params = emb_mod.parameters(net)
-        return (
-            bool(net.l2_normalize) == self.l2_normalize
-            and len(params) == len(self.params)
-            and all(np.array_equal(_bits(p), c) for p, c in zip(params, self.params))
-            and np.array_equal(_bits(features), _bits(self.features))
-        )
-
-
-# The last archive ``evaluate`` embedded. Only the latest is kept: callers
-# search one archive many times (each evaluate call a block of its queries,
-# or one evaluation per epoch of a net trained in place).
-_archive_memo = None
-
-
-def _embed_archive(net, features):
-    """Embeddings and squared norms of the archive features, reused while the
-    net's parameters, ``l2_normalize`` and the features are bit-identical to
-    the last call's."""
-    global _archive_memo
-    memo = _archive_memo
-    if memo is not None and memo.matches(net, features):
-        return memo.embeddings, memo.sq_norms
-    # drop the old embedding before forward allocates the new one
-    _archive_memo = memo = None
-    emb = emb_mod.forward(net, features)
-    sq = _squared_norms(emb, "archive")
-    _archive_memo = _ArchiveEmbedding(
-        params=tuple(_bits(p).copy() for p in emb_mod.parameters(net)),
-        l2_normalize=bool(net.l2_normalize),
-        # a copy: the caller's table may be edited in place after this call
-        features=features.copy(),
-        embeddings=emb,
-        sq_norms=sq,
-    )
-    return emb, sq
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(net, queries, archive, k: int) -> MetricReport:
     """Embed both splits, retrieve top-k per query, macro-average the metrics.
 
     ``queries`` and ``archive`` are ``SampleTable``s or sequences of
     ``Sample``. A query that is also present in the archive (matched by id)
-    never retrieves the archive row with that id. The archive's
-    embeddings are reused from the previous call while the net's weights,
-    biases and ``l2_normalize`` and the archive's feature matrix are
-    bit-identical to that call's.
+    never retrieves the archive row with that id. Each call embeds both
+    splits as ``distance_rows`` under one ``distance_factor``, so without
+    ``l2_normalize`` the (M, d) embedding is never built. Rows that overflow
+    float64 raise ``FloatingPointError``, without numpy's warnings.
     """
     if not queries or not archive:
         raise ValueError("queries and archive must be nonempty")
     queries, archive = as_table(queries), as_table(archive)
-    q_emb = emb_mod.forward(net, queries.features)
-    a_emb, a_sq = _embed_archive(net, archive.features)
-    row_of = archive.row_of
-    exclude = [row_of.get(i) for i in queries.ids]
-    idxs, _ = knn_retrieve(q_emb, a_emb, k, exclude_index=exclude, archive_sq_norms=a_sq)
+    factor = emb_mod.distance_factor(net)
+    q_rows, a_rows = (emb_mod.distance_rows(net, t.features, factor) for t in (queries, archive))
+    try:
+        _squared_norms(q_rows, "query"), _squared_norms(a_rows, "archive")
+    except ValueError as exc:  # the features are finite: the weights outgrew float64
+        raise FloatingPointError(str(exc)) from None
+    exclude = [archive.row_of.get(i) for i in queries.ids]
+    idxs, _ = knn_retrieve(q_rows, a_rows, k, exclude_index=exclude)
     metrics = np.stack(pair_metrics(queries.labels[:, None, :], archive.labels[idxs]), axis=-1)
     # cumsum adds strictly left to right: neighbors in rank order, then
     # queries in order, as a per-query loop would

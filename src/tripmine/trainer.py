@@ -121,14 +121,15 @@ def batch_stream(dataset, cfg: TrainConfig) -> tuple:
 
     Checks ``cfg`` against the train split, seeds ``rng`` with ``cfg.seed``
     and draws the Glorot weights of ``net`` from it first. Returns
-    ``(net, rng, epoch)``; each ``epoch(net, n=0)`` call draws one permutation
+    ``(net, rng, epoch)``; each ``epoch(net, n=None)`` call draws one permutation
     and yields every full batch as ``(x, factor, BatchView)``, measured by
     ``net`` as it stands (mining draws from ``rng`` in between):
     ``factor`` is ``net``'s ``distance_factor``, and the view's distances are
     those of the ``distance_rows`` it gives, so without ``l2_normalize`` the
     (B, d) embedding is never built. Any net of the same layer sizes, such
-    as a checkpoint, sees training's batches. A batch whose distances are not
-    finite raises ``FloatingPointError`` naming it and epoch ``n``.
+    as a checkpoint, sees training's batches. A batch with non-finite
+    distances raises ``FloatingPointError`` naming it and any epoch ``n``,
+    without numpy's overflow warnings.
     """
     cfg.validate()
     train_idx = np.asarray(dataset.train_idx, dtype=np.int64)
@@ -149,17 +150,19 @@ def batch_stream(dataset, cfg: TrainConfig) -> tuple:
     )
     n_batches = train_idx.size // cfg.batch_size
 
-    def epoch(net, n=0):
+    def epoch(net, n=None):
         perm = rng.permutation(train_idx)
         for b in range(n_batches):
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             x = features[idx]
-            factor = emb_mod.distance_factor(net)
-            rows = emb_mod.distance_rows(net, x, factor)
-            try:
-                view = BatchView.from_embeddings(idx, rows, labels[idx])
-            except ValueError as exc:  # the features are finite: the weights outgrew float64
-                raise FloatingPointError(f"training diverged at epoch {n}, batch {b}: {exc}") from None
+            with np.errstate(over="ignore", invalid="ignore"):
+                factor = emb_mod.distance_factor(net)
+                rows = emb_mod.distance_rows(net, x, factor)
+                try:
+                    view = BatchView.from_embeddings(idx, rows, labels[idx])
+                except ValueError as exc:  # the features are finite: the weights outgrew float64
+                    where = f"batch {b}" if n is None else f"training diverged at epoch {n}, batch {b}"
+                    raise FloatingPointError(f"{where}: {exc}") from None
             yield x, factor, view
 
     return net, rng, epoch

@@ -10,6 +10,7 @@ import pytest
 from tripmine import sampler
 from tripmine.cli import SAMPLER_CHOICES, main
 from tripmine.core import BatchView
+from tripmine.embedder import load_checkpoint, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -543,6 +544,33 @@ class TestMineDebug:
         assert code == 2
         assert "triplets per batch" in err
         assert stdout == ""
+
+
+class TestOverflowingCheckpoint:
+    """A checkpoint whose finite weights overflow float64 on the data."""
+
+    # at 1e150 the rows are finite and their squared norms overflow; batch
+    # distances, measured on rescaled rows, do not
+    @pytest.mark.parametrize("command, scale", [("evaluate", 1e150), ("evaluate", 1e200), ("mine-debug", 1e200)])
+    @pytest.mark.parametrize("hidden", ["8", "24"])  # Cholesky factor; F = W
+    def test_exits_2_naming_it_without_warnings(self, tmp_path, capsys, command, scale, hidden):
+        out = tmp_path / "run"
+        assert run(capsys, "train", *TINY_DATA, "--epochs", "1", "--batch-size", "16", "--embedding", "16",
+                   "--hidden", hidden, "--out", str(out))[0] == 0
+        net = load_checkpoint(out / "model.ckpt")
+        for w in net.weights:
+            w *= scale
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(net, ckpt)
+        batch = ["--batch-size", "16"] if command == "mine-debug" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, command, *TINY_DATA, *batch, "--checkpoint", str(ckpt),
+                                    "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+        assert "non-finite" in err and "diverged" not in err
 
 
 class TestParser:

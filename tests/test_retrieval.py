@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,17 +74,6 @@ class TestKnnRetrieve:
             knn_retrieve(np.zeros((2, 1)), archive, k=1, exclude_index=[0])
         with pytest.raises(ValueError, match="exclude indices must lie"):
             knn_retrieve([0.0], archive, k=1, exclude_index=3)
-
-    def test_given_archive_norms_match_computed_ones(self):
-        rng = seeded_rng(4)
-        q, a = rng.normal(size=(5, 3)), rng.normal(size=(20, 3))
-        sq = np.einsum("ij,ij->i", a, a)
-        expected = knn_retrieve(q, a, k=4, exclude_index=[0, None, 3, None, 19])
-        got = knn_retrieve(q, a, k=4, exclude_index=[0, None, 3, None, 19], archive_sq_norms=sq)
-        for e, g in zip(expected, got):
-            assert np.array_equal(e, g)
-        with pytest.raises(ValueError, match="archive norms for 20 archive rows"):
-            knn_retrieve(q, a, k=4, archive_sq_norms=sq[:-1])
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, 1e200])
     @pytest.mark.parametrize("side", ["query", "archive"])
@@ -339,18 +329,21 @@ def random_split(rng, n, dim, n_classes, prefix):
 
 
 class TestArchiveMemo:
+    """``evaluate`` keeps nothing between calls: each one embeds both splits
+    of what it is given, so no change to the net or the archive goes stale."""
+
     @pytest.fixture
     def forward_rows(self, monkeypatch):
-        """Starts with no stored archive; records the row count of every forward call."""
-        monkeypatch.setattr(retrieval, "_archive_memo", None, raising=False)
+        """Records the row count of every embedding up to the last hidden
+        layer, the part of the forward every ``evaluate`` path runs."""
         rows = []
-        real = embedder.forward
+        real = embedder._hidden_cached
 
         def counting(net, features):
             rows.append(len(features))
             return real(net, features)
 
-        monkeypatch.setattr(embedder, "forward", counting)
+        monkeypatch.setattr(embedder, "_hidden_cached", counting)
         return rows
 
     @pytest.fixture
@@ -360,12 +353,6 @@ class TestArchiveMemo:
         queries = random_split(rng, 9, 5, 4, "q")
         archive = random_split(rng, 40, 5, 4, "a") + queries[:3]  # three queries sit in the archive
         return net, queries, archive
-
-    def test_repeated_calls_embed_the_archive_once(self, forward_rows, setup):
-        net, queries, archive = setup
-        reports = [evaluate(net, queries[i : i + 3], archive, k=5) for i in (0, 3, 6, 0)]
-        assert forward_rows == [3, 43, 3, 3, 3]
-        assert reports[3] == reports[0]
 
     @pytest.mark.parametrize("change", ["adam_step", "one_ulp", "negative_zero", "archive_features",
                                         "l2_normalize", "other_archive"])
@@ -394,30 +381,22 @@ class TestArchiveMemo:
 
     @pytest.mark.parametrize("l2", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_reports_bit_identical_to_the_uncached_path(self, monkeypatch, seed, l2):
-        monkeypatch.setattr(retrieval, "_archive_memo", None, raising=False)
-        rng = seeded_rng(seed)
-        net = Embedder.init([6, 8, 3], rng, l2_normalize=l2)
-        archive = random_split(rng, 120, 6, 5, "a")
-        # duplicated rows, under their own ids, give distance ties
-        archive += toy_samples([s.features for s in archive[:20]], [s.labels for s in archive[:20]], "dup")
-        queries = random_split(rng, 30, 6, 5, "q") + archive[40:50]
-        expected = evaluate_without_memo(net, queries, archive, k=12)
-        assert evaluate(net, queries, archive, k=12) == expected  # cold
-        assert evaluate(net, queries, archive, k=12) == expected  # warm
-
-    def test_in_place_table_edit_recomputes(self, forward_rows, setup):
-        net, queries, archive = setup
-        table = SampleTable.from_samples(archive)
-        evaluate(net, queries, table, k=5)
-        assert forward_rows == [9, len(table)]
-        evaluate(net, queries, table, k=5)
-        assert forward_rows == [9, len(table), 9]
-        table.features[17, 2] += 0.25
-        del forward_rows[:]
-        warm = evaluate(net, queries, table, k=5)
-        assert forward_rows == [9, len(table)]
-        assert warm == evaluate_without_memo(net, queries, list(table), k=5)
+    def test_reports_bit_identical_to_the_uncached_path(self, seed, l2):
+        # without l2, [6, 8, 3] searches the rows h W and the narrower hidden
+        # layers the rows h F, F the Cholesky factor of W W^T
+        for dims in ([6, 8, 3], [6, 8, 20], [6, 10, 12, 40]):
+            rng = seeded_rng(seed)
+            net = Embedder.init(dims, rng, l2_normalize=l2)
+            archive = random_split(rng, 120, 6, 5, "a")
+            # duplicated rows, under their own ids, give distance ties
+            archive += toy_samples([s.features for s in archive[:20]], [s.labels for s in archive[:20]], "dup")
+            queries = random_split(rng, 30, 6, 5, "q") + archive[40:50]
+            # so do rows on a coarse grid
+            grid = random_split(rng, 60, 6, 5, "grid")
+            archive += toy_samples(np.round([s.features for s in grid], 1), [s.labels for s in grid], "grid")
+            expected = evaluate_without_memo(net, queries, archive, k=12)
+            assert evaluate(net, queries, archive, k=12) == expected  # cold
+            assert evaluate(net, queries, archive, k=12) == expected  # warm
 
     def test_old_entry_dropped_before_a_failing_forward(self, forward_rows, setup):
         net, queries, archive = setup
@@ -425,7 +404,41 @@ class TestArchiveMemo:
         wide = [Sample(id=f"w{i}", features=np.zeros(6), labels=[1, 0, 0, 0]) for i in range(8)]
         with pytest.raises(ValueError, match="does not match input dim 5"):
             evaluate(net, queries, wide, k=5)
-        assert retrieval._archive_memo is None
+
+
+class TestHiddenWidthSearch:
+    """Without ``l2_normalize``, ``evaluate`` searches the rows ``h F`` and
+    never the (M, d) embedding."""
+
+    def test_never_runs_the_full_forward(self, monkeypatch):
+        rng = seeded_rng(5)
+        net = Embedder.init([6, 10, 30], rng)
+        queries, archive = random_split(rng, 20, 6, 4, "q"), random_split(rng, 80, 6, 4, "a")
+        expected = evaluate_without_memo(net, queries, archive, k=7)
+
+        def refuse(*args):
+            raise AssertionError("evaluate embedded at the output width")
+
+        monkeypatch.setattr(embedder, "forward", refuse)
+        monkeypatch.setattr(embedder, "_forward_cached", refuse)
+        assert evaluate(net, queries, archive, k=7) == expected
+
+    def test_never_holds_an_archive_by_embedding_array(self):
+        rng = seeded_rng(6)
+        n_archive, d = 2000, 1024
+        net = Embedder.init([8, 16, d], rng)
+        labels = rng.integers(0, 2, size=(n_archive + 30, 4))
+        labels[:, 0] = 1
+        table = SampleTable([f"s{i}" for i in range(n_archive + 30)], rng.normal(size=(n_archive + 30, 8)), labels)
+        queries, archive = table[:30], table[30:]
+        tracemalloc.start()
+        try:
+            evaluate(net, queries, archive, k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (M, d) float64 array is 16.4 MB
+        assert peak < n_archive * d * 8 / 4
 
 
 class TestEvaluateTable:
@@ -442,9 +455,7 @@ class TestEvaluateTable:
         for q_rows, a_rows in ((slice(100, 150), slice(0, 130)), (slice(21, 40), slice(0, 150)),
                                (np.arange(149, 90, -3), np.arange(120))):
             queries, archive = table[q_rows], table[a_rows]
-            monkeypatch.setattr(retrieval, "_archive_memo", None)
             from_lists = evaluate(net, list(queries), list(archive), k=9)
-            monkeypatch.setattr(retrieval, "_archive_memo", None)
             cold = evaluate(net, queries, archive, k=9)
             warm = evaluate(net, queries, archive, k=9)
             assert cold == warm == from_lists == evaluate_without_memo(net, queries, archive, k=9)
