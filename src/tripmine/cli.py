@@ -28,7 +28,7 @@ from .core import (ANCHOR_STRATEGIES, COMBINATIONS, DAS_REDUCTIONS, IMAGE_STRATE
                    LABEL_SIMILARITY_KINDS, SamplerConfig, seeded_rng, validate_config)
 from .data import SyntheticSpec, generate_synthetic, load_dataset, split_dataset
 from .embedder import load_checkpoint, save_checkpoint
-from .retrieval import MetricReport, default_k, evaluate, format_metric_table, write_metrics_csv
+from .retrieval import MetricReport, default_k, evaluate, format_metric_table, metric_cells, write_metrics_csv
 from .sampler import mine_debug_lines
 from .trainer import TrainConfig, batch_stream, train, write_train_log
 
@@ -363,10 +363,6 @@ def cmd_evaluate(o: dict) -> int:
     return 0
 
 
-def _metric_fields(rep: MetricReport) -> list:
-    return [repr(float(v)) for v in (rep.accuracy, rep.precision, rep.recall, rep.f1)]
-
-
 def _ablate_seed(o: dict, curve: list) -> dict:
     """Train and score the nine cells on the data and split of ``o["seed"]``.
 
@@ -392,7 +388,7 @@ def _ablate_seed(o: dict, curve: list) -> dict:
         def score(epoch, net, row):
             reports.append(evaluate(net, queries, archive, k))
             curve.append(",".join([str(o["seed"]), *name.split("-"), str(row.epoch), str(row.cum_triplets),
-                                   f"{row.seconds:.3f}", *_metric_fields(reports[-1])]))
+                                   f"{row.seconds:.3f}", *metric_cells(reports[-1])]))
 
         net, log = train(ds, cfg, epoch_callback=score)
         # with --epochs 0 no epoch ran, so the untrained net is scored
@@ -420,7 +416,7 @@ def cmd_ablate(o: dict) -> int:
     with open(grid_path, "w", newline="") as fh:
         fh.write("anchor_strategy,image_strategy,accuracy,precision,recall,f1,cum_triplets\n")
         for name, rep in rows:
-            fh.write(",".join([*name.split("-"), *_metric_fields(rep), str(counts[name])]) + "\n")
+            fh.write(",".join([*name.split("-"), *metric_cells(rep), str(counts[name])]) + "\n")
     with open(os.path.join(out, "curve.csv"), "w", newline="") as fh:
         fh.write("seed,anchor_strategy,image_strategy,epoch,cum_triplets,seconds,"
                  "accuracy,precision,recall,f1\n")

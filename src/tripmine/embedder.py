@@ -144,6 +144,7 @@ def _triplet_set(triplets) -> TripletSet:
     return triplets if isinstance(triplets, TripletSet) else TripletSet.from_triplets(triplets)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def distance_factor(net: Embedder):
     """The (h, k) map ``F`` with ``F F^T = W W^T`` for the output weights
     ``W`` (h, d), or None with ``l2_normalize`` on.
@@ -183,14 +184,18 @@ def distance_factor(net: Embedder):
     return w
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def distance_rows(net: Embedder, features, factor) -> np.ndarray:
     """Rows whose pairwise Euclidean distances are those of
     ``forward(net, features)``: ``h @ factor`` for the last hidden
     activations ``h`` and ``factor = distance_factor(net)``, or the
-    embedding itself when ``factor`` is None (``l2_normalize`` on)."""
-    if factor is None:
-        return forward(net, features)
-    return padded_matmul(_hidden_cached(net, features)[0][-1], factor)
+    embedding itself when ``factor`` is None (``l2_normalize`` on). Rows
+    that outgrow float64 raise ``FloatingPointError``, without numpy's warnings."""
+    rows = (forward(net, features) if factor is None
+            else padded_matmul(_hidden_cached(net, features)[0][-1], factor))
+    if not np.isfinite(rows).all():
+        raise FloatingPointError("embeddings contain non-finite values")
+    return rows
 
 
 def hinge_terms(d_ap, d_an, alpha: float) -> np.ndarray:

@@ -12,21 +12,17 @@ queries.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import embedder as emb_mod
 from .core import as_table
-from .similarity import _GRAM_ERR_PER_DIM, _check_binary_rows, _scaled_row_distances
+from .similarity import _check_binary_rows, _scaled_row_distances, gram_screen
 
-# queries screened per GEMM, fewer when the (block, M) float64 screen
-# would exceed _SCREEN_VALUES (16 MB) for a large archive
-_QUERY_BLOCK = 64
+# float64 screen values per query block (16 MB): a block holds this many
+# divided by the archive size queries, at least one
 _SCREEN_VALUES = 1 << 21
-# squared norms stay this far below the float64 maximum, so no norm sum,
-# Gram term or squared row difference overflows
-_NORM_HEADROOM = 8.0
 
 
 @dataclass(frozen=True)
@@ -37,28 +33,29 @@ class MetricReport:
     f1: float
 
 
-def _squared_norms(x, what: str) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", x, x)
-    if not np.isfinite(_NORM_HEADROOM * sq.max(initial=0.0)):
-        raise ValueError(f"{what} embeddings contain non-finite values or overflow float64 distances")
-    return sq
+def metric_cells(rep: MetricReport) -> list:
+    """The four metrics of ``rep`` as CSV cells, each its float's repr."""
+    return [repr(float(v)) for v in astuple(rep)]
 
 
+@np.errstate(over="ignore")
 def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
     """Indices and distances of the k nearest archive rows, exact Euclidean.
 
     A 1-D query gives (k,) arrays and takes one ``exclude_index`` (int or
     None); a (Q, d) block gives (Q, k) arrays and takes None or one entry
-    per query. Distances are those of the row differences; ties break
-    toward the lowest archive index; an excluded row (the query's own
-    archive row, when the query is part of the archive) is never returned.
-    Non-finite rows, or rows whose squared distances would overflow
-    float64, raise ``ValueError``.
+    per query. Distances are those of the row differences (``inf`` beyond
+    float64); ties break toward the lowest archive index; an excluded row
+    (the query's own archive row, when the query is part of the archive) is
+    never returned. Non-finite rows raise ``ValueError``.
 
-    Per block of queries, one GEMM gives approximate squared distances to
-    every archive row; the exact distances of the k best of those bound the
-    k-th exact distance from above, and every row the screen's rounding
-    allowance cannot place beyond that bound is measured exactly and ranked.
+    Per block of queries, one GEMM and ``similarity.gram_screen`` give
+    approximate squared distances to every archive row with allowances.
+    The largest screen value plus allowance of the k best screened rows
+    bounds the k-th squared distance; every row whose screen value minus
+    allowance is within it is measured from row differences and ranked.
+    Rows whose squares could overflow are screened at one power-of-two
+    scale 2**-e, as are the differences whose squares overflow.
     """
     q = np.asarray(query_embedding, dtype=np.float64)
     single = q.ndim < 2
@@ -77,40 +74,48 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
     usable = m - (1 if any(e is not None for e in excl) else 0)
     if k < 1 or k > usable:
         raise ValueError(f"k={k} must be between 1 and {usable}")
-    a_sq = _squared_norms(a, "archive")
-    q_sq = _squared_norms(q, "query")
-    slack = _GRAM_ERR_PER_DIM * (q.shape[1] + 6)
-    block = max(1, min(_QUERY_BLOCK, _SCREEN_VALUES // m))
-    idx = np.empty((n_q, k), dtype=np.intp)
-    dist = np.empty((n_q, k), dtype=np.float64)
+    screen_q, screen_a, scale_exp = q, a, 0
+    q_sq, a_sq = (np.einsum("ij,ij->i", r, r) for r in (q, a))
+    # every term of the screen and re-measure is at most 4 max |row|^2, not finite for a non-finite row
+    if not np.isfinite(8.0 * np.max([q_sq.max(initial=0.0), a_sq.max()])):
+        for rows, what in ((q, "query"), (a, "archive")):
+            if not np.isfinite(rows).all():
+                raise ValueError(f"{what} embeddings contain non-finite values")
+        # entries below 2**(509 - bit_length(d) // 2) keep that finite
+        top = max(np.abs(q).max(initial=0.0), np.abs(a).max())
+        scale_exp = int(np.frexp(top)[1]) - 509 + q.shape[1].bit_length() // 2
+        screen_q, screen_a = np.ldexp(q, -scale_exp), np.ldexp(a, -scale_exp)
+        q_sq, a_sq = (np.einsum("ij,ij->i", r, r) for r in (screen_q, screen_a))
+    block = max(1, _SCREEN_VALUES // m)
+    idx, dist = np.empty((n_q, k), dtype=np.intp), np.empty((n_q, k), dtype=np.float64)
     for start in range(0, n_q, block):
-        qb, qb_sq = q[start : start + block], q_sq[start : start + block, None]
+        part = slice(start, start + block)
+        qb = q[part]
         rows = np.arange(qb.shape[0])
+        # plain: the allowance and the exact re-measure decide the result, and
+        # padding would copy an archive of unaligned size, transposed, per block
+        screen, allowance = gram_screen(screen_q[part] @ screen_a.T, q_sq[part], a_sq, q.shape[1])
         ex_rows = [r for r in rows if excl[start + r] is not None]
-        ex_cols = [excl[start + r] for r in ex_rows]
-        # plain: the allowance and the exact re-measure decide the result
-        screen = qb_sq + a_sq - 2.0 * (qb @ a.T)
-        screen[ex_rows, ex_cols] = np.inf
-        # any k usable rows bound the k-th exact distance from above
+        screen[ex_rows, [excl[start + r] for r in ex_rows]] = np.inf
         cand = np.argpartition(screen, k - 1, axis=1)[:, :k]
-        worst = _scaled_row_distances(qb, np.repeat(rows, k), cand.ravel(), y=a).reshape(-1, k).max(axis=1)
-        w2 = (worst * worst)[:, None]
-        allowance = slack * (2.0 * (qb_sq + a_sq) + np.finfo(np.float64).tiny)
-        keep = screen <= w2 * (1.0 + slack) + allowance
-        # the allowance keeps every row whose exact distance can be <= worst,
-        # the candidates among them, so each query keeps at least k rows.
+        bound = (np.take_along_axis(screen, cand, 1) + np.take_along_axis(allowance, cand, 1)).max(axis=1)
+        screen -= allowance
+        # the candidates pass, so each query keeps at least k rows, and so
+        # does every row as near as its k-th (similarity._GRAM_ERR_PER_DIM).
         # nonzero lists the pairs by query, then by archive index, and
         # lexsort is stable: each query's pairs stay one run, ordered by
         # distance with equal distances in index order
-        q_rows, a_rows = np.nonzero(keep)
+        q_rows, a_rows = np.nonzero(screen <= bound[:, None])
         exact = _scaled_row_distances(qb, q_rows, a_rows, y=a)
+        if scale_exp:  # squares that overflow at scale 1 are summed at the screen's
+            over = np.flatnonzero(exact == np.inf)
+            far = _scaled_row_distances(qb, q_rows[over], a_rows[over], scale_exp, y=a)
+            exact[over] = np.ldexp(far, scale_exp)
         order = np.lexsort((exact, q_rows))
         take = order[np.searchsorted(q_rows, rows)[:, None] + np.arange(k)]
-        idx[start : start + len(rows)] = a_rows[take]
-        dist[start : start + len(rows)] = exact[take]
-    if single:
-        return idx[0], dist[0]
-    return idx, dist
+        idx[part] = a_rows[take]
+        dist[part] = exact[take]
+    return (idx[0], dist[0]) if single else (idx, dist)
 
 
 def pair_metrics(query_labels, retrieved_labels) -> tuple:
@@ -147,7 +152,6 @@ def default_k(archive_size: int) -> int:
     return 30 if archive_size >= 10_000 else 10
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def evaluate(net, queries, archive, k: int) -> MetricReport:
     """Embed both splits, retrieve top-k per query, macro-average the metrics.
 
@@ -155,18 +159,16 @@ def evaluate(net, queries, archive, k: int) -> MetricReport:
     ``Sample``. A query that is also present in the archive (matched by id)
     never retrieves the archive row with that id. Each call embeds both
     splits as ``distance_rows`` under one ``distance_factor``, so without
-    ``l2_normalize`` the (M, d) embedding is never built. Rows that overflow
-    float64 raise ``FloatingPointError``, without numpy's warnings.
+    ``l2_normalize`` the (M, d) embedding is never built. A net whose rows
+    are not finite on the features raises ``FloatingPointError`` from
+    ``distance_rows``, without numpy's warnings; finite rows are searched
+    however large they are.
     """
     if not queries or not archive:
         raise ValueError("queries and archive must be nonempty")
     queries, archive = as_table(queries), as_table(archive)
     factor = emb_mod.distance_factor(net)
     q_rows, a_rows = (emb_mod.distance_rows(net, t.features, factor) for t in (queries, archive))
-    try:
-        _squared_norms(q_rows, "query"), _squared_norms(a_rows, "archive")
-    except ValueError as exc:  # the features are finite: the weights outgrew float64
-        raise FloatingPointError(str(exc)) from None
     exclude = [archive.row_of.get(i) for i in queries.ids]
     idxs, _ = knn_retrieve(q_rows, a_rows, k, exclude_index=exclude)
     metrics = np.stack(pair_metrics(queries.labels[:, None, :], archive.labels[idxs]), axis=-1)
@@ -174,8 +176,7 @@ def evaluate(net, queries, archive, k: int) -> MetricReport:
     # queries in order, as a per-query loop would
     per_query = np.cumsum(metrics, axis=1)[:, -1] / k
     totals = np.cumsum(per_query, axis=0)[-1]
-    acc, prec, rec, f1 = (totals / len(queries)).tolist()
-    return MetricReport(accuracy=acc, precision=prec, recall=rec, f1=f1)
+    return MetricReport(*(totals / len(queries)).tolist())
 
 
 def write_metrics_csv(rows, path) -> None:
@@ -184,18 +185,14 @@ def write_metrics_csv(rows, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["method", "accuracy", "precision", "recall", "f1"])
         for name, rep in rows:
-            writer.writerow([name] + [repr(float(v)) for v in (rep.accuracy, rep.precision, rep.recall, rep.f1)])
+            writer.writerow([name] + metric_cells(rep))
 
 
 def format_metric_table(rows) -> str:
     """Aligned plain-text table, metrics in percent with one decimal."""
     header = ("Method", "Accuracy", "Precision", "Recall", "F1")
-    body = [
-        (name,) + tuple(f"{100.0 * v:.1f}" for v in (rep.accuracy, rep.precision, rep.recall, rep.f1))
-        for name, rep in rows
-    ]
+    body = [(name, *(f"{100.0 * v:.1f}" for v in astuple(rep))) for name, rep in rows]
     widths = [max(len(col), *(len(r[i]) for r in body)) for i, col in enumerate(header)]
     def fmt(row):
-        cells = [row[0].ljust(widths[0])] + [row[i].rjust(widths[i]) for i in range(1, len(row))]
-        return "  ".join(cells)
+        return "  ".join([row[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(row[1:], widths[1:])])
     return "\n".join([fmt(header)] + [fmt(r) for r in body])

@@ -5,8 +5,8 @@ the raw Euclidean values are kept alongside because the margin loss uses
 them unnormalized. The batch distance matrix is the Gram form of exact
 flat L2 search (Johnson, Douze and Jegou, arXiv 1702.08734) on centred,
 rescaled rows, with the pairs it cannot tell from 0 re-measured exactly.
-Exact k-nn retrieval follows the same design, so its screen takes its
-rounding allowance and its exact re-measure from here too.
+Exact k-nn retrieval follows the same design, so its screen (``gram_screen``),
+rounding allowance and exact re-measure come from here too.
 """
 
 from __future__ import annotations
@@ -22,27 +22,24 @@ _CHUNK_VALUES = 1 << 17
 # shapes (B 2-300, d 3-2048) and inner dimensions past 384 (the Gram product of
 # (100, 500) rows, a 400-row batch's backward) differed at 1 and 2 threads.
 _GEMM_PAD = 32
-# Rounding allowance of a Gram-form squared distance |x|^2 + |y|^2 - 2 x.y
-# of d-wide rows, per dimension, in units of |x|^2 + |y|^2: the batch
-# matrix (on centred rows rescaled below 1) and retrieval's k-nn screen
-# both use it. A d-term float64 dot product summed in any order is within
-# d * u of its real value times the sum of the |products| (u = 2**-53;
-# Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1). So
-# each squared norm is within d * u |x|^2, the Gram term 2 x.y within
-# d * u (|x|^2 + |y|^2), the two roundings of the sum within 3 u of that,
-# and centring the rows adds at most 4 u: (2 d + 7) u in all. A distance
-# measured from row differences (``_scaled_row_distances``) has its square
-# within (d + 6) u of itself. 4 u per dimension over d + 6 covers both
-# with a factor 2 to spare. Where squares or rescaled entries underflow,
-# each of the at most 3 d + 5 operations may also be off by half the
-# smallest subnormal; the same allowance times the smallest normal number
-# covers those absolute errors.
-_GRAM_ERR_PER_DIM = 4 * 2.0**-53
-# Pairs whose Gram value is at most this many allowances are re-measured
-# from row differences; every other one is more than 2**41 times its
-# rounding error, so its distance is within 2**-42 of the exact one,
-# relative, plus the rounding of the square root.
-_REMEASURE_ALLOWANCES = 2.0**40
+# Rounding allowance of a Gram-form squared distance g = |x|^2 + |y|^2 - 2 x.y
+# of d-wide rows, per dimension, in units of S = |x|^2 + |y|^2 (u = 2**-53).
+# A d-term dot product in any order is within d u times the sum of its
+# |products| (Higham, Accuracy and Stability of Numerical Algorithms, sec.
+# 3.1), so g is within (2 d + 3) u S of the squared distance t (d u S from the
+# norms, d u S from 2 x.y, 3 u S from the two sums), 4 u S more on the batch
+# matrix's centred rows. A distance r from row differences
+# (``_scaled_row_distances``) has r^2 within (d + 6) u t of t, and t <= 2 S.
+# So A = 8 (d + 6) u S is over twice the (4 d + 15) u S |g - r^2| can reach:
+# keeping each row whose g - A is at most the largest g + A of k rows keeps
+# every row as near as the k-th, rounding included. Underflow can add half the
+# smallest subnormal to each of the 4 d products in g and d squares in r^2 (rows
+# scaled into subnormals far less); A's term in the smallest normal is 8 d + 48 halves.
+_GRAM_ERR_PER_DIM = 8 * 2.0**-53
+# Pairs whose Gram value is at most this many allowances are re-measured from
+# row differences; every other one is over 2**41 times its rounding error, so
+# its distance is within 2**-42 of the exact one, relative, plus the sqrt's rounding.
+_REMEASURE_ALLOWANCES = 2.0**39
 
 
 def _check_binary_rows(labels: np.ndarray) -> np.ndarray:
@@ -125,6 +122,17 @@ def padded_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ b)[:, :n]
 
 
+def gram_screen(gram, sq_x, sq_y, d: int, allowances: float = 1.0) -> tuple:
+    """``|x_i|^2 + |y_j|^2 - 2 x_i.y_j`` over the Gram products ``gram = x @ y.T`` of
+    d-wide rows with squared norms ``sq_x``, ``sq_y``, and ``allowances`` times each one's allowance."""
+    sq_sum = sq_x[:, None] + sq_y
+    gram *= -2.0
+    gram += sq_sum
+    sq_sum += _FLOAT_TINY
+    sq_sum *= allowances * _GRAM_ERR_PER_DIM * (d + 6)
+    return gram, sq_sum
+
+
 def pairwise_euclidean(embeddings) -> np.ndarray:
     """All-pairs Euclidean distance matrix for a (B, d) array.
 
@@ -162,16 +170,11 @@ def pairwise_euclidean(embeddings) -> np.ndarray:
     exp = int(np.frexp(top)[1])
     np.ldexp(scaled, -exp, out=scaled)
     sq = np.einsum("ij,ij->i", scaled, scaled)
-    sq_sum = sq[:, None] + sq
-    gram = padded_matmul(scaled, scaled.T)
-    gram *= -2.0
-    gram += sq_sum
+    gram, near_bound = gram_screen(padded_matmul(scaled, scaled.T), sq, sq, d, _REMEASURE_ALLOWANCES)
     # both triangles hold each pair's value up to rounding; the smaller one
     # makes the matrix exactly symmetric
     dist = np.minimum(gram, gram.T)
-    sq_sum += _FLOAT_TINY
-    sq_sum *= _REMEASURE_ALLOWANCES * _GRAM_ERR_PER_DIM * (d + 6)
-    near = dist <= sq_sum
+    near = dist <= near_bound
     np.fill_diagonal(near, False)
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)

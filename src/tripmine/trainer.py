@@ -155,14 +155,12 @@ def batch_stream(dataset, cfg: TrainConfig) -> tuple:
         for b in range(n_batches):
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             x = features[idx]
-            with np.errstate(over="ignore", invalid="ignore"):
-                factor = emb_mod.distance_factor(net)
-                rows = emb_mod.distance_rows(net, x, factor)
-                try:
-                    view = BatchView.from_embeddings(idx, rows, labels[idx])
-                except ValueError as exc:  # the features are finite: the weights outgrew float64
-                    where = f"batch {b}" if n is None else f"training diverged at epoch {n}, batch {b}"
-                    raise FloatingPointError(f"{where}: {exc}") from None
+            factor = emb_mod.distance_factor(net)
+            try:
+                view = BatchView.from_embeddings(idx, emb_mod.distance_rows(net, x, factor), labels[idx])
+            except (FloatingPointError, ValueError) as exc:  # finite features: the weights outgrew float64
+                where = f"batch {b}" if n is None else f"training diverged at epoch {n}, batch {b}"
+                raise FloatingPointError(f"{where}: {exc}") from None
             yield x, factor, view
 
     return net, rng, epoch

@@ -547,11 +547,10 @@ class TestMineDebug:
 
 
 class TestOverflowingCheckpoint:
-    """A checkpoint whose finite weights overflow float64 on the data."""
+    """A checkpoint whose finite weights make its rows, or only their squares,
+    overflow float64 on the data."""
 
-    # at 1e150 the rows are finite and their squared norms overflow; batch
-    # distances, measured on rescaled rows, do not
-    @pytest.mark.parametrize("command, scale", [("evaluate", 1e150), ("evaluate", 1e200), ("mine-debug", 1e200)])
+    @pytest.mark.parametrize("command, scale", [("evaluate", 1e200), ("mine-debug", 1e200)])
     @pytest.mark.parametrize("hidden", ["8", "24"])  # Cholesky factor; F = W
     def test_exits_2_naming_it_without_warnings(self, tmp_path, capsys, command, scale, hidden):
         out = tmp_path / "run"
@@ -571,6 +570,26 @@ class TestOverflowingCheckpoint:
         assert stdout == ""
         assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
         assert "non-finite" in err and "diverged" not in err
+
+    @pytest.mark.parametrize("hidden", ["8", "24"])  # Cholesky factor; F = W
+    def test_rows_whose_squares_overflow_evaluate_as_unscaled(self, tmp_path, capsys, hidden):
+        # 2**500 on every weight and hidden bias scales the rows h F by
+        # exactly 2**1000: their squared norms overflow, their distances do not
+        out = tmp_path / "run"
+        assert run(capsys, "train", *TINY_DATA, "--epochs", "1", "--batch-size", "16", "--embedding", "16",
+                   "--hidden", hidden, "--out", str(out))[0] == 0
+        assert run(capsys, "evaluate", *TINY_DATA, "--out", str(out))[0] == 0
+        net = load_checkpoint(out / "model.ckpt")
+        for p in net.weights + net.biases[:-1]:
+            np.ldexp(p, 500, out=p)
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(net, ckpt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "evaluate", *TINY_DATA, "--checkpoint", str(ckpt),
+                               "--out", str(tmp_path / "o"))
+        assert code == 0 and err == ""
+        assert (tmp_path / "o" / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
 
 
 class TestParser:

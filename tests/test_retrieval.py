@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -75,14 +76,57 @@ class TestKnnRetrieve:
         with pytest.raises(ValueError, match="exclude indices must lie"):
             knn_retrieve([0.0], archive, k=1, exclude_index=3)
 
-    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["query", "archive"])
     def test_non_finite_embeddings_rejected(self, side, bad_value):
-        # 1e200 is finite, but its squared norm overflows float64
         query, archive = np.zeros(2), np.zeros((3, 2))
         (query if side == "query" else archive)[1] = bad_value
         with pytest.raises(ValueError, match=f"{side} embeddings"):
             knn_retrieve(query, archive, k=1)
+
+    @pytest.mark.parametrize("side", ["query", "archive"])
+    def test_finite_huge_entries_are_searched(self, side):
+        # 1e200 squared overflows float64, but the rows are finite and are
+        # ranked like their 2**-600 scaled copies, which do not overflow
+        query, archive = np.zeros(2), np.zeros((3, 2))
+        (query if side == "query" else archive)[1] = 1e200
+        want_idx, want_dist = knn_oracle(np.ldexp(query, -600), np.ldexp(archive, -600), 3, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx, dist = knn_retrieve(query, archive, k=3)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, np.ldexp(want_dist, 600))
+        assert np.all(np.isfinite(dist)) and dist.max() >= 1e200
+
+    def test_rows_whose_squares_overflow_rank_as_unscaled(self):
+        # at 2**600 every squared norm and squared distance overflows float64,
+        # while the distances themselves are representable
+        rng = seeded_rng(4)
+        archive = rng.normal(size=(40, 5))
+        archive[30:] = archive[:10]
+        queries = np.vstack([rng.normal(size=(6, 5)), archive[3:5]])
+        exclude = [None] * 6 + [3, 4]
+        want_idx, want_dist = knn_retrieve(queries, archive, 9, exclude_index=exclude)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx, dist = knn_retrieve(np.ldexp(queries, 600), np.ldexp(archive, 600), 9, exclude_index=exclude)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, np.ldexp(want_dist, 600))
+
+    def test_small_differences_beside_huge_entries_stay_exact(self):
+        # the first column's 2**600 forces a scaled screen; the pairs differ
+        # only in the second, by amounts whose squares vanish at that scale
+        # but not at scale 1
+        small = np.ldexp(np.array([5.0, 0.0, 3.0, 1.0, 4.0]), -450)
+        archive = np.column_stack([np.full(5, 2.0**600), small])
+        archive = np.vstack([archive, [-(2.0**600), 0.0]])
+        query = np.array([2.0**600, 0.0])
+        idx, dist = knn_retrieve(query, archive, k=6)
+        want_idx, want_dist = knn_oracle(query, archive, 5, None)
+        assert idx[:5].tolist() == want_idx.tolist() == [1, 3, 2, 4, 0]
+        assert np.array_equal(dist[:5], want_dist)
+        # the last row is 2**601 away: its squared distance overflows, its distance does not
+        assert idx[5] == 5 and dist[5] == 2.0**601
 
     @settings(deadline=None)
     @given(st.data())
@@ -109,6 +153,35 @@ class TestKnnRetrieve:
         usable = m - (1 if any(e is not None for e in exclude) else 0)
         k = data.draw(st.one_of(st.just(usable), st.integers(1, usable)), label="k")
         idx, dist = knn_retrieve(queries, archive, k, exclude_index=exclude)
+        for qi in range(n_q):
+            want_idx, want_dist = knn_oracle(queries[qi], archive, k, exclude[qi])
+            assert np.array_equal(idx[qi], want_idx)
+            assert np.array_equal(dist[qi], want_dist)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_offset_rows_in_several_blocks_match_brute_force_oracle(self, data):
+        # a common offset makes |q|^2 + |a|^2 - 2 q.a cancel, so the screen's
+        # rounding swamps the small and tied distances
+        m = data.draw(st.integers(2, 12), label="archive rows")
+        d = data.draw(st.integers(1, 4), label="dim")
+        n_q = data.draw(st.integers(2, 6), label="queries")
+        value = st.one_of(st.sampled_from([-1.0, -0.25, 0.0, 0.25, 0.5]), st.floats(-4.0, 4.0))
+        rows = st.lists(st.lists(value, min_size=d, max_size=d), min_size=m + n_q, max_size=m + n_q)
+        points = np.array(data.draw(rows))
+        points[m - 1] = points[0]
+        offset = data.draw(st.one_of(st.sampled_from([1e4, 1e6, 1e8, -1e8]), st.floats(-1e8, 1e8)),
+                           label="offset")
+        archive, queries = points[:m] + offset, points[m:] + offset
+        exclude = data.draw(st.lists(st.one_of(st.none(), st.integers(0, m - 1)),
+                                     min_size=n_q, max_size=n_q), label="exclude")
+        usable = m - (1 if any(e is not None for e in exclude) else 0)
+        k = data.draw(st.integers(1, usable), label="k")
+        # screens of fewer queries than there are: at least two blocks
+        block = data.draw(st.integers(1, n_q - 1), label="queries per block")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(retrieval, "_SCREEN_VALUES", block * m)
+            idx, dist = knn_retrieve(queries, archive, k, exclude_index=exclude)
         for qi in range(n_q):
             want_idx, want_dist = knn_oracle(queries[qi], archive, k, exclude[qi])
             assert np.array_equal(idx[qi], want_idx)
