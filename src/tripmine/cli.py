@@ -278,13 +278,13 @@ def _sampler_config(o: dict) -> SamplerConfig:
     )
 
 
-def _train_config(o: dict, sampler_cfg: SamplerConfig) -> TrainConfig:
+def _train_config(o: dict) -> TrainConfig:
     return TrainConfig(
         epochs=o["epochs"], batch_size=o["batch_size"], lr0=o["lr"],
         decay_every_epochs=o["decay_every"], decay_factor=o["decay_factor"],
         alpha=o["alpha"], hidden_dims=_parse_int_list(o["hidden"]),
         embedding_dim=o["embedding"], l2_normalize=o["l2_normalize"],
-        sampler=sampler_cfg, seed=o["seed"],
+        sampler=_sampler_config(o), seed=o["seed"],
     )
 
 
@@ -298,7 +298,7 @@ def cmd_train(o: dict) -> int:
     if every < 0:
         raise UserError(f"--checkpoint-every must be >= 0, got {every}")
     ds = _load_data(o)
-    cfg = _train_config(o, _sampler_config(o))
+    cfg = _train_config(o)
     out = _out_dir(o)
 
     def checkpoint_hook(epoch, net, row):
@@ -323,37 +323,32 @@ def _resolve_k(o: dict, archive_size: int) -> int:
     return k
 
 
-def _load_net(o: dict, ds):
-    """The --checkpoint (default <out>/model.ckpt), checked against the
-    dataset's width, and its path. A checkpoint that records its l2_normalize
-    flag sets it; --l2-normalize on one saved without it is an error naming
-    the file."""
+@contextmanager
+def _checkpoint(o: dict, ds):
+    """Yield the --checkpoint (default <out>/model.ckpt), checked against
+    the dataset's width. A checkpoint that records its l2_normalize flag
+    sets it; --l2-normalize on one saved without it is an error naming the
+    file. Weights that overflow float64 on the data inside the block raise
+    one error naming the file."""
     ckpt = o["checkpoint"] or os.path.join(o["out"], "model.ckpt")
     if not os.path.exists(ckpt):
         raise UserError(f"checkpoint not found: {ckpt}")
     net = load_checkpoint(ckpt, l2_normalize=True if o["l2_normalize"] else None)
     if net.layer_dims[0] != ds.n_features:
         raise UserError(
-            f"checkpoint expects {net.layer_dims[0]} features but dataset has {ds.n_features}"
+            f"{ckpt}: checkpoint expects {net.layer_dims[0]} features but dataset has {ds.n_features}"
         )
-    return net, ckpt
-
-
-@contextmanager
-def _naming_checkpoint(ckpt):
-    """Weights that overflow float64 on the data: one error naming ``ckpt``."""
     try:
-        yield
+        yield net
     except FloatingPointError as exc:
         raise UserError(f"{ckpt}: {exc}") from None
 
 
 def cmd_evaluate(o: dict) -> int:
     ds = _load_data(o)
-    net, ckpt = _load_net(o, ds)
     queries = ds.subset(ds.val_idx)
     archive = ds.subset(ds.test_idx)
-    with _naming_checkpoint(ckpt):
+    with _checkpoint(o, ds) as net:
         report = evaluate(net, queries, archive, _resolve_k(o, len(archive)))
     out = _out_dir(o)
     rows = [(o["method"], report)]
@@ -377,7 +372,7 @@ def _ablate_seed(o: dict, curve: list) -> dict:
     cells = []
     for name in SAMPLER_CHOICES:
         cell = dict(o, sampler=name)
-        cfg = _train_config(cell, _sampler_config(cell))
+        cfg = _train_config(cell)
         # reject every cell up front, not after training the ones before it
         validate_config(cfg.sampler, cfg.batch_size)
         cells.append((name, cfg))
@@ -436,14 +431,13 @@ def cmd_mine_debug(o: dict) -> int:
     if o["batches"] < 1:
         raise UserError(f"--batches must be >= 1, got {o['batches']}")
     ds = _load_data(o)
-    net, ckpt = _load_net(o, ds)
     scfg = _sampler_config(o)
-    # the checkpoint's layer sizes make the stream spend training's Glorot
-    # draws before its first permutation; the checkpoint embeds the batches
-    cfg = TrainConfig(batch_size=o["batch_size"], hidden_dims=net.layer_dims[1:-1],
-                      embedding_dim=net.layer_dims[-1], sampler=scfg, seed=o["seed"])
-    _, rng, epoch_batches = batch_stream(ds, cfg)
-    with _naming_checkpoint(ckpt):
+    with _checkpoint(o, ds) as net:
+        # the checkpoint's layer sizes make the stream spend training's Glorot
+        # draws before its first permutation; the checkpoint embeds the batches
+        cfg = TrainConfig(batch_size=o["batch_size"], hidden_dims=net.layer_dims[1:-1],
+                          embedding_dim=net.layer_dims[-1], sampler=scfg, seed=o["seed"])
+        _, rng, epoch_batches = batch_stream(ds, cfg)
         for b, (_, _, batch) in zip(range(o["batches"]), epoch_batches(net)):
             for line in mine_debug_lines(b, batch, scfg, rng):
                 print(line)

@@ -329,8 +329,7 @@ def synthetic_prototypes(spec: SyntheticSpec):
 
 
 def _draw_prototypes(spec: SyntheticSpec, rng: np.random.Generator):
-    # radius 0.5 keeps centroid separation comparable to the default feature
-    # noise, so a learned projection has headroom over the raw features
+    # radius 0.5 keeps centroid separation comparable to the default feature noise
     centroids = rng.normal(size=(spec.n_prototypes, spec.feature_dim))
     centroids *= 0.5 / np.linalg.norm(centroids, axis=1, keepdims=True)
     proto_labels = np.zeros((spec.n_prototypes, spec.n_classes), dtype=np.uint8)

@@ -99,16 +99,23 @@ def select_anchors_bas(batch_size: int) -> list[int]:
     return list(range(batch_size))
 
 
-def _iterative_pick(scores: np.ndarray, dist_norm: np.ndarray, count: int,
-                    gamma: float, blocked: np.ndarray) -> np.ndarray:
-    """Shared iterative argmax, each step for all H rows of ``scores`` at
-    once: first pick by score alone, then score blended with the
-    farthest-from-already-chosen diversity term. Marks picks in ``blocked``."""
+def _pick_rhdis(anchor, scores: np.ndarray, dist_norm: np.ndarray, count: int,
+                gamma: float, exclude=()):
+    """Iterative argmax, each step for every anchor at once: first pick by
+    score alone, then score blended with the farthest-from-already-chosen
+    diversity term. A list for an int anchor, (H, count) for an (H,) anchor
+    array; an anchor's own index and its ``exclude`` row are never picked."""
+    anchors = np.atleast_1d(anchor)
+    scores = np.atleast_2d(scores)
+    dist_norm = np.asarray(dist_norm, dtype=np.float64)
     h, b = scores.shape
+    rows = np.arange(h)
+    blocked = np.zeros((h, b), dtype=bool)
+    blocked[rows, anchors] = True
+    blocked[rows[:, None], np.asarray(exclude, dtype=np.int64).reshape(h, -1)] = True
     available = int(b - blocked.sum(axis=1).max(initial=0))
     if count > available:
         raise ValueError(f"cannot select {count} images from {available} candidates")
-    rows = np.arange(h)
     chosen = np.empty((h, count), dtype=np.int64)
     spread = None
     for k in range(count):
@@ -119,21 +126,7 @@ def _iterative_pick(scores: np.ndarray, dist_norm: np.ndarray, count: int,
         blocked[rows, nxt] = True
         column = dist_norm[:, nxt].T
         spread = column if spread is None else np.maximum(spread, column)
-    return chosen
-
-
-def _pick_rhdis(anchor, scores: np.ndarray, dist_norm: np.ndarray, count: int,
-                gamma: float, exclude=()):
-    """Picks for an int anchor (a list) or an (H,) anchor array ((H, count));
-    an anchor's own index and its ``exclude`` row are never picked."""
-    anchors = np.atleast_1d(anchor)
-    scores = np.atleast_2d(scores)
-    rows = np.arange(anchors.size)[:, None]
-    blocked = np.zeros(scores.shape, dtype=bool)
-    blocked[rows, anchors[:, None]] = True
-    blocked[rows, np.asarray(exclude, dtype=np.int64).reshape(anchors.size, -1)] = True
-    picks = _iterative_pick(scores, np.asarray(dist_norm, dtype=np.float64), count, gamma, blocked)
-    return picks if np.ndim(anchor) else picks[0].tolist()
+    return chosen if np.ndim(anchor) else chosen[0].tolist()
 
 
 def select_positives_rhdis(anchor, row: InformativenessRow, dist_norm: np.ndarray,

@@ -97,22 +97,25 @@ def init_adam(params) -> AdamState:
     return AdamState(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
-def adam_step(params, grads, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+# Adam's moment decay rates and denominator guard (Kingma and Ba's defaults)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params, grads, state: AdamState, lr: float) -> AdamState:
     """Standard bias-corrected Adam update, applied to ``params`` in place."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads, and state must have matching lengths")
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
+    c1 = 1.0 - _BETA1 ** state.t
+    c2 = 1.0 - _BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
     return state
 
 

@@ -546,6 +546,19 @@ class TestMineDebug:
         assert stdout == ""
 
 
+@pytest.mark.parametrize("command", ["evaluate", "mine-debug"])
+def test_checkpoint_of_another_width_exits_2_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert run(capsys, "train", *TINY, "--feature-dim", "16", "--out", str(out))[0] == 0
+    ckpt = out / "model.ckpt"
+    batch = ["--batch-size", "16"] if command == "mine-debug" else []
+    code, stdout, err = run(capsys, command, *TINY_DATA, *batch, "--feature-dim", "8",
+                            "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {ckpt}: checkpoint expects 16 features but dataset has 8\n"
+
+
 class TestOverflowingCheckpoint:
     """A checkpoint whose finite weights make its rows, or only their squares,
     overflow float64 on the data."""

@@ -211,7 +211,9 @@ class TestKnnRetrieve:
         rng = seeded_rng(3)
         archive = rng.normal(size=(300, 8))
         archive[150:200] = archive[:50]
-        # 80 queries span two 64-query blocks; the last 10 are archive rows
+        # the default screen takes all 80 queries in one block; only the
+        # 1000-value case (27 blocks) crosses blocks. The last 10 are
+        # archive rows
         queries = np.vstack([rng.normal(size=(70, 8)), archive[:10]])
         exclude = [None] * 70 + list(range(10))
         idx, dist = knn_retrieve(queries, archive, k=12, exclude_index=exclude)
