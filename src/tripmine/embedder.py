@@ -113,7 +113,8 @@ def _hidden_cached(net: Embedder, features):
     preacts = []
     a = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = padded_matmul(a, w) + b
+        z = padded_matmul(a, w)
+        z += b
         preacts.append(z)
         a = np.maximum(z, 0.0)
         acts.append(a)
@@ -190,11 +191,32 @@ def distance_rows(net: Embedder, features, factor) -> np.ndarray:
     ``forward(net, features)``: ``h @ factor`` for the last hidden
     activations ``h`` and ``factor = distance_factor(net)``, or the
     embedding itself when ``factor`` is None (``l2_normalize`` on). Rows
-    that outgrow float64 raise ``FloatingPointError``, without numpy's warnings."""
-    rows = (forward(net, features) if factor is None
-            else padded_matmul(_hidden_cached(net, features)[0][-1], factor))
-    if not np.isfinite(rows).all():
-        raise FloatingPointError("embeddings contain non-finite values")
+    that outgrow float64 raise ``FloatingPointError``, without numpy's warnings.
+
+    The rows are embedded in blocks of ``_CHUNK_VALUES // widest`` rows,
+    ``widest`` the widest of the input, the hidden layers and the result, so
+    each block's intermediates stay near 1 MB, within L2: 1,024 rows for 128
+    features, hidden 64 and d = 1024, 128 rows with ``l2_normalize`` on. A
+    row's products sum in the same order in any block of two or more rows,
+    so the result is bit-identical to one pass; numpy sends a one-row
+    product through matrix-vector code, which sums in another order, so a
+    trailing block of one row joins the block before it. Input that fits
+    one block is embedded in one pass."""
+    x = _feature_matrix(net, features)
+    width = net.layer_dims[-1] if factor is None else factor.shape[1]
+    step = max(2, _CHUNK_VALUES // max(*net.layer_dims[:-1], width))
+    stops = [*range(step, len(x) - 1, step), len(x)]
+    rows = None if len(stops) == 1 else np.empty((len(x), width))
+    start = 0
+    for stop in stops:
+        block = (forward(net, x[start:stop]) if factor is None
+                 else padded_matmul(_hidden_cached(net, x[start:stop])[0][-1], factor))
+        if not np.isfinite(block).all():
+            raise FloatingPointError("embeddings contain non-finite values")
+        if rows is None:
+            return block
+        rows[start:stop] = block
+        start = stop
     return rows
 
 

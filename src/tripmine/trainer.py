@@ -88,9 +88,14 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamState:
+    """First and second moments per parameter and the step count. ``scratch``
+    holds two parameter-sized buffers per parameter for ``adam_step``; it is
+    built on the first step and again when the parameter shapes change."""
+
     m: list
     v: list
     t: int = 0
+    scratch: list = field(default_factory=list)
 
 
 def init_adam(params) -> AdamState:
@@ -102,20 +107,33 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> AdamState:
-    """Standard bias-corrected Adam update, applied to ``params`` in place."""
+    """Standard bias-corrected Adam update, applied to ``params`` in place.
+
+    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` runs in the same order as
+    that expression, into ``state.scratch``, so a step allocates no
+    parameter-sized temporaries."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads, and state must have matching lengths")
+    if [s.shape for s, _ in state.scratch] != [p.shape for p in params]:
+        state.scratch = [(np.empty(p.shape), np.empty(p.shape)) for p in params]
     state.t += 1
     c1 = 1.0 - _BETA1 ** state.t
     c2 = 1.0 - _BETA2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
         m *= _BETA1
-        m += (1.0 - _BETA1) * g
+        m += np.multiply(1.0 - _BETA1, g, out=step)
         v *= _BETA2
-        v += (1.0 - _BETA2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
+        np.multiply(1.0 - _BETA2, g, out=step)
+        v += np.multiply(step, g, out=step)
+        np.divide(m, c1, out=step)
+        step *= lr
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += _EPS
+        step /= denom
+        p -= step
     return state
 
 

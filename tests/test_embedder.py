@@ -766,6 +766,56 @@ class TestDistanceFactor:
         assert distance_factor(net) is net.weights[-1]
 
 
+class TestBlockedDistanceRows:
+    """``distance_rows`` embeds its input in blocks of ``_CHUNK_VALUES //
+    widest`` rows, never one row unless the input is one row, bit for bit
+    as one pass would."""
+
+    @pytest.mark.parametrize("l2", [False, True])
+    @pytest.mark.parametrize("dims", [[128, 64, 1024], [37, 50, 20, 70]])
+    @pytest.mark.parametrize("step", [2, 5])
+    def test_blocks_match_one_pass(self, monkeypatch, dims, l2, step):
+        rng = seeded_rng(150)
+        net = Embedder.init(dims, rng, l2_normalize=l2)
+        factor = distance_factor(net)
+        widest = max(*dims[:-1], dims[-1] if factor is None else factor.shape[1])
+        blocks = []
+        real = embedder_mod._hidden_cached
+
+        def spy(net, features):
+            blocks.append(len(features))
+            return real(net, features)
+
+        for n in sorted({0, 1, 2, step - 1, step, step + 1, 2 * step + 1}):
+            x = rng.normal(size=(n, dims[0]))
+            one_pass = (forward(net, x) if factor is None
+                        else padded_matmul(real(net, x)[0][-1], factor))
+            del blocks[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(embedder_mod, "_CHUNK_VALUES", widest * step + widest - 1)
+                patch.setattr(embedder_mod, "_hidden_cached", spy)
+                rows = distance_rows(net, x, factor)
+            assert rows.shape == one_pass.shape and rows.tobytes() == one_pass.tobytes()
+            assert sum(blocks) == n
+            # full blocks of step rows; a trailing row joins the last of them
+            full, rest = divmod(n, step)
+            expected = [step] * full + [rest] * (rest > 0) or [0]
+            if rest == 1 and full:
+                expected[-2:] = [step + 1]
+            assert blocks == expected
+            assert 1 not in blocks or n == 1
+
+    def test_non_finite_rows_in_a_later_block_raise(self, monkeypatch):
+        rng = seeded_rng(151)
+        net = Embedder.init([6, 8, 20], rng)
+        net.weights[0] *= 1e10
+        x = rng.normal(size=(9, 6))
+        x[7] = 1e300
+        monkeypatch.setattr(embedder_mod, "_CHUNK_VALUES", 8 * 4)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            distance_rows(net, x, distance_factor(net))
+
+
 class TestFiniteDifferenceCheck:
     def test_zero_gradient_case_reports_zero_error(self):
         net = Embedder(layer_dims=(1, 1), weights=[np.eye(1)], biases=[np.zeros(1)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tripmine.similarity import (
+    _check_binary_rows,
     _scaled_row_distances,
     label_similarity,
     label_similarity_matrix,
@@ -16,6 +17,39 @@ from tripmine.similarity import (
 
 def label_vectors(n=6):
     return st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda v: sum(v) > 0)
+
+
+# every dtype and value the label check sees, with np.isin(arr, (0, 1)).all(),
+# the form it replaced, as the verdict: whether the entries pass as 0 or 1
+_BINARY_ENTRY_CASES = [
+    (np.array([[0, 1, 1]], dtype=np.uint8), True),
+    (np.array([[1, -1]], dtype=np.int8), False),
+    (np.array([[1, 255]], dtype=np.uint8), False),
+    (np.array([[1, 2]]), False),
+    (np.array([[1, 0.5]]), False),
+    (np.array([[1, np.nan]]), False),
+    (np.array([[1, np.inf]]), False),
+    (np.array([[1.0, -0.0]]), True),
+    (np.array([[True, False]]), True),
+    (np.array([["1", "0"]]), False),
+    (np.array([[1, 0]], dtype=object), True),
+    (np.array([[1 + 0j, 0j]]), True),
+    (np.array([[1 + 1j, 0j]]), False),
+    (np.zeros((0, 3)), True),
+]
+
+
+class TestCheckBinaryRows:
+    @pytest.mark.filterwarnings("ignore:Casting complex values")
+    @pytest.mark.parametrize("arr, binary", _BINARY_ENTRY_CASES)
+    def test_accepts_exactly_the_entries_isin_accepts(self, arr, binary):
+        assert bool(np.isin(arr, (0, 1)).all()) is binary
+        if binary:
+            out = _check_binary_rows(arr)
+            assert out.dtype == np.float64 and out.shape == arr.shape
+        else:
+            with pytest.raises(ValueError, match="0 or 1"):
+                _check_binary_rows(arr)
 
 
 class TestLabelSimilarity:
@@ -283,6 +317,19 @@ class TestMinmaxNormalize:
         if max(values) > min(values):
             assert off.min() == 0.0
             assert off.max() == 1.0
+
+    @pytest.mark.parametrize("b", [2, 3, 17, 100])
+    def test_bit_identical_to_the_masked_expression(self, b):
+        rng = np.random.default_rng(b)
+        values = rng.choice([0.0, -0.0, 0.25, 1.5, 2.0], size=b * (b - 1) // 2)
+        values[rng.random(values.size) < 0.5] = rng.random() * 3
+        for d in (_symmetric(values, b), _symmetric(rng.random(values.size) * 1e-300, b)):
+            off = ~np.eye(b, dtype=bool)
+            lo, hi = d[off].min(), d[off].max()
+            expected = np.zeros_like(d)
+            if hi > lo:
+                expected[off] = (d[off] - lo) / (hi - lo)
+            assert minmax_normalize(d).tobytes() == expected.tobytes()
 
     @given(st.lists(st.floats(0.1, 100.0), min_size=6, max_size=6, unique=True))
     def test_preserves_off_diagonal_order(self, values):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,52 @@ class TestAdam:
         p = [np.zeros(2)]
         with pytest.raises(ValueError, match="shape"):
             adam_step(p, [np.zeros(3)], init_adam(p), lr=0.1)
+
+    def test_bit_identical_to_the_textbook_expression(self):
+        rng = seeded_rng(8)
+        shapes = [(16, 64), (64,), (64, 1024), (1024,)]
+        params = [rng.normal(size=s) for s in shapes]
+        ref_p, ref_m, ref_v = ([p.copy() for p in params], [np.zeros(s) for s in shapes],
+                               [np.zeros(s) for s in shapes])
+        state = init_adam(params)
+        for t in range(1, 31):
+            # some steps see exactly zero gradients, as the l2-off output bias does
+            grads = [rng.normal(size=s) * (t % 4 != 2) for s in shapes]
+            lr = 1e-3 * 0.95 ** (t // 5)
+            adam_step(params, grads, state, lr)
+            c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for p, g, m, v in zip(ref_p, grads, ref_m, ref_v):
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                p -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+        for got, want in zip(params + state.m + state.v, ref_p + ref_m + ref_v):
+            assert got.tobytes() == want.tobytes()
+
+    def test_later_steps_allocate_no_parameter_sized_temporaries(self):
+        rng = seeded_rng(9)
+        params = [rng.normal(size=(64, 1024))]
+        state = init_adam(params)
+        grads = [rng.normal(size=(64, 1024))]
+        adam_step(params, grads, state, lr=1e-3)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, lr=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params[0].nbytes
+
+    def test_scratch_follows_the_parameter_shapes(self):
+        state = AdamState(m=[np.zeros(2)], v=[np.zeros(2)], t=0)
+        p = [np.array([1.0, 2.0])]
+        adam_step(p, [np.ones(2)], state, lr=0.1)
+        state.m, state.v = [np.zeros(3), np.zeros((2, 2))], [np.zeros(3), np.zeros((2, 2))]
+        q = [np.zeros(3), np.zeros((2, 2))]
+        adam_step(q, [np.ones(3), -np.ones((2, 2))], state, lr=0.1)
+        assert [s.shape for pair in state.scratch for s in pair] == [(3,), (3,), (2, 2), (2, 2)]
+        assert np.all(q[0] < 0.0) and np.all(q[1] > 0.0)
 
 
 class TestTrain:
