@@ -2,11 +2,11 @@
 
 Retrieval is exact flat search, the design of FAISS's exact index (Johnson,
 Douze and Jegou, arXiv 1702.08734) in numpy: one GEMM screens a block of
-queries against the whole archive, and the rows the screen cannot rule out
-are re-measured from row differences. ``evaluate`` searches the rows training
-measures (``embedder.distance_rows``). Metric averaging is macro: per-pair
-metrics are averaged over the k retrieved items of a query, then over
-queries.
+queries against the whole archive, each query with one rounding allowance,
+and the rows the screen cannot rule out are re-measured from row
+differences. ``evaluate`` searches the rows training measures
+(``embedder.distance_rows``). Metric averaging is macro: per-pair metrics
+are averaged over the k retrieved items of a query, then over queries.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import embedder as emb_mod
 from .core import as_table
-from .similarity import _check_binary_rows, _scaled_row_distances, gram_screen
+from .similarity import _FLOAT_TINY, _check_binary_rows, _gram_allowance, _scaled_row_distances
 
 # float64 screen values per query block (16 MB): a block holds this many
 # divided by the archive size queries, at least one
@@ -49,13 +49,15 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
     (the query's own archive row, when the query is part of the archive) is
     never returned. Non-finite rows raise ``ValueError``.
 
-    Per block of queries, one GEMM and ``similarity.gram_screen`` give
-    approximate squared distances to every archive row with allowances.
-    The largest screen value plus allowance of the k best screened rows
-    bounds the k-th squared distance; every row whose screen value minus
-    allowance is within it is measured from row differences and ranked.
-    Rows whose squares could overflow are screened at one power-of-two
-    scale 2**-e, as are the differences whose squares overflow.
+    Per block of queries, one GEMM gives every archive row's screen value
+    ``|a|^2 - 2 q.a``, the squared distance less the query's own ``|q|^2``.
+    Each query has one rounding allowance, from ``|q|^2`` and the largest
+    ``|a|^2`` (``similarity._GRAM_ERR_PER_DIM``); every row whose screen
+    value is within two allowances of the query's k-th smallest is measured
+    from row differences and ranked. A block holds one (Q, M) screen and the
+    copy ``np.partition`` makes of it. Rows whose squares could overflow are
+    screened at one power-of-two scale 2**-e, as are the differences whose
+    squares overflow.
     """
     q = np.asarray(query_embedding, dtype=np.float64)
     single = q.ndim < 2
@@ -87,25 +89,30 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
         screen_q, screen_a = np.ldexp(q, -scale_exp), np.ldexp(a, -scale_exp)
         q_sq, a_sq = (np.einsum("ij,ij->i", r, r) for r in (screen_q, screen_a))
     block = max(1, _SCREEN_VALUES // m)
+    # each query's |q|^2 is left out of its screen row, and its one allowance
+    # covers every pair of the row (similarity._GRAM_ERR_PER_DIM); doubled,
+    # it is the margin a row may screen above the query's k-th
+    margin = q_sq + (a_sq.max() + _FLOAT_TINY)
+    margin *= 2.0 * _gram_allowance(q.shape[1])
     idx, dist = np.empty((n_q, k), dtype=np.intp), np.empty((n_q, k), dtype=np.float64)
     for start in range(0, n_q, block):
         part = slice(start, start + block)
         qb = q[part]
         rows = np.arange(qb.shape[0])
-        # plain: the allowance and the exact re-measure decide the result, and
-        # padding would copy an archive of unaligned size, transposed, per block
-        screen, allowance = gram_screen(screen_q[part] @ screen_a.T, q_sq[part], a_sq, q.shape[1])
+        # |a|^2 - 2 q.a; scaling q by -2 is exact. Plain: the margin and the
+        # exact re-measure decide the result, and padding would copy an
+        # archive of unaligned size, transposed, per block
+        screen = (-2.0 * screen_q[part]) @ screen_a.T
+        screen += a_sq
         ex_rows = [r for r in rows if excl[start + r] is not None]
         screen[ex_rows, [excl[start + r] for r in ex_rows]] = np.inf
-        cand = np.argpartition(screen, k - 1, axis=1)[:, :k]
-        bound = (np.take_along_axis(screen, cand, 1) + np.take_along_axis(allowance, cand, 1)).max(axis=1)
-        screen -= allowance
-        # the candidates pass, so each query keeps at least k rows, and so
-        # does every row as near as its k-th (similarity._GRAM_ERR_PER_DIM).
-        # nonzero lists the pairs by query, then by archive index, and
-        # lexsort is stable: each query's pairs stay one run, ordered by
-        # distance with equal distances in index order
-        q_rows, a_rows = np.nonzero(screen <= bound[:, None])
+        bound = np.partition(screen, k - 1, axis=1)[:, k - 1] + margin[part]
+        # the k screen-best rows pass, so each query keeps at least k rows,
+        # and so does every row as near as its k-th. flatnonzero lists the
+        # pairs by query, then by archive index, and lexsort is stable: each
+        # query's pairs stay one run, ordered by distance with equal
+        # distances in index order
+        q_rows, a_rows = np.divmod(np.flatnonzero(screen <= bound[:, None]), m)
         exact = _scaled_row_distances(qb, q_rows, a_rows, y=a)
         if scale_exp:  # squares that overflow at scale 1 are summed at the screen's
             over = np.flatnonzero(exact == np.inf)

@@ -5,8 +5,9 @@ the raw Euclidean values are kept alongside because the margin loss uses
 them unnormalized. The batch distance matrix is the Gram form of exact
 flat L2 search (Johnson, Douze and Jegou, arXiv 1702.08734) on centred,
 rescaled rows, with the pairs it cannot tell from 0 re-measured exactly.
-Exact k-nn retrieval follows the same design, so its screen (``gram_screen``),
-rounding allowance and exact re-measure come from here too.
+Exact k-nn retrieval follows the same design, so its rounding allowance
+(``_gram_allowance``, derived at ``_GRAM_ERR_PER_DIM``) and exact re-measure
+come from here too.
 """
 
 from __future__ import annotations
@@ -35,6 +36,23 @@ _GEMM_PAD = 32
 # every row as near as the k-th, rounding included. Underflow can add half the
 # smallest subnormal to each of the 4 d products in g and d squares in r^2 (rows
 # scaled into subnormals far less); A's term in the smallest normal is 8 d + 48 halves.
+#
+# The k-nn screen (``retrieval.knn_retrieve``) leaves out the query's |q|^2,
+# the same for every archive row, and takes s = (-2 q).a + |a|^2. Doubling q
+# is exact, so s carries d u S from the dot product, d u S from |a|^2 and
+# u |s| <= 2 u S from its one sum: (2 d + 2) u S, against the (2 d + 3) u S of
+# g, whose |q|^2 and second sum it does without. So s + |q|^2, with |q|^2
+# exact (its rounding never enters a comparison), is within (4 d + 14) u S of
+# r^2. With S_q = |q|^2 + max |a|^2 + tiny, at least the S of each pair in the
+# query's row, E = (4 d + 14) u S_q bounds that for the whole row, and the
+# query takes one allowance A_q = 8 (d + 6) u S_q; computed norms, their sum
+# and the product lose under (d + 4) u of it. If s_k is the query's k-th
+# smallest s, its k best rows have r^2 <= s_k + |q|^2 + E, so each row as
+# near as the k-th has s <= s_k + 2 E. Keeping s <= s_k + 2 A_q keeps it:
+# |s_k| <= 2 S_q, so the threshold's sum rounds by under 2.01 u S_q, and
+# 2 E + 2.01 u S_q falls short of 2 A_q by over (8 d + 65) u S_q.
+# Underflow: the d products of the doubled q, the d squares of |a|^2 and those
+# of r^2 add 3 d half-subnormals to E, within A_q's 8 d + 48.
 _GRAM_ERR_PER_DIM = 8 * 2.0**-53
 # Pairs whose Gram value is at most this many allowances are re-measured from
 # row differences; every other one is over 2**41 times its rounding error, so
@@ -122,15 +140,10 @@ def padded_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ b)[:, :n]
 
 
-def gram_screen(gram, sq_x, sq_y, d: int, allowances: float = 1.0) -> tuple:
-    """``|x_i|^2 + |y_j|^2 - 2 x_i.y_j`` over the Gram products ``gram = x @ y.T`` of
-    d-wide rows with squared norms ``sq_x``, ``sq_y``, and ``allowances`` times each one's allowance."""
-    sq_sum = sq_x[:, None] + sq_y
-    gram *= -2.0
-    gram += sq_sum
-    sq_sum += _FLOAT_TINY
-    sq_sum *= allowances * _GRAM_ERR_PER_DIM * (d + 6)
-    return gram, sq_sum
+def _gram_allowance(d: int) -> float:
+    """Rounding allowance of a Gram-form squared distance of d-wide rows, per
+    unit of ``|x|^2 + |y|^2 + tiny`` (``_GRAM_ERR_PER_DIM``)."""
+    return (d + 6) * _GRAM_ERR_PER_DIM
 
 
 def pairwise_euclidean(embeddings) -> np.ndarray:
@@ -170,7 +183,12 @@ def pairwise_euclidean(embeddings) -> np.ndarray:
     exp = int(np.frexp(top)[1])
     np.ldexp(scaled, -exp, out=scaled)
     sq = np.einsum("ij,ij->i", scaled, scaled)
-    gram, near_bound = gram_screen(padded_matmul(scaled, scaled.T), sq, sq, d, _REMEASURE_ALLOWANCES)
+    gram = padded_matmul(scaled, scaled.T)
+    near_bound = sq[:, None] + sq
+    gram *= -2.0
+    gram += near_bound
+    near_bound += _FLOAT_TINY
+    near_bound *= _REMEASURE_ALLOWANCES * _gram_allowance(d)
     # both triangles hold each pair's value up to rounding; the smaller one
     # makes the matrix exactly symmetric
     dist = np.minimum(gram, gram.T)

@@ -223,6 +223,60 @@ class TestKnnRetrieve:
             assert np.array_equal(idx[qi], one_idx)
             assert np.array_equal(dist[qi], one_dist)
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_clusters_of_norms_far_below_the_largest_match_oracle(self, data):
+        # tight clusters whose norms span 6 to 12 decades: within a cluster
+        # the screen cancels like a common offset, and each query's one
+        # allowance comes from the largest norm, far above its cluster's
+        m = data.draw(st.integers(2, 300), label="archive rows")
+        d = data.draw(st.integers(1, 8), label="dim")
+        n_q = data.draw(st.integers(2, 8), label="queries")
+        span = data.draw(st.floats(6.0, 12.0), label="decades of row norms")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n_clusters = data.draw(st.integers(2, 4), label="clusters")
+        scales = 10.0 ** np.concatenate([[span / 2, -span / 2],
+                                         rng.uniform(-span / 2, span / 2, n_clusters - 2)])
+        centres = rng.normal(size=(n_clusters, d))
+
+        def draw_rows(n):
+            # coarse steps about a centre, so distances tie often
+            c = rng.integers(0, n_clusters, size=n)
+            c[:2] = [0, 1][:n]
+            return scales[c, None] * (centres[c] + 1e-4 * rng.integers(0, 20, size=(n, d)))
+
+        archive = draw_rows(m)
+        archive[m - 1] = archive[m // 2]
+        queries = draw_rows(n_q)
+        # some queries are archive rows, their own row excluded or not
+        own = rng.integers(0, m, size=n_q)
+        is_row = rng.random(n_q) < 0.5
+        queries[is_row] = archive[own[is_row]]
+        exclude = [int(i) if r and rng.random() < 0.7 else None for i, r in zip(own, is_row)]
+        usable = m - (1 if any(e is not None for e in exclude) else 0)
+        k = data.draw(st.integers(1, min(30, usable)), label="k")
+        block = data.draw(st.integers(1, n_q), label="queries per block")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(retrieval, "_SCREEN_VALUES", block * m)
+            idx, dist = knn_retrieve(queries, archive, k, exclude_index=exclude)
+        for qi in range(n_q):
+            want_idx, want_dist = knn_oracle(queries[qi], archive, k, exclude[qi])
+            assert np.array_equal(idx[qi], want_idx)
+            assert np.array_equal(dist[qi], want_dist)
+
+    def test_block_allocates_one_screen_and_its_partition(self):
+        # 30 queries against 20,000 rows of 64: the screen and the copy
+        # np.partition makes, plus per-row vectors and the candidate mask
+        rng = seeded_rng(5)
+        archive, queries = rng.normal(size=(20_000, 64)), rng.normal(size=(30, 64))
+        tracemalloc.start()
+        try:
+            knn_retrieve(queries, archive, k=30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 30 * 20_000 * 8
+
 
 def knn_oracle(query, archive, k, exclude):
     """Stable argsort of per-row difference distances, the excluded row dropped."""
