@@ -39,30 +39,6 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One dataset item: opaque id, feature vector, and multi-label vector.
-
-    The two vectors form a one-row ``SampleTable``, whose checks they pass.
-    """
-
-    id: str
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels)
-        if feats.ndim != 1 or labs.ndim != 1:
-            raise ValueError(
-                f"sample {self.id!r}: features and labels must be one-dimensional, "
-                f"got shapes {feats.shape} and {labs.shape}"
-            )
-        row = SampleTable([self.id], feats[None], labs[None])
-        object.__setattr__(self, "features", row.features[0])
-        object.__setattr__(self, "labels", row.labels[0])
-
-
 class SampleTable:
     """Samples as columns: ``ids`` (a tuple), ``features`` an (M, F) float64
     matrix and ``labels`` an (M, N) uint8 matrix; row i is sample i.
@@ -73,9 +49,9 @@ class SampleTable:
     when they already have the right dtype, so they stay the caller's to
     edit.
 
-    ``len`` and iteration work as on a list of ``Sample``; an int index
-    gives a ``Sample`` viewing that row, a slice or an integer index array
-    gives a sub-table.
+    ``len`` counts the rows; a slice or a 1-D integer index array gives a
+    sub-table. An int index raises ``TypeError``, and so does iteration:
+    a table has columns, not per-sample items.
     """
 
     def __init__(self, ids, features, labels):
@@ -98,50 +74,37 @@ class SampleTable:
         bad = _first_true(~labs.any(axis=1))
         if bad is not None:
             raise ValueError(f"sample {ids[bad]!r} has no class labels")
-        row_of = {sample_id: row for row, sample_id in enumerate(ids)}
-        if len(row_of) != len(ids):
-            repeated = next(i for row, i in enumerate(ids) if row_of[i] != row)
-            raise ValueError(f"sample id {repeated!r} is repeated")
-        self.row_of = row_of
+        self.row_of = _row_of_ids(ids)
         self.ids = ids
         self.features = feats
         self.labels = labs
 
-    @classmethod
-    def from_samples(cls, samples) -> "SampleTable":
-        samples = list(samples)
-        if not samples:
-            raise ValueError("a sample table needs at least one sample")
-        return cls([s.id for s in samples], np.stack([s.features for s in samples]),
-                   np.stack([s.labels for s in samples]))
-
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return Sample(id=self.ids[key], features=self.features[key], labels=self.labels[key])
         if isinstance(key, slice):
             return SampleTable(self.ids[key], self.features[key], self.labels[key])
         rows = np.asarray(key)
         if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
-            raise TypeError(f"index a sample table with an int, a slice or a 1-D integer array, not {key!r}")
+            raise TypeError(f"index a sample table with a slice or a 1-D integer array, not {key!r}")
         rows = rows.astype(np.intp)
         return SampleTable([self.ids[i] for i in rows.tolist()], self.features[rows], self.labels[rows])
+
+
+def _row_of_ids(ids, prefix="") -> dict:
+    """Each id's row. A repeated id raises ``ValueError`` naming, after
+    ``prefix``, the first id that occurs again."""
+    row_of = {sample_id: row for row, sample_id in enumerate(ids)}
+    if len(row_of) != len(ids):
+        repeated = next(i for row, i in enumerate(ids) if row_of[i] != row)
+        raise ValueError(f"{prefix}sample id {repeated!r} is repeated")
+    return row_of
 
 
 def _first_true(hit):
     """Index of the first True in the boolean vector ``hit``, else None."""
     return int(hit.argmax()) if hit.any() else None
-
-
-def as_table(samples) -> SampleTable:
-    """``samples`` itself if it is a ``SampleTable``, else a table of the
-    ``Sample`` sequence."""
-    return samples if isinstance(samples, SampleTable) else SampleTable.from_samples(samples)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SampleTable, _first_true, as_table, seeded_rng
+from .core import SampleTable, _first_true, _row_of_ids, seeded_rng
 
 FEATURES_MAGIC = b"TMFEAT01"
 _REDRAW_ATTEMPTS = 16
@@ -33,17 +33,14 @@ _REDRAW_ATTEMPTS = 16
 
 @dataclass
 class Dataset:
-    """Samples (a ``SampleTable``; a list of ``Sample`` is converted), class
-    names, and the row indices of the train/val/test splits."""
+    """Samples (a ``SampleTable``), class names, and the row indices of the
+    train/val/test splits."""
 
     samples: SampleTable
     class_names: list
     train_idx: list = field(default_factory=list)
     val_idx: list = field(default_factory=list)
     test_idx: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.samples = as_table(self.samples)
 
     @property
     def n_features(self) -> int:
@@ -240,8 +237,7 @@ def _read_labels_csv(path):
         v = next(stripped[v] for v in row[1:] if stripped[v] not in ("0", "1"))
         raise ValueError(f"{path}: non-binary label entry {v!r} in row {line_no}")
     ids = [row[0] for row in body]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"{path}: duplicate ids")
+    _row_of_ids(ids, f"{path}: ")
     return class_names, ids, labels
 
 
@@ -263,8 +259,7 @@ def load_dataset(features_path, labels_path) -> Dataset:
         ids = label_ids
     else:
         ids, feats = _read_features_csv(features_path)
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"{features_path}: duplicate ids")
+        _row_of_ids(ids, f"{features_path}: ")
         by_id = {i: k for k, i in enumerate(label_ids)}
         missing = [i for i in ids if i not in by_id]
         if missing:

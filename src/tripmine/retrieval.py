@@ -17,7 +17,6 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import embedder as emb_mod
-from .core import as_table
 from .similarity import _FLOAT_TINY, _check_binary_rows, _gram_allowance, _scaled_row_distances
 
 # float64 screen values per query block (16 MB): a block holds this many
@@ -162,18 +161,17 @@ def default_k(archive_size: int) -> int:
 def evaluate(net, queries, archive, k: int) -> MetricReport:
     """Embed both splits, retrieve top-k per query, macro-average the metrics.
 
-    ``queries`` and ``archive`` are ``SampleTable``s or sequences of
-    ``Sample``. A query that is also present in the archive (matched by id)
-    never retrieves the archive row with that id. Each call embeds both
-    splits as ``distance_rows`` under one ``distance_factor``, so without
-    ``l2_normalize`` the (M, d) embedding is never built. A net whose rows
+    ``queries`` and ``archive`` are ``SampleTable``s. A query that is also
+    present in the archive (matched by id) never retrieves the archive row
+    with that id. Each call embeds both splits as ``distance_rows`` under
+    one ``distance_factor``, so without ``l2_normalize`` the (M, d)
+    embedding is never built. A net whose rows
     are not finite on the features raises ``FloatingPointError`` from
     ``distance_rows``, without numpy's warnings; finite rows are searched
     however large they are.
     """
     if not queries or not archive:
         raise ValueError("queries and archive must be nonempty")
-    queries, archive = as_table(queries), as_table(archive)
     factor = emb_mod.distance_factor(net)
     q_rows, a_rows = (emb_mod.distance_rows(net, t.features, factor) for t in (queries, archive))
     exclude = [archive.row_of.get(i) for i in queries.ids]

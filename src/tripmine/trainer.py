@@ -148,9 +148,11 @@ def batch_stream(dataset, cfg: TrainConfig) -> tuple:
     ``factor`` is ``net``'s ``distance_factor``, and the view's distances are
     those of the ``distance_rows`` it gives, so without ``l2_normalize`` the
     (B, d) embedding is never built. Any net of the same layer sizes, such
-    as a checkpoint, sees training's batches. A batch with non-finite
-    distances raises ``FloatingPointError`` naming it and any epoch ``n``,
-    without numpy's overflow warnings.
+    as a checkpoint, sees training's batches. The last batch is measured
+    again after its yield, so the step taken on it is checked before the
+    epoch ends. A batch with non-finite distances raises
+    ``FloatingPointError`` naming it and any epoch ``n``, without numpy's
+    overflow warnings.
     """
     cfg.validate()
     train_idx = np.asarray(dataset.train_idx, dtype=np.int64)
@@ -171,18 +173,21 @@ def batch_stream(dataset, cfg: TrainConfig) -> tuple:
     )
     n_batches = train_idx.size // cfg.batch_size
 
+    def measure(net, n, b, idx, x):
+        factor = emb_mod.distance_factor(net)
+        try:
+            return factor, BatchView.from_embeddings(idx, emb_mod.distance_rows(net, x, factor), labels[idx])
+        except (FloatingPointError, ValueError) as exc:  # finite features: the weights outgrew float64
+            where = f"batch {b}" if n is None else f"training diverged at epoch {n}, batch {b}"
+            raise FloatingPointError(f"{where}: {exc}") from None
+
     def epoch(net, n=None):
         perm = rng.permutation(train_idx)
         for b in range(n_batches):
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             x = features[idx]
-            factor = emb_mod.distance_factor(net)
-            try:
-                view = BatchView.from_embeddings(idx, emb_mod.distance_rows(net, x, factor), labels[idx])
-            except (FloatingPointError, ValueError) as exc:  # finite features: the weights outgrew float64
-                where = f"batch {b}" if n is None else f"training diverged at epoch {n}, batch {b}"
-                raise FloatingPointError(f"{where}: {exc}") from None
-            yield x, factor, view
+            yield (x, *measure(net, n, b, idx, x))
+        measure(net, n, b, idx, x)
 
     return net, rng, epoch
 
@@ -194,8 +199,9 @@ def train(dataset, cfg: TrainConfig, epoch_callback=None) -> tuple:
     Each epoch takes the full batches of one ``batch_stream`` epoch, mines
     triplets per the configured strategy on the current embeddings, and
     takes one Adam step per batch. ``epoch_callback(epoch, net, row)``,
-    when given, runs after each epoch. A diverging net raises
-    ``FloatingPointError`` naming the epoch, not numpy's overflow warnings.
+    when given, runs after each epoch. A diverging net, the last step's
+    included, raises ``FloatingPointError`` naming the epoch and batch
+    before any callback sees it, not numpy's overflow warnings.
 
     Returns (Embedder, TrainLog).
     """

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tripmine.cli import main as cli_main
-from tripmine.core import BatchView, SamplerConfig, seeded_rng
+from tripmine.core import BatchView, SampleTable, SamplerConfig, seeded_rng
 from tripmine.data import SyntheticSpec, generate_synthetic, load_dataset, split_dataset
 from tripmine.embedder import Embedder, finite_difference_check, triplet_loss
 from tripmine.retrieval import MetricReport, evaluate, pair_metrics
@@ -219,23 +219,21 @@ def test_criterion_7_metric_correctness():
 
     rng = seeded_rng(107)
     net = Embedder.init([3, 4], rng)
-    from tripmine.core import Sample
-    queries = [Sample(id=f"q{i}", features=rng.normal(size=3), labels=l)
-               for i, l in enumerate([[1, 1, 0], [0, 1, 1]])]
-    archive = [Sample(id=f"a{i}", features=rng.normal(size=3), labels=l)
-               for i, l in enumerate([[1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 1, 1], [1, 0, 1], [0, 0, 1]])]
+    queries = SampleTable([f"q{i}" for i in range(2)], rng.normal(size=(2, 3)), [[1, 1, 0], [0, 1, 1]])
+    archive = SampleTable([f"a{i}" for i in range(6)], rng.normal(size=(6, 3)),
+                          [[1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 1, 1], [1, 0, 1], [0, 0, 1]])
     rep = evaluate(net, queries, archive, k=3)
 
     from tripmine.embedder import forward
-    q_emb = forward(net, np.stack([s.features for s in queries]))
-    a_emb = forward(net, np.stack([s.features for s in archive]))
+    q_emb = forward(net, queries.features)
+    a_emb = forward(net, archive.features)
     per_query = []
-    for qi, q in enumerate(queries):
+    for qi in range(len(queries)):
         pool = sorted(
             ((math.sqrt(sum((q_emb[qi][t] - a_emb[j][t]) ** 2 for t in range(4))), j)
              for j in range(len(archive))),
             key=lambda item: (item[0], item[1]))
-        metrics = [set_metrics(q.labels, archive[j].labels) for _, j in pool[:3]]
+        metrics = [set_metrics(queries.labels[qi], archive.labels[j]) for _, j in pool[:3]]
         per_query.append([sum(col) / 3 for col in zip(*metrics)])
     expected = [sum(col) / 2 for col in zip(*per_query)]
     ok &= all(abs(g - e) < 1e-12 for g, e in

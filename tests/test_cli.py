@@ -90,7 +90,7 @@ class TestTrain:
         code, _, err = run(capsys, "train", "--features", str(feats), "--labels", str(labels),
                            "--out", str(tmp_path / "o"))
         assert code == 2
-        assert "dup_labels.csv: duplicate ids" in err
+        assert "dup_labels.csv: sample id 'a' is repeated" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("which", ["features", "labels"])
@@ -121,15 +121,30 @@ class TestTrain:
 
     @pytest.mark.parametrize("l2", [[], ["--l2-normalize"]])
     def test_divergence_exits_2_naming_epoch_and_batch(self, tmp_path, capsys, l2):
-        # the weights outgrow float64 after the first epoch's steps; numpy's
-        # overflow warnings would be raised here as errors
+        # the weights outgrow float64 in the first epoch's one step, which is
+        # checked before the epoch ends; numpy's overflow warnings would be
+        # raised here as errors
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, _, err = run(capsys, "train", "--synthetic", "--seed", "1", "--n-samples", "200",
                                "--epochs", "3", "--lr", "1e300", *l2, "--out", str(tmp_path / "o"))
         assert code == 2
-        assert err == "error: training diverged at epoch 1, batch 0: embeddings contain non-finite values\n"
+        assert err == "error: training diverged at epoch 0, batch 0: embeddings contain non-finite values\n"
         assert not (tmp_path / "o" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--n-samples", "200", "--epochs", "1", "--lr", "1e200", "--sampler", "bas-bis"],
+        ["train", "--n-samples", "200", "--epochs", "1", "--lr", "1e300", "--sampler", "bas-bis"],
+        ["train", "--n-samples", "200", "--epochs", "2", "--checkpoint-every", "1", "--lr", "1e200",
+         "--sampler", "bas-bis"],
+        ["ablate", "--n-samples", "100", "--epochs", "1", "--preset", "ci", "--lr", "1e200"],
+    ])
+    def test_a_diverged_last_step_exits_2_before_any_checkpoint(self, tmp_path, capsys, argv):
+        # each epoch here is one batch, so its one step is its last
+        code, _, err = run(capsys, *argv, "--synthetic", "--seed", "1", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err == "error: training diverged at epoch 0, batch 0: embeddings contain non-finite values\n"
+        assert not list(tmp_path.glob("o/*.ckpt"))
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"), ("--lr", "nan", "lr0"), ("--lr", "inf", "lr0"),
@@ -626,3 +641,28 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({}, ["--synthetic", "--config", "{tmp}/missing.cfg"], "config file not found: {tmp}/missing.cfg"),
+    ({"run.cfg": "epochs=1\nsampler\n"}, ["--synthetic", "--config", "{tmp}/run.cfg"],
+     "{tmp}/run.cfg:2: expected key=value, got 'sampler'"),
+    ({"run.cfg": "sampler=foo-bar\n"}, ["--synthetic", "--config", "{tmp}/run.cfg"],
+     "{tmp}/run.cfg:1: sampler must be one of " + str(SAMPLER_CHOICES)),
+    ({}, ["--synthetic", "--split", "0.6,0.4"], "--split needs three comma-separated fractions, got '0.6,0.4'"),
+    ({}, ["--synthetic", "--split", "a,b,c"], "cannot parse fractions 'a,b,c'"),
+    ({"f.csv": "a,1.0\n"}, ["--features", "{tmp}/f.csv"],
+     "either --synthetic or both --features and --labels are required"),
+    ({"f.csv": "a,1.0\n", "l.csv": "id\na\n"}, ["--features", "{tmp}/f.csv", "--labels", "{tmp}/l.csv"],
+     "{tmp}/l.csv: header names no classes"),
+    ({"f.csv": "a,1.0\nb,2.0\na,3.0\n", "l.csv": "id,c0\na,1\nb,1\n"},
+     ["--features", "{tmp}/f.csv", "--labels", "{tmp}/l.csv"], "{tmp}/f.csv: sample id 'a' is repeated"),
+])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, files, argv, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, stdout, err = run(capsys, "train", *argv, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert stdout == "" and not (tmp_path / "o").exists()

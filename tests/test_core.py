@@ -3,11 +3,9 @@ import pytest
 
 from tripmine.core import (
     BatchView,
-    Sample,
     SampleTable,
     SamplerConfig,
     TripletSet,
-    as_table,
     seeded_rng,
     validate_config,
 )
@@ -26,36 +24,6 @@ class TestSeededRng:
         draws = seeded_rng(0).random(10)
         assert np.isfinite(draws).all()
         assert len(set(draws.tolist())) == 10
-
-
-class TestSample:
-    def test_labels_normalize_to_uint8(self):
-        s = Sample(id="x", features=[0.0], labels=[1, 0, 1])
-        assert s.labels.dtype == np.uint8
-        assert s.labels.tolist() == [1, 0, 1]
-
-    def test_rejects_non_binary_labels_naming_the_sample(self):
-        with pytest.raises(ValueError, match="sample 'x': label entries must be 0 or 1"):
-            Sample(id="x", features=[0.0], labels=[1, 2, 0])
-
-    def test_rejects_all_zero_labels_naming_the_sample(self):
-        with pytest.raises(ValueError, match="sample 'x' has no class labels"):
-            Sample(id="x", features=[0.0], labels=[0, 0, 0])
-
-    def test_rejects_non_finite_features(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            Sample(id="x", features=[1.0, np.inf], labels=[1, 0])
-
-    def test_features_coerced_to_float64(self):
-        s = Sample(id="x", features=[1, 2], labels=[0, 1])
-        assert s.features.dtype == np.float64
-
-    @pytest.mark.parametrize("features, labels", [
-        ([[1.0, 2.0]], [1, 0]), ([1.0, 2.0], [[1, 0]]), (1.0, [1, 0]), ([1.0, 2.0], 1),
-    ])
-    def test_rejects_vectors_that_are_not_one_dimensional(self, features, labels):
-        with pytest.raises(ValueError, match="sample 'x': features and labels must be one-dimensional"):
-            Sample(id="x", features=features, labels=labels)
 
 
 def small_table():
@@ -108,14 +76,14 @@ class TestSampleTable:
         with pytest.raises(ValueError, match="must be matrices"):
             SampleTable(["a"], np.zeros((1, 2)), np.ones(2))
 
-    def test_int_index_gives_a_sample_viewing_the_row(self):
+    def test_int_index_and_iteration_raise_type_error(self):
+        # a table has columns, not per-sample items; iteration falls back to t[0]
         t = small_table()
-        s = t[2]
-        assert isinstance(s, Sample)
-        assert s.id == "c" and s.features.tolist() == [6.0, 7.0, 8.0] and s.labels.tolist() == [1, 1]
-        assert t[-1].id == "d" and t[np.int64(1)].id == "b"
-        s.features[0] = -1.0
-        assert t.features[2, 0] == -1.0
+        for key in (2, -1, np.int64(1)):
+            with pytest.raises(TypeError, match="index a sample table"):
+                t[key]
+        with pytest.raises(TypeError, match="index a sample table"):
+            list(t)
 
     def test_slice_gives_a_sub_table_view(self):
         t = small_table()
@@ -141,18 +109,6 @@ class TestSampleTable:
     def test_rejects_boolean_float_and_2d_indices(self, key):
         with pytest.raises(TypeError, match="index a sample table"):
             small_table()[key]
-
-    def test_iteration_and_from_samples_round_trip(self):
-        t = small_table()
-        samples = list(t)
-        assert [s.id for s in samples] == list(t.ids)
-        back = SampleTable.from_samples(samples)
-        assert back.ids == t.ids
-        assert np.array_equal(back.features, t.features) and np.array_equal(back.labels, t.labels)
-        assert as_table(t) is t
-        assert as_table(samples).ids == t.ids
-        with pytest.raises(ValueError, match="at least one sample"):
-            SampleTable.from_samples([])
 
     def test_repeated_ids_rejected_naming_the_first(self):
         assert SampleTable(["a", "b", "c"], np.zeros((3, 1)), np.ones((3, 1))).row_of == {"a": 0, "b": 1, "c": 2}

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tripmine.core import Sample, SampleTable, seeded_rng
+from tripmine.core import SampleTable, seeded_rng
 from tripmine.data import (
     FEATURES_MAGIC,
-    Dataset,
     _csv_rows,
     _looks_like_header,
     _parse_features_loadtxt,
@@ -45,8 +44,8 @@ class TestLoadDataset:
         assert ds.n_features == 2
         assert ds.n_classes == 2
         assert ds.class_names == ["water", "forest"]
-        assert ds.samples[1].id == "b"
-        assert ds.samples[2].labels.tolist() == [1, 1]
+        assert ds.samples.ids[1] == "b"
+        assert ds.samples.labels[2].tolist() == [1, 1]
 
     def test_features_header_row_is_skipped(self, tmp_path):
         fpath, lpath = write_toy_files(
@@ -95,12 +94,12 @@ class TestLoadDataset:
         write_features_binary(fpath, np.zeros((3, 2)))
         lpath = tmp_path / "labels.csv"
         lpath.write_text("id,c0\na,1\na,1\nb,1\n")
-        with pytest.raises(ValueError, match=r"labels\.csv: duplicate ids"):
+        with pytest.raises(ValueError, match=r"labels\.csv: sample id 'a' is repeated"):
             load_dataset(fpath, lpath)
 
     def test_duplicate_label_ids_with_csv_features_rejected(self, tmp_path):
         fpath, lpath = write_toy_files(tmp_path, ["a,1.0", "b,2.0"], ["a,1,0", "b,0,1", "a,1,1"])
-        with pytest.raises(ValueError, match=r"labels\.csv: duplicate ids"):
+        with pytest.raises(ValueError, match=r"labels\.csv: sample id 'a' is repeated"):
             load_dataset(fpath, lpath)
 
     @pytest.mark.parametrize("which", ["features", "labels"])
@@ -127,8 +126,8 @@ class TestLoadDataset:
 
 
 def per_sample_build(features_path, labels_path):
-    """The dataset as a list of ``Sample``, read row by row the way the
-    loader read it before it built one table."""
+    """The dataset's table, read row by row the way the loader read it
+    before it built one table from whole columns."""
     with open(labels_path, newline="") as fh:
         label_rows = [row for row in csv.reader(fh) if row][1:]
     labels = {row[0]: [int(v.strip()) for v in row[1:]] for row in label_rows}
@@ -145,7 +144,7 @@ def per_sample_build(features_path, labels_path):
         if not feature_rows[0][1].replace(".", "").replace("-", "").isdigit():
             feature_rows = feature_rows[1:]
         rows = [(row[0], [float(v) for v in row[1:]]) for row in feature_rows]
-    return [Sample(id=i, features=x, labels=labels[i]) for i, x in rows]
+    return SampleTable([i for i, _ in rows], [x for _, x in rows], [labels[i] for i, _ in rows])
 
 
 class TestSampleTableLoad:
@@ -160,17 +159,17 @@ class TestSampleTableLoad:
         table = load_dataset(fpath, lpath).samples
         expected = per_sample_build(fpath, lpath)
         assert isinstance(table, SampleTable)
-        assert table.ids == tuple(s.id for s in expected)
+        assert table.ids == expected.ids
         assert table.features.dtype == np.float64 and table.labels.dtype == np.uint8
-        assert table.features.tobytes() == np.stack([s.features for s in expected]).tobytes()
-        assert table.labels.tobytes() == np.stack([s.labels for s in expected]).tobytes()
+        assert table.features.tobytes() == expected.features.tobytes()
+        assert table.labels.tobytes() == expected.labels.tobytes()
 
     def test_csv_join_reorders_labels_to_the_feature_order(self, tmp_path):
         fpath, lpath = write_toy_files(tmp_path, ["b,1.0", "a,2.0", "c,3.0"], ["a,1,0", "c,1,1", "b,0,1"])
         table = load_dataset(fpath, lpath).samples
         assert table.ids == ("b", "a", "c")
         assert table.labels.tolist() == [[0, 1], [1, 0], [1, 1]]
-        assert table.labels.tobytes() == np.stack([s.labels for s in per_sample_build(fpath, lpath)]).tobytes()
+        assert table.labels.tobytes() == per_sample_build(fpath, lpath).labels.tobytes()
 
     def test_subset_is_a_sub_table_and_a_sample_list_becomes_a_table(self):
         ds = generate_synthetic(SyntheticSpec(n_samples=12, seed=4))
@@ -178,10 +177,6 @@ class TestSampleTableLoad:
         assert isinstance(sub, SampleTable)
         assert sub.ids == ("s05", "s01", "s07")
         assert np.array_equal(sub.features, ds.samples.features[[5, 1, 7]])
-        listed = Dataset(samples=list(ds.samples), class_names=ds.class_names)
-        assert isinstance(listed.samples, SampleTable)
-        assert listed.samples.ids == ds.samples.ids and listed.n_features == ds.n_features
-        assert np.array_equal(listed.samples.features, ds.samples.features)
 
 
 def read_labels_row_by_row(path):
@@ -358,10 +353,9 @@ class TestRoundTrip:
         write_dataset(ds, fpath, lpath)
         back = load_dataset(fpath, lpath)
         assert back.class_names == ds.class_names
-        for s1, s2 in zip(ds.samples, back.samples):
-            assert s1.id == s2.id
-            assert np.max(np.abs(s1.features - s2.features)) < 1e-12
-            assert np.array_equal(s1.labels, s2.labels)
+        assert back.samples.ids == ds.samples.ids
+        assert np.max(np.abs(ds.samples.features - back.samples.features)) < 1e-12
+        assert np.array_equal(ds.samples.labels, back.samples.labels)
 
     def test_binary_features_round_trip(self, tmp_path):
         rng = seeded_rng(6)
@@ -380,7 +374,7 @@ class TestRoundTrip:
         lpath = tmp_path / "labels.csv"
         lpath.write_text("id,c0,c1\nx,1,0\ny,0,1\n")
         ds = load_dataset(fpath, lpath)
-        assert [s.id for s in ds.samples] == ["x", "y"]
+        assert list(ds.samples.ids) == ["x", "y"]
 
     def test_binary_row_count_mismatch_rejected(self, tmp_path):
         fpath = tmp_path / "features.bin"
@@ -466,10 +460,9 @@ class TestGenerateSynthetic:
     def test_deterministic_under_seed(self):
         a = generate_synthetic(SyntheticSpec(seed=12))
         b = generate_synthetic(SyntheticSpec(seed=12))
-        for s1, s2 in zip(a.samples, b.samples):
-            assert s1.id == s2.id
-            assert np.array_equal(s1.features, s2.features)
-            assert np.array_equal(s1.labels, s2.labels)
+        assert a.samples.ids == b.samples.ids
+        assert np.array_equal(a.samples.features, b.samples.features)
+        assert np.array_equal(a.samples.labels, b.samples.labels)
 
     def test_zero_label_noise_gives_prototype_unions(self):
         spec = SyntheticSpec(n_samples=50, label_noise_rate=0.0, seed=13)
@@ -479,19 +472,19 @@ class TestGenerateSynthetic:
         unions = {tuple(proto_labels[i]) for i in range(p)}
         unions |= {tuple(np.maximum(proto_labels[i], proto_labels[j]))
                    for i in range(p) for j in range(i + 1, p)}
-        for s in ds.samples:
-            assert tuple(s.labels) in unions
+        for row in ds.samples.labels:
+            assert tuple(row) in unions
 
     def test_every_sample_has_a_label(self):
         ds = generate_synthetic(SyntheticSpec(n_samples=100, label_noise_rate=0.5, seed=14))
-        assert all(s.labels.sum() >= 1 for s in ds.samples)
+        assert all(row.sum() >= 1 for row in ds.samples.labels)
 
     def test_degenerate_full_flip_single_class(self):
         # flipping is deterministic at rate 1 with one class: every redraw is
         # all-zero, so the forced-bit fallback sets the single class back on
         ds = generate_synthetic(SyntheticSpec(n_samples=10, n_classes=1, label_noise_rate=1.0, seed=15))
-        for s in ds.samples:
-            assert s.labels.tolist() == [1]
+        for row in ds.samples.labels:
+            assert row.tolist() == [1]
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError, match="n_prototypes"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tripmine.core import Sample, SampleTable, seeded_rng
+from tripmine.core import SampleTable, seeded_rng
 from tripmine import embedder, retrieval
 from tripmine.embedder import Embedder, forward, parameters
 from tripmine.trainer import adam_step, init_adam
@@ -349,26 +349,34 @@ class TestPairMetrics:
 
 
 def toy_samples(feats, labels, prefix):
-    return [
-        Sample(id=f"{prefix}{i}", features=np.asarray(f, dtype=float), labels=l)
-        for i, (f, l) in enumerate(zip(feats, labels))
-    ]
+    return SampleTable([f"{prefix}{i}" for i in range(len(feats))], np.asarray(feats, dtype=float), labels)
+
+
+def joined(*tables):
+    """One table holding the rows of ``tables`` in order."""
+    return SampleTable([i for t in tables for i in t.ids], np.vstack([t.features for t in tables]),
+                       np.vstack([t.labels for t in tables]))
+
+
+def rebuilt(table):
+    """A table of fresh contiguous copies of ``table``'s rows."""
+    return SampleTable(table.ids, table.features.copy(), table.labels.copy())
 
 
 def evaluate_oracle(net, queries, archive, k):
     """Full enumeration with python floats and explicit (distance, index) sorting."""
-    q_emb = forward(net, np.stack([s.features for s in queries]))
-    a_emb = forward(net, np.stack([s.features for s in archive]))
+    q_emb = forward(net, queries.features)
+    a_emb = forward(net, archive.features)
     per_query = []
-    for qi, q in enumerate(queries):
+    for qi, q_id in enumerate(queries.ids):
         pool = []
-        for j, a in enumerate(archive):
-            if a.id == q.id:
+        for j, a_id in enumerate(archive.ids):
+            if a_id == q_id:
                 continue
             d = math.sqrt(sum((q_emb[qi][t] - a_emb[j][t]) ** 2 for t in range(q_emb.shape[1])))
             pool.append((d, j))
         pool.sort(key=lambda t: (t[0], t[1]))
-        metrics = [pair_metrics_oracle(q.labels, archive[j].labels) for _, j in pool[:k]]
+        metrics = [pair_metrics_oracle(queries.labels[qi], archive.labels[j]) for _, j in pool[:k]]
         per_query.append([sum(col) / k for col in zip(*metrics)])
     return [sum(col) / len(per_query) for col in zip(*per_query)]
 
@@ -411,9 +419,8 @@ class TestEvaluate:
 
     def test_query_sharing_an_archive_id_skips_that_row(self):
         # query "a" sits on archive row "a"; k=2 must retrieve "b" and "c"
-        queries = [Sample(id="a", features=[0.0], labels=[1, 0])]
-        archive = [Sample(id=i, features=[f], labels=l)
-                   for i, f, l in (("a", 0.0, [1, 0]), ("b", 1.0, [1, 0]), ("c", 2.0, [0, 1]))]
+        queries = SampleTable(["a"], [[0.0]], [[1, 0]])
+        archive = SampleTable(["a", "b", "c"], [[0.0], [1.0], [2.0]], [[1, 0], [1, 0], [0, 1]])
         rep = evaluate(identity_net(1), queries, archive, k=2)
         assert rep == MetricReport(0.5, 0.5, 0.5, 0.5)  # ("a", "b") would score 1.0
 
@@ -426,25 +433,26 @@ class TestEvaluate:
         archive = toy_samples(feats, labels, "a")
         rep1 = evaluate(net, queries, archive, k=4)
         order = rng.permutation(8)
-        rep2 = evaluate(net, queries, [archive[i] for i in order], k=4)
+        rep2 = evaluate(net, queries, archive[order], k=4)
         for v1, v2 in zip((rep1.accuracy, rep1.precision, rep1.recall, rep1.f1),
                           (rep2.accuracy, rep2.precision, rep2.recall, rep2.f1)):
             assert abs(v1 - v2) < 1e-12
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            evaluate(identity_net(1), [], toy_samples([[0.0]], [[1]], "a"), 1)
+            archive = toy_samples([[0.0]], [[1]], "a")
+            evaluate(identity_net(1), archive[:0], archive, 1)
 
 
 def evaluate_without_memo(net, queries, archive, k):
     """``evaluate`` as it was before the archive memo: both splits embedded on every call."""
-    q_emb = forward(net, np.stack([s.features for s in queries]))
-    a_emb = forward(net, np.stack([s.features for s in archive]))
-    archive_pos = {s.id: i for i, s in enumerate(archive)}
-    exclude = [archive_pos.get(q.id) for q in queries]
+    q_emb = forward(net, queries.features)
+    a_emb = forward(net, archive.features)
+    archive_pos = {i: j for j, i in enumerate(archive.ids)}
+    exclude = [archive_pos.get(i) for i in queries.ids]
     idxs, _ = knn_retrieve(q_emb, a_emb, k, exclude_index=exclude)
-    q_labels = np.stack([s.labels for s in queries])[:, None, :]
-    r_labels = np.array([[archive[j].labels for j in row] for row in idxs])
+    q_labels = queries.labels[:, None, :]
+    r_labels = np.array([[archive.labels[j] for j in row] for row in idxs])
     metrics = np.stack(pair_metrics(q_labels, r_labels), axis=-1)
     per_query = np.cumsum(metrics, axis=1)[:, -1] / k
     totals = np.cumsum(per_query, axis=0)[-1]
@@ -480,7 +488,7 @@ class TestArchiveMemo:
         rng = seeded_rng(21)
         net = Embedder.init([5, 7, 4], rng)
         queries = random_split(rng, 9, 5, 4, "q")
-        archive = random_split(rng, 40, 5, 4, "a") + queries[:3]  # three queries sit in the archive
+        archive = joined(random_split(rng, 40, 5, 4, "a"), queries[:3])  # three queries sit in the archive
         return net, queries, archive
 
     @pytest.mark.parametrize("change", ["adam_step", "one_ulp", "negative_zero", "archive_features",
@@ -498,7 +506,7 @@ class TestArchiveMemo:
             assert net.biases[0][4] == 0.0
             net.biases[0][4] = -0.0
         elif change == "archive_features":
-            archive[17].features[2] += 0.25
+            archive.features[17, 2] += 0.25
         elif change == "l2_normalize":
             net.l2_normalize = True
         else:
@@ -518,11 +526,11 @@ class TestArchiveMemo:
             net = Embedder.init(dims, rng, l2_normalize=l2)
             archive = random_split(rng, 120, 6, 5, "a")
             # duplicated rows, under their own ids, give distance ties
-            archive += toy_samples([s.features for s in archive[:20]], [s.labels for s in archive[:20]], "dup")
-            queries = random_split(rng, 30, 6, 5, "q") + archive[40:50]
+            archive = joined(archive, toy_samples(archive.features[:20], archive.labels[:20], "dup"))
+            queries = joined(random_split(rng, 30, 6, 5, "q"), archive[40:50])
             # so do rows on a coarse grid
             grid = random_split(rng, 60, 6, 5, "grid")
-            archive += toy_samples(np.round([s.features for s in grid], 1), [s.labels for s in grid], "grid")
+            archive = joined(archive, toy_samples(np.round(grid.features, 1), grid.labels, "grid"))
             expected = evaluate_without_memo(net, queries, archive, k=12)
             assert evaluate(net, queries, archive, k=12) == expected  # cold
             assert evaluate(net, queries, archive, k=12) == expected  # warm
@@ -530,7 +538,7 @@ class TestArchiveMemo:
     def test_old_entry_dropped_before_a_failing_forward(self, forward_rows, setup):
         net, queries, archive = setup
         evaluate(net, queries, archive, k=5)
-        wide = [Sample(id=f"w{i}", features=np.zeros(6), labels=[1, 0, 0, 0]) for i in range(8)]
+        wide = SampleTable([f"w{i}" for i in range(8)], np.zeros((8, 6)), [[1, 0, 0, 0]] * 8)
         with pytest.raises(ValueError, match="does not match input dim 5"):
             evaluate(net, queries, wide, k=5)
 
@@ -584,7 +592,8 @@ class TestEvaluateTable:
         for q_rows, a_rows in ((slice(100, 150), slice(0, 130)), (slice(21, 40), slice(0, 150)),
                                (np.arange(149, 90, -3), np.arange(120))):
             queries, archive = table[q_rows], table[a_rows]
-            from_lists = evaluate(net, list(queries), list(archive), k=9)
+            # fresh contiguous copies of the sub-tables' rows must score the same
+            from_lists = evaluate(net, rebuilt(queries), rebuilt(archive), k=9)
             cold = evaluate(net, queries, archive, k=9)
             warm = evaluate(net, queries, archive, k=9)
             assert cold == warm == from_lists == evaluate_without_memo(net, queries, archive, k=9)
@@ -594,11 +603,11 @@ class TestEvaluateTable:
         archive = toy_samples([[0.0], [1.0], [2.0]], [[1, 0], [1, 0], [0, 1]], "a")
         net = identity_net(1)
         expected = evaluate(net, queries, archive, k=1)
-        assert evaluate(net, SampleTable.from_samples(queries), archive, k=1) == expected
-        assert evaluate(net, queries, SampleTable.from_samples(archive), k=1) == expected
+        assert evaluate(net, rebuilt(queries), archive, k=1) == expected
+        assert evaluate(net, queries, rebuilt(archive), k=1) == expected
 
     def test_empty_table_rejected(self):
-        archive = SampleTable.from_samples(toy_samples([[0.0]], [[1]], "a"))
+        archive = toy_samples([[0.0]], [[1]], "a")
         with pytest.raises(ValueError, match="nonempty"):
             evaluate(identity_net(1), archive[:0], archive, 1)
 

@@ -8,6 +8,7 @@ import pytest
 from tripmine.core import SamplerConfig, TripletSet, seeded_rng
 from tripmine.data import SyntheticSpec, generate_synthetic, split_dataset
 import tripmine.embedder as emb_mod
+import tripmine.trainer as trainer
 from tripmine.embedder import Embedder, forward
 from tripmine.sampler import mine_batch
 from tripmine.trainer import (
@@ -219,6 +220,23 @@ class TestTrain:
         seen = []
         train(ds, small_config(epochs=3), epoch_callback=lambda e, net, row: seen.append(e))
         assert seen == [0, 1, 2]
+
+    def test_a_diverged_last_step_raises_before_the_epoch_callback(self, monkeypatch):
+        # the step taken on epoch 0's last batch (batch 1 of 2) sends the
+        # weights past float64; no batch of epoch 0 is left to embed them
+        def overflowing_step(params, grads, state, lr):
+            adam_step(params, grads, state, lr)
+            if state.t == 2:
+                for p in params:
+                    p *= 1e300
+            return state
+
+        monkeypatch.setattr(trainer, "adam_step", overflowing_step)
+        seen = []
+        with pytest.raises(FloatingPointError, match="training diverged at epoch 0, batch 1: "
+                                                     "embeddings contain non-finite values"):
+            train(small_dataset(), small_config(epochs=2), epoch_callback=lambda *args: seen.append(args))
+        assert seen == []
 
     def test_output_bias_stays_zero_without_l2_normalization(self):
         ds = small_dataset()
