@@ -16,6 +16,7 @@ evaluation. mine-debug only prints and writes no file.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from contextlib import contextmanager
@@ -110,7 +111,7 @@ EVAL_OPTS = (
 
 MINE_DEBUG_OPTS = (
     CHECKPOINT,
-    Opt("batches", int, 1, "number of batches to dump"),
+    Opt("batches", int, 1, "number of batches to dump, running on into training's next epochs"),
 )
 
 PRESETS = {
@@ -438,7 +439,9 @@ def cmd_mine_debug(o: dict) -> int:
         cfg = TrainConfig(batch_size=o["batch_size"], hidden_dims=net.layer_dims[1:-1],
                           embedding_dim=net.layer_dims[-1], sampler=scfg, seed=o["seed"])
         _, rng, epoch_batches = batch_stream(ds, cfg)
-        for b, (_, _, batch) in zip(range(o["batches"]), epoch_batches(net)):
+        # past an epoch's last batch, the next epoch draws training's next permutation
+        stream = itertools.chain.from_iterable(map(epoch_batches, itertools.repeat(net)))
+        for b, (_, _, batch) in zip(range(o["batches"]), stream):
             for line in mine_debug_lines(b, batch, scfg, rng):
                 print(line)
     return 0

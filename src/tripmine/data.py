@@ -114,33 +114,58 @@ def _read_features_csv(path):
     return ids, feats
 
 
+def _plain_csv_lines(path):
+    """The lines of a plain CSV file, its bytes, the offset of each line's
+    newline and each line's comma count; None where only ``csv`` can split
+    the file into rows.
+
+    A plain file is UTF-8 text with no quote, no NUL, no carriage return
+    outside a CRLF line end, no blank line and no line longer than ``csv``'s
+    field limit: ``csv`` splits it into rows at its newlines and into fields
+    at its commas. Line ends read as LF, and a missing final newline as
+    present.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if b'"' in raw or b"\0" in raw:
+        return None
+    if b"\r" in raw:
+        if raw.count(b"\r") != raw.count(b"\r\n"):
+            return None
+        raw = raw.replace(b"\r\n", b"\n")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    try:
+        lines = raw.decode("utf-8").split("\n")[:-1]
+    except UnicodeDecodeError:
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    lengths = np.diff(ends, prepend=-1) - 1
+    if lengths.min() == 0 or lengths.max() > csv.field_size_limit():
+        return None
+    commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
+    return lines, buf, ends, commas
+
+
 def _parse_features_loadtxt(path):
     """Ids, values and file line numbers of a plain features CSV, the values
     parsed by ``np.loadtxt``; None where the row-by-row parser must decide.
 
-    That is text that is not UTF-8; quotes, NULs or a carriage return not
-    followed by a newline, where ``csv`` splits rows differently from
-    splitting lines at newlines and fields at commas; a blank, ragged or
-    featureless row; a line longer than ``csv``'s field limit; and any value
-    ``np.loadtxt`` rejects (``float()`` also accepts spellings such as ``1_0``
-    and non-ASCII digits). Both parsers round values with Python's own
-    string-to-double conversion, so their arrays are bit-identical.
+    That is a file ``_plain_csv_lines`` does not split; a ragged or
+    featureless row; and any value ``np.loadtxt`` rejects (``float()`` also
+    accepts spellings such as ``1_0`` and non-ASCII digits). Both parsers
+    round values with Python's own string-to-double conversion, so their
+    arrays are bit-identical.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
+    plain = _plain_csv_lines(path)
+    if plain is None:
         return None
-    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
-        return None
-    lines = text.replace("\r\n", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    header = int(bool(lines) and _looks_like_header(lines[0].split(",")))
+    lines, _, _, commas = plain
+    header = int(_looks_like_header(lines[0].split(",")))
     body = lines[header:]
-    width = body[0].count(",") if body else 0
-    if (width == 0 or any(line.count(",") != width for line in body)
-            or max(map(len, body)) > csv.field_size_limit()):
+    width = int(commas[header]) if body else 0
+    if width == 0 or (commas[header:] != width).any():
         return None
     try:
         feats = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None,
@@ -207,6 +232,39 @@ def write_features_binary(path, features) -> None:
 
 
 def _read_labels_csv(path):
+    parsed = _parse_labels_plain(path)
+    class_names, ids, labels = parsed if parsed is not None else _parse_labels_rows(path)
+    _row_of_ids(ids, f"{path}: ")
+    return class_names, ids, labels
+
+
+def _parse_labels_plain(path):
+    """Class names, ids and bits of a plain labels CSV, the bits read from
+    its bytes as one grid; None where the row-by-row parser must decide.
+
+    That is a file ``_plain_csv_lines`` does not split, one with no label
+    row, and one whose header or label rows are not an id followed by n
+    ``,0``/``,1`` cells, or that has a row with no label set.
+    """
+    plain = _plain_csv_lines(path)
+    if plain is None:
+        return None
+    lines, buf, ends, commas = plain
+    n = int(commas[0])
+    if len(lines) < 2 or n == 0 or (commas != n).any():
+        return None
+    # each label row ends in n ",0"/",1" cells: the offsets of their digits,
+    # then of their commas; with n commas on the row, its id holds none
+    digits = ends[1:, None] + np.arange(1 - 2 * n, 0, 2)
+    labels = buf[digits] - ord("0")
+    digits -= 1
+    if (labels > 1).any() or (buf[digits] != ord(",")).any() or not labels.any(axis=1).all():
+        return None
+    cut = -2 * n
+    return lines[0].split(",")[1:], [line[:cut] for line in lines[1:]], labels
+
+
+def _parse_labels_rows(path):
     rows = [row for row in _csv_rows(path) if row]
     if len(rows) < 2:
         raise ValueError(f"{path}: expected a header row and at least one label row")
@@ -236,9 +294,7 @@ def _read_labels_csv(path):
             raise ValueError(f"{path}: ragged row {line_no} (id {row[0]!r})")
         v = next(stripped[v] for v in row[1:] if stripped[v] not in ("0", "1"))
         raise ValueError(f"{path}: non-binary label entry {v!r} in row {line_no}")
-    ids = [row[0] for row in body]
-    _row_of_ids(ids, f"{path}: ")
-    return class_names, ids, labels
+    return class_names, [row[0] for row in body], labels
 
 
 def _is_binary_features(path) -> bool:

@@ -470,6 +470,20 @@ class TestAblate:
         assert stdout == ""
 
 
+@pytest.fixture
+def built_batches(monkeypatch):
+    """The sample indices of every ``BatchView`` built, in order."""
+    seen = []
+    build = BatchView.from_embeddings.__func__
+
+    def record(cls, sample_indices, embeddings, labels):
+        seen.append(np.array(sample_indices))
+        return build(cls, sample_indices, embeddings, labels)
+
+    monkeypatch.setattr(BatchView, "from_embeddings", classmethod(record))
+    return seen
+
+
 class TestMineDebug:
     def test_single_batch_block(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -487,15 +501,8 @@ class TestMineDebug:
                 for idx in entry.get(key, []):
                     assert 0 <= idx < batch_size
 
-    def test_mines_the_batches_training_mined(self, tmp_path, capsys, monkeypatch):
-        seen = []
-        build = BatchView.from_embeddings.__func__
-
-        def record(cls, sample_indices, embeddings, labels):
-            seen.append(np.array(sample_indices))
-            return build(cls, sample_indices, embeddings, labels)
-
-        monkeypatch.setattr(BatchView, "from_embeddings", classmethod(record))
+    def test_mines_the_batches_training_mined(self, tmp_path, capsys, built_batches):
+        seen = built_batches
         out = tmp_path / "run"
         opts = ["--synthetic", "--n-samples", "200", "--seed", "3", "--sampler", "ras-ris",
                 "--batch-size", "16", "--out", str(out)]
@@ -506,6 +513,34 @@ class TestMineDebug:
         assert len(seen) == 2
         for debug, train in zip(seen, trained):
             assert np.array_equal(debug, train)
+
+    def test_next_epoch_mines_the_batches_training_mined(self, tmp_path, capsys, built_batches):
+        seen = built_batches
+        out = tmp_path / "run"
+        # 120 training samples: 7 batches of 16 per epoch, each measured again after its last
+        opts = ["--synthetic", "--n-samples", "200", "--seed", "3", "--sampler", "ras-ris",
+                "--batch-size", "16", "--out", str(out)]
+        assert run(capsys, "train", *opts, "--embedding", "8", "--hidden", "8", "--epochs", "2")[0] == 0
+        trained = seen[:7] + seen[8:15]
+        seen.clear()
+        assert run(capsys, "mine-debug", *opts, "--batches", "14")[0] == 0
+        debugged = seen[:7] + seen[8:]
+        assert len(debugged) == 14
+        for debug, train in zip(debugged, trained):
+            assert np.array_equal(debug, train)
+
+    def test_batches_run_on_into_the_next_epoch(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        data = ["--synthetic", "--n-samples", "400", "--seed", "1", "--out", str(out)]
+        assert run(capsys, "train", *data, "--epochs", "1", "--embedding", "8", "--hidden", "8")[0] == 0
+        code, two, _ = run(capsys, "mine-debug", *data, "--batches", "2")
+        assert code == 0
+        code, nine, _ = run(capsys, "mine-debug", *data, "--batches", "9")
+        assert code == 0
+        # 240 training samples make 2 batches of 100 per epoch
+        headers = [line for line in nine.splitlines() if '"anchors"' in line]
+        assert [json.loads(line)["batch"] for line in headers] == list(range(9))
+        assert nine.startswith(two) and nine != two
 
     def test_takes_l2_normalize_from_the_checkpoint(self, tmp_path, capsys):
         out = tmp_path / "run"

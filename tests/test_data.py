@@ -11,6 +11,7 @@ from tripmine.data import (
     _csv_rows,
     _looks_like_header,
     _parse_features_loadtxt,
+    _parse_labels_plain,
     _read_features_csv,
     _read_labels_csv,
     SyntheticSpec,
@@ -182,8 +183,7 @@ class TestSampleTableLoad:
 def read_labels_row_by_row(path):
     """The labels reader as it was, cell by cell: the reference for the
     vectorized one (duplicate ids aside, which it did not check)."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    rows = [row for row in _csv_rows(path) if row]
     if len(rows) < 2:
         raise ValueError(f"{path}: expected a header row and at least one label row")
     header = rows[0]
@@ -226,14 +226,43 @@ class TestLabelsReader:
         for r in range(data.draw(st.integers(1, 8), label="rows")):
             width = n if mostly_valid or data.draw(st.integers(0, 5)) else data.draw(st.integers(0, n + 2))
             values = [data.draw(st.sampled_from(["0", "1"]) if mostly_valid else cell) for _ in range(width)]
-            rows.append(",".join([f"r{r}"] + values))
+            row_id = data.draw(st.sampled_from(["r", "r", "\u00e9t\u00e9", "\ufeffr", " r"])) + str(r)
+            rows.append(",".join([row_id] + values))
         if mostly_valid and data.draw(st.booleans(), label="one bad cell"):
             r = data.draw(st.integers(0, len(rows) - 1))
             extra_cell = data.draw(st.booleans())
             rows[r] = rows[r] + "," + data.draw(cell) if extra_cell else rows[r].replace(",1", ",2", 1)
+        lines = [",".join(["id"] + [f"c{j}" for j in range(n)])] + rows
+        if data.draw(st.booleans(), label="one odd line"):
+            r = data.draw(st.integers(0, len(lines) - 1))
+            head, sep, tail = lines[r].partition(",")
+            odd = data.draw(st.sampled_from(["blank", "bom", "quoted comma", "nul", "trailing comma"]))
+            if odd == "blank":
+                lines.insert(r, "")
+            else:
+                lines[r] = {"bom": "\ufeff" + lines[r], "quoted comma": f'"{head},q"{sep}{tail}',
+                            "nul": f"{head}\x00{sep}{tail}", "trailing comma": lines[r] + ","}[odd]
+        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
+        text = end.join(lines) + (end if data.draw(st.booleans(), label="final newline") else "")
         path = tmp_path_factory.mktemp("labels") / "labels.csv"
-        path.write_text("\n".join([",".join(["id"] + [f"c{j}" for j in range(n)])] + rows) + "\n")
+        path.write_bytes(text.encode("utf-8"))
         assert outcome(_read_labels_csv, path) == outcome(read_labels_row_by_row, path)
+        parsed = _parse_labels_plain(path)
+        if parsed is not None:
+            # the bulk parse accepts only files the row-by-row reader reads to the same triple
+            assert outcome(lambda _: parsed, path) == outcome(read_labels_row_by_row, path)
+
+    def test_written_dataset_takes_the_bulk_parse(self, tmp_path):
+        ds = generate_synthetic(SyntheticSpec(n_samples=40, n_classes=5, seed=8))
+        fpath, lpath = tmp_path / "f.csv", tmp_path / "l.csv"
+        write_dataset(ds, fpath, lpath)
+        assert b"\r\n" in lpath.read_bytes()
+        class_names, ids, labels = _parse_labels_plain(lpath)
+        assert class_names == ds.class_names
+        assert ids == list(ds.samples.ids)
+        assert labels.dtype == np.uint8 and labels.shape == (40, 5)
+        assert labels.tobytes() == ds.samples.labels.tobytes()
+        assert outcome(_read_labels_csv, lpath) == outcome(read_labels_row_by_row, lpath)
 
     @pytest.mark.parametrize("body, message", [
         (["a,0,0", "b,2,1"], "sample 'a' has no class labels"),

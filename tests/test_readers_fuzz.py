@@ -73,6 +73,15 @@ def test_labels_csv(tmp_path, valid_files, content):
 
 
 @FUZZ
+@given(content=mangled(LABELS_CSV.replace(b"\n", b"\r\n")))
+def test_labels_csv_crlf(tmp_path, valid_files, content):
+    # truncations between a CR and its LF leave a bare CR at the end
+    path = tmp_path / "fuzzed_labels.csv"
+    path.write_bytes(content)
+    loads_or_names(path, lambda: load_dataset(valid_files / "features.bin", path))
+
+
+@FUZZ
 @given(content=mangled(FEATURES_BIN))
 def test_binary_features(tmp_path, content):
     path = tmp_path / "fuzzed_features.bin"
