@@ -43,11 +43,11 @@ class SampleTable:
     """Samples as columns: ``ids`` (a tuple), ``features`` an (M, F) float64
     matrix and ``labels`` an (M, N) uint8 matrix; row i is sample i.
 
-    The constructor holds the sample checks, run once per matrix: finite
-    features, 0/1 labels, at least one label per row, and one distinct id
-    per row; ``row_of`` maps each id to its row. The arrays are not copied
-    when they already have the right dtype, so they stay the caller's to
-    edit.
+    The constructor holds the sample checks, each one whole-array test:
+    finite features, 0/1 labels, at least one label per row, and one
+    distinct id per row; ``row_of`` maps each id to its row. The arrays
+    are not copied when they already have the right dtype, so they stay
+    the caller's to edit.
 
     ``len`` counts the rows; a slice or a 1-D integer index array gives a
     sub-table. An int index raises ``TypeError``, and so does iteration:
@@ -64,14 +64,14 @@ class SampleTable:
             raise ValueError(
                 f"{len(ids)} ids, {feats.shape[0]} feature rows and {labs.shape[0]} label rows differ"
             )
-        bad = _first_true(~np.isfinite(feats).all(axis=1))
+        bad = _first_failing_row(np.isfinite(feats))
         if bad is not None:
             raise ValueError(f"sample {ids[bad]!r} has non-finite feature values")
-        bad = _first_true(((labs != 0) & (labs != 1)).any(axis=1))
+        bad = _first_failing_row((labs == 0) | (labs == 1))
         if bad is not None:
             raise ValueError(f"sample {ids[bad]!r}: label entries must be 0 or 1")
         labs = labs.astype(np.uint8, copy=False)
-        bad = _first_true(~labs.any(axis=1))
+        bad = _first_failing_row(labs.any(axis=1))
         if bad is not None:
             raise ValueError(f"sample {ids[bad]!r} has no class labels")
         self.row_of = _row_of_ids(ids)
@@ -102,9 +102,10 @@ def _row_of_ids(ids, prefix="") -> dict:
     return row_of
 
 
-def _first_true(hit):
-    """Index of the first True in the boolean vector ``hit``, else None."""
-    return int(hit.argmax()) if hit.any() else None
+def _first_failing_row(ok):
+    """Index of the first row of the boolean array ``ok`` holding a False,
+    else None; rows are searched only when the whole-array test fails."""
+    return None if ok.all() else int(ok.reshape(len(ok), -1).all(axis=1).argmin())
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import csv
 import itertools
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SampleTable, _first_true, _row_of_ids, seeded_rng
+from .core import SampleTable, _first_failing_row, _row_of_ids, seeded_rng
 
 FEATURES_MAGIC = b"TMFEAT01"
+_READ_BLOCK_BYTES = 1 << 20  # a binary payload is read in blocks of about this size
 _REDRAW_ATTEMPTS = 16
 
 
@@ -108,16 +110,15 @@ def _csv_rows(path):
 def _read_features_csv(path):
     parsed = _parse_features_loadtxt(path)
     ids, feats, line_nos = parsed if parsed is not None else _parse_features_rows(path)
-    bad = _first_true(~np.isfinite(feats).all(axis=1))
+    bad = _first_failing_row(np.isfinite(feats))
     if bad is not None:
         raise ValueError(f"{path}: non-finite feature value in row {line_nos[bad]} (id {ids[bad]!r})")
     return ids, feats
 
 
 def _plain_csv_lines(path):
-    """The lines of a plain CSV file, its bytes, the offset of each line's
-    newline and each line's comma count; None where only ``csv`` can split
-    the file into rows.
+    """The lines of a plain CSV file, its bytes and the offset of each
+    line's newline; None where only ``csv`` can split the file into rows.
 
     A plain file is UTF-8 text with no quote, no NUL, no carriage return
     outside a CRLF line end, no blank line and no line longer than ``csv``'s
@@ -144,8 +145,7 @@ def _plain_csv_lines(path):
     lengths = np.diff(ends, prepend=-1) - 1
     if lengths.min() == 0 or lengths.max() > csv.field_size_limit():
         return None
-    commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
-    return lines, buf, ends, commas
+    return lines, buf, ends
 
 
 def _parse_features_loadtxt(path):
@@ -154,26 +154,26 @@ def _parse_features_loadtxt(path):
 
     That is a file ``_plain_csv_lines`` does not split; a ragged or
     featureless row; and any value ``np.loadtxt`` rejects (``float()`` also
-    accepts spellings such as ``1_0`` and non-ASCII digits). Both parsers
-    round values with Python's own string-to-double conversion, so their
-    arrays are bit-identical.
+    accepts spellings such as ``1_0`` and non-ASCII digits). ``np.loadtxt``
+    reads each line after its id, so it rejects ragged rows; it skips a row
+    with nothing there, which the row count catches. Both parsers round
+    values with Python's string-to-double conversion: their bits match.
     """
     plain = _plain_csv_lines(path)
     if plain is None:
         return None
-    lines, _, _, commas = plain
+    lines = plain[0]
     header = int(_looks_like_header(lines[0].split(",")))
-    body = lines[header:]
-    width = int(commas[header]) if body else 0
-    if width == 0 or (commas[header:] != width).any():
+    cut = [line.partition(",") for line in lines[header:]]
+    if not cut:
         return None
     try:
-        feats = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None,
-                           usecols=range(1, width + 1), ndmin=2)
+        feats = np.loadtxt([c[2] for c in cut], dtype=np.float64, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    ids = [line[: line.index(",")] for line in body]
-    return ids, feats, range(header + 1, header + 1 + len(body))
+    if len(feats) != len(cut):
+        return None
+    return [c[0] for c in cut], feats, range(header + 1, header + 1 + len(cut))
 
 
 def _parse_features_rows(path):
@@ -200,26 +200,33 @@ def _parse_features_rows(path):
 
 
 def read_features_binary(path):
+    """The (M, F) float64 features of a binary feature file. The payload's
+    size is checked before the matrix is allocated; then each float32 block
+    is read, checked and written into the matrix, the only other buffer."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(FEATURES_MAGIC))
-        if magic != FEATURES_MAGIC:
+        if fh.read(len(FEATURES_MAGIC)) != FEATURES_MAGIC:
             raise ValueError(f"{path}: not a binary feature file (bad magic)")
         header = fh.read(8)
         if len(header) != 8:
             raise ValueError(f"{path}: header is cut off ({len(header)} of 8 size bytes after the magic)")
-        m = int.from_bytes(header[:4], "little")
-        f = int.from_bytes(header[4:], "little")
+        m, f = int.from_bytes(header[:4], "little"), int.from_bytes(header[4:], "little")
         if m == 0 or f == 0:
             raise ValueError(f"{path}: header declares {m} rows of {f} features; both must be positive")
-        payload = fh.read()
-    expected = 4 * m * f
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype="<f4").reshape(m, f)
-    bad = _first_true(~np.isfinite(values).all(axis=1))
-    if bad is not None:
-        raise ValueError(f"{path}: non-finite feature value in row {bad + 1} of {m}")
-    return values.astype(np.float64)
+        expected = 4 * m * f
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise ValueError(f"{path}: payload is {size} bytes, expected {expected}")
+        feats = np.empty((m, f), dtype=np.float64)
+        block = np.empty((max(1, _READ_BLOCK_BYTES // (4 * f)), f), dtype="<f4")
+        for start in range(0, m, len(block)):
+            part = block[: m - start]
+            if (got := fh.readinto(part)) != part.nbytes:  # the file shrank since its size was checked
+                raise ValueError(f"{path}: payload is {4 * start * f + got} bytes, expected {expected}")
+            bad = _first_failing_row(np.isfinite(part))
+            if bad is not None:
+                raise ValueError(f"{path}: non-finite feature value in row {start + bad + 1} of {m}")
+            feats[start : start + len(part)] = part
+    return feats
 
 
 def write_features_binary(path, features) -> None:
@@ -232,10 +239,9 @@ def write_features_binary(path, features) -> None:
 
 
 def _read_labels_csv(path):
+    """Class names, ids and bits of a labels CSV, repeated ids included."""
     parsed = _parse_labels_plain(path)
-    class_names, ids, labels = parsed if parsed is not None else _parse_labels_rows(path)
-    _row_of_ids(ids, f"{path}: ")
-    return class_names, ids, labels
+    return parsed if parsed is not None else _parse_labels_rows(path)
 
 
 def _parse_labels_plain(path):
@@ -249,12 +255,12 @@ def _parse_labels_plain(path):
     plain = _plain_csv_lines(path)
     if plain is None:
         return None
-    lines, buf, ends, commas = plain
-    n = int(commas[0])
-    if len(lines) < 2 or n == 0 or (commas != n).any():
+    lines, buf, ends = plain
+    n = lines[0].count(",")
+    if len(lines) < 2 or n == 0 or np.count_nonzero(buf == ord(",")) != n * len(lines):
         return None
-    # each label row ends in n ",0"/",1" cells: the offsets of their digits,
-    # then of their commas; with n commas on the row, its id holds none
+    # each label row ends in n ",0"/",1" cells (the offsets of their digits,
+    # then of their commas), so with n commas per line no id holds one
     digits = ends[1:, None] + np.arange(1 - 2 * n, 0, 2)
     labels = buf[digits] - ord("0")
     digits -= 1
@@ -265,7 +271,8 @@ def _parse_labels_plain(path):
 
 
 def _parse_labels_rows(path):
-    rows = [row for row in _csv_rows(path) if row]
+    numbered = [(line_no, row) for line_no, row in enumerate(_csv_rows(path), start=1) if row]
+    line_nos, rows = zip(*numbered) if numbered else ((), ())
     if len(rows) < 2:
         raise ValueError(f"{path}: expected a header row and at least one label row")
     header, body = rows[0], rows[1:]
@@ -289,7 +296,7 @@ def _parse_labels_rows(path):
     if empty.size:
         raise ValueError(f"{path}: sample {body[empty[0]][0]!r} has no class labels")
     if end < len(body):
-        row, line_no = body[end], end + 2
+        row, line_no = body[end], line_nos[end + 1]
         if end == ragged:
             raise ValueError(f"{path}: ragged row {line_no} (id {row[0]!r})")
         v = next(stripped[v] for v in row[1:] if stripped[v] not in ("0", "1"))
@@ -303,32 +310,39 @@ def _is_binary_features(path) -> bool:
 
 
 def load_dataset(features_path, labels_path) -> Dataset:
-    """Load and join a feature file (CSV or binary) with a labels CSV."""
+    """Load and join a feature file (CSV or binary) with a labels CSV. The
+    readers check every value, and each file's ids get one map: the labels'
+    joins CSV features, the table's checks the file that fixes the order."""
     class_names, label_ids, labels = _read_labels_csv(labels_path)
-    if _is_binary_features(features_path):
-        feats = read_features_binary(features_path)
-        if feats.shape[0] != len(label_ids):
-            raise ValueError(
-                f"{features_path}: {feats.shape[0]} binary feature rows vs "
-                f"{len(label_ids)} label rows in {labels_path} (binary features pair by position)"
-            )
-        ids = label_ids
-    else:
-        ids, feats = _read_features_csv(features_path)
-        _row_of_ids(ids, f"{features_path}: ")
-        by_id = {i: k for k, i in enumerate(label_ids)}
-        missing = [i for i in ids if i not in by_id]
-        if missing:
-            raise ValueError(
-                f"{features_path}: id {missing[0]!r} present in features but not labels ({labels_path})"
-            )
-        extra = set(label_ids) - set(ids)
-        if extra:
-            raise ValueError(
-                f"{labels_path}: id {sorted(extra)[0]!r} present in labels but not features ({features_path})"
-            )
-        labels = labels[[by_id[i] for i in ids]]
-    return Dataset(samples=SampleTable(ids, feats, labels), class_names=list(class_names))
+    try:
+        if _is_binary_features(features_path):
+            ids, feats, order_path = label_ids, read_features_binary(features_path), labels_path
+            if len(feats) != len(ids):
+                raise ValueError(
+                    f"{features_path}: {len(feats)} binary feature rows vs "
+                    f"{len(ids)} label rows in {labels_path} (binary features pair by position)"
+                )
+        else:
+            by_id = _row_of_ids(label_ids, f"{labels_path}: ")
+            ids, feats = _read_features_csv(features_path)
+            rows = [by_id.get(i) for i in ids]
+            if None in rows:
+                _row_of_ids(ids, f"{features_path}: ")  # a repeated id is named before a missing one
+                raise ValueError(
+                    f"{features_path}: id {ids[rows.index(None)]!r} present in features but not labels ({labels_path})"
+                )
+            labels, order_path = labels[rows], features_path
+    except (OSError, ValueError):
+        _row_of_ids(label_ids, f"{labels_path}: ")  # the labels file is read, and named, first
+        raise
+    try:
+        table = SampleTable(ids, feats, labels)
+    except ValueError as exc:  # the readers checked every value: only a repeated id is left
+        raise ValueError(f"{order_path}: {exc}") from None
+    if len(table) < len(label_ids):
+        extra = sorted(set(label_ids) - set(ids))[0]
+        raise ValueError(f"{labels_path}: id {extra!r} present in labels but not features ({features_path})")
+    return Dataset(samples=table, class_names=list(class_names))
 
 
 def write_dataset(ds: Dataset, features_path, labels_path) -> None:

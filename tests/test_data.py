@@ -1,10 +1,14 @@
 import csv
+import os
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tripmine import data
 from tripmine.core import SampleTable, seeded_rng
 from tripmine.data import (
     FEATURES_MAGIC,
@@ -182,16 +186,17 @@ class TestSampleTableLoad:
 
 def read_labels_row_by_row(path):
     """The labels reader as it was, cell by cell: the reference for the
-    vectorized one (duplicate ids aside, which it did not check)."""
-    rows = [row for row in _csv_rows(path) if row]
-    if len(rows) < 2:
+    vectorized one (duplicate ids aside, which it did not check). Rows are
+    numbered by file line, blank lines included."""
+    numbered = [(line_no, row) for line_no, row in enumerate(_csv_rows(path), start=1) if row]
+    if len(numbered) < 2:
         raise ValueError(f"{path}: expected a header row and at least one label row")
-    header = rows[0]
+    header = numbered[0][1]
     class_names = header[1:]
     if not class_names:
         raise ValueError(f"{path}: header names no classes")
     ids, labels = [], []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in numbered[1:]:
         if len(row) != len(header):
             raise ValueError(f"{path}: ragged row {line_no} (id {row[0]!r})")
         bits = []
@@ -278,6 +283,17 @@ class TestLabelsReader:
             _read_labels_csv(path)
         with pytest.raises(ValueError, match=message):
             read_labels_row_by_row(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("x,1", "ragged row 4 (id 'x')"),
+        ("x,1,2", "non-binary label entry '2' in row 4"),
+    ])
+    def test_rows_are_numbered_by_file_line(self, tmp_path, row, message):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"id,a,b\n\n\n{row}\n")
+        for reader in (_read_labels_csv, read_labels_row_by_row):
+            with pytest.raises(ValueError, match=re.escape(f"labels.csv: {message}")):
+                reader(path)
 
 
 def parse_features_with_float(path):
@@ -444,6 +460,80 @@ class TestRoundTrip:
         path.write_bytes(b"WRONG!!!" + b"\x00" * 8)
         with pytest.raises(ValueError, match="bad magic"):
             read_features_binary(path)
+
+
+def write_binary_payload(path, values):
+    """A binary feature file holding the float32 matrix ``values`` as is."""
+    values = np.ascontiguousarray(values, dtype="<f4")
+    path.write_bytes(FEATURES_MAGIC + struct.pack("<2I", *values.shape) + values.tobytes())
+    return path
+
+
+def block_rows(f):
+    """Rows per read block of a binary file with ``f`` features."""
+    return max(1, data._READ_BLOCK_BYTES // (4 * f))
+
+
+class TestBinaryReader:
+    @pytest.mark.parametrize("m, f", [(1000, 1000), (5000, 3), (2, 300_000), (1, 1)])
+    def test_matches_frombuffer_bit_for_bit(self, tmp_path, m, f):
+        bits = seeded_rng(m).integers(0, 2**32, size=(m, f), dtype=np.uint64).astype(np.uint32)
+        values = bits.view(np.float32)
+        values[~np.isfinite(values)] = -0.0  # every finite float32, subnormals and both zeros included
+        path = write_binary_payload(tmp_path / "f.bin", values)
+        payload = path.read_bytes()[16:]
+        expected = np.frombuffer(payload, dtype="<f4").reshape(m, f).astype(np.float64)
+        got = read_features_binary(path)
+        assert got.dtype == np.float64 and got.shape == (m, f) and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("where", ["first row of the second block", "last row of the last block"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_at_a_block_edge_names_its_row(self, tmp_path, where, value):
+        f = 128
+        m = 2 * block_rows(f) + 100
+        row = block_rows(f) if where.startswith("first") else m - 1
+        values = np.ones((m, f), dtype=np.float32)
+        values[row, f - 1] = value
+        path = write_binary_payload(tmp_path / "features.bin", values)
+        with pytest.raises(ValueError, match=re.escape(f"features.bin: non-finite feature value in row {row + 1} of {m}")):
+            read_features_binary(path)
+
+    @pytest.mark.parametrize("extra, size", [(-1, 4 * 6 - 1), (4, 4 * 6 + 4)])
+    def test_payload_of_the_wrong_length_keeps_its_message(self, tmp_path, extra, size):
+        path = tmp_path / "features.bin"
+        raw = write_binary_payload(path, np.zeros((3, 2))).read_bytes()
+        path.write_bytes(raw[:extra] if extra < 0 else raw + b"\0" * extra)
+        with pytest.raises(ValueError, match=re.escape(f"features.bin: payload is {size} bytes, expected 24")):
+            read_features_binary(path)
+
+    def test_huge_declared_size_is_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "features.bin"
+        path.write_bytes(FEATURES_MAGIC + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + b"\0" * 8)
+        with pytest.raises(ValueError, match=r"features\.bin: payload is 8 bytes, expected 73786976260478468100"):
+            read_features_binary(path)
+
+    def test_a_file_that_shrinks_after_the_size_check_names_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "features.bin"
+        raw = write_binary_payload(path, np.zeros((3, 2))).read_bytes()
+        path.write_bytes(raw[:-8])
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            [*real_fstat(fd)[:6], real_fstat(fd).st_size + 8, *real_fstat(fd)[7:10]]))
+        with pytest.raises(ValueError, match=re.escape("features.bin: payload is 16 bytes, expected 24")):
+            read_features_binary(path)
+
+    def test_reading_holds_the_matrix_and_one_block(self, tmp_path):
+        m, f = 20_000, 128
+        path = write_binary_payload(tmp_path / "f.bin", np.ones((m, f)))
+        tracemalloc.start()
+        try:
+            feats = read_features_binary(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert feats.nbytes == 8 * m * f
+        assert peak < feats.nbytes + 4 * 2**20
 
 
 class TestSplitDataset:
