@@ -41,9 +41,9 @@ def metric_cells(rep: MetricReport) -> list:
 def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
     """Indices and distances of the k nearest archive rows, exact Euclidean.
 
-    A 1-D query gives (k,) arrays and takes one ``exclude_index`` (int or
-    None); a (Q, d) block gives (Q, k) arrays and takes None or one entry
-    per query. Distances are those of the row differences (``inf`` beyond
+    ``query_embedding`` is a (Q, d) block and the result two (Q, k) arrays;
+    ``exclude_index`` is None or one entry (an index or None) per query.
+    Distances are those of the row differences (``inf`` beyond
     float64); ties break toward the lowest archive index; an excluded row
     (the query's own archive row, when the query is part of the archive) is
     never returned. Non-finite rows raise ``ValueError``.
@@ -59,13 +59,9 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
     squares overflow.
     """
     q = np.asarray(query_embedding, dtype=np.float64)
-    single = q.ndim < 2
-    if single:
-        q = q.reshape(1, -1)
-        exclude_index = [exclude_index]
     a = np.asarray(archive, dtype=np.float64)
     if q.ndim != 2 or a.ndim != 2 or a.shape[1] != q.shape[1]:
-        raise ValueError(f"archive shape {a.shape} does not match query shape {q.shape}")
+        raise ValueError(f"archive shape {a.shape} does not match query block shape {q.shape}")
     n_q, m = q.shape[0], a.shape[0]
     excl = [None] * n_q if exclude_index is None else list(exclude_index)
     if len(excl) != n_q:
@@ -121,7 +117,7 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
         take = order[np.searchsorted(q_rows, rows)[:, None] + np.arange(k)]
         idx[part] = a_rows[take]
         dist[part] = exact[take]
-    return (idx[0], dist[0]) if single else (idx, dist)
+    return idx, dist
 
 
 def pair_metrics(query_labels, retrieved_labels) -> tuple:
@@ -132,7 +128,8 @@ def pair_metrics(query_labels, retrieved_labels) -> tuple:
     mean with the 0/0 -> 0 rule. Labels lie on the last axis and leading
     axes broadcast; each metric has the broadcast leading shape, and two
     1-D vectors give four Python floats. Entries must be 0 or 1, with at
-    least one set per vector, as for ``similarity.label_similarity``.
+    least one set per vector: the rule ``similarity.label_similarity_matrix``
+    checks its rows with.
     """
     q = np.asarray(query_labels)
     r = np.asarray(retrieved_labels)

@@ -9,11 +9,11 @@ Two families are implemented:
 * baselines: random anchors (ras), all-batch anchors (bas), random images
   (ris), all-batch images (bis).
 
-Image selection takes an (H,) array of anchors and runs each pick step for
-all of them at once; an int anchor is the H = 1 case and gets lists back.
-All argmax scans break ties toward the lowest batch index, so every
-selection is deterministic given the RNG seed. Mining is strictly within
-the mini-batch; there is no cross-batch memory.
+Anchor selection returns an (H,) int64 array; scoring and image selection
+take it and run each pick step for all H anchors at once, one array row per
+anchor (anchors outside the batch raise ``ValueError``). All argmax scans
+break ties toward the lowest batch index, so every selection is
+deterministic given the RNG seed. Mining is strictly within the mini-batch.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from .core import COMBINATIONS, DAS_REDUCTIONS, BatchView, SamplerConfig, Triple
 
 @dataclass(frozen=True)
 class InformativenessRow:
-    """Per-candidate positive/negative scores: (B,) rows for one anchor, or
-    (H, B) rows for H anchors.
+    """Per-candidate positive/negative scores: (H, B) rows for H anchors.
 
     ``i_pos[b] = beta * S(a, b) + (1 - beta) * D(a, b)`` and ``i_neg`` uses the
     complements of S and D, so ``i_neg = 1 - i_pos`` holds algebraically.
@@ -41,20 +40,28 @@ class InformativenessRow:
     i_neg: np.ndarray
 
 
-def informativeness(anchor, dist_norm: np.ndarray, label_sim_row: np.ndarray, beta: float) -> InformativenessRow:
-    """Score every batch item as a candidate positive and negative for
-    ``anchor``: an int with its (B,) label-similarity row, or an (H,) array of
-    anchors with their (H, B) rows ``S[anchors]``."""
-    s = np.asarray(label_sim_row, dtype=np.float64)
-    d = np.asarray(dist_norm, dtype=np.float64)[anchor]
+def _check_anchors(anchors: np.ndarray, batch_size: int) -> None:
+    """Reject all but an (H,) array of indices into a batch of ``batch_size``."""
+    if np.ndim(anchors) != 1:
+        raise ValueError(f"anchors {anchors!r} are not an (H,) array of indices into a batch of {batch_size}")
+    outside = (anchors < 0) | (anchors >= batch_size)
+    if outside.any():
+        raise ValueError(f"anchor {anchors[outside][0]} is outside a batch of {batch_size}")
+
+
+def informativeness(anchors: np.ndarray, dist_norm: np.ndarray, label_sim_rows, beta: float) -> InformativenessRow:
+    """Score every batch item as a candidate positive and negative for each
+    of the (H,) ``anchors``, from their (H, B) label-similarity rows ``S[anchors]``."""
+    _check_anchors(anchors, len(dist_norm))
+    s, d = label_sim_rows, dist_norm[anchors]
     i_pos = beta * s + (1.0 - beta) * d
     i_neg = beta * (1.0 - s) + (1.0 - beta) * (1.0 - d)
     return InformativenessRow(i_pos=i_pos, i_neg=i_neg)
 
 
 def select_anchors_das(dist_norm: np.ndarray, h: int, rng: np.random.Generator,
-                       first_anchor: int | None = None, reduce: str = "max") -> list[int]:
-    """Iteratively select ``h`` mutually distant anchors.
+                       first_anchor: int | None = None, reduce: str = "max") -> np.ndarray:
+    """Iteratively select ``h`` mutually distant anchors, as an (h,) int64 array.
 
     The first anchor is drawn uniformly at random (or forced via
     ``first_anchor``); each subsequent anchor is the unselected candidate
@@ -62,53 +69,52 @@ def select_anchors_das(dist_norm: np.ndarray, h: int, rng: np.random.Generator,
     default reduction is "max" (score = farthest already-selected anchor);
     "min" gives the classic farthest-point rule and is kept for comparison.
     """
-    d = np.asarray(dist_norm, dtype=np.float64)
-    b = d.shape[0]
+    b = len(dist_norm)
     if h > b:
         raise ValueError(f"cannot select {h} anchors from a batch of {b}")
     if h < 1:
         raise ValueError("anchor count must be >= 1")
     first = int(rng.integers(b)) if first_anchor is None else int(first_anchor)
+    if not 0 <= first < b:
+        raise ValueError(f"first anchor {first} is outside a batch of {b}")
     selected = [first]
     taken = np.zeros(b, dtype=bool)
     taken[first] = True
     combine = np.maximum if reduce == "max" else np.minimum
     if reduce not in DAS_REDUCTIONS:
         raise ValueError(f"unknown das reduction {reduce!r}")
-    score = d[:, first].copy()
+    score = dist_norm[:, first].copy()
     while len(selected) < h:
         masked = np.where(taken, -np.inf, score)
         nxt = int(np.argmax(masked))  # argmax takes the first maximum: lowest index wins ties
         selected.append(nxt)
         taken[nxt] = True
-        score = combine(score, d[:, nxt])
-    return selected
+        score = combine(score, dist_norm[:, nxt])
+    return np.array(selected, dtype=np.int64)
 
 
-def select_anchors_ras(batch_size: int, h: int, rng: np.random.Generator) -> list[int]:
-    """``h`` distinct anchors drawn uniformly without replacement."""
+def select_anchors_ras(batch_size: int, h: int, rng: np.random.Generator) -> np.ndarray:
+    """``h`` distinct anchors drawn uniformly without replacement, as an (h,) int64 array."""
     if h > batch_size:
         raise ValueError(f"cannot select {h} anchors from a batch of {batch_size}")
-    return [int(i) for i in rng.choice(batch_size, size=h, replace=False)]
+    return rng.choice(batch_size, size=h, replace=False)
 
 
-def select_anchors_bas(batch_size: int) -> list[int]:
-    """Every batch item as an anchor, once, in index order."""
+def select_anchors_bas(batch_size: int) -> np.ndarray:
+    """Every batch item as an anchor, once, in index order: ``arange(batch_size)``."""
     if batch_size < 1:
         raise ValueError("batch must be nonempty")
-    return list(range(batch_size))
+    return np.arange(batch_size, dtype=np.int64)
 
 
-def _pick_rhdis(anchor, scores: np.ndarray, dist_norm: np.ndarray, count: int,
-                gamma: float, exclude=()):
+def _pick_rhdis(anchors: np.ndarray, scores: np.ndarray, dist_norm: np.ndarray, count: int,
+                gamma: float, exclude=()) -> np.ndarray:
     """Iterative argmax, each step for every anchor at once: first pick by
     score alone, then score blended with the farthest-from-already-chosen
-    diversity term. A list for an int anchor, (H, count) for an (H,) anchor
-    array; an anchor's own index and its ``exclude`` row are never picked."""
-    anchors = np.atleast_1d(anchor)
-    scores = np.atleast_2d(scores)
-    dist_norm = np.asarray(dist_norm, dtype=np.float64)
+    diversity term. (H, count) for (H,) anchors and (H, B) scores; an
+    anchor's own index and its ``exclude`` row are never picked."""
     h, b = scores.shape
+    _check_anchors(anchors, b)
     rows = np.arange(h)
     blocked = np.zeros((h, b), dtype=bool)
     blocked[rows, anchors] = True
@@ -126,52 +132,50 @@ def _pick_rhdis(anchor, scores: np.ndarray, dist_norm: np.ndarray, count: int,
         blocked[rows, nxt] = True
         column = dist_norm[:, nxt].T
         spread = column if spread is None else np.maximum(spread, column)
-    return chosen if np.ndim(anchor) else chosen[0].tolist()
+    return chosen
 
 
-def select_positives_rhdis(anchor, row: InformativenessRow, dist_norm: np.ndarray,
-                           c: int, gamma: float):
-    """Ordered positives: highest ``i_pos`` first, then iterative argmax of
-    ``gamma * i_pos + (1 - gamma) * max-distance-to-chosen``. A list for an
-    int anchor; (H, c) for an (H,) anchor array with (H, B) score rows."""
-    return _pick_rhdis(anchor, row.i_pos, dist_norm, c, gamma)
+def select_positives_rhdis(anchors: np.ndarray, row: InformativenessRow, dist_norm: np.ndarray,
+                           c: int, gamma: float) -> np.ndarray:
+    """(H, c) ordered positives: highest ``i_pos`` first, then iterative
+    argmax of ``gamma * i_pos + (1 - gamma) * max-distance-to-chosen``."""
+    return _pick_rhdis(anchors, row.i_pos, dist_norm, c, gamma)
 
 
-def select_negatives_rhdis(anchor, row: InformativenessRow, dist_norm: np.ndarray,
-                           c: int, gamma: float, exclude=()):
+def select_negatives_rhdis(anchors: np.ndarray, row: InformativenessRow, dist_norm: np.ndarray,
+                           c: int, gamma: float, exclude=()) -> np.ndarray:
     """Mirror of the positive selection with ``i_neg`` scores. ``exclude``
-    (one row per anchor for an anchor array) removes the anchor's chosen
-    positives, keeping the two sets disjoint."""
-    return _pick_rhdis(anchor, row.i_neg, dist_norm, c, gamma, exclude)
+    (one row per anchor) removes the anchor's chosen positives, keeping the
+    two sets disjoint."""
+    return _pick_rhdis(anchors, row.i_neg, dist_norm, c, gamma, exclude)
 
 
-def _all_but_anchor(anchor, batch_size: int) -> np.ndarray:
+def _all_but_anchor(anchors: np.ndarray, batch_size: int) -> np.ndarray:
     """(H, B-1): row k lists every batch index but anchor k, ascending."""
+    _check_anchors(anchors, batch_size)
     j = np.arange(batch_size - 1)
-    return j + (j >= np.atleast_1d(anchor)[:, None])
+    return j + (j >= anchors[:, None])
 
 
-def select_images_ris(anchor, batch_size: int, c_pos: int, c_neg: int, rng: np.random.Generator):
-    """Random positives and negatives: distinct uniform draws, never the
-    anchor. Lists for an int anchor; for an (H,) anchor array, (H, c_pos) and
-    (H, c_neg) arrays, drawn anchor by anchor in array order."""
+def select_images_ris(anchors: np.ndarray, batch_size: int, c_pos: int, c_neg: int, rng: np.random.Generator):
+    """Random positives and negatives, (H, c_pos) and (H, c_neg): distinct
+    uniform draws, never the anchor, drawn anchor by anchor in array order."""
     if c_pos + c_neg > batch_size - 1:
         raise ValueError(
             f"cannot draw {c_pos} + {c_neg} distinct images from {batch_size - 1} candidates"
         )
     picks = np.stack([rng.choice(pool, size=c_pos + c_neg, replace=False)
-                      for pool in _all_but_anchor(anchor, batch_size)])
-    pos, neg = picks[:, :c_pos], picks[:, c_pos:]
-    return (pos, neg) if np.ndim(anchor) else (pos[0].tolist(), neg[0].tolist())
+                      for pool in _all_but_anchor(anchors, batch_size)])
+    return picks[:, :c_pos], picks[:, c_pos:]
 
 
-def select_images_bis(anchor, batch_size: int):
-    """Every non-anchor image as both a positive and a negative: lists for an
-    int anchor, the (H, B-1) all-but-the-anchor matrix for an (H,) array."""
+def select_images_bis(anchors: np.ndarray, batch_size: int):
+    """Every non-anchor image as both a positive and a negative: the (H, B-1)
+    all-but-the-anchor matrix of (H,) anchors, twice."""
     if batch_size < 2:
         raise ValueError("bis needs a batch of at least 2")
-    others = _all_but_anchor(anchor, batch_size)
-    return (others, others) if np.ndim(anchor) else (others[0].tolist(), others[0].tolist())
+    others = _all_but_anchor(anchors, batch_size)
+    return others, others
 
 
 def build_triplets(anchors, positives, negatives, combination: str = "cartesian") -> TripletSet:
@@ -204,7 +208,6 @@ def mine_batch(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -
         anchors = select_anchors_ras(batch.size, h, rng)
     else:
         anchors = select_anchors_bas(batch.size)
-    anchors = np.asarray(anchors, dtype=np.int64)
     c_pos, c_neg = cfg.positives_per_anchor, cfg.negatives_per_anchor
     if cfg.image_strategy == "rhdis":
         s_matrix = similarity.label_similarity_matrix(batch.labels, cfg.label_similarity)

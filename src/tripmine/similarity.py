@@ -70,28 +70,10 @@ def _check_binary_rows(labels: np.ndarray) -> np.ndarray:
     return arr
 
 
-def label_similarity(a, b, kind: str = "cosine") -> float:
-    """Soft pairwise similarity of two multi-label vectors, in [0, 1].
-
-    Symmetric; exactly 1 for identical vectors, exactly 0 for disjoint
-    label sets. ``kind`` is "cosine" (default) or "jaccard".
-    """
-    va = _check_binary_rows(np.atleast_1d(a))
-    vb = _check_binary_rows(np.atleast_1d(b))
-    if va.shape != vb.shape:
-        raise ValueError(f"label vector length mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    inter = float(va @ vb)
-    if kind == "cosine":
-        # sqrt(sa * sb) instead of sqrt(sa) * sqrt(sb): exact 1.0 for identical vectors
-        return inter / np.sqrt(va.sum() * vb.sum())
-    if kind == "jaccard":
-        union = float(va.sum() + vb.sum() - inter)
-        return inter / union
-    raise ValueError(f"unknown label similarity kind {kind!r}")
-
-
 def label_similarity_matrix(labels, kind: str = "cosine") -> np.ndarray:
-    """All-pairs label similarity for a (B, N) 0/1 matrix."""
+    """All-pairs "cosine" (default) or "jaccard" similarity of a (B, N) 0/1
+    label matrix: symmetric, in [0, 1], exactly 1 for identical rows and
+    exactly 0 for disjoint label sets. An all-zero row raises ``ValueError``."""
     arr = _check_binary_rows(np.asarray(labels))
     if arr.ndim != 2:
         raise ValueError(f"expected a (B, N) label matrix, got shape {arr.shape}")
@@ -99,6 +81,7 @@ def label_similarity_matrix(labels, kind: str = "cosine") -> np.ndarray:
     inter = arr @ arr.T
     sizes = arr.sum(axis=1)
     if kind == "cosine":
+        # sqrt(s_i * s_j) instead of sqrt(s_i) * sqrt(s_j): exactly 1 for identical rows
         return inter / np.sqrt(np.outer(sizes, sizes))
     if kind == "jaccard":
         union = sizes[:, None] + sizes[None, :] - inter

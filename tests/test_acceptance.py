@@ -100,16 +100,16 @@ def test_criterion_1_selection_oracle_equivalence():
         first = int(rng.integers(b))
         h = int(rng.integers(1, b + 1))
         anchors = select_anchors_das(dist, h, rng, first_anchor=first)
-        ok &= anchors == enum_das(dist.tolist(), h, first)
+        ok &= anchors.tolist() == enum_das(dist.tolist(), h, first)
         anchor = int(rng.integers(b))
         c = max(1, (b - 1) // 2)
-        row = informativeness(anchor, dist, s[anchor], beta)
-        pos = select_positives_rhdis(anchor, row, dist, c, gamma)
-        neg = select_negatives_rhdis(anchor, row, dist, c, gamma, exclude=pos)
+        row = informativeness(np.array([anchor]), dist, s[[anchor]], beta)
+        pos = select_positives_rhdis(np.array([anchor]), row, dist, c, gamma)
+        neg = select_negatives_rhdis(np.array([anchor]), row, dist, c, gamma, exclude=pos)
         i_pos = [beta * s[anchor][x] + (1.0 - beta) * dist[anchor][x] for x in range(b)]
         i_neg = [beta * (1.0 - s[anchor][x]) + (1.0 - beta) * (1.0 - dist[anchor][x]) for x in range(b)]
-        ok &= pos == enum_iterative(anchor, i_pos, dist.tolist(), c, gamma)
-        ok &= neg == enum_iterative(anchor, i_neg, dist.tolist(), c, gamma, excluded=pos)
+        ok &= pos[0].tolist() == enum_iterative(anchor, i_pos, dist.tolist(), c, gamma)
+        ok &= neg[0].tolist() == enum_iterative(anchor, i_neg, dist.tolist(), c, gamma, excluded=pos[0].tolist())
         instances += 1
     report(1, f"anchor/positive/negative selections match exhaustive enumeration on {instances} instances", ok)
 
@@ -123,7 +123,7 @@ def test_criterion_2_informativeness_complement_identity():
         d = rng.random(100)
         dist = np.zeros((2, 100))
         dist[0] = d
-        row = informativeness(0, dist, s, beta)
+        row = informativeness(np.array([0]), dist, s[None], beta)
         worst = max(worst, float(np.max(np.abs(row.i_neg - (1.0 - row.i_pos)))))
     report(2, f"i_neg = 1 - i_pos within 1e-12 over 10^4 (S, D, beta) triples (worst {worst:.2e})", worst < 1e-12)
 

@@ -28,59 +28,66 @@ def identity_net(d):
 class TestKnnRetrieve:
     def test_exact_duplicate_ranks_first_with_zero_distance(self):
         archive = np.array([[5.0, 5.0], [1.0, 2.0], [9.0, 0.0]])
-        idx, dist = knn_retrieve([1.0, 2.0], archive, k=2)
-        assert idx[0] == 1
-        assert dist[0] == 0.0
+        idx, dist = knn_retrieve([[1.0, 2.0]], archive, k=2)
+        assert idx.shape == dist.shape == (1, 2)
+        assert idx[0, 0] == 1
+        assert dist[0, 0] == 0.0
 
     def test_one_dimensional_hand_example(self):
         archive = np.array([[0.0], [1.0], [5.0]])
-        idx, dist = knn_retrieve([0.9], archive, k=2)
-        assert idx.tolist() == [1, 0]
+        idx, dist = knn_retrieve([[0.9]], archive, k=2)
+        assert idx.tolist() == [[1, 0]]
         assert np.all(np.diff(dist) >= 0)
 
     def test_full_k_gives_permutation(self):
         rng = seeded_rng(1)
         archive = rng.normal(size=(7, 3))
-        idx, _ = knn_retrieve(rng.normal(size=3), archive, k=7)
-        assert sorted(idx.tolist()) == list(range(7))
+        idx, _ = knn_retrieve(rng.normal(size=(1, 3)), archive, k=7)
+        assert sorted(idx[0].tolist()) == list(range(7))
 
     def test_ties_break_to_lowest_index(self):
         archive = np.array([[1.0], [-1.0], [1.0]])
-        idx, _ = knn_retrieve([0.0], archive, k=3)
-        assert idx.tolist() == [0, 1, 2]
+        idx, _ = knn_retrieve([[0.0]], archive, k=3)
+        assert idx.tolist() == [[0, 1, 2]]
 
     def test_subnormal_ties_break_to_lowest_index(self):
         # both rows are 1e-161 away; the squares are subnormal, where the
         # screen's rounding error is absolute rather than relative
         archive = np.array([[-2e-161], [0.0]])
-        idx, dist = knn_retrieve([-1e-161], archive, k=1)
+        idx, dist = knn_retrieve([[-1e-161]], archive, k=1)
         want_idx, want_dist = knn_oracle(np.array([-1e-161]), archive, 1, None)
-        assert idx.tolist() == want_idx.tolist() == [0]
-        assert np.array_equal(dist, want_dist)
+        assert idx[0].tolist() == want_idx.tolist() == [0]
+        assert np.array_equal(dist[0], want_dist)
 
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError, match="k="):
-            knn_retrieve([0.0], np.zeros((3, 1)), k=4)
+            knn_retrieve([[0.0]], np.zeros((3, 1)), k=4)
 
     def test_exclusion_reduces_capacity(self):
         archive = np.zeros((3, 1))
         with pytest.raises(ValueError, match="k="):
-            knn_retrieve([0.0], archive, k=3, exclude_index=0)
-        idx, _ = knn_retrieve([0.0], archive, k=2, exclude_index=0)
-        assert 0 not in idx.tolist()
+            knn_retrieve([[0.0]], archive, k=3, exclude_index=[0])
+        idx, _ = knn_retrieve([[0.0]], archive, k=2, exclude_index=[0])
+        assert 0 not in idx[0].tolist()
 
     def test_exclude_indices_must_match_queries_and_archive(self):
         archive = np.zeros((3, 1))
         with pytest.raises(ValueError, match="exclude indices for 2 queries"):
             knn_retrieve(np.zeros((2, 1)), archive, k=1, exclude_index=[0])
         with pytest.raises(ValueError, match="exclude indices must lie"):
-            knn_retrieve([0.0], archive, k=1, exclude_index=3)
+            knn_retrieve([[0.0]], archive, k=1, exclude_index=[3])
+
+    @pytest.mark.parametrize("query", [[0.0], 0.0, [[[0.0]]]])
+    def test_query_that_is_not_a_block_rejected(self, query):
+        # a single query is a (1, d) block, never a 1-D row
+        with pytest.raises(ValueError, match="does not match query block shape"):
+            knn_retrieve(query, np.zeros((3, 1)), k=1)
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["query", "archive"])
     def test_non_finite_embeddings_rejected(self, side, bad_value):
-        query, archive = np.zeros(2), np.zeros((3, 2))
-        (query if side == "query" else archive)[1] = bad_value
+        query, archive = np.zeros((1, 2)), np.zeros((3, 2))
+        (query[0] if side == "query" else archive)[1] = bad_value
         with pytest.raises(ValueError, match=f"{side} embeddings"):
             knn_retrieve(query, archive, k=1)
 
@@ -88,14 +95,14 @@ class TestKnnRetrieve:
     def test_finite_huge_entries_are_searched(self, side):
         # 1e200 squared overflows float64, but the rows are finite and are
         # ranked like their 2**-600 scaled copies, which do not overflow
-        query, archive = np.zeros(2), np.zeros((3, 2))
-        (query if side == "query" else archive)[1] = 1e200
-        want_idx, want_dist = knn_oracle(np.ldexp(query, -600), np.ldexp(archive, -600), 3, None)
+        query, archive = np.zeros((1, 2)), np.zeros((3, 2))
+        (query[0] if side == "query" else archive)[1] = 1e200
+        want_idx, want_dist = knn_oracle(np.ldexp(query[0], -600), np.ldexp(archive, -600), 3, None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             idx, dist = knn_retrieve(query, archive, k=3)
-        assert np.array_equal(idx, want_idx)
-        assert np.array_equal(dist, np.ldexp(want_dist, 600))
+        assert np.array_equal(idx[0], want_idx)
+        assert np.array_equal(dist[0], np.ldexp(want_dist, 600))
         assert np.all(np.isfinite(dist)) and dist.max() >= 1e200
 
     def test_rows_whose_squares_overflow_rank_as_unscaled(self):
@@ -121,12 +128,12 @@ class TestKnnRetrieve:
         archive = np.column_stack([np.full(5, 2.0**600), small])
         archive = np.vstack([archive, [-(2.0**600), 0.0]])
         query = np.array([2.0**600, 0.0])
-        idx, dist = knn_retrieve(query, archive, k=6)
+        idx, dist = knn_retrieve(query[None], archive, k=6)
         want_idx, want_dist = knn_oracle(query, archive, 5, None)
-        assert idx[:5].tolist() == want_idx.tolist() == [1, 3, 2, 4, 0]
-        assert np.array_equal(dist[:5], want_dist)
+        assert idx[0, :5].tolist() == want_idx.tolist() == [1, 3, 2, 4, 0]
+        assert np.array_equal(dist[0, :5], want_dist)
         # the last row is 2**601 away: its squared distance overflows, its distance does not
-        assert idx[5] == 5 and dist[5] == 2.0**601
+        assert idx[0, 5] == 5 and dist[0, 5] == 2.0**601
 
     @settings(deadline=None)
     @given(st.data())
@@ -200,9 +207,9 @@ class TestKnnRetrieve:
         gram = query @ query + np.einsum("ij,ij->i", archive, archive) - 2.0 * archive @ query
         want_idx, want_dist = knn_oracle(query, archive, 5, None)
         assert gram[5] > 0.0 and (gram == 0.0).sum() == 15
-        idx, dist = knn_retrieve(query, archive, k=5)
-        assert idx.tolist() == want_idx.tolist() == [8, 12, 9, 0, 5]
-        assert np.array_equal(dist, want_dist)
+        idx, dist = knn_retrieve(query[None], archive, k=5)
+        assert idx[0].tolist() == want_idx.tolist() == [8, 12, 9, 0, 5]
+        assert np.array_equal(dist[0], want_dist)
 
     @pytest.mark.parametrize("screen_values", [retrieval._SCREEN_VALUES, 1000])
     def test_block_matches_single_query_calls(self, monkeypatch, screen_values):
@@ -218,10 +225,10 @@ class TestKnnRetrieve:
         exclude = [None] * 70 + list(range(10))
         idx, dist = knn_retrieve(queries, archive, k=12, exclude_index=exclude)
         assert idx.shape == dist.shape == (80, 12)
-        for qi, query in enumerate(queries):
-            one_idx, one_dist = knn_retrieve(query, archive, k=12, exclude_index=exclude[qi])
-            assert np.array_equal(idx[qi], one_idx)
-            assert np.array_equal(dist[qi], one_dist)
+        for qi in range(len(queries)):
+            one_idx, one_dist = knn_retrieve(queries[qi : qi + 1], archive, k=12, exclude_index=exclude[qi : qi + 1])
+            assert np.array_equal(idx[qi], one_idx[0])
+            assert np.array_equal(dist[qi], one_dist[0])
 
     @settings(deadline=None)
     @given(st.data())

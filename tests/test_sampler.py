@@ -5,6 +5,7 @@ plain Python, with strict-greater comparison so ties keep the lowest index,
 exactly like the library's argmax scans.
 """
 
+import copy
 import itertools
 import tracemalloc
 
@@ -16,6 +17,7 @@ from tripmine.core import (
     ANCHOR_STRATEGIES, IMAGE_STRATEGIES, LABEL_SIMILARITY_KINDS, BatchView, SamplerConfig, seeded_rng,
 )
 from tripmine.sampler import (
+    InformativenessRow,
     build_triplets,
     informativeness,
     mine_batch,
@@ -98,19 +100,20 @@ class TestDiverseAnchors:
         # points 0, 1, 2, 10: farthest from 0 is 3; then 1 beats 2 (0.889 vs 0.778)
         dist = minmax_normalize(pairwise_euclidean(np.array([[0.0], [1.0], [2.0], [10.0]])))
         anchors = select_anchors_das(dist, 3, seeded_rng(0), first_anchor=0)
-        assert anchors == [0, 3, 1]
-        assert anchors == oracle_das(dist.tolist(), 3, 0)
+        assert anchors.dtype == np.int64
+        assert anchors.tolist() == [0, 3, 1]
+        assert anchors.tolist() == oracle_das(dist.tolist(), 3, 0)
 
     def test_selecting_all_gives_permutation(self):
         b, dist, _ = random_instance(seeded_rng(1), b=6)
         anchors = select_anchors_das(dist, 6, seeded_rng(2))
-        assert sorted(anchors) == list(range(6))
+        assert sorted(anchors.tolist()) == list(range(6))
 
     def test_single_anchor_is_rng_draw(self):
         b, dist, _ = random_instance(seeded_rng(3), b=5)
         rng = seeded_rng(9)
         expected = int(seeded_rng(9).integers(5))
-        assert select_anchors_das(dist, 1, rng) == [expected]
+        assert select_anchors_das(dist, 1, rng).tolist() == [expected]
 
     def test_rejects_h_above_batch(self):
         _, dist, _ = random_instance(seeded_rng(4), b=4)
@@ -124,7 +127,7 @@ class TestDiverseAnchors:
             first = int(rng.integers(b))
             h = int(rng.integers(1, b + 1))
             got = select_anchors_das(dist, h, rng, first_anchor=first)
-            assert got == oracle_das(dist.tolist(), h, first)
+            assert got.tolist() == oracle_das(dist.tolist(), h, first)
 
     def test_min_reduction_is_farthest_point_rule(self):
         # classic farthest-point picks the point maximizing the distance to the
@@ -133,17 +136,18 @@ class TestDiverseAnchors:
         dist = minmax_normalize(pairwise_euclidean(pts))
         max_rule = select_anchors_das(dist, 3, seeded_rng(0), first_anchor=0, reduce="max")
         min_rule = select_anchors_das(dist, 3, seeded_rng(0), first_anchor=0, reduce="min")
-        assert max_rule == [0, 1, 3]
-        assert min_rule == [0, 1, 2]
+        assert max_rule.tolist() == [0, 1, 3]
+        assert min_rule.tolist() == [0, 1, 2]
 
 
 class TestRandomAnchors:
     def test_all_anchors_is_permutation(self):
         got = select_anchors_ras(8, 8, seeded_rng(0))
-        assert sorted(got) == list(range(8))
+        assert got.dtype == np.int64
+        assert sorted(got.tolist()) == list(range(8))
 
     def test_seed_reproducible(self):
-        assert select_anchors_ras(20, 5, seeded_rng(7)) == select_anchors_ras(20, 5, seeded_rng(7))
+        assert np.array_equal(select_anchors_ras(20, 5, seeded_rng(7)), select_anchors_ras(20, 5, seeded_rng(7)))
 
     def test_uniform_frequencies(self):
         rng = seeded_rng(123)
@@ -162,10 +166,12 @@ class TestRandomAnchors:
 
 class TestBatchAnchors:
     def test_enumerates_batch(self):
-        assert select_anchors_bas(3) == [0, 1, 2]
+        anchors = select_anchors_bas(3)
+        assert anchors.dtype == np.int64
+        assert anchors.tolist() == [0, 1, 2]
 
     def test_single_item(self):
-        assert select_anchors_bas(1) == [0]
+        assert select_anchors_bas(1).tolist() == [0]
 
     @given(st.integers(1, 50))
     def test_size_equals_batch(self, b):
@@ -177,139 +183,222 @@ class TestBatchAnchors:
 class TestInformativeness:
     def test_hand_arithmetic(self):
         dist = np.array([[0.0, 0.6], [0.6, 0.0]])
-        row = informativeness(0, dist, np.array([1.0, 0.8]), beta=0.5)
-        assert row.i_pos[1] == pytest.approx(0.7, abs=1e-15)
-        assert row.i_neg[1] == pytest.approx(0.3, abs=1e-15)
+        row = informativeness(np.array([0]), dist, np.array([[1.0, 0.8]]), beta=0.5)
+        assert row.i_pos.shape == row.i_neg.shape == (1, 2)
+        assert row.i_pos[0, 1] == pytest.approx(0.7, abs=1e-15)
+        assert row.i_neg[0, 1] == pytest.approx(0.3, abs=1e-15)
 
     def test_beta_one_is_pure_relevancy(self):
         dist = np.array([[0.0, 0.3], [0.3, 0.0]])
-        row = informativeness(0, dist, np.array([1.0, 0.8]), beta=1.0)
-        assert row.i_pos[1] == 0.8
+        row = informativeness(np.array([0]), dist, np.array([[1.0, 0.8]]), beta=1.0)
+        assert row.i_pos[0, 1] == 0.8
 
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
     def test_negative_score_is_complement_and_bounded(self, s, d, beta):
         dist = np.array([[0.0, d], [d, 0.0]])
-        row = informativeness(0, dist, np.array([1.0, s]), beta=beta)
-        assert abs(row.i_neg[1] - (1.0 - row.i_pos[1])) < 1e-12
-        assert 0.0 <= row.i_pos[1] <= 1.0
-        assert 0.0 <= row.i_neg[1] <= 1.0
+        row = informativeness(np.array([0, 1]), dist, np.array([[1.0, s], [s, 1.0]]), beta=beta)
+        for k, other in ((0, 1), (1, 0)):
+            assert abs(row.i_neg[k, other] - (1.0 - row.i_pos[k, other])) < 1e-12
+            assert 0.0 <= row.i_pos[k, other] <= 1.0
+            assert 0.0 <= row.i_neg[k, other] <= 1.0
+
+    def test_rows_follow_the_anchor_array(self):
+        rng = seeded_rng(20)
+        b, dist, s = random_instance(rng, b=7)
+        anchors = rng.permutation(b)
+        row = informativeness(anchors, dist, s[anchors], 0.3)
+        for k, a in enumerate(anchors.tolist()):
+            i_pos, i_neg = oracle_scores(a, s[a].tolist(), dist[a].tolist(), 0.3)
+            assert row.i_pos[k].tolist() == i_pos
+            assert row.i_neg[k].tolist() == i_neg
 
 
 # ---------------------------------------------------------------- rhdis
 
 class TestRhdisSelection:
-    def _row(self, rng, b=5):
-        b, dist, s = random_instance(rng, b=b)
-        anchor = int(rng.integers(b))
-        return anchor, informativeness(anchor, dist, s[anchor], 0.5), dist, s
+    # each selector is called once with every anchor of the instance, in a
+    # random order; row k answers for anchors[k]
+
+    def _rows(self, rng, b=5, quantized=False):
+        b, dist, s = random_instance(rng, b=b, quantized=quantized)
+        anchors = rng.permutation(b)
+        return anchors, informativeness(anchors, dist, s[anchors], 0.5), dist, s
 
     def test_gamma_one_is_top_c_by_score(self):
         rng = seeded_rng(21)
-        anchor, row, dist, _ = self._row(rng)
-        got = select_positives_rhdis(anchor, row, dist, 3, gamma=1.0)
-        order = sorted((i for i in range(5) if i != anchor), key=lambda i: (-row.i_pos[i], i))
-        assert got == order[:3]
+        anchors, row, dist, _ = self._rows(rng)
+        got = select_positives_rhdis(anchors, row, dist, 3, gamma=1.0)
+        assert got.shape == (5, 3) and got.dtype == np.int64
+        for k, anchor in enumerate(anchors.tolist()):
+            order = sorted((i for i in range(5) if i != anchor), key=lambda i: (-row.i_pos[k, i], i))
+            assert got[k].tolist() == order[:3]
 
     def test_gamma_zero_second_pick_is_farthest_from_first(self):
         rng = seeded_rng(22)
-        anchor, row, dist, _ = self._row(rng)
-        got = select_positives_rhdis(anchor, row, dist, 2, gamma=0.0)
-        rest = [i for i in range(5) if i not in (anchor, got[0])]
-        assert got[1] == max(rest, key=lambda i: (dist[i, got[0]], -i))
+        anchors, row, dist, _ = self._rows(rng)
+        got = select_positives_rhdis(anchors, row, dist, 2, gamma=0.0)
+        for k, anchor in enumerate(anchors.tolist()):
+            first = int(got[k, 0])
+            rest = [i for i in range(5) if i not in (anchor, first)]
+            assert got[k, 1] == max(rest, key=lambda i: (dist[i, first], -i))
 
     def test_positives_match_bruteforce_oracle(self):
         rng = seeded_rng(23)
-        for _ in range(30):
-            b, dist, s = random_instance(rng)
-            anchor = int(rng.integers(b))
-            row = informativeness(anchor, dist, s[anchor], 0.5)
+        for t in range(30):
+            anchors, row, dist, s = self._rows(rng, b=int(rng.integers(3, 9)), quantized=bool(t % 2))
+            b = len(anchors)
             c = int(rng.integers(1, b))
-            got = select_positives_rhdis(anchor, row, dist, c, gamma=0.1)
-            i_pos, _ = oracle_scores(anchor, s[anchor].tolist(), dist[anchor].tolist(), 0.5)
-            assert got == oracle_iterative(anchor, i_pos, dist.tolist(), c, 0.1)
+            got = select_positives_rhdis(anchors, row, dist, c, gamma=0.1)
+            for k, anchor in enumerate(anchors.tolist()):
+                i_pos, _ = oracle_scores(anchor, s[anchor].tolist(), dist[anchor].tolist(), 0.5)
+                assert got[k].tolist() == oracle_iterative(anchor, i_pos, dist.tolist(), c, 0.1)
 
     def test_negatives_match_bruteforce_oracle(self):
         rng = seeded_rng(24)
-        for _ in range(30):
-            b, dist, s = random_instance(rng)
-            anchor = int(rng.integers(b))
-            row = informativeness(anchor, dist, s[anchor], 0.5)
-            c = max(1, (b - 1) // 2)
-            pos = select_positives_rhdis(anchor, row, dist, c, gamma=0.1)
-            got = select_negatives_rhdis(anchor, row, dist, c, gamma=0.1, exclude=pos)
-            _, i_neg = oracle_scores(anchor, s[anchor].tolist(), dist[anchor].tolist(), 0.5)
-            assert got == oracle_iterative(anchor, i_neg, dist.tolist(), c, 0.1, excluded=pos)
+        for t in range(30):
+            anchors, row, dist, s = self._rows(rng, b=int(rng.integers(3, 9)), quantized=bool(t % 2))
+            c = max(1, (len(anchors) - 1) // 2)
+            pos = select_positives_rhdis(anchors, row, dist, c, gamma=0.1)
+            got = select_negatives_rhdis(anchors, row, dist, c, gamma=0.1, exclude=pos)
+            for k, anchor in enumerate(anchors.tolist()):
+                _, i_neg = oracle_scores(anchor, s[anchor].tolist(), dist[anchor].tolist(), 0.5)
+                want = oracle_iterative(anchor, i_neg, dist.tolist(), c, 0.1, excluded=pos[k].tolist())
+                assert got[k].tolist() == want
 
     def test_gamma_one_negatives_are_top_c_by_score(self):
         rng = seeded_rng(28)
-        anchor, row, dist, _ = self._row(rng)
-        got = select_negatives_rhdis(anchor, row, dist, 3, gamma=1.0)
-        order = sorted((i for i in range(5) if i != anchor), key=lambda i: (-row.i_neg[i], i))
-        assert got == order[:3]
+        anchors, row, dist, _ = self._rows(rng)
+        got = select_negatives_rhdis(anchors, row, dist, 3, gamma=1.0)
+        for k, anchor in enumerate(anchors.tolist()):
+            order = sorted((i for i in range(5) if i != anchor), key=lambda i: (-row.i_neg[k, i], i))
+            assert got[k].tolist() == order[:3]
 
     def test_single_negative_is_argmax(self):
         rng = seeded_rng(25)
-        anchor, row, dist, _ = self._row(rng)
-        got = select_negatives_rhdis(anchor, row, dist, 1, gamma=0.1)
-        candidates = [i for i in range(5) if i != anchor]
-        assert got == [max(candidates, key=lambda i: (row.i_neg[i], -i))]
+        anchors, row, dist, _ = self._rows(rng)
+        got = select_negatives_rhdis(anchors, row, dist, 1, gamma=0.1)
+        for k, anchor in enumerate(anchors.tolist()):
+            candidates = [i for i in range(5) if i != anchor]
+            assert got[k].tolist() == [max(candidates, key=lambda i: (row.i_neg[k, i], -i))]
 
     def test_negatives_exclude_positives(self):
         rng = seeded_rng(26)
-        for _ in range(20):
-            b, dist, s = random_instance(rng)
-            anchor = int(rng.integers(b))
-            row = informativeness(anchor, dist, s[anchor], 0.5)
-            c = max(1, (b - 1) // 2)
-            pos = select_positives_rhdis(anchor, row, dist, c, gamma=0.1)
-            neg = select_negatives_rhdis(anchor, row, dist, c, gamma=0.1, exclude=pos)
-            assert not set(pos) & set(neg)
-            assert anchor not in pos and anchor not in neg
+        for t in range(20):
+            anchors, row, dist, _ = self._rows(rng, b=int(rng.integers(3, 9)), quantized=bool(t % 2))
+            c = max(1, (len(anchors) - 1) // 2)
+            pos = select_positives_rhdis(anchors, row, dist, c, gamma=0.1)
+            neg = select_negatives_rhdis(anchors, row, dist, c, gamma=0.1, exclude=pos)
+            for anchor, p, n in zip(anchors.tolist(), pos.tolist(), neg.tolist()):
+                assert not set(p) & set(n)
+                assert anchor not in p and anchor not in n
 
     def test_rejects_too_many_picks(self):
         rng = seeded_rng(27)
-        anchor, row, dist, _ = self._row(rng)
+        anchors, row, dist, _ = self._rows(rng)
         with pytest.raises(ValueError, match="cannot select"):
-            select_positives_rhdis(anchor, row, dist, 5, gamma=0.1)
+            select_positives_rhdis(anchors, row, dist, 5, gamma=0.1)
 
 
 # ---------------------------------------------------------------- baselines
 
 class TestRandomImages:
     def test_reproducible(self):
-        a = select_images_ris(2, 10, 3, 3, seeded_rng(5))
-        b = select_images_ris(2, 10, 3, 3, seeded_rng(5))
-        assert a == b
+        anchors = np.array([2, 7, 0])
+        pos_a, neg_a = select_images_ris(anchors, 10, 3, 3, seeded_rng(5))
+        pos_b, neg_b = select_images_ris(anchors, 10, 3, 3, seeded_rng(5))
+        assert np.array_equal(pos_a, pos_b) and np.array_equal(neg_a, neg_b)
 
     def test_anchor_never_selected_and_disjoint(self):
         rng = seeded_rng(6)
+        anchors = np.arange(12)
         for _ in range(50):
-            pos, neg = select_images_ris(4, 12, 3, 3, rng)
-            assert 4 not in pos and 4 not in neg
-            assert not set(pos) & set(neg)
-            assert len(set(pos)) == 3 and len(set(neg)) == 3
+            pos, neg = select_images_ris(anchors, 12, 3, 3, rng)
+            assert pos.shape == neg.shape == (12, 3)
+            for anchor, p, n in zip(anchors.tolist(), pos.tolist(), neg.tolist()):
+                assert anchor not in p and anchor not in n
+                assert not set(p) & set(n)
+                assert len(set(p)) == 3 and len(set(n)) == 3
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_are_one_anchor_calls_in_anchor_order(self, seed):
+        # the array call draws anchor by anchor: its rows are H one-anchor
+        # calls on a clone of the generator, and both leave it in one state
+        rng = seeded_rng(seed)
+        b = int(rng.integers(3, 20))
+        c_pos = int(rng.integers(1, b - 1))
+        c_neg = int(rng.integers(1, b - c_pos))
+        anchors = rng.choice(b, size=int(rng.integers(1, b + 1)), replace=False)
+        clone = copy.deepcopy(rng)
+        pos, neg = select_images_ris(anchors, b, c_pos, c_neg, rng)
+        for k, anchor in enumerate(anchors.tolist()):
+            one_pos, one_neg = select_images_ris(np.array([anchor]), b, c_pos, c_neg, clone)
+            assert pos[k].tolist() == one_pos[0].tolist()
+            assert neg[k].tolist() == one_neg[0].tolist()
+        assert rng.bit_generator.state == clone.bit_generator.state
 
     def test_rejects_overdraw(self):
         with pytest.raises(ValueError, match="cannot draw"):
-            select_images_ris(0, 6, 3, 3, seeded_rng(0))
+            select_images_ris(np.array([0]), 6, 3, 3, seeded_rng(0))
 
 
 class TestBatchImages:
     def test_enumerates_everything_but_anchor(self):
-        pos, neg = select_images_bis(2, 4)
-        assert pos == [0, 1, 3]
-        assert neg == [0, 1, 3]
+        anchors = np.array([2, 0, 3, 1])
+        pos, neg = select_images_bis(anchors, 4)
+        for k, anchor in enumerate(anchors.tolist()):
+            assert pos[k].tolist() == neg[k].tolist() == [i for i in range(4) if i != anchor]
+        assert pos[0].tolist() == [0, 1, 3]
 
     def test_sizes(self):
-        pos, neg = select_images_bis(0, 7)
-        assert len(pos) == len(neg) == 6
+        pos, neg = select_images_bis(np.arange(7), 7)
+        assert pos.shape == neg.shape == (7, 6)
 
     def test_cartesian_count_after_degenerate_filter(self):
         b = 6
-        pos, neg = select_images_bis(0, b)
-        ts = build_triplets([0], [pos], [neg], "cartesian")
+        anchors = np.array([0])
+        pos, neg = select_images_bis(anchors, b)
+        ts = build_triplets(anchors, pos, neg, "cartesian")
         # counting oracle: (B-1)^2 pairs minus the B-1 cases with p == n
         assert len(ts) == (b - 1) * (b - 2)
+
+
+# ---------------------------------------------------------------- anchor checks
+
+def _selector_calls(b):
+    """One call per public selector that takes anchors, for a batch of b."""
+    _, dist, s = random_instance(seeded_rng(40), b=b)
+
+    def scores(anchors):
+        return InformativenessRow(i_pos=np.full((np.size(anchors), b), 0.5),
+                                  i_neg=np.full((np.size(anchors), b), 0.5))
+
+    return {
+        "informativeness": lambda a: informativeness(a, dist, np.full((np.size(a), b), 0.5), 0.5),
+        "select_positives_rhdis": lambda a: select_positives_rhdis(a, scores(a), dist, 1, 0.5),
+        "select_negatives_rhdis": lambda a: select_negatives_rhdis(a, scores(a), dist, 1, 0.5),
+        "select_images_ris": lambda a: select_images_ris(a, b, 1, 1, seeded_rng(0)),
+        "select_images_bis": lambda a: select_images_bis(a, b),
+        "select_anchors_das": lambda a: select_anchors_das(dist, 1, seeded_rng(0), first_anchor=a),
+    }
+
+
+@pytest.mark.parametrize("selector", list(_selector_calls(4)))
+@pytest.mark.parametrize("anchors, bad", [(np.array([-1]), -1), (np.array([4]), 4), (np.array([0, 2, 5, 9]), 5),
+                                          (np.array([3, -2]), -2)])
+def test_out_of_range_anchor_is_rejected(selector, anchors, bad):
+    call = _selector_calls(4)[selector]
+    if selector == "select_anchors_das":
+        anchors = anchors[anchors == bad][0]  # its one first anchor
+    with pytest.raises(ValueError, match=f"anchor {bad} is outside a batch of 4"):
+        call(anchors)
+
+
+@pytest.mark.parametrize("selector", [name for name in _selector_calls(4) if name != "select_anchors_das"])
+@pytest.mark.parametrize("anchor", [1, np.int64(1), np.array(1), np.array([[1]])])
+def test_anchor_that_is_not_an_anchor_array_is_rejected(selector, anchor):
+    # an int, 0-d or 2-d anchor is not an (H,) array and fails loudly
+    with pytest.raises(ValueError, match=r"not an \(H,\) array of indices into a batch of 4"):
+        _selector_calls(4)[selector](anchor)
 
 
 # ---------------------------------------------------------------- assembly
@@ -478,6 +567,7 @@ def mine_batch_reference(batch, cfg, rng):
         anchors = select_anchors_ras(batch.size, h, rng)
     else:
         anchors = select_anchors_bas(batch.size)
+    anchors = anchors.tolist()
     s_matrix = label_similarity_matrix(batch.labels, cfg.label_similarity)
     per_anchor = {a: _reference_select_pair(a, batch, cfg, s_matrix, rng) for a in anchors}
     rows = []

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from tripmine.similarity import (
     _check_binary_rows,
     _scaled_row_distances,
-    label_similarity,
     label_similarity_matrix,
     minmax_normalize,
     padded_matmul,
@@ -52,38 +51,48 @@ class TestCheckBinaryRows:
                 _check_binary_rows(arr)
 
 
+def label_similarity_oracle(a, b, kind):
+    """Similarity of two 0/1 label lists, in plain Python."""
+    inter = sum(x * y for x, y in zip(a, b))
+    if kind == "cosine":
+        return inter / math.sqrt(sum(a) * sum(b))
+    return inter / (sum(a) + sum(b) - inter)
+
+
 class TestLabelSimilarity:
     @pytest.mark.parametrize("kind", ["cosine", "jaccard"])
     def test_identical_vectors_give_one(self, kind):
-        assert label_similarity([1, 0, 1], [1, 0, 1], kind) == 1.0
+        mat = label_similarity_matrix([[1, 0, 1], [1, 0, 1], [1, 1, 1]], kind)
+        assert mat[0, 1] == mat[1, 0] == 1.0
+        assert np.diagonal(mat).tolist() == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("kind", ["cosine", "jaccard"])
     def test_disjoint_supports_give_zero(self, kind):
-        assert label_similarity([1, 0, 0], [0, 1, 1], kind) == 0.0
+        mat = label_similarity_matrix([[1, 0, 0], [0, 1, 1]], kind)
+        assert mat[0, 1] == mat[1, 0] == 0.0
 
     def test_cosine_worked_example(self):
         # dot = 1, norms sqrt(2) and 1
         expected = 1.0 / math.sqrt(2.0)
-        assert label_similarity([1, 1, 0], [1, 0, 0], "cosine") == pytest.approx(expected, abs=1e-15)
+        assert label_similarity_matrix([[1, 1, 0], [1, 0, 0]], "cosine")[0, 1] == pytest.approx(expected, abs=1e-15)
 
     def test_jaccard_worked_example(self):
         # intersection 1, union 2
-        assert label_similarity([1, 1, 0], [1, 0, 0], "jaccard") == 0.5
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            label_similarity([1, 0], [1, 0, 1])
+        assert label_similarity_matrix([[1, 1, 0], [1, 0, 0]], "jaccard")[0, 1] == 0.5
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            label_similarity([0, 0], [1, 0])
+            label_similarity_matrix([[0, 0], [1, 0]])
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"expected a \(B, N\) label matrix"):
+            label_similarity_matrix([1, 0, 1])
 
     @given(label_vectors(), label_vectors(), st.sampled_from(["cosine", "jaccard"]))
     def test_symmetric_and_bounded(self, a, b, kind):
-        s_ab = label_similarity(a, b, kind)
-        s_ba = label_similarity(b, a, kind)
-        assert s_ab == s_ba
-        assert 0.0 <= s_ab <= 1.0
+        mat = label_similarity_matrix([a, b], kind)
+        assert mat[0, 1] == mat[1, 0]
+        assert 0.0 <= mat[0, 1] <= 1.0
 
     @pytest.mark.parametrize("kind", ["cosine", "jaccard"])
     def test_matrix_agrees_with_pairs(self, kind):
@@ -91,9 +100,10 @@ class TestLabelSimilarity:
         labels = (rng.random((7, 4)) < 0.5).astype(np.uint8)
         labels[labels.sum(axis=1) == 0, 0] = 1
         mat = label_similarity_matrix(labels, kind)
+        rows = labels.tolist()
         for i in range(7):
             for j in range(7):
-                assert mat[i, j] == pytest.approx(label_similarity(labels[i], labels[j], kind), abs=1e-15)
+                assert mat[i, j] == pytest.approx(label_similarity_oracle(rows[i], rows[j], kind), abs=1e-15)
 
 
 def pairwise_euclidean_loop(x):
