@@ -250,6 +250,8 @@ def _parse_fractions(text: str) -> tuple:
 
 
 def _load_data(o: dict):
+    if o["synthetic"] and (o["features"] or o["labels"]):
+        raise UserError("--synthetic excludes --features and --labels")
     if o["synthetic"]:
         spec = SyntheticSpec(
             n_samples=o["n_samples"], n_classes=o["n_classes"], feature_dim=o["feature_dim"],

@@ -20,7 +20,6 @@ A loaded dataset holds its samples as one ``SampleTable``: the ids, an
 from __future__ import annotations
 
 import csv
-import itertools
 import os
 from dataclasses import dataclass, field, replace
 
@@ -93,12 +92,16 @@ def _looks_like_header(row) -> bool:
 
 
 def _csv_rows(path):
-    """The rows of a UTF-8 CSV file, read lazily. Bytes that are not UTF-8
-    and malformed CSV raise ``ValueError`` naming the file."""
+    """``(line, row)`` for each non-blank row of a UTF-8 CSV file, read
+    lazily; ``line`` is the file line the row starts on. Bytes that are not
+    UTF-8 and malformed CSV raise ``ValueError`` naming the file."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader, line = csv.reader(fh), 1
         try:
-            yield from reader
+            for row in reader:
+                if row:
+                    yield line, row
+                line = reader.line_num + 1
         except UnicodeDecodeError as exc:
             raise ValueError(
                 f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
@@ -165,7 +168,7 @@ def _parse_features_loadtxt(path):
     lines = plain[0]
     header = int(_looks_like_header(lines[0].split(",")))
     cut = [line.partition(",") for line in lines[header:]]
-    if not cut:
+    if not cut or not cut[0][2]:  # np.loadtxt warns on lines that are all empty
         return None
     try:
         feats = np.loadtxt([c[2] for c in cut], dtype=np.float64, delimiter=",", comments=None, ndmin=2)
@@ -178,22 +181,20 @@ def _parse_features_loadtxt(path):
 
 def _parse_features_rows(path):
     ids, rows, line_nos = [], [], []
-    for line_no, row in enumerate(_csv_rows(path)):
-        if not row:
-            continue
-        if line_no == 0 and _looks_like_header(row):
+    for line, row in _csv_rows(path):
+        if line == 1 and _looks_like_header(row):
             continue
         if len(row) < 2:
-            raise ValueError(f"{path}: row {line_no + 1} has no feature columns")
+            raise ValueError(f"{path}: row {line} has no feature columns")
         if rows and len(row) != len(rows[-1]) + 1:
-            raise ValueError(f"{path}: ragged row {line_no + 1} (id {row[0]!r})")
+            raise ValueError(f"{path}: ragged row {line} (id {row[0]!r})")
         try:
             values = [float(v) for v in row[1:]]
         except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric feature in row {line_no + 1}: {exc}") from None
+            raise ValueError(f"{path}: non-numeric feature in row {line}: {exc}") from None
         ids.append(row[0])
         rows.append(values)
-        line_nos.append(line_no + 1)
+        line_nos.append(line)
     if not ids:
         raise ValueError(f"{path}: no feature rows")
     return ids, np.asarray(rows, dtype=np.float64), line_nos
@@ -271,37 +272,27 @@ def _parse_labels_plain(path):
 
 
 def _parse_labels_rows(path):
-    numbered = [(line_no, row) for line_no, row in enumerate(_csv_rows(path), start=1) if row]
-    line_nos, rows = zip(*numbered) if numbered else ((), ())
+    rows = list(_csv_rows(path))
     if len(rows) < 2:
         raise ValueError(f"{path}: expected a header row and at least one label row")
-    header, body = rows[0], rows[1:]
+    header = rows[0][1]
     class_names = header[1:]
     if not class_names:
         raise ValueError(f"{path}: header names no classes")
-    n = len(class_names)
-    # Each cell is checked once per distinct value, and the bits of every
-    # row before the first bad one are read as one array; the first bad row
-    # gets the message a row-by-row check would give it.
-    ragged = next((r for r, row in enumerate(body) if len(row) != n + 1), len(body))
-    cells = list(itertools.chain.from_iterable(row[1:] for row in body[:ragged]))
-    stripped = {v: v.strip() for v in set(cells)}
-    end = ragged
-    if not set(stripped.values()) <= {"0", "1"}:
-        end = next(r for r, row in enumerate(body[:ragged])
-                   if any(stripped[v] not in ("0", "1") for v in row[1:]))
-    bits = "".join(map(stripped.__getitem__, cells[: end * n])).encode("ascii")
-    labels = np.frombuffer(bits, dtype=np.uint8).reshape(end, n) - ord("0")
-    empty = np.flatnonzero(~labels.any(axis=1))
-    if empty.size:
-        raise ValueError(f"{path}: sample {body[empty[0]][0]!r} has no class labels")
-    if end < len(body):
-        row, line_no = body[end], line_nos[end + 1]
-        if end == ragged:
-            raise ValueError(f"{path}: ragged row {line_no} (id {row[0]!r})")
-        v = next(stripped[v] for v in row[1:] if stripped[v] not in ("0", "1"))
-        raise ValueError(f"{path}: non-binary label entry {v!r} in row {line_no}")
-    return class_names, [row[0] for row in body], labels
+    ids, bits = [], []
+    for line, row in rows[1:]:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: ragged row {line} (id {row[0]!r})")
+        cells = [v.strip() for v in row[1:]]
+        for v in cells:
+            if v not in ("0", "1"):
+                raise ValueError(f"{path}: non-binary label entry {v!r} in row {line}")
+        if "1" not in cells:
+            raise ValueError(f"{path}: sample {row[0]!r} has no class labels")
+        ids.append(row[0])
+        bits.extend(cells)
+    labels = np.frombuffer("".join(bits).encode("ascii"), dtype=np.uint8).reshape(len(ids), -1)
+    return class_names, ids, labels - ord("0")
 
 
 def _is_binary_features(path) -> bool:

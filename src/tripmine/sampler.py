@@ -206,8 +206,10 @@ def mine_batch(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -
         anchors = select_anchors_das(batch.dist_norm, h, rng, reduce=cfg.das_reduce)
     elif cfg.anchor_strategy == "ras":
         anchors = select_anchors_ras(batch.size, h, rng)
-    else:
+    elif cfg.anchor_strategy == "bas":
         anchors = select_anchors_bas(batch.size)
+    else:
+        raise ValueError(f"unknown anchor strategy {cfg.anchor_strategy!r}")
     c_pos, c_neg = cfg.positives_per_anchor, cfg.negatives_per_anchor
     if cfg.image_strategy == "rhdis":
         s_matrix = similarity.label_similarity_matrix(batch.labels, cfg.label_similarity)
@@ -216,8 +218,10 @@ def mine_batch(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -
         neg = select_negatives_rhdis(anchors, rows, batch.dist_norm, c_neg, cfg.gamma, exclude=pos)
     elif cfg.image_strategy == "ris":
         pos, neg = select_images_ris(anchors, batch.size, c_pos, c_neg, rng)
-    else:
+    elif cfg.image_strategy == "bis":
         pos, neg = select_images_bis(anchors, batch.size)
+    else:
+        raise ValueError(f"unknown image strategy {cfg.image_strategy!r}")
     return build_triplets(anchors, pos, neg, cfg.combination)
 
 

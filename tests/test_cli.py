@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import struct
@@ -7,10 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from tripmine import sampler
+from tripmine import cli, sampler
 from tripmine.cli import SAMPLER_CHOICES, main
-from tripmine.core import BatchView
+from tripmine.core import BatchView, SamplerConfig
+from tripmine.data import SyntheticSpec, generate_synthetic, write_dataset
 from tripmine.embedder import load_checkpoint, save_checkpoint
+from tripmine.trainer import TrainConfig
 
 
 def run(capsys, *argv):
@@ -209,6 +212,23 @@ class TestTrain:
         code, _, _ = run(capsys, "train", "--config", str(out1 / "manifest.txt"), "--out", str(out2))
         assert code == 0
         assert (out1 / "model.ckpt").read_bytes() == (out2 / "model.ckpt").read_bytes()
+
+    def test_manifests_of_synthetic_and_file_runs_replay(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_dataset(generate_synthetic(SyntheticSpec(n_samples=60, seed=1)), data / "f.csv", data / "l.csv")
+        files = ["--features", str(data / "f.csv"), "--labels", str(data / "l.csv"), "--seed", "1"]
+        runs = {"synthetic": TINY, "files": files + TINY[len(TINY_DATA):]}
+        for name, argv in runs.items():
+            assert run(capsys, "train", *argv, "--out", str(tmp_path / name))[0] == 0
+        manifests = {name: (tmp_path / name / "manifest.txt").read_text().splitlines() for name in runs}
+        assert {"features=", "labels=", "synthetic=true"} <= set(manifests["synthetic"])
+        assert "synthetic=false" in manifests["files"]
+        for name in runs:
+            replay = tmp_path / f"{name}-replay"
+            manifest = tmp_path / name / "manifest.txt"
+            assert run(capsys, "train", "--config", str(manifest), "--out", str(replay))[0] == 0
+            assert (replay / "model.ckpt").read_bytes() == (tmp_path / name / "model.ckpt").read_bytes()
 
     def test_config_file_overridden_by_flags(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -692,6 +712,16 @@ class TestParser:
      "{tmp}/l.csv: header names no classes"),
     ({"f.csv": "a,1.0\nb,2.0\na,3.0\n", "l.csv": "id,c0\na,1\nb,1\n"},
      ["--features", "{tmp}/f.csv", "--labels", "{tmp}/l.csv"], "{tmp}/f.csv: sample id 'a' is repeated"),
+    ({"f.csv": "a,1.0\n", "l.csv": "id,c0\na,1\n"},
+     ["--synthetic", "--features", "{tmp}/f.csv", "--labels", "{tmp}/l.csv"],
+     "--synthetic excludes --features and --labels"),
+    ({"l.csv": "id,c0\na,1\n"}, ["--synthetic", "--labels", "{tmp}/l.csv"],
+     "--synthetic excludes --features and --labels"),
+    # np.loadtxt would warn on these featureless rows, before the error line
+    ({"f.csv": "id,f0\na\nb\n", "l.csv": "id,c0\na,1\nb,1\n"},
+     ["--features", "{tmp}/f.csv", "--labels", "{tmp}/l.csv"], "{tmp}/f.csv: row 2 has no feature columns"),
+    ({"f.csv": "a,\nb,\n", "l.csv": "id,c0\na,1\nb,1\n"}, ["--features", "{tmp}/f.csv", "--labels", "{tmp}/l.csv"],
+     "{tmp}/f.csv: non-numeric feature in row 2: could not convert string to float: ''"),
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, files, argv, message):
     for name, text in files.items():
@@ -701,3 +731,29 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, files, argv, me
     assert code == 2
     assert err == f"error: {message.format(tmp=tmp_path)}\n"
     assert stdout == "" and not (tmp_path / "o").exists()
+
+
+class TestDefaults:
+    """The option tables restate the library's defaults; these pin them."""
+
+    def test_train_defaults_are_train_config(self):
+        assert cli._train_config(cli.resolve_options("train", {})) == TrainConfig()
+
+    def test_ablate_defaults_are_train_config_for_each_seed(self):
+        o = cli.resolve_options("ablate", {})
+        seeds = cli._parse_int_list(o["seed"])
+        assert seeds == (0,)
+        assert cli._train_config(dict(o, seed=seeds[0])) == TrainConfig()
+
+    def test_mine_debug_sampler_and_batch_size_are_the_library_defaults(self):
+        o = cli.resolve_options("mine-debug", {})
+        assert cli._sampler_config(o) == SamplerConfig()
+        assert o["batch_size"] == TrainConfig().batch_size
+
+    @pytest.mark.parametrize("command", list(cli.COMMAND_OPTS))
+    def test_synthetic_spec_is_the_default_spec_seed_aside(self, monkeypatch, command):
+        specs = []
+        monkeypatch.setattr(cli, "generate_synthetic", lambda spec: specs.append(spec) or generate_synthetic(spec))
+        cli._load_data(cli.resolve_options(command, {"synthetic": True, "seed": 7}))
+        assert [spec.seed for spec in specs] == [7]
+        assert dataclasses.replace(specs[0], seed=SyntheticSpec().seed) == SyntheticSpec()

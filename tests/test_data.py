@@ -187,8 +187,8 @@ class TestSampleTableLoad:
 def read_labels_row_by_row(path):
     """The labels reader as it was, cell by cell: the reference for the
     vectorized one (duplicate ids aside, which it did not check). Rows are
-    numbered by file line, blank lines included."""
-    numbered = [(line_no, row) for line_no, row in enumerate(_csv_rows(path), start=1) if row]
+    numbered by the file line they start on, blank lines included."""
+    numbered = list(_csv_rows(path))
     if len(numbered) < 2:
         raise ValueError(f"{path}: expected a header row and at least one label row")
     header = numbered[0][1]
@@ -300,22 +300,20 @@ def parse_features_with_float(path):
     """The features reader as it was, ``float()`` per value, up to its
     non-finite check: the reference for the ``np.loadtxt`` parse."""
     ids, rows, line_nos = [], [], []
-    for line_no, row in enumerate(_csv_rows(path)):
-        if not row:
-            continue
-        if line_no == 0 and _looks_like_header(row):
+    for line_no, row in _csv_rows(path):
+        if line_no == 1 and _looks_like_header(row):
             continue
         if len(row) < 2:
-            raise ValueError(f"{path}: row {line_no + 1} has no feature columns")
+            raise ValueError(f"{path}: row {line_no} has no feature columns")
         if rows and len(row) != len(rows[-1]) + 1:
-            raise ValueError(f"{path}: ragged row {line_no + 1} (id {row[0]!r})")
+            raise ValueError(f"{path}: ragged row {line_no} (id {row[0]!r})")
         try:
             values = [float(v) for v in row[1:]]
         except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric feature in row {line_no + 1}: {exc}") from None
+            raise ValueError(f"{path}: non-numeric feature in row {line_no}: {exc}") from None
         ids.append(row[0])
         rows.append(values)
-        line_nos.append(line_no + 1)
+        line_nos.append(line_no)
     if not ids:
         raise ValueError(f"{path}: no feature rows")
     return ids, np.asarray(rows, dtype=np.float64), line_nos
@@ -389,6 +387,28 @@ class TestFeaturesReader:
         assert feats.tobytes() == ds.samples.features.tobytes()
         assert list(line_nos) == list(range(2, 42))
         assert features_outcome(_read_features_csv, fpath) == features_outcome(read_features_row_by_row, fpath)
+
+
+# a header, then a quoted id that spans lines 2 and 3
+TWO_LINE_ID = {"labels": 'id,a,b\n"x\ny",1,1\n', "features": 'id,f0,f1\n"x\ny",1.0,1.0\n'}
+
+
+@pytest.mark.parametrize("kind, row, message", [
+    ("labels", "z,1", "ragged row 4 (id 'z')"),
+    ("labels", "z,1,2", "non-binary label entry '2' in row 4"),
+    ("labels", "z,0,0", "sample 'z' has no class labels"),  # names the sample, not the line
+    ("features", "z,1.0", "ragged row 4 (id 'z')"),
+    ("features", "z,1.0,q", "non-numeric feature in row 4: could not convert string to float: 'q'"),
+    ("features", "z,1.0,inf", "non-finite feature value in row 4 (id 'z')"),
+])
+def test_a_row_after_a_quoted_line_break_is_named_by_its_file_line(tmp_path, kind, row, message):
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{TWO_LINE_ID[kind]}{row}\n")
+    readers = {"labels": (_read_labels_csv, read_labels_row_by_row),
+               "features": (_read_features_csv, read_features_row_by_row)}[kind]
+    for reader in readers:
+        with pytest.raises(ValueError, match=re.escape(f"{kind}.csv: {message}")):
+            reader(path)
 
 
 class TestRoundTrip:

@@ -7,6 +7,7 @@ exactly like the library's argmax scans.
 
 import copy
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from tripmine.core import (
     ANCHOR_STRATEGIES, IMAGE_STRATEGIES, LABEL_SIMILARITY_KINDS, BatchView, SamplerConfig, seeded_rng,
+    validate_config,
 )
 from tripmine.sampler import (
     InformativenessRow,
@@ -474,6 +476,20 @@ class TestMineBatch:
         h = cfg.num_anchors(20)
         assert ts.anchors.shape == (h,)
         assert len(ts) == h * 3 * 3  # disjoint sets: no p == n drops
+
+    @pytest.mark.parametrize("names, message", [
+        ({"anchor_strategy": "DAS", "image_strategy": "RHDIS"}, "unknown anchor strategy 'DAS'"),
+        ({"anchor_strategy": "bas", "image_strategy": "RHDIS"}, "unknown image strategy 'RHDIS'"),
+        ({"anchor_strategy": "", "image_strategy": "bis"}, "unknown anchor strategy ''"),
+    ])
+    def test_unknown_strategy_is_rejected_like_validate_config(self, names, message):
+        rng = seeded_rng(35)
+        batch = _random_batch(rng, b=10)
+        cfg = SamplerConfig(**names)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_config(cfg, batch.size)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mine_batch(batch, cfg, rng)
 
     def test_das_spreads_anchors_more_than_ras(self):
         rng = seeded_rng(33)
