@@ -465,8 +465,9 @@ def main(argv=None) -> int:
     try:
         resolved = resolve_options(command, explicit)
         return COMMANDS[command](resolved)
-    except (UserError, ValueError, OSError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UserError, ValueError, OSError, FloatingPointError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate; a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

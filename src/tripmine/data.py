@@ -288,7 +288,7 @@ def _parse_labels_rows(path):
             if v not in ("0", "1"):
                 raise ValueError(f"{path}: non-binary label entry {v!r} in row {line}")
         if "1" not in cells:
-            raise ValueError(f"{path}: sample {row[0]!r} has no class labels")
+            raise ValueError(f"{path}: sample {row[0]!r} has no class labels in row {line}")
         ids.append(row[0])
         bits.extend(cells)
     labels = np.frombuffer("".join(bits).encode("ascii"), dtype=np.uint8).reshape(len(ids), -1)

@@ -41,6 +41,16 @@ FLAG_L2_NORMALIZE = 1
 # threads for every size from 100 up that was tried, and the Gram product
 # w @ w.T for most sizes from 97 up, but for none up to 96 (d up to 2100)
 _CHOLESKY_MAX = 96
+# float32 rows are used only where every a-priori row norm, weight norm and
+# bias norm is at most this and the result's row-norm bound at least its
+# inverse: squares and products then stay far inside float32, and underflow
+# far below the rows' rounding
+_FLOAT32_SCALE = 2.0**40
+# smallest normal numbers: each product's underflow, gradual or flushed to zero
+_F32_TINY = float(np.finfo(np.float32).tiny)
+_F64_TINY = float(np.finfo(np.float64).tiny)
+# covers the rounding of the computed norms and of the bound's own float64 arithmetic
+_NORM_SLACK = 1.0 + 2.0**-20
 
 
 @dataclass
@@ -106,14 +116,19 @@ def _feature_matrix(net: Embedder, features) -> np.ndarray:
 
 def _hidden_cached(net: Embedder, features):
     """Activations ``[x, a_1, ..., a_h]`` up to the last hidden layer and
-    the hidden pre-activations; for a net without hidden layers, ``[x]``
-    and ``[]``."""
-    x = _feature_matrix(net, features)
+    the hidden pre-activations, in the precision of the net's weights (the
+    features cast to it); for a net without hidden layers, ``[x]`` and
+    ``[]``."""
+    dtype = net.weights[0].dtype
+    x = _feature_matrix(net, features).astype(dtype, copy=False)
+    # float32 rows only screen (``distance_rows``), so their bits need not
+    # be the same at every thread count
+    matmul = padded_matmul if dtype == np.float64 else np.matmul
     acts = [x]
     preacts = []
     a = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = padded_matmul(a, w)
+        z = matmul(a, w)
         z += b
         preacts.append(z)
         a = np.maximum(z, 0.0)
@@ -186,31 +201,52 @@ def distance_factor(net: Embedder):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def distance_rows(net: Embedder, features, factor) -> np.ndarray:
+def distance_rows(net: Embedder, features, factor, dtype=np.float64, input_sq=None) -> np.ndarray:
     """Rows whose pairwise Euclidean distances are those of
     ``forward(net, features)``: ``h @ factor`` for the last hidden
     activations ``h`` and ``factor = distance_factor(net)``, or the
     embedding itself when ``factor`` is None (``l2_normalize`` on). Rows
-    that outgrow float64 raise ``FloatingPointError``, without numpy's warnings.
+    that outgrow ``dtype`` raise ``FloatingPointError``, without numpy's warnings.
 
     The rows are embedded in blocks of ``_CHUNK_VALUES // widest`` rows,
     ``widest`` the widest of the input, the hidden layers and the result, so
     each block's intermediates stay near 1 MB, within L2: 1,024 rows for 128
-    features, hidden 64 and d = 1024, 128 rows with ``l2_normalize`` on. A
+    features, hidden 64 and d = 1024 (twice as many in float32), 128 rows
+    with ``l2_normalize`` on. A
     row's products sum in the same order in any block of two or more rows,
     so the result is bit-identical to one pass; numpy sends a one-row
     product through matrix-vector code, which sums in another order, so a
     trailing block of one row joins the block before it. Input that fits
-    one block is embedded in one pass."""
+    one block is embedded in one pass.
+
+    With ``dtype`` float32 (which needs a ``factor``) the weights and
+    ``factor`` are cast once, each block as it is read, and every product
+    is computed in float32, unpadded: these rows only screen
+    (``retrieval.knn_retrieve``), so their bits may change with the thread
+    count. ``input_sq``, a list, gets each cast block's largest squared row
+    norm, summed in ``dtype``, for ``float32_row_error``."""
+    if dtype != np.float64:
+        if factor is None:
+            raise ValueError("rows with l2_normalize are computed in float64 only")
+        net = Embedder(net.layer_dims, [w.astype(dtype) for w in net.weights],
+                       [b.astype(dtype) for b in net.biases])
+        factor = factor.astype(dtype)
     x = _feature_matrix(net, features)
     width = net.layer_dims[-1] if factor is None else factor.shape[1]
-    step = max(2, _CHUNK_VALUES // max(*net.layer_dims[:-1], width))
+    # _CHUNK_VALUES counts float64 values: twice as many float32 ones fit
+    step = max(2, _CHUNK_VALUES * 8 // np.dtype(dtype).itemsize // max(*net.layer_dims[:-1], width))
     stops = [*range(step, len(x) - 1, step), len(x)]
-    rows = None if len(stops) == 1 else np.empty((len(x), width))
+    matmul = padded_matmul if dtype == np.float64 else np.matmul
+    rows = None if len(stops) == 1 else np.empty((len(x), width), dtype=dtype)
     start = 0
     for stop in stops:
-        block = (forward(net, x[start:stop]) if factor is None
-                 else padded_matmul(_hidden_cached(net, x[start:stop])[0][-1], factor))
+        if factor is None:
+            block = forward(net, x[start:stop])
+        else:
+            acts = _hidden_cached(net, x[start:stop])[0]
+            if input_sq is not None:
+                input_sq.append(np.einsum("ij,ij->i", acts[0], acts[0]).max())
+            block = matmul(acts[-1], factor)
         if not np.isfinite(block).all():
             raise FloatingPointError("embeddings contain non-finite values")
         if rows is None:
@@ -218,6 +254,71 @@ def distance_rows(net: Embedder, features, factor) -> np.ndarray:
         rows[start:stop] = block
         start = stop
     return rows
+
+
+def _spectral_norm(w: np.ndarray) -> float:
+    """An upper bound on the largest singular value of ``w``, from the
+    largest eigenvalue of its smaller Gram matrix: that eigenvalue is
+    computed within a few (n + m) u ``|w|_F^2``, far inside the 2**-30
+    ``|w|_F^2`` added."""
+    gram = w.T @ w if w.shape[0] >= w.shape[1] else w @ w.T
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0) + 2.0**-30 * np.trace(gram)))
+
+
+def _gamma(n: int, unit: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u): an n-term dot product, summed in
+    any order, is within gamma_n times the sum of its |products|."""
+    return n * unit / (1.0 - n * unit)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def float32_row_error(net: Embedder, factor, input_sq) -> float | None:
+    """A bound ``e`` on every row's Euclidean distance between the float32
+    and the float64 ``distance_rows`` of the same features, ``input_sq``
+    being the largest squared row norm the float32 call measured; or None
+    where float32 cannot carry the rows: ``factor`` None (``l2_normalize``
+    on), or an a-priori row scale outside the float32-safe range
+    ``_FLOAT32_SCALE`` states (a NaN ``input_sq`` included).
+
+    ``e`` is derived at ``similarity._GRAM_ERR_PER_DIM``: each layer's
+    rounding and casts, ReLU being 1-Lipschitz, the spectral and Frobenius
+    norms of the weights and ``factor``, and the largest input row norm, for
+    the float32 rows and the float64 ones alike."""
+    if factor is None:
+        return None
+    products = [*zip(net.weights[:-1], net.biases[:-1]), (factor, None)]
+    norms = [(np.linalg.norm(w) * _NORM_SLACK, 0.0 if b is None else np.linalg.norm(b) * _NORM_SLACK)
+             for w, b in products]
+    if not max(max(pair) for pair in norms) <= _FLOAT32_SCALE:
+        return None
+    # per product: spectral and Frobenius norms of the matrix, bias norm, shape
+    layers = [(_spectral_norm(w) * _NORM_SLACK, frob, b_norm, *w.shape)
+              for (w, _), (frob, b_norm) in zip(products, norms)]
+    n_in, u32 = net.layer_dims[0], 2.0**-24
+    # |x| <= |x32| + u |x| + tiny sqrt(F), and |x32|^2 from its float32 sum
+    x32_norm = np.sqrt((float(input_sq) + n_in * _F32_TINY) / (1.0 - _gamma(n_in, u32)))
+    x_norm = (x32_norm + _F32_TINY * np.sqrt(n_in)) / (1.0 - u32) * _NORM_SLACK
+
+    def bound(unit, tiny, cast):
+        """Row-norm bounds on the computed rows' error and on the exact
+        rows, and the largest row, weight or bias norm on the way."""
+        err = cast * (unit * x_norm + tiny * np.sqrt(n_in))
+        size = top = x_norm
+        for spec, frob, b_norm, n, m in layers:
+            # the casts of the matrix and the bias, as matrix and vector norms
+            d_w = cast * (unit * frob + tiny * np.sqrt(n * m))
+            d_b = cast * (unit * b_norm + tiny * np.sqrt(m))
+            rounding = (_gamma(n + 1, unit) * ((size + err) * (frob + d_w) + b_norm + d_b)
+                        + 2 * (n + 1) * tiny * np.sqrt(m))
+            err = rounding + err * (spec + d_w) + size * d_w + d_b
+            size = size * spec + b_norm
+            top = max(top, frob, b_norm, size)
+        return err, size, top
+
+    err32, size, top = bound(u32, _F32_TINY, 1.0)
+    if not (top <= _FLOAT32_SCALE and size >= 1.0 / _FLOAT32_SCALE):
+        return None
+    return (err32 + bound(2.0**-53, _F64_TINY, 0.0)[0]) * _NORM_SLACK
 
 
 def hinge_terms(d_ap, d_an, alpha: float) -> np.ndarray:

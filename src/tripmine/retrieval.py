@@ -5,8 +5,15 @@ Douze and Jegou, arXiv 1702.08734) in numpy: one GEMM screens a block of
 queries against the whole archive, each query with one rounding allowance,
 and the rows the screen cannot rule out are re-measured from row
 differences. ``evaluate`` searches the rows training measures
-(``embedder.distance_rows``). Metric averaging is macro: per-pair metrics
-are averaged over the k retrieved items of a query, then over queries.
+(``embedder.distance_rows``). On archives large enough to pay for it
+(``_float32_pays``) it screens on those rows computed in float32, each
+query's allowance widened by their a-priori error bound
+(``embedder.float32_row_error``), and ranks the candidates on their float64
+rows, so its reports are those of the float64 search. Smaller archives, and
+nets whose rows float32 cannot carry (``l2_normalize``, or an a-priori row
+scale outside 2**-40 to 2**40), are screened in float64. Metric averaging
+is macro: per-pair metrics are averaged over the k retrieved items of a
+query, then over queries.
 """
 
 from __future__ import annotations
@@ -17,11 +24,18 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import embedder as emb_mod
-from .similarity import _FLOAT_TINY, _check_binary_rows, _gram_allowance, _scaled_row_distances
+from .similarity import _check_binary_rows, _gram_allowance, _scaled_row_distances
 
-# float64 screen values per query block (16 MB): a block holds this many
-# divided by the archive size queries, at least one
+# screen values per query block (16 MB in float64): a block holds this many
+# divided by the archive size queries, at least one; candidates pending a
+# re-measure are ranked once they reach as many
 _SCREEN_VALUES = 1 << 21
+# ``evaluate`` screens in float32 only on archives of at least this many
+# rows, and of at least this many times the rows of extra work that takes
+# (``_float32_pays``): timed on both paths, float32 was slower at every
+# shape measured below these (README, "Float32 screen")
+_FLOAT32_MIN_ROWS = 10_000
+_FLOAT32_MIN_RATIO = 2
 
 
 @dataclass(frozen=True)
@@ -38,7 +52,8 @@ def metric_cells(rep: MetricReport) -> list:
 
 
 @np.errstate(over="ignore")
-def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
+def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, row_error: float = 0.0,
+                 exact_rows=None):
     """Indices and distances of the k nearest archive rows, exact Euclidean.
 
     ``query_embedding`` is a (Q, d) block and the result two (Q, k) arrays;
@@ -48,18 +63,31 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
     (the query's own archive row, when the query is part of the archive) is
     never returned. Non-finite rows raise ``ValueError``.
 
+    ``archive`` is screened in its own precision, float32 or float64 (any
+    other type is taken as float64). Its rows may be screen rows, each
+    within ``row_error`` (Euclidean) of the archive row it stands for, with
+    ``exact_rows(indices)`` returning those archive rows in float64 for a
+    non-decreasing index array of two or more entries; without
+    ``exact_rows`` the archive rows are ``archive`` itself.
+
     Per block of queries, one GEMM gives every archive row's screen value
     ``|a|^2 - 2 q.a``, the squared distance less the query's own ``|q|^2``.
     Each query has one rounding allowance, from ``|q|^2`` and the largest
-    ``|a|^2`` (``similarity._GRAM_ERR_PER_DIM``); every row whose screen
-    value is within two allowances of the query's k-th smallest is measured
-    from row differences and ranked. A block holds one (Q, M) screen and the
-    copy ``np.partition`` makes of it. Rows whose squares could overflow are
-    screened at one power-of-two scale 2**-e, as are the differences whose
-    squares overflow.
+    ``|a|^2`` (``similarity._GRAM_ERR_PER_DIM``), widened by the screen
+    rows' error ``2 |q| e + e (2 R + e)``, R the largest screen-row norm;
+    every row whose screen value is within two allowances of the query's
+    k-th smallest is a candidate. The candidates of all blocks are fetched
+    from ``exact_rows`` at once, measured from row differences and ranked.
+    A block holds one (Q, M) screen and the copy ``np.partition`` makes of
+    it; the pending candidates are ranked before a block whose pairs would
+    take them past one screen's size, so they never outnumber the larger of
+    one screen and one block's pairs. Rows whose squares could overflow are screened
+    at one power-of-two scale 2**-s, as are the differences whose squares
+    overflow.
     """
     q = np.asarray(query_embedding, dtype=np.float64)
-    a = np.asarray(archive, dtype=np.float64)
+    a = np.asarray(archive)
+    a = a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
     if q.ndim != 2 or a.ndim != 2 or a.shape[1] != q.shape[1]:
         raise ValueError(f"archive shape {a.shape} does not match query block shape {q.shape}")
     n_q, m = q.shape[0], a.shape[0]
@@ -71,52 +99,89 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None):
     usable = m - (1 if any(e is not None for e in excl) else 0)
     if k < 1 or k > usable:
         raise ValueError(f"k={k} must be between 1 and {usable}")
-    screen_q, screen_a, scale_exp = q, a, 0
-    q_sq, a_sq = (np.einsum("ij,ij->i", r, r) for r in (q, a))
-    # every term of the screen and re-measure is at most 4 max |row|^2, not finite for a non-finite row
-    if not np.isfinite(8.0 * np.max([q_sq.max(initial=0.0), a_sq.max()])):
+    if not 0.0 <= row_error < np.inf:
+        raise ValueError(f"row_error must be finite and non-negative, got {row_error}")
+    info = np.finfo(a.dtype)
+    screen_q, screen_a, scale_exp = q.astype(a.dtype, copy=False), a, 0
+    q_sq, a_sq = (np.einsum("ij,ij->i", r, r) for r in (screen_q, screen_a))
+    # every term of the screen and re-measure is at most 4 max |row|^2, so
+    # below 8 max |row|^2 <= the type's largest: compared, not multiplied,
+    # whatever type numpy gives a float32 scalar times a float. False for a
+    # non-finite row
+    limit = float(info.max) / 8.0
+    if not (q_sq.max(initial=0.0) <= limit and a_sq.max() <= limit):
         for rows, what in ((q, "query"), (a, "archive")):
             if not np.isfinite(rows).all():
                 raise ValueError(f"{what} embeddings contain non-finite values")
-        # entries below 2**(509 - bit_length(d) // 2) keep that finite
+        # entries below 2**(maxexp / 2 - 3 - bit_length(d) // 2) keep that finite
         top = max(np.abs(q).max(initial=0.0), np.abs(a).max())
-        scale_exp = int(np.frexp(top)[1]) - 509 + q.shape[1].bit_length() // 2
-        screen_q, screen_a = np.ldexp(q, -scale_exp), np.ldexp(a, -scale_exp)
+        scale_exp = int(np.frexp(top)[1]) - (info.maxexp // 2 - 3) + q.shape[1].bit_length() // 2
+        screen_q, screen_a = np.ldexp(q, -scale_exp).astype(a.dtype), np.ldexp(a, -scale_exp)
         q_sq, a_sq = (np.einsum("ij,ij->i", r, r) for r in (screen_q, screen_a))
     block = max(1, _SCREEN_VALUES // m)
     # each query's |q|^2 is left out of its screen row, and its one allowance
     # covers every pair of the row (similarity._GRAM_ERR_PER_DIM); doubled,
     # it is the margin a row may screen above the query's k-th
-    margin = q_sq + (a_sq.max() + _FLOAT_TINY)
-    margin *= 2.0 * _gram_allowance(q.shape[1])
+    margin = q_sq.astype(np.float64) + (float(a_sq.max()) + float(info.tiny))
+    margin *= 2.0 * _gram_allowance(q.shape[1], a.dtype)
+    if row_error:
+        # the screen rows' error, at the screen's scale, with the computed
+        # norms grown to cover their rounding
+        e, grow = np.ldexp(row_error, -scale_exp), 1.0 + (q.shape[1] + 8) * float(info.eps)
+        q_norm, top_norm = np.sqrt(q_sq.astype(np.float64)) * grow, np.sqrt(float(a_sq.max())) * grow
+        margin += (2.0 * grow * e) * (2.0 * q_norm + (2.0 * top_norm + e))
     idx, dist = np.empty((n_q, k), dtype=np.intp), np.empty((n_q, k), dtype=np.float64)
+
+    def rank(pending, stop):
+        """Re-measure the pending pairs, those of the queries from the first
+        unranked one up to ``stop``, and keep each query's k nearest."""
+        q_rows, a_rows = (np.concatenate(c) for c in zip(*pending))
+        if exact_rows is None:
+            exact_a, exact_at = a, a_rows
+        else:
+            union = np.unique(a_rows)
+            # two rows or more: numpy sends a one-row product through
+            # matrix-vector code, which sums in another order
+            exact_a = exact_rows(np.repeat(union, 2) if union.size == 1 else union)
+            exact_at = np.searchsorted(union, a_rows)
+        exact = _scaled_row_distances(q, q_rows, exact_at, y=exact_a)
+        if scale_exp:  # squares that overflow at scale 1 are summed at the screen's
+            over = np.flatnonzero(exact == np.inf)
+            far = _scaled_row_distances(q, q_rows[over], exact_at[over], scale_exp, y=exact_a)
+            exact[over] = np.ldexp(far, scale_exp)
+        # lexsort is stable: each query's pairs stay one run, ordered by
+        # distance with equal distances in index order
+        order = np.lexsort((exact, q_rows))
+        queries = np.arange(q_rows[0], stop)
+        take = order[np.searchsorted(q_rows, queries)[:, None] + np.arange(k)]
+        idx[queries] = a_rows[take]
+        dist[queries] = exact[take]
+
+    pending, n_pending = [], 0
     for start in range(0, n_q, block):
-        part = slice(start, start + block)
-        qb = q[part]
-        rows = np.arange(qb.shape[0])
+        stop = min(start + block, n_q)
+        part = slice(start, stop)
         # |a|^2 - 2 q.a; scaling q by -2 is exact. Plain: the margin and the
         # exact re-measure decide the result, and padding would copy an
         # archive of unaligned size, transposed, per block
         screen = (-2.0 * screen_q[part]) @ screen_a.T
         screen += a_sq
-        ex_rows = [r for r in rows if excl[start + r] is not None]
+        ex_rows = [r for r in range(stop - start) if excl[start + r] is not None]
         screen[ex_rows, [excl[start + r] for r in ex_rows]] = np.inf
-        bound = np.partition(screen, k - 1, axis=1)[:, k - 1] + margin[part]
+        # in the screen's type: rounding is monotone, so no screen value at
+        # or below the float64 bound lies above its rounded value
+        bound = (np.partition(screen, k - 1, axis=1)[:, k - 1] + margin[part]).astype(a.dtype, copy=False)
         # the k screen-best rows pass, so each query keeps at least k rows,
         # and so does every row as near as its k-th. flatnonzero lists the
-        # pairs by query, then by archive index, and lexsort is stable: each
-        # query's pairs stay one run, ordered by distance with equal
-        # distances in index order
+        # pairs by query, then by archive index
         q_rows, a_rows = np.divmod(np.flatnonzero(screen <= bound[:, None]), m)
-        exact = _scaled_row_distances(qb, q_rows, a_rows, y=a)
-        if scale_exp:  # squares that overflow at scale 1 are summed at the screen's
-            over = np.flatnonzero(exact == np.inf)
-            far = _scaled_row_distances(qb, q_rows[over], a_rows[over], scale_exp, y=a)
-            exact[over] = np.ldexp(far, scale_exp)
-        order = np.lexsort((exact, q_rows))
-        take = order[np.searchsorted(q_rows, rows)[:, None] + np.arange(k)]
-        idx[part] = a_rows[take]
-        dist[part] = exact[take]
+        # the pending pairs never outgrow one block's screen, or one block
+        if pending and n_pending + len(q_rows) > _SCREEN_VALUES:
+            rank(pending, start)
+            pending, n_pending = [], 0
+        pending.append((q_rows + start, a_rows))
+        n_pending += len(q_rows)
+    rank(pending, n_q)
     return idx, dist
 
 
@@ -155,6 +220,37 @@ def default_k(archive_size: int) -> int:
     return 30 if archive_size >= 10_000 else 10
 
 
+def _float32_pays(net, factor, n_archive: int, n_pairs: int) -> bool:
+    """Whether ``evaluate`` screens an archive of ``n_archive`` rows in
+    float32. Below ``_FLOAT32_MIN_ROWS`` rows the float32 pass saves less
+    than its fixed costs; above, the archive must still hold
+    ``_FLOAT32_MIN_RATIO`` times the rows of extra work the float32 path
+    does: ``n_pairs`` (queries times k) candidates embedded again in
+    float64, and the spectral norms of the weights and ``factor`` counted in
+    rows of the forward (a p x q Gram product and its eigenvalues, p <= q,
+    cost about p^2 (p + q) multiply-adds)."""
+    shapes = [w.shape for w in net.weights[:-1]] + [factor.shape]
+    norm_rows = sum(min(s) ** 2 * sum(s) for s in shapes) / sum(n * m for n, m in shapes)
+    return n_archive >= max(_FLOAT32_MIN_ROWS, _FLOAT32_MIN_RATIO * (n_pairs + norm_rows))
+
+
+def _archive_rows(net, features, factor, n_pairs: int):
+    """``(rows, row_error, exact_rows)`` for ``knn_retrieve``: the float32
+    ``distance_rows`` of ``features``, their bound and the float64 rows by
+    index where float32 can carry the rows and ``_float32_pays``; else the
+    float64 rows, 0 and None."""
+    if factor is not None and _float32_pays(net, factor, len(features), n_pairs):
+        input_sq = []
+        try:
+            rows = emb_mod.distance_rows(net, features, factor, np.float32, input_sq)
+        except FloatingPointError:  # float32 overflow; the float64 rows decide
+            rows = None
+        error = None if rows is None else emb_mod.float32_row_error(net, factor, max(input_sq))
+        if error is not None:
+            return rows, error, lambda idx: emb_mod.distance_rows(net, features[idx], factor)
+    return emb_mod.distance_rows(net, features, factor), 0.0, None
+
+
 def evaluate(net, queries, archive, k: int) -> MetricReport:
     """Embed both splits, retrieve top-k per query, macro-average the metrics.
 
@@ -162,17 +258,21 @@ def evaluate(net, queries, archive, k: int) -> MetricReport:
     present in the archive (matched by id) never retrieves the archive row
     with that id. Each call embeds both splits as ``distance_rows`` under
     one ``distance_factor``, so without ``l2_normalize`` the (M, d)
-    embedding is never built. A net whose rows
-    are not finite on the features raises ``FloatingPointError`` from
-    ``distance_rows``, without numpy's warnings; finite rows are searched
-    however large they are.
+    embedding is never built. Where ``_float32_pays`` and float32 can
+    carry the rows, the archive is embedded once in float32 for the screen,
+    and its candidates once more in float64 for the ranking; elsewhere it
+    is embedded in float64 alone. A
+    net whose rows are not finite on the features raises
+    ``FloatingPointError`` from ``distance_rows``, without numpy's warnings;
+    finite rows are searched however large they are.
     """
     if not queries or not archive:
         raise ValueError("queries and archive must be nonempty")
     factor = emb_mod.distance_factor(net)
-    q_rows, a_rows = (emb_mod.distance_rows(net, t.features, factor) for t in (queries, archive))
+    q_rows = emb_mod.distance_rows(net, queries.features, factor)
+    a_rows, error, exact_rows = _archive_rows(net, archive.features, factor, len(queries) * k)
     exclude = [archive.row_of.get(i) for i in queries.ids]
-    idxs, _ = knn_retrieve(q_rows, a_rows, k, exclude_index=exclude)
+    idxs, _ = knn_retrieve(q_rows, a_rows, k, exclude, error, exact_rows)
     metrics = np.stack(pair_metrics(queries.labels[:, None, :], archive.labels[idxs]), axis=-1)
     # cumsum adds strictly left to right: neighbors in rank order, then
     # queries in order, as a per-query loop would

@@ -733,6 +733,22 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, files, argv, me
     assert stdout == "" and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 95.4 GiB for an array with shape (200000000, 128) and data type float64"),
+     "Unable to allocate 95.4 GiB for an array with shape (200000000, 128) and data type float64"),
+    (MemoryError(), "out of memory"),
+])
+def test_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, exc, message):
+    def exhausted(options):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "train", exhausted)
+    code, stdout, err = run(capsys, "train", *TINY, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert stdout == ""
+
+
 class TestDefaults:
     """The option tables restate the library's defaults; these pin them."""
 

@@ -206,7 +206,7 @@ def read_labels_row_by_row(path):
                 raise ValueError(f"{path}: non-binary label entry {v!r} in row {line_no}")
             bits.append(int(v))
         if sum(bits) == 0:
-            raise ValueError(f"{path}: sample {row[0]!r} has no class labels")
+            raise ValueError(f"{path}: sample {row[0]!r} has no class labels in row {line_no}")
         ids.append(row[0])
         labels.append(bits)
     return class_names, ids, np.asarray(labels, dtype=np.uint8)
@@ -396,7 +396,7 @@ TWO_LINE_ID = {"labels": 'id,a,b\n"x\ny",1,1\n', "features": 'id,f0,f1\n"x\ny",1
 @pytest.mark.parametrize("kind, row, message", [
     ("labels", "z,1", "ragged row 4 (id 'z')"),
     ("labels", "z,1,2", "non-binary label entry '2' in row 4"),
-    ("labels", "z,0,0", "sample 'z' has no class labels"),  # names the sample, not the line
+    ("labels", "z,0,0", "sample 'z' has no class labels in row 4"),
     ("features", "z,1.0", "ragged row 4 (id 'z')"),
     ("features", "z,1.0,q", "non-numeric feature in row 4: could not convert string to float: 'q'"),
     ("features", "z,1.0,inf", "non-finite feature value in row 4 (id 'z')"),

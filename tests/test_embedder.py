@@ -18,6 +18,7 @@ from tripmine.embedder import (
     distance_factor,
     distance_rows,
     finite_difference_check,
+    float32_row_error,
     forward,
     gradient_list,
     hinge_terms,
@@ -814,6 +815,104 @@ class TestBlockedDistanceRows:
         monkeypatch.setattr(embedder_mod, "_CHUNK_VALUES", 8 * 4)
         with pytest.raises(FloatingPointError, match="non-finite"):
             distance_rows(net, x, distance_factor(net))
+
+
+@st.composite
+def float32_nets(draw):
+    """A net with zero to two hidden layers, hidden widths on both sides of
+    ``_CHOLESKY_MAX``, each layer's weights and biases rescaled, and input
+    rows with duplicates, an offset and rows that differ only past float32's
+    precision."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_hidden = draw(st.integers(0, 2))
+    hidden = [draw(st.one_of(st.integers(1, 12), st.integers(90, 130))) for _ in range(n_hidden)]
+    dims = [draw(st.integers(1, 9)), *hidden, draw(st.integers(1, 140))]
+    net = Embedder.init(dims, rng)
+    for w, b in zip(net.weights, net.biases):
+        w *= 10.0 ** draw(st.sampled_from([-6, -1, 0, 1, 3]))
+        b += draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3])) * rng.normal(size=b.shape)
+    x = rng.normal(size=(draw(st.integers(1, 40)), dims[0]))
+    x *= 10.0 ** draw(st.sampled_from([-3, 0, 4]))
+    x += draw(st.sampled_from([0.0, 1.0, 1e4])) * rng.normal(size=dims[0])
+    x[rng.random(len(x)) < 0.2] = x[0]
+    # the same float32 cast, distinct float64 rows
+    x[rng.random(len(x)) < 0.2] *= 1.0 + 2.0**-40
+    return net, x
+
+
+def float32_distance_rows(net, x, factor):
+    """The float32 ``distance_rows`` of ``x`` and their bound ``e``, or None
+    where ``evaluate`` would screen in float64."""
+    input_sq = []
+    try:
+        rows = distance_rows(net, x, factor, np.float32, input_sq)
+    except FloatingPointError:
+        return None
+    e = float32_row_error(net, factor, max(input_sq))
+    return None if e is None else (rows, e)
+
+
+class TestFloat32DistanceRows:
+    """``distance_rows`` embeds in float32 and ``float32_row_error`` bounds
+    every row's distance from the float64 ``distance_rows``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(float32_nets(), hidden_width_nets().map(lambda case: case[:2])))
+    def test_rows_lie_within_the_bound_of_the_float64_rows(self, case):
+        net, x = case
+        factor = distance_factor(net)
+        rows64 = distance_rows(net, x, factor)
+        screen = float32_distance_rows(net, x, factor)
+        if screen is None:
+            return
+        rows32, e = screen
+        assert rows32.dtype == np.float32 and rows32.shape == rows64.shape
+        assert np.all(np.linalg.norm(rows32 - rows64, axis=1) <= e)
+
+    def test_bound_is_small_beside_the_rows_of_a_glorot_net(self):
+        # 128 features, hidden 64, d = 1024: the float32 rows lie within a
+        # few 1e-4 of the largest row norm
+        rng = seeded_rng(160)
+        net = Embedder.init([128, 64, 1024], rng)
+        x = rng.normal(size=(3000, 128))
+        factor = distance_factor(net)
+        rows32, e = float32_distance_rows(net, x, factor)
+        rows64 = distance_rows(net, x, factor)
+        top = np.linalg.norm(rows64, axis=1).max()
+        assert np.linalg.norm(rows32 - rows64, axis=1).max() <= e < 1e-3 * top
+
+    def test_l2_normalize_rows_stay_float64(self):
+        net = Embedder.init([6, 8, 20], seeded_rng(161), l2_normalize=True)
+        with pytest.raises(ValueError, match="float64 only"):
+            distance_rows(net, np.ones((3, 6)), None, np.float32)
+        assert float32_row_error(net, None, 6.0) is None
+
+    @pytest.mark.parametrize("case", ["weights 1e13", "features 1e13", "features 1e39", "zero net",
+                                      "features nan"])
+    def test_rows_float32_cannot_carry_stay_float64(self, case):
+        rng = seeded_rng(161)
+        net = Embedder.init([6, 8, 20], rng)
+        x = rng.normal(size=(30, 6))
+        if case == "weights 1e13":
+            net.weights[0] *= 1e13
+        elif case == "features 1e13":
+            x[17] = 1e13
+        elif case == "features 1e39":  # beyond float32
+            x[17, 2] = 1e39
+        elif case == "zero net":
+            for p in parameters(net):
+                p[...] = 0.0
+        elif case == "features nan":
+            x[17, 2] = np.nan
+        assert float32_distance_rows(net, x, distance_factor(net)) is None
+
+    def test_in_range_net_takes_the_float32_rows(self):
+        rng = seeded_rng(162)
+        net = Embedder.init([6, 8, 20], rng)
+        net.weights[0] *= 1e5
+        x = 1e3 * rng.normal(size=(30, 6))
+        rows32, e = float32_distance_rows(net, x, distance_factor(net))
+        assert rows32.dtype == np.float32 and 0.0 < e < np.inf
 
 
 class TestFiniteDifferenceCheck:

@@ -523,6 +523,36 @@ class TestArchiveMemo:
         assert forward_rows == [9, len(archive)]
         assert warm == evaluate_without_memo(net, queries, archive, k=5)
 
+    @pytest.mark.parametrize("change", ["adam_step", "one_ulp", "archive_features", "other_archive"])
+    def test_any_bit_change_recomputes_the_float32_screen(self, monkeypatch, setup, change):
+        # with the float32 screen taken on any archive, every call embeds the
+        # 9 queries in float64, the whole archive in float32, then its
+        # candidates in float64
+        monkeypatch.setattr(retrieval, "_float32_pays", lambda *args: True)
+        calls, real = [], embedder._hidden_cached
+
+        def recording(net, features):
+            calls.append((len(features), net.weights[0].dtype.name))
+            return real(net, features)
+
+        monkeypatch.setattr(embedder, "_hidden_cached", recording)
+        net, queries, archive = setup
+        evaluate(net, queries, archive, k=5)
+        if change == "adam_step":
+            params = parameters(net)
+            adam_step(params, [seeded_rng(3).normal(size=p.shape) for p in params], init_adam(params), lr=1e-3)
+        elif change == "one_ulp":
+            net.weights[1][2, 3] = np.nextafter(net.weights[1][2, 3], np.inf)
+        elif change == "archive_features":
+            archive.features[17, 2] += 0.25
+        else:
+            archive = archive[:-1]
+        del calls[:]
+        warm = evaluate(net, queries, archive, k=5)
+        assert calls[:2] == [(9, "float64"), (len(archive), "float32")]
+        assert len(calls) == 3 and calls[2][1] == "float64" and 5 <= calls[2][0] <= len(archive)
+        assert warm == evaluate_without_memo(net, queries, archive, k=5)
+
     @pytest.mark.parametrize("l2", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reports_bit_identical_to_the_uncached_path(self, seed, l2):
@@ -583,6 +613,224 @@ class TestHiddenWidthSearch:
             tracemalloc.stop()
         # one (M, d) float64 array is 16.4 MB
         assert peak < n_archive * d * 8 / 4
+
+
+def float64_rows_oracle(net, queries, archive, k):
+    """``evaluate`` as a brute-force search of the float64 ``distance_rows``,
+    the rows ``evaluate`` ranks on, with the report's summation order."""
+    factor = embedder.distance_factor(net)
+    q_rows, a_rows = (embedder.distance_rows(net, t.features, factor) for t in (queries, archive))
+    idxs = np.array([knn_oracle(q_rows[i], a_rows, k, archive.row_of.get(qid))[0]
+                     for i, qid in enumerate(queries.ids)])
+    metrics = np.stack(pair_metrics(queries.labels[:, None, :], archive.labels[idxs]), axis=-1)
+    per_query = np.cumsum(metrics, axis=1)[:, -1] / k
+    totals = np.cumsum(per_query, axis=0)[-1]
+    return MetricReport(*(totals / len(queries)).tolist())
+
+
+def screen_case(rng, n_features, n_archive, n_queries, grid):
+    """Archive and query tables over one feature family: duplicated rows,
+    optionally a coarse grid, rows equal in float32 but distinct in float64,
+    and queries that are archive rows under the archive's ids."""
+    archive = random_split(rng, n_archive, n_features, 4, "a")
+    if grid:
+        archive.features[:] = np.round(archive.features * 2.0) / 2.0
+    dup = min(3, n_archive // 2)
+    archive.features[n_archive // 2:][:dup] = archive.features[:dup]
+    archive.features[-1] = archive.features[0] * (1.0 + 2.0**-40)
+    queries = random_split(rng, n_queries, n_features, 4, "q")
+    return joined(queries, archive[: min(3, n_archive)]), archive
+
+
+class TestFloat32Screen:
+    """``evaluate`` screens the archive in float32 and ranks the candidates
+    on their float64 rows; its reports are those of the float64 search.
+    Except where a test says otherwise, the screen is taken on any archive
+    float32 can carry, however small."""
+
+    @pytest.fixture(autouse=True)
+    def any_archive(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "_float32_pays", lambda *args: True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_reports_match_the_float64_search(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n_hidden = data.draw(st.integers(0, 2), label="hidden layers")
+        hidden = [data.draw(st.sampled_from([3, 8, 96, 97, 120]), label="width") for _ in range(n_hidden)]
+        dims = [data.draw(st.integers(1, 6), label="features"), *hidden,
+                data.draw(st.sampled_from([2, 16, 100, 130]), label="d")]
+        net = Embedder.init(dims, rng)
+        # the output weights' scale decides float32 (within 2**40 of 1) or float64
+        net.weights[-1] *= 10.0 ** data.draw(st.sampled_from([-30, -12, -3, 0, 3, 11, 13, 30, 150]), label="scale")
+        n_archive = data.draw(st.integers(2, 40), label="archive rows")
+        queries, archive = screen_case(rng, dims[0], n_archive, data.draw(st.integers(1, 6), label="queries"),
+                                       data.draw(st.booleans(), label="grid"))
+        k = data.draw(st.integers(1, n_archive - 1), label="k")
+        assert evaluate(net, queries, archive, k) == float64_rows_oracle(net, queries, archive, k)
+
+    @pytest.mark.parametrize("dims", [[6, 16], [6, 8, 100], [6, 96, 100], [6, 97, 130], [6, 10, 120, 40]])
+    @pytest.mark.parametrize("scale", [1e-30, 1.0, 1e13, 1e150])
+    def test_reports_match_the_d_wide_forward(self, dims, scale):
+        rng = seeded_rng(170)
+        net = Embedder.init(dims, rng)
+        net.weights[-1] *= scale
+        for grid in (False, True):
+            queries, archive = screen_case(rng, dims[0], 120, 20, grid)
+            assert evaluate(net, queries, archive, 9) == evaluate_without_memo(net, queries, archive, 9)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_screen_rows_within_row_error_match_the_oracle_on_exact_rows(self, data):
+        # each screen row is its exact row moved by up to e, toward or away
+        # from the first query, then rounded to float32; every row as near
+        # as a query's k-th is still ranked on its exact row
+        m = data.draw(st.integers(1, 30), label="archive rows")
+        d = data.draw(st.integers(1, 6), label="dim")
+        n_q = data.draw(st.integers(1, 5), label="queries")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        points = rng.normal(size=(m + n_q, d))
+        if data.draw(st.booleans(), label="grid"):
+            points = np.round(points * 2.0) / 2.0
+        points[m - 1] = points[0]
+        # 1e-30 screens at squares float32 flushes to 0, 1e25 at a scale 2**-s
+        scale = data.draw(st.sampled_from([1.0, 1e-30, 1e25]), label="scale")
+        archive, queries = scale * points[:m], scale * points[m:]
+        step = data.draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.1]), label="relative error") * scale
+        away = archive - queries[0]
+        norms = np.linalg.norm(away, axis=1, keepdims=True)
+        away = np.divide(away, norms, out=np.zeros_like(away), where=norms > 0)
+        screen = (archive + step * rng.choice([-1.0, 1.0], size=(m, 1)) * away).astype(np.float32)
+        row_error = np.linalg.norm(screen - archive, axis=1).max() * (1.0 + 1e-12)
+        exclude = [data.draw(st.one_of(st.none(), st.integers(0, m - 1)), label="exclude") if m > 1 else None
+                   for _ in range(n_q)]
+        usable = m - (1 if any(e is not None for e in exclude) else 0)
+        k = data.draw(st.integers(1, usable), label="k")
+        calls = []
+
+        def exact_rows(rows):
+            calls.append(rows.tolist())
+            return archive[rows]
+
+        idx, dist = knn_retrieve(queries, screen, k, exclude, row_error, exact_rows)
+        assert len(calls) == 1 and len(calls[0]) >= 2 and calls[0] == sorted(calls[0])
+        assert len(set(calls[0])) == len(calls[0]) or calls[0] == [calls[0][0]] * 2
+        for qi in range(n_q):
+            want_idx, want_dist = knn_oracle(queries[qi], archive, k, exclude[qi])
+            assert np.array_equal(idx[qi], want_idx)
+            assert np.array_equal(dist[qi], want_dist)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_float32_archive_with_a_common_offset_matches_the_oracle(self, data):
+        # a float32 archive without exact rows is screened in float32 and
+        # ranked on its own rows; the offset makes the screen cancel, so its
+        # float32 rounding alone must be covered
+        m = data.draw(st.integers(2, 25), label="archive rows")
+        d = data.draw(st.integers(1, 4), label="dim")
+        n_q = data.draw(st.integers(1, 4), label="queries")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        offset = data.draw(st.sampled_from([1e2, 1e3, -1e4]), label="offset")
+        archive = (offset + 1e-2 * rng.integers(0, 8, size=(m, d))).astype(np.float32)
+        archive[m - 1] = archive[0]
+        queries = offset + 1e-2 * rng.integers(0, 8, size=(n_q, d)) + 1e-3 * rng.normal(size=(n_q, d))
+        k = data.draw(st.integers(1, m), label="k")
+        idx, dist = knn_retrieve(queries, archive, k)
+        for qi in range(n_q):
+            want_idx, want_dist = knn_oracle(queries[qi], archive.astype(np.float64), k, None)
+            assert np.array_equal(idx[qi], want_idx)
+            assert np.array_equal(dist[qi], want_dist)
+
+    def test_one_candidate_is_fetched_as_two_rows(self):
+        archive = np.array([[0.0, 1.0]])
+        calls = []
+
+        def exact_rows(rows):
+            calls.append(rows.tolist())
+            return archive[rows]
+
+        idx, dist = knn_retrieve([[0.0, 0.0]], archive.astype(np.float32), 1, None, 0.0, exact_rows)
+        assert calls == [[0, 0]] and idx.tolist() == [[0]] and dist.tolist() == [[1.0]]
+
+    def test_float32_archive_whose_products_overflow_float32_is_scaled(self):
+        # every |a|^2 fits float32, but 2 q.a overflows it for the far rows
+        # (|a| cos > 1.134e19): unscaled, they would screen at -inf and push
+        # the near row, whose screen value is finite, out of the candidates
+        def row(norm, cos):
+            return norm * np.array([cos, np.sqrt(1.0 - cos**2), 0.0])
+
+        archive = np.array([row(1.8e19, 0.7), row(1.5e19, 0.74), row(1.8e19, 0.71)], dtype=np.float32)
+        idx, dist = knn_retrieve([[1.5e19, 0.0, 0.0]], archive, 1)
+        want_idx, want_dist = knn_oracle(np.array([1.5e19, 0.0, 0.0]), archive.astype(np.float64), 1, None)
+        assert want_idx.tolist() == [1]
+        assert np.array_equal(idx[0], want_idx) and np.array_equal(dist[0], want_dist)
+
+    @pytest.mark.parametrize("row_error", [-1.0, np.nan, np.inf])
+    def test_row_error_must_be_finite_and_non_negative(self, row_error):
+        with pytest.raises(ValueError, match="row_error"):
+            knn_retrieve([[0.0]], np.zeros((2, 1), dtype=np.float32), 1, None, row_error)
+
+    @pytest.mark.parametrize("screen_values", [40, 50])
+    def test_pending_candidates_never_outgrow_a_screen(self, monkeypatch, screen_values):
+        # a collapsed net makes every row a candidate: a block screens 2
+        # queries against 20 rows, and its 40 pairs would take the pending
+        # ones past the screen's size, so each block is ranked before the next
+        monkeypatch.setattr(retrieval, "_SCREEN_VALUES", screen_values)
+        archive = np.ones((20, 3))
+        archive[::3] += 1e-9
+        calls = []
+
+        def exact_rows(rows):
+            calls.append(len(rows))
+            return archive[rows]
+
+        queries = np.ones((5, 3))
+        idx, dist = knn_retrieve(queries, archive.astype(np.float32), 4, None, 1e-6, exact_rows)
+        assert calls == [20] * 3
+        for qi in range(5):
+            want_idx, want_dist = knn_oracle(queries[qi], archive, 4, None)
+            assert np.array_equal(idx[qi], want_idx) and np.array_equal(dist[qi], want_dist)
+
+
+class TestScreenPrecisionChoice:
+    """``evaluate`` screens in float32 only on archives large enough to pay
+    for the float32 pass, for embedding the candidates again and for the
+    weights' norms."""
+
+    @pytest.mark.parametrize("n_archive, dtypes", [(9999, ["float64"] * 2), (10000, ["float64", "float32", "float64"])])
+    def test_archive_size_decides(self, monkeypatch, n_archive, dtypes):
+        calls, real = [], embedder._hidden_cached
+
+        def recording(net, features):
+            calls.append(net.weights[0].dtype.name)
+            return real(net, features)
+
+        monkeypatch.setattr(embedder, "_hidden_cached", recording)
+        rng = seeded_rng(180)
+        net = Embedder.init([5, 7, 4], rng)
+        queries, archive = random_split(rng, 3, 5, 4, "q"), random_split(rng, n_archive, 5, 4, "a")
+        report = evaluate(net, queries, archive, 4)
+        assert calls == dtypes
+        assert report == float64_rows_oracle(net, queries, archive, 4)
+
+    @pytest.mark.parametrize("dims, n_queries, n_archive, k, float32", [
+        ((128, 64, 1024), 30, 20000, 30, True),  # the eval-archive benchmark's calls
+        ((128, 64, 1024), 300, 20000, 30, True),  # three query blocks
+        ((128, 64, 1024), 400, 20000, 30, False),  # 12,000 candidates at most
+        ((128, 64, 1024), 30, 8000, 30, False),
+        ((16, 64, 1024), 40, 40, 10, False),  # ablate's default val -> test scoring
+        ((128, 64, 1024), 1200, 1200, 10, False),
+        ((128, 1000, 1024), 10, 10000, 10, True),
+        # a 6000 x 6000 Gram's eigenvalues cost about 12,000 rows' forward
+        ((128, 6000, 6000), 10, 20000, 10, False),
+        ((128, 6000, 6000), 10, 30000, 10, True),
+    ])
+    def test_rule_on_measured_and_extreme_shapes(self, dims, n_queries, n_archive, k, float32):
+        # only the shapes count: zero-stride weights stand in for large nets
+        weights = [np.broadcast_to(0.0, shape) for shape in zip(dims[:-1], dims[1:])]
+        net = Embedder(dims, weights, [np.zeros(n) for n in dims[1:]])
+        factor = weights[-1][:, :64] if dims[1] < dims[2] and dims[1] <= 96 else weights[-1]
+        assert retrieval._float32_pays(net, factor, n_archive, n_queries * k) == float32
 
 
 class TestEvaluateTable:
