@@ -40,8 +40,11 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 
 class SampleTable:
-    """Samples as columns: ``ids`` (a tuple), ``features`` an (M, F) float64
+    """Samples as columns: ``ids`` (a tuple), ``features`` an (M, F) float
     matrix and ``labels`` an (M, N) uint8 matrix; row i is sample i.
+    Features given in float32 (a binary feature file's) stay float32; any
+    other type becomes float64. Widening float32 to float64 is exact, so
+    the embedder computes the same bits from either.
 
     The constructor holds the sample checks, each one whole-array test:
     finite features, 0/1 labels, at least one label per row, and one
@@ -56,7 +59,7 @@ class SampleTable:
 
     def __init__(self, ids, features, labels):
         ids = tuple(ids)
-        feats = np.asarray(features, dtype=np.float64)
+        feats = float32_or_float64(features)
         labs = np.asarray(labels)
         if feats.ndim != 2 or labs.ndim != 2:
             raise ValueError(f"features and labels must be matrices, got {feats.shape} and {labs.shape}")
@@ -90,6 +93,13 @@ class SampleTable:
             raise TypeError(f"index a sample table with a slice or a 1-D integer array, not {key!r}")
         rows = rows.astype(np.intp)
         return SampleTable([self.ids[i] for i in rows.tolist()], self.features[rows], self.labels[rows])
+
+
+def float32_or_float64(values) -> np.ndarray:
+    """``values`` as an array: float32 as given, any other type as float64
+    (not copied when it already is)."""
+    x = np.asarray(values)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def _row_of_ids(ids, prefix="") -> dict:

@@ -14,7 +14,8 @@ positionally with the labels CSV. Feature values must be finite in both
 formats. CSV files are UTF-8 text.
 
 A loaded dataset holds its samples as one ``SampleTable``: the ids, an
-(M, F) float64 feature matrix and an (M, N) uint8 label matrix.
+(M, F) feature matrix and an (M, N) uint8 label matrix. The features are
+float32 as a binary file stores them, float64 as a CSV file's parse.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .core import SampleTable, _first_failing_row, _row_of_ids, seeded_rng
 
 FEATURES_MAGIC = b"TMFEAT01"
-_READ_BLOCK_BYTES = 1 << 20  # a binary payload is read in blocks of about this size
+_READ_BLOCK_BYTES = 1 << 20  # a binary payload is checked in blocks of about this size
 _REDRAW_ATTEMPTS = 16
 
 
@@ -201,9 +202,10 @@ def _parse_features_rows(path):
 
 
 def read_features_binary(path):
-    """The (M, F) float64 features of a binary feature file. The payload's
-    size is checked before the matrix is allocated; then each float32 block
-    is read, checked and written into the matrix, the only other buffer."""
+    """The (M, F) float32 features of a binary feature file, as it stores
+    them. The payload's size is checked before the matrix is allocated; the
+    payload is read into it at once, then checked for finite values block
+    by block, so the check holds one block's flags."""
     with open(path, "rb") as fh:
         if fh.read(len(FEATURES_MAGIC)) != FEATURES_MAGIC:
             raise ValueError(f"{path}: not a binary feature file (bad magic)")
@@ -217,16 +219,14 @@ def read_features_binary(path):
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size != expected:
             raise ValueError(f"{path}: payload is {size} bytes, expected {expected}")
-        feats = np.empty((m, f), dtype=np.float64)
-        block = np.empty((max(1, _READ_BLOCK_BYTES // (4 * f)), f), dtype="<f4")
-        for start in range(0, m, len(block)):
-            part = block[: m - start]
-            if (got := fh.readinto(part)) != part.nbytes:  # the file shrank since its size was checked
-                raise ValueError(f"{path}: payload is {4 * start * f + got} bytes, expected {expected}")
-            bad = _first_failing_row(np.isfinite(part))
-            if bad is not None:
-                raise ValueError(f"{path}: non-finite feature value in row {start + bad + 1} of {m}")
-            feats[start : start + len(part)] = part
+        feats = np.empty((m, f), dtype="<f4")
+        if (got := fh.readinto(feats)) != expected:  # the file shrank since its size was checked
+            raise ValueError(f"{path}: payload is {got} bytes, expected {expected}")
+    step = max(1, _READ_BLOCK_BYTES // (4 * f))
+    for start in range(0, m, step):
+        bad = _first_failing_row(np.isfinite(feats[start : start + step]))
+        if bad is not None:
+            raise ValueError(f"{path}: non-finite feature value in row {start + bad + 1} of {m}")
     return feats
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TripletSet
+from .core import TripletSet, float32_or_float64
 from .similarity import _CHUNK_VALUES, _scaled_row_distances, padded_matmul, pairwise_euclidean
 
 CHECKPOINT_MAGIC = b"TMEMB002"
@@ -106,7 +106,7 @@ def gradient_list(bundle: GradientBundle) -> list:
 
 
 def _feature_matrix(net: Embedder, features) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
+    x = float32_or_float64(features)
     if x.ndim != 2 or x.shape[1] != net.layer_dims[0]:
         raise ValueError(
             f"feature matrix of shape {x.shape} does not match input dim {net.layer_dims[0]}"
@@ -219,9 +219,10 @@ def distance_rows(net: Embedder, features, factor, dtype=np.float64, input_sq=No
     trailing block of one row joins the block before it. Input that fits
     one block is embedded in one pass.
 
-    With ``dtype`` float32 (which needs a ``factor``) the weights and
-    ``factor`` are cast once, each block as it is read, and every product
-    is computed in float32, unpadded: these rows only screen
+    Features are read in their own type, float32 or float64, and each
+    block is cast to ``dtype`` as it is embedded. With ``dtype`` float32
+    (which needs a ``factor``) the weights and ``factor`` are cast once,
+    and every product is computed in float32, unpadded: these rows only screen
     (``retrieval.knn_retrieve``), so their bits may change with the thread
     count. ``input_sq``, a list, gets each cast block's largest squared row
     norm, summed in ``dtype``, for ``float32_row_error``."""
@@ -272,6 +273,21 @@ def _gamma(n: int, unit: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def float32_products(net: Embedder, factor):
+    """The matrices float32 ``distance_rows`` multiplies by, the hidden
+    weights and then ``factor``, each as ``(matrix, Frobenius norm, bias
+    norm)`` (0 for ``factor``), the norms grown by ``_NORM_SLACK``; or None
+    where ``factor`` is None or a norm is above ``_FLOAT32_SCALE``. This
+    part of ``float32_row_error``'s test needs no input norm, so it can be
+    made before a float32 pass."""
+    if factor is None:
+        return None
+    products = [(w, np.linalg.norm(w) * _NORM_SLACK, 0.0 if b is None else np.linalg.norm(b) * _NORM_SLACK)
+                for w, b in [*zip(net.weights[:-1], net.biases[:-1]), (factor, None)]]
+    return products if max(max(frob, b_norm) for _, frob, b_norm in products) <= _FLOAT32_SCALE else None
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def float32_row_error(net: Embedder, factor, input_sq) -> float | None:
     """A bound ``e`` on every row's Euclidean distance between the float32
     and the float64 ``distance_rows`` of the same features, ``input_sq``
@@ -284,16 +300,11 @@ def float32_row_error(net: Embedder, factor, input_sq) -> float | None:
     rounding and casts, ReLU being 1-Lipschitz, the spectral and Frobenius
     norms of the weights and ``factor``, and the largest input row norm, for
     the float32 rows and the float64 ones alike."""
-    if factor is None:
-        return None
-    products = [*zip(net.weights[:-1], net.biases[:-1]), (factor, None)]
-    norms = [(np.linalg.norm(w) * _NORM_SLACK, 0.0 if b is None else np.linalg.norm(b) * _NORM_SLACK)
-             for w, b in products]
-    if not max(max(pair) for pair in norms) <= _FLOAT32_SCALE:
+    products = float32_products(net, factor)
+    if products is None:
         return None
     # per product: spectral and Frobenius norms of the matrix, bias norm, shape
-    layers = [(_spectral_norm(w) * _NORM_SLACK, frob, b_norm, *w.shape)
-              for (w, _), (frob, b_norm) in zip(products, norms)]
+    layers = [(_spectral_norm(w) * _NORM_SLACK, frob, b_norm, *w.shape) for w, frob, b_norm in products]
     n_in, u32 = net.layer_dims[0], 2.0**-24
     # |x| <= |x32| + u |x| + tiny sqrt(F), and |x32|^2 from its float32 sum
     x32_norm = np.sqrt((float(input_sq) + n_in * _F32_TINY) / (1.0 - _gamma(n_in, u32)))

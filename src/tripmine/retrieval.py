@@ -24,6 +24,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import embedder as emb_mod
+from .core import float32_or_float64
 from .similarity import _check_binary_rows, _gram_allowance, _scaled_row_distances
 
 # screen values per query block (16 MB in float64): a block holds this many
@@ -32,8 +33,9 @@ from .similarity import _check_binary_rows, _gram_allowance, _scaled_row_distanc
 _SCREEN_VALUES = 1 << 21
 # ``evaluate`` screens in float32 only on archives of at least this many
 # rows, and of at least this many times the rows of extra work that takes
-# (``_float32_pays``): timed on both paths, float32 was slower at every
-# shape measured below these (README, "Float32 screen")
+# (``_float32_pays``): timed on both paths, with float64 and with float32
+# features, it keeps float64 at every shape where float32 measured slower
+# (README, "Float32 screen")
 _FLOAT32_MIN_ROWS = 10_000
 _FLOAT32_MIN_RATIO = 2
 
@@ -86,8 +88,7 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, row_error
     overflow.
     """
     q = np.asarray(query_embedding, dtype=np.float64)
-    a = np.asarray(archive)
-    a = a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+    a = float32_or_float64(archive)
     if q.ndim != 2 or a.ndim != 2 or a.shape[1] != q.shape[1]:
         raise ValueError(f"archive shape {a.shape} does not match query block shape {q.shape}")
     n_q, m = q.shape[0], a.shape[0]
@@ -238,8 +239,10 @@ def _archive_rows(net, features, factor, n_pairs: int):
     """``(rows, row_error, exact_rows)`` for ``knn_retrieve``: the float32
     ``distance_rows`` of ``features``, their bound and the float64 rows by
     index where float32 can carry the rows and ``_float32_pays``; else the
-    float64 rows, 0 and None."""
-    if factor is not None and _float32_pays(net, factor, len(features), n_pairs):
+    float64 rows, 0 and None. The weight and bias norms are tested before
+    the float32 pass, the input norm after it."""
+    if (factor is not None and _float32_pays(net, factor, len(features), n_pairs)
+            and emb_mod.float32_products(net, factor) is not None):
         input_sq = []
         try:
             rows = emb_mod.distance_rows(net, features, factor, np.float32, input_sq)

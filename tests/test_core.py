@@ -45,6 +45,20 @@ class TestSampleTable:
         t = SampleTable(["a", "b"], feats, [[1], [1]])
         assert t.features is feats
 
+    def test_float32_features_are_kept_by_the_table_and_its_sub_tables(self):
+        feats = np.arange(12, dtype=np.float32).reshape(4, 3)
+        t = SampleTable(["a", "b", "c", "d"], feats, [[1]] * 4)
+        assert t.features is feats
+        for sub in (t[1:3], t[np.array([3, 0])], t[[]]):
+            assert sub.features.dtype == np.float32
+        assert np.shares_memory(t[1:3].features, feats)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.float16, ">f4"])
+    def test_other_feature_types_become_float64(self, dtype):
+        feats = np.arange(6).astype(dtype).reshape(2, 3)
+        t = SampleTable(["a", "b"], feats, [[1], [1]])
+        assert t.features.dtype == np.float64 and t.features.tolist() == feats.tolist()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_features_naming_the_sample(self, value):
         feats = np.zeros((3, 2))

@@ -165,8 +165,9 @@ class TestSampleTableLoad:
         expected = per_sample_build(fpath, lpath)
         assert isinstance(table, SampleTable)
         assert table.ids == expected.ids
-        assert table.features.dtype == np.float64 and table.labels.dtype == np.uint8
-        assert table.features.tobytes() == expected.features.tobytes()
+        # a binary file's float32 features are kept; the per-sample build widens them
+        assert table.features.dtype == (np.float32 if binary else np.float64) and table.labels.dtype == np.uint8
+        assert table.features.astype(np.float64).tobytes() == expected.features.tobytes()
         assert table.labels.tobytes() == expected.labels.tobytes()
 
     def test_csv_join_reorders_labels_to_the_feature_order(self, tmp_path):
@@ -504,8 +505,8 @@ class TestBinaryReader:
         payload = path.read_bytes()[16:]
         expected = np.frombuffer(payload, dtype="<f4").reshape(m, f).astype(np.float64)
         got = read_features_binary(path)
-        assert got.dtype == np.float64 and got.shape == (m, f) and got.flags.c_contiguous
-        assert got.tobytes() == expected.tobytes()
+        assert got.dtype == np.float32 and got.shape == (m, f) and got.flags.c_contiguous
+        assert got.astype(np.float64).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("where", ["first row of the second block", "last row of the last block"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -552,7 +553,7 @@ class TestBinaryReader:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert feats.nbytes == 8 * m * f
+        assert feats.nbytes == 4 * m * f
         assert peak < feats.nbytes + 4 * 2**20
 
 

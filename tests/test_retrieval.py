@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -813,6 +814,26 @@ class TestScreenPrecisionChoice:
         assert calls == dtypes
         assert report == float64_rows_oracle(net, queries, archive, 4)
 
+    def test_weights_float32_cannot_carry_skip_the_float32_pass(self, monkeypatch):
+        # the first layer scaled by 1e13 casts to float32, but its norm is
+        # above 2**40: the weights are tested before the pass, so the call
+        # embeds the 30 queries and 20,000 archive rows once, in float64
+        rows, real = [], embedder._hidden_cached
+
+        def counting(net, features):
+            rows.append((len(features), net.weights[0].dtype.name))
+            return real(net, features)
+
+        rng = seeded_rng(182)
+        net = Embedder.init([128, 64, 1024], rng)
+        net.weights[0] *= 1e13
+        queries, archive = random_split(rng, 30, 128, 4, "q"), random_split(rng, 20000, 128, 4, "a")
+        factor = embedder.distance_factor(net)
+        assert retrieval._float32_pays(net, factor, len(archive), 30 * 30)
+        monkeypatch.setattr(embedder, "_hidden_cached", counting)
+        evaluate(net, queries, archive, 30)
+        assert {dtype for _, dtype in rows} == {"float64"} and sum(n for n, _ in rows) == 20030
+
     @pytest.mark.parametrize("dims, n_queries, n_archive, k, float32", [
         ((128, 64, 1024), 30, 20000, 30, True),  # the eval-archive benchmark's calls
         ((128, 64, 1024), 300, 20000, 30, True),  # three query blocks
@@ -831,6 +852,61 @@ class TestScreenPrecisionChoice:
         net = Embedder(dims, weights, [np.zeros(n) for n in dims[1:]])
         factor = weights[-1][:, :64] if dims[1] < dims[2] and dims[1] <= 96 else weights[-1]
         assert retrieval._float32_pays(net, factor, n_archive, n_queries * k) == float32
+
+
+def float32_twins(table):
+    """The rows of ``table`` rounded to float32, as a float32 table and as
+    the same values held in float64."""
+    feats = table.features.astype(np.float32)
+    return (SampleTable(table.ids, feats, table.labels),
+            SampleTable(table.ids, feats.astype(np.float64), table.labels))
+
+
+class TestFloat32Table:
+    """A float32 feature table (a binary file's) is embedded from its float32
+    values as they are stored: each float64 block widens them exactly, so
+    every report is the one of the same values held in float64."""
+
+    @pytest.mark.parametrize("l2", [False, True])
+    @pytest.mark.parametrize("n_archive", [9999, 10000])  # both sides of _float32_pays
+    def test_reports_bit_identical_to_the_float64_table(self, monkeypatch, n_archive, l2):
+        calls, real = [], embedder._hidden_cached
+
+        def recording(net, features):
+            calls.append((len(features), net.weights[0].dtype.name))
+            return real(net, features)
+
+        monkeypatch.setattr(embedder, "_hidden_cached", recording)
+        rng = seeded_rng(180)
+        net = Embedder.init([5, 7, 4], rng, l2_normalize=l2)
+        queries, archive = random_split(rng, 3, 5, 4, "q"), random_split(rng, n_archive, 5, 4, "a")
+        (q32, q64), (a32, a64) = float32_twins(queries), float32_twins(archive)
+        assert q32.features.dtype == a32.features.dtype == np.float32
+        reports, paths = [], []
+        for q, a in ((q32, a32), (q64, a64), (q32, a64), (q64, a32)):
+            del calls[:]
+            reports.append(np.array(astuple(evaluate(net, q, a, 4))).tobytes())
+            paths.append(list(calls))
+        assert reports == [reports[0]] * 4
+        assert paths == [paths[0]] * 4
+        screens = [dtype for rows, dtype in paths[0] if rows == n_archive]
+        assert screens == ["float32" if n_archive == 10000 and not l2 else "float64"]
+
+    def test_float32_pass_reads_the_archive_as_stored(self, monkeypatch):
+        seen, real = [], embedder._hidden_cached
+
+        def recording(net, features):
+            seen.append((net.weights[0].dtype, features))
+            return real(net, features)
+
+        monkeypatch.setattr(embedder, "_hidden_cached", recording)
+        rng = seeded_rng(181)
+        net = Embedder.init([5, 7, 4], rng)
+        queries, archive = random_split(rng, 3, 5, 4, "q"), float32_twins(random_split(rng, 10000, 5, 4, "a"))[0]
+        evaluate(net, queries, archive, 4)
+        # the float32 pass embeds the stored matrix itself, not a copy
+        dtype, block = seen[1]
+        assert dtype == block.dtype == np.float32 and np.shares_memory(block, archive.features)
 
 
 class TestEvaluateTable:

@@ -1,12 +1,20 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tripmine.core import SamplerConfig, TripletSet, seeded_rng
-from tripmine.data import SyntheticSpec, generate_synthetic, split_dataset
+from tripmine.core import SampleTable, SamplerConfig, TripletSet, seeded_rng
+from tripmine.data import (
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+    split_dataset,
+    write_dataset,
+    write_features_binary,
+)
 import tripmine.embedder as emb_mod
 import tripmine.trainer as trainer
 from tripmine.embedder import Embedder, forward
@@ -308,6 +316,35 @@ class TestTrain:
         ds = small_dataset()
         with pytest.raises(ValueError, match="exceeds train split"):
             train(ds, small_config(batch_size=1000))
+
+
+class TestFloat32Features:
+    """A binary file's float32 features train the net the same values held
+    in float64 train: each batch widens them exactly."""
+
+    @pytest.fixture
+    def twins(self, tmp_path):
+        ds = small_dataset(n=120)
+        write_dataset(ds, tmp_path / "features.csv", tmp_path / "labels.csv")
+        write_features_binary(tmp_path / "features.bin", ds.samples.features)
+        stored = replace(load_dataset(tmp_path / "features.bin", tmp_path / "labels.csv"),
+                         train_idx=ds.train_idx, val_idx=ds.val_idx, test_idx=ds.test_idx)
+        wide = replace(stored, samples=SampleTable(stored.samples.ids, stored.samples.features.astype(np.float64),
+                                                   stored.samples.labels))
+        return stored, wide
+
+    def test_subsets_keep_float32(self, twins):
+        stored, _ = twins
+        assert stored.samples.features.dtype == np.float32
+        for idx in (stored.train_idx, stored.val_idx, stored.test_idx):
+            assert stored.subset(idx).features.dtype == np.float32
+
+    @pytest.mark.parametrize("kw", [{}, {"l2_normalize": True}, {"image": "bis", "anchor": "bas"}])
+    def test_weights_and_log_byte_identical_to_float64(self, twins, kw):
+        (net32, log32), (net64, log64) = (train(ds, small_config(epochs=3, **kw)) for ds in twins)
+        for p32, p64 in zip(emb_mod.parameters(net32), emb_mod.parameters(net64)):
+            assert p32.dtype == np.float64 and p32.tobytes() == p64.tobytes()
+        assert [(r.mean_loss, r.cum_triplets) for r in log32.rows] == [(r.mean_loss, r.cum_triplets) for r in log64.rows]
 
 
 class TestTrainLogCsv:
