@@ -347,10 +347,17 @@ def _checkpoint(o: dict, ds):
         raise UserError(f"{ckpt}: {exc}") from None
 
 
-def cmd_evaluate(o: dict) -> int:
+def _load_eval_data(o: dict) -> tuple:
+    """The dataset and its val (queries) and test (archive) splits; an empty split exits 2."""
     ds = _load_data(o)
-    queries = ds.subset(ds.val_idx)
-    archive = ds.subset(ds.test_idx)
+    for name, idx in (("val", ds.val_idx), ("test", ds.test_idx)):
+        if not len(idx):
+            raise UserError(f"--split {o['split']} leaves the {name} split of {len(ds.samples)} samples empty")
+    return ds, ds.subset(ds.val_idx), ds.subset(ds.test_idx)
+
+
+def cmd_evaluate(o: dict) -> int:
+    ds, queries, archive = _load_eval_data(o)
     with _checkpoint(o, ds) as net:
         report = evaluate(net, queries, archive, _resolve_k(o, len(archive)))
     out = _out_dir(o)
@@ -368,9 +375,7 @@ def _ablate_seed(o: dict, curve: list) -> dict:
     one ``curve.csv`` line appended to ``curve``. Returns
     {cell: (its last score, its cumulative triplets)}.
     """
-    ds = _load_data(o)
-    queries = ds.subset(ds.val_idx)
-    archive = ds.subset(ds.test_idx)
+    ds, queries, archive = _load_eval_data(o)
     k = _resolve_k(o, len(archive))
     cells = []
     for name in SAMPLER_CHOICES:

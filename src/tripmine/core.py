@@ -177,42 +177,39 @@ class SamplerConfig:
 
 
 def validate_config(cfg: SamplerConfig, batch_size: int) -> SamplerConfig:
-    """Check a SamplerConfig against a batch size; returns it unchanged if valid."""
-    if cfg.anchor_strategy not in ANCHOR_STRATEGIES:
-        raise ValueError(f"unknown anchor strategy {cfg.anchor_strategy!r}")
-    if cfg.image_strategy not in IMAGE_STRATEGIES:
-        raise ValueError(f"unknown image strategy {cfg.image_strategy!r}")
-    if cfg.combination not in COMBINATIONS:
-        raise ValueError(f"unknown combination {cfg.combination!r}")
-    if cfg.label_similarity not in LABEL_SIMILARITY_KINDS:
-        raise ValueError(f"unknown label similarity {cfg.label_similarity!r}")
-    if cfg.das_reduce not in DAS_REDUCTIONS:
-        raise ValueError(f"unknown das reduction {cfg.das_reduce!r}")
+    """Check a SamplerConfig against a batch size; returns it unchanged if
+    valid. A valid configuration mines at least one triplet from every
+    batch of that size, and at most ``MAX_TRIPLETS_PER_BATCH``."""
+    for what, value, known in (("anchor strategy", cfg.anchor_strategy, ANCHOR_STRATEGIES),
+                               ("image strategy", cfg.image_strategy, IMAGE_STRATEGIES),
+                               ("combination", cfg.combination, COMBINATIONS),
+                               ("label similarity", cfg.label_similarity, LABEL_SIMILARITY_KINDS),
+                               ("das reduction", cfg.das_reduce, DAS_REDUCTIONS)):
+        if value not in known:
+            raise ValueError(f"unknown {what} {value!r}")
     if not 0.0 < cfg.anchor_fraction <= 1.0:
         raise ValueError(f"anchor_fraction must be in (0, 1], got {cfg.anchor_fraction}")
-    if not 0.0 <= cfg.beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {cfg.beta}")
-    if not 0.0 <= cfg.gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {cfg.gamma}")
-    c_pos, c_neg = cfg.positives_per_anchor, cfg.negatives_per_anchor
-    if c_pos < 1 or c_neg < 1:
-        raise ValueError("positives/negatives per anchor must be >= 1")
-    if c_pos > batch_size - 1 or c_neg > batch_size - 1:
-        raise ValueError(
-            f"per-anchor counts ({c_pos}, {c_neg}) must not exceed batch size - 1 = {batch_size - 1}"
-        )
-    if cfg.image_strategy in ("rhdis", "ris") and c_pos + c_neg > batch_size - 1:
-        # rhdis keeps positives and negatives disjoint; ris draws them jointly
-        raise ValueError(
-            f"{cfg.image_strategy} needs positives + negatives <= batch size - 1 "
-            f"({c_pos} + {c_neg} > {batch_size - 1})"
-        )
-    if cfg.image_strategy == "bis" and cfg.combination == "paired":
-        # positive i and negative i are the same image, so every triple is dropped
-        raise ValueError("bis with paired combination mines no triplets; use cartesian")
-    anchors = batch_size if cfg.anchor_strategy == "bas" else cfg.num_anchors(batch_size)
+    for name, weight in (("beta", cfg.beta), ("gamma", cfg.gamma)):
+        if not 0.0 <= weight <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {weight}")
     if cfg.image_strategy == "bis":
+        # every other image is both a positive and a negative, and the p == n
+        # triples are dropped, so bis reads no per-anchor counts
+        if batch_size < 3:
+            raise ValueError(f"bis needs a batch size of at least 3 to mine a triplet, got {batch_size}")
+        if cfg.combination == "paired":  # positive i and negative i are the same image
+            raise ValueError("bis with paired combination mines no triplets; use cartesian")
         c_pos = c_neg = batch_size - 1
+    else:
+        c_pos, c_neg = cfg.positives_per_anchor, cfg.negatives_per_anchor
+        if c_pos < 1 or c_neg < 1:
+            raise ValueError("positives/negatives per anchor must be >= 1")
+        if c_pos + c_neg > batch_size - 1:  # rhdis keeps them disjoint; ris draws them jointly
+            raise ValueError(f"{cfg.image_strategy} needs positives + negatives <= batch size - 1 "
+                             f"({c_pos} + {c_neg} > {batch_size - 1})")
+    anchors = batch_size if cfg.anchor_strategy == "bas" else cfg.num_anchors(batch_size)
+    if anchors < 1:
+        raise ValueError(f"anchor_fraction {cfg.anchor_fraction} selects no anchor from a batch of {batch_size}")
     pairs = c_pos * c_neg if cfg.combination == "cartesian" else min(c_pos, c_neg)
     if anchors * pairs > MAX_TRIPLETS_PER_BATCH:
         raise ValueError(

@@ -212,12 +212,10 @@ def distance_rows(net: Embedder, features, factor, dtype=np.float64, input_sq=No
     ``widest`` the widest of the input, the hidden layers and the result, so
     each block's intermediates stay near 1 MB, within L2: 1,024 rows for 128
     features, hidden 64 and d = 1024 (twice as many in float32), 128 rows
-    with ``l2_normalize`` on. A
-    row's products sum in the same order in any block of two or more rows,
-    so the result is bit-identical to one pass; numpy sends a one-row
-    product through matrix-vector code, which sums in another order, so a
-    trailing block of one row joins the block before it. Input that fits
-    one block is embedded in one pass.
+    with ``l2_normalize`` on. A row's float64 products sum in the same
+    order in any block, one row included (``padded_matmul``), so the result
+    is bit-identical to one pass, for layer inputs up to 384 wide with
+    OpenBLAS (wider products of a few dozen rows sum in another order).
 
     Features are read in their own type, float32 or float64, and each
     block is cast to ``dtype`` as it is embedded. With ``dtype`` float32
@@ -235,8 +233,8 @@ def distance_rows(net: Embedder, features, factor, dtype=np.float64, input_sq=No
     x = _feature_matrix(net, features)
     width = net.layer_dims[-1] if factor is None else factor.shape[1]
     # _CHUNK_VALUES counts float64 values: twice as many float32 ones fit
-    step = max(2, _CHUNK_VALUES * 8 // np.dtype(dtype).itemsize // max(*net.layer_dims[:-1], width))
-    stops = [*range(step, len(x) - 1, step), len(x)]
+    step = max(1, _CHUNK_VALUES * 8 // np.dtype(dtype).itemsize // max(*net.layer_dims[:-1], width))
+    stops = [*range(step, len(x), step), len(x)]
     matmul = padded_matmul if dtype == np.float64 else np.matmul
     rows = None if len(stops) == 1 else np.empty((len(x), width), dtype=dtype)
     start = 0

@@ -68,8 +68,8 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, row_error
     ``archive`` is screened in its own precision, float32 or float64 (any
     other type is taken as float64). Its rows may be screen rows, each
     within ``row_error`` (Euclidean) of the archive row it stands for, with
-    ``exact_rows(indices)`` returning those archive rows in float64 for a
-    non-decreasing index array of two or more entries; without
+    ``exact_rows(indices)`` returning those archive rows in float64 for an
+    increasing index array; without
     ``exact_rows`` the archive rows are ``archive`` itself.
 
     Per block of queries, one GEMM gives every archive row's screen value
@@ -141,10 +141,7 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, row_error
             exact_a, exact_at = a, a_rows
         else:
             union = np.unique(a_rows)
-            # two rows or more: numpy sends a one-row product through
-            # matrix-vector code, which sums in another order
-            exact_a = exact_rows(np.repeat(union, 2) if union.size == 1 else union)
-            exact_at = np.searchsorted(union, a_rows)
+            exact_a, exact_at = exact_rows(union), np.searchsorted(union, a_rows)
         exact = _scaled_row_distances(q, q_rows, exact_at, y=exact_a)
         if scale_exp:  # squares that overflow at scale 1 are summed at the screen's
             over = np.flatnonzero(exact == np.inf)

@@ -142,17 +142,21 @@ def _scaled_row_distances(x, rows_i, rows_j, exp: int = 0, y=None) -> np.ndarray
 def padded_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for an (m, k) ``a`` and a (k, n) ``b``, computed with k and n
     zero-padded to a multiple of ``_GEMM_PAD``, so its bits are the same at
-    any BLAS thread count; nothing is copied when both already are. The zero
-    terms change no value, and the result may be a view of a wider product."""
-    k, n = b.shape
+    any BLAS thread count, and a one-row ``a`` as two rows: numpy would send
+    it through matrix-vector code, which sums in another order. Nothing is
+    copied when nothing is padded; the zero terms and rows change no value,
+    and the result may be a view of a larger product."""
+    m, (k, n) = len(a), b.shape
     k_pad, n_pad = k + -k % _GEMM_PAD, n + -n % _GEMM_PAD
-    if k_pad > k:
-        a = np.concatenate((a, np.zeros((len(a), k_pad - k), dtype=a.dtype)), axis=1)
+    if k_pad > k or m == 1:
+        wide = np.zeros((max(m, 2), k_pad), dtype=a.dtype)
+        wide[:m, :k] = a
+        a = wide
     if (k_pad, n_pad) != (k, n):
         wide = np.zeros((k_pad, n_pad), dtype=b.dtype)
         wide[:k, :n] = b
         b = wide
-    return (a @ b)[:, :n]
+    return (a @ b)[:m, :n]
 
 
 def _gram_allowance(d: int, dtype=np.float64) -> float:

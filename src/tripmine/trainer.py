@@ -216,14 +216,12 @@ def train(dataset, cfg: TrainConfig, epoch_callback=None) -> tuple:
         lr = lr_schedule(epoch, cfg)
         losses = []
         for x, factor, batch in epoch_batches(net, epoch):
+            # validate_config admits only configurations that mine a triplet from every batch
             tset = sampler.mine_batch(batch, cfg.sampler, rng)
             cum_triplets += len(tset)
-            if len(tset):
-                bundle = emb_mod.backward(net, x, tset, cfg.alpha, batch.dist_raw, factor)
-                adam_step(params, emb_mod.gradient_list(bundle), state, lr)
-                losses.append(bundle.loss_value)
-            else:
-                losses.append(0.0)
+            bundle = emb_mod.backward(net, x, tset, cfg.alpha, batch.dist_raw, factor)
+            adam_step(params, emb_mod.gradient_list(bundle), state, lr)
+            losses.append(bundle.loss_value)
         # batch_stream yields at least one batch per epoch
         mean_loss = float(np.mean(losses))
         if not np.isfinite(mean_loss):

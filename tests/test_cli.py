@@ -122,6 +122,31 @@ class TestTrain:
         assert code == 2
         assert "triplets per batch" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        *[(["--sampler", pair, "--anchors-fraction", "1e-12"],
+           "anchor_fraction 1e-12 selects no anchor from a batch of 100")
+          for pair in ("das-rhdis", "ras-rhdis", "ras-ris", "ras-bis")],
+        (["--sampler", "bas-bis", "--batch-size", "2", "--positives", "1", "--negatives", "1"],
+         "bis needs a batch size of at least 3 to mine a triplet, got 2"),
+    ])
+    def test_configuration_that_mines_nothing_exits_2_before_the_first_batch(self, tmp_path, capsys,
+                                                                               built_batches, argv, message):
+        code, stdout, err = run(capsys, "train", "--synthetic", "--seed", "1", "--n-samples", "200",
+                                "--epochs", "1", *argv, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert stdout == "" and built_batches == []
+        assert not (tmp_path / "o" / "model.ckpt").exists()
+
+    def test_bis_at_batch_three_trains(self, tmp_path, capsys):
+        # bis reads no per-anchor counts, so the default 3 and 3 do not reject it
+        code, stdout, _ = run(capsys, "train", *TINY_DATA, "--epochs", "1", "--batch-size", "3",
+                              "--embedding", "8", "--hidden", "8", "--sampler", "bas-bis",
+                              "--out", str(tmp_path / "o"))
+        assert code == 0
+        # 36 train samples make 12 batches of 3 anchors with 2 triplets each
+        assert "72 cumulative triplets" in stdout
+
     @pytest.mark.parametrize("l2", [[], ["--l2-normalize"]])
     def test_divergence_exits_2_naming_epoch_and_batch(self, tmp_path, capsys, l2):
         # the weights outgrow float64 in the first epoch's one step, which is
@@ -280,6 +305,15 @@ class TestEvaluate:
         assert code == 0
         metrics = (out / "metrics.csv").read_text().splitlines()[1].split(",")[1:]
         assert all(0.0 < float(v) < 1.0 for v in metrics)
+
+    @pytest.mark.parametrize("split, name", [("0.5,0.001,0.4", "val"), ("0.6,0.399999999999,1e-11", "test")])
+    def test_empty_split_exits_2_naming_split_before_embedding(self, trained, capsys, monkeypatch, split, name):
+        embedded = []
+        monkeypatch.setattr(cli, "evaluate", lambda *args: embedded.append(args))
+        code, stdout, err = run(capsys, "evaluate", *TINY_DATA, "--split", split, "--out", str(trained))
+        assert code == 2
+        assert err == f"error: --split {split} leaves the {name} split of 60 samples empty\n"
+        assert stdout == "" and embedded == []
 
     def test_k_larger_than_archive_exits_2(self, trained, capsys):
         code, _, err = run(capsys, "evaluate", *TINY_DATA, "--out", str(trained), "--k", "999")
@@ -480,6 +514,14 @@ class TestAblate:
         assert "k=0" in err
         assert stdout == ""
 
+
+    @pytest.mark.parametrize("split, name", [("0.5,0.001,0.4", "val"), ("0.6,0.399999999999,1e-11", "test")])
+    def test_empty_split_rejected_before_training(self, tmp_path, capsys, built_batches, split, name):
+        code, stdout, err = run(capsys, "ablate", *CI_ABLATE, "--seed", "1", "--epochs", "3", "--split", split,
+                                "--out", str(tmp_path / "grid"))
+        assert code == 2
+        assert err == f"error: --split {split} leaves the {name} split of 100 samples empty\n"
+        assert stdout == "" and built_batches == []
 
     def test_bis_with_paired_rejected_before_training(self, tmp_path, capsys):
         out = tmp_path / "grid"

@@ -1,7 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tripmine.core import (
+    ANCHOR_STRATEGIES,
+    COMBINATIONS,
+    IMAGE_STRATEGIES,
     BatchView,
     SampleTable,
     SamplerConfig,
@@ -9,6 +15,7 @@ from tripmine.core import (
     seeded_rng,
     validate_config,
 )
+from tripmine.sampler import mine_batch
 
 
 class TestSeededRng:
@@ -179,6 +186,63 @@ class TestValidateConfig:
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="anchor strategy"):
             validate_config(SamplerConfig(anchor_strategy="magic"), batch_size=10)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("combination", "zip", "unknown combination 'zip'"),
+        ("label_similarity", "dice", "unknown label similarity 'dice'"),
+        ("das_reduce", "mean", "unknown das reduction 'mean'"),
+        ("anchor_fraction", 0.0, "anchor_fraction must be in (0, 1], got 0.0"),
+        ("anchor_fraction", 1.5, "anchor_fraction must be in (0, 1], got 1.5"),
+        ("anchor_fraction", float("nan"), "anchor_fraction must be in (0, 1], got nan"),
+    ])
+    def test_rejects_unknown_names_and_fractions_outside_the_unit_interval(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_config(SamplerConfig(**{field: value}), batch_size=100)
+
+    @pytest.mark.parametrize("anchor, image", [("das", "rhdis"), ("ras", "rhdis"), ("ras", "ris"),
+                                               ("ras", "bis"), ("das", "bis")])
+    def test_rejects_an_anchor_fraction_that_selects_no_anchor(self, anchor, image):
+        cfg = SamplerConfig(anchor_strategy=anchor, image_strategy=image, anchor_fraction=1e-12)
+        with pytest.raises(ValueError, match="anchor_fraction 1e-12 selects no anchor from a batch of 100"):
+            validate_config(cfg, batch_size=100)
+        assert cfg.num_anchors(100) == 0
+
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_rejects_bis_below_batch_three(self, batch_size):
+        cfg = SamplerConfig(anchor_strategy="bas", image_strategy="bis", positives_per_anchor=1,
+                            negatives_per_anchor=1)
+        with pytest.raises(ValueError, match=f"bis needs a batch size of at least 3 to mine a triplet, got {batch_size}"):
+            validate_config(cfg, batch_size)
+
+    @pytest.mark.parametrize("counts", [(3, 3), (0, 0), (-1, 7)])
+    def test_bis_reads_no_per_anchor_counts(self, counts):
+        cfg = SamplerConfig(anchor_strategy="bas", image_strategy="bis", positives_per_anchor=counts[0],
+                            negatives_per_anchor=counts[1])
+        assert validate_config(cfg, batch_size=3) is cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_accepted_configuration_mines_a_triplet(data):
+    b = data.draw(st.integers(2, 30), label="batch size")
+    cfg = SamplerConfig(
+        anchor_strategy=data.draw(st.sampled_from(ANCHOR_STRATEGIES), label="anchors"),
+        image_strategy=data.draw(st.sampled_from(IMAGE_STRATEGIES), label="images"),
+        anchor_fraction=data.draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+                                            st.sampled_from([1e-12, 0.5 / b, 1.0 / b])), label="fraction"),
+        positives_per_anchor=data.draw(st.integers(0, b), label="positives"),
+        negatives_per_anchor=data.draw(st.integers(0, b), label="negatives"),
+        combination=data.draw(st.sampled_from(COMBINATIONS), label="combination"),
+    )
+    try:
+        validate_config(cfg, b)
+    except ValueError:
+        return
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    labels = rng.integers(0, 2, size=(b, 5), dtype=np.uint8)
+    labels[:, 0] |= ~labels.any(axis=1)
+    batch = BatchView.from_embeddings(np.arange(b), rng.normal(size=(b, 4)), labels)
+    assert len(mine_batch(batch, cfg, rng)) >= 1
 
 
 class TestBatchView:

@@ -185,6 +185,15 @@ class TestTripletLoss:
             triplet_loss(np.zeros((3, 2)), np.array([[0, 1, 2]]), -0.1)
 
 
+@pytest.mark.parametrize("triplets", [
+    [], np.empty((0, 3), dtype=np.int64),
+    # bis over a batch of two: the one triple has p == n and is dropped
+    build_triplets([0], [[1]], [[1]]),
+], ids=["list", "array", "dropped"])
+def test_loss_of_no_triplets_is_zero(triplets):
+    assert triplet_loss(np.arange(6.0).reshape(3, 2), triplets, 0.2) == 0.0
+
+
 class TestBackward:
     def test_all_trivial_triplets_give_zero_gradient(self):
         net = Embedder(layer_dims=(1, 1), weights=[np.eye(1)], biases=[np.zeros(1)])
@@ -769,12 +778,11 @@ class TestDistanceFactor:
 
 class TestBlockedDistanceRows:
     """``distance_rows`` embeds its input in blocks of ``_CHUNK_VALUES //
-    widest`` rows, never one row unless the input is one row, bit for bit
-    as one pass would."""
+    widest`` rows, one-row blocks included, bit for bit as one pass would."""
 
     @pytest.mark.parametrize("l2", [False, True])
     @pytest.mark.parametrize("dims", [[128, 64, 1024], [37, 50, 20, 70]])
-    @pytest.mark.parametrize("step", [2, 5])
+    @pytest.mark.parametrize("step", [1, 2, 5])
     def test_blocks_match_one_pass(self, monkeypatch, dims, l2, step):
         rng = seeded_rng(150)
         net = Embedder.init(dims, rng, l2_normalize=l2)
@@ -798,13 +806,22 @@ class TestBlockedDistanceRows:
                 rows = distance_rows(net, x, factor)
             assert rows.shape == one_pass.shape and rows.tobytes() == one_pass.tobytes()
             assert sum(blocks) == n
-            # full blocks of step rows; a trailing row joins the last of them
+            # full blocks of step rows, then the rest, a lone row included
             full, rest = divmod(n, step)
-            expected = [step] * full + [rest] * (rest > 0) or [0]
-            if rest == 1 and full:
-                expected[-2:] = [step + 1]
-            assert blocks == expected
-            assert 1 not in blocks or n == 1
+            assert blocks == ([step] * full + [rest] * (rest > 0) or [0])
+
+    @pytest.mark.parametrize("l2", [False, True])
+    def test_one_row_call_gives_that_rows_bits(self, l2):
+        # numpy would multiply a lone row by matrix-vector code, which sums
+        # in another order; padded_matmul multiplies it as two rows
+        rng = seeded_rng(152)
+        net = Embedder.init([128, 64, 1024], rng, l2_normalize=l2)
+        factor = distance_factor(net)
+        x = rng.normal(size=(50, 128))
+        emb, rows = forward(net, x), distance_rows(net, x, factor)
+        for i in range(50):
+            assert forward(net, x[i:i + 1]).tobytes() == emb[i:i + 1].tobytes()
+            assert distance_rows(net, x[i:i + 1], factor).tobytes() == rows[i:i + 1].tobytes()
 
     def test_non_finite_rows_in_a_later_block_raise(self, monkeypatch):
         rng = seeded_rng(151)

@@ -714,8 +714,8 @@ class TestFloat32Screen:
             return archive[rows]
 
         idx, dist = knn_retrieve(queries, screen, k, exclude, row_error, exact_rows)
-        assert len(calls) == 1 and len(calls[0]) >= 2 and calls[0] == sorted(calls[0])
-        assert len(set(calls[0])) == len(calls[0]) or calls[0] == [calls[0][0]] * 2
+        # one fetch of each candidate row, in index order: at least a query's k
+        assert len(calls) == 1 and len(calls[0]) >= k and calls[0] == sorted(set(calls[0]))
         for qi in range(n_q):
             want_idx, want_dist = knn_oracle(queries[qi], archive, k, exclude[qi])
             assert np.array_equal(idx[qi], want_idx)
@@ -742,7 +742,34 @@ class TestFloat32Screen:
             assert np.array_equal(idx[qi], want_idx)
             assert np.array_equal(dist[qi], want_dist)
 
-    def test_one_candidate_is_fetched_as_two_rows(self):
+    def test_archive_row_beyond_float32_falls_back_to_the_float64_search(self, monkeypatch):
+        # one feature past float32's range overflows the float32 pass, so
+        # the archive is screened and ranked on its float64 rows alone
+        rng = seeded_rng(176)
+        net = Embedder.init([6, 8, 20], rng)
+        queries, archive = screen_case(rng, 6, 40, 5, False)
+        archive.features[7, 2] = 1e39
+        passes, searches = [], []
+        real_hidden, real_search = embedder._hidden_cached, retrieval.knn_retrieve
+
+        def hidden(net, features):
+            passes.append(net.weights[0].dtype.name)
+            return real_hidden(net, features)
+
+        def search(q_rows, a_rows, k, exclude, row_error, exact_rows):
+            searches.append((a_rows.dtype, row_error, exact_rows))
+            return real_search(q_rows, a_rows, k, exclude, row_error, exact_rows)
+
+        monkeypatch.setattr(embedder, "_hidden_cached", hidden)
+        monkeypatch.setattr(retrieval, "knn_retrieve", search)
+        report = evaluate(net, queries, archive, 9)
+        assert passes == ["float64", "float32", "float64"]
+        assert searches == [(np.float64, 0.0, None)]
+        assert report == float64_rows_oracle(net, queries, archive, 9)
+        monkeypatch.setattr(retrieval, "_float32_pays", lambda *args: False)
+        assert evaluate(net, queries, archive, 9) == report
+
+    def test_one_candidate_is_fetched_alone(self):
         archive = np.array([[0.0, 1.0]])
         calls = []
 
@@ -751,7 +778,7 @@ class TestFloat32Screen:
             return archive[rows]
 
         idx, dist = knn_retrieve([[0.0, 0.0]], archive.astype(np.float32), 1, None, 0.0, exact_rows)
-        assert calls == [[0, 0]] and idx.tolist() == [[0]] and dist.tolist() == [[1.0]]
+        assert calls == [[0]] and idx.tolist() == [[0]] and dist.tolist() == [[1.0]]
 
     def test_float32_archive_whose_products_overflow_float32_is_scaled(self):
         # every |a|^2 fits float32, but 2 q.a overflows it for the far rows

@@ -405,6 +405,18 @@ def test_anchor_that_is_not_an_anchor_array_is_rejected(selector, anchor):
 
 # ---------------------------------------------------------------- assembly
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: select_anchors_das(np.zeros((3, 3)), 0, seeded_rng(0)), "anchor count must be >= 1"),
+    (lambda: select_anchors_das(np.zeros((3, 3)), 2, seeded_rng(0), reduce="mean"), "unknown das reduction 'mean'"),
+    (lambda: select_anchors_bas(0), "batch must be nonempty"),
+    (lambda: select_images_bis(np.array([0]), 1), "bis needs a batch of at least 2"),
+    (lambda: build_triplets([0], [[1]], [[2]], "zip"), "unknown combination 'zip'"),
+], ids=["das-no-anchor", "das-reduction", "bas-empty-batch", "bis-batch-of-one", "combination"])
+def test_selector_rejects_what_it_cannot_select(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 class TestBuildTriplets:
     def test_cartesian_two_by_two(self):
         ts = build_triplets([0], [[1, 2]], [[3, 4]], "cartesian")

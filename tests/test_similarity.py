@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,12 +181,27 @@ for b, d in ((100, 1024), (161, 1024), (161, 17), (7, 3), (100, 64), (100, 96), 
 """
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: label_similarity_matrix(np.eye(2), "dice"), "unknown label similarity kind 'dice'"),
+    (lambda: pairwise_euclidean(np.zeros(3)), "expected a (B, d) embedding matrix, got shape (3,)"),
+    # the centred entry of the row holding the minimum overflows
+    (lambda: pairwise_euclidean([[-1.7e308], [1.7e308], [1.7e308]]), "embedding distances overflow float64"),
+    (lambda: minmax_normalize(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
+    (lambda: minmax_normalize(np.eye(2)), "distance matrix must have a zero diagonal"),
+    (lambda: minmax_normalize([[0.0, 1.0], [2.0, 0.0]]), "distance matrix must be symmetric"),
+], ids=["label-kind", "embedding-shape", "column-spread-overflow", "square", "diagonal", "symmetric"])
+def test_rejects_input_it_cannot_measure(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 class TestPaddedMatmul:
     @pytest.mark.parametrize("m, k, n", [(100, 128, 64), (100, 64, 1024), (32, 32, 32), (1, 64, 96)])
     def test_aligned_shapes_give_the_plain_product(self, m, k, n):
+        # a one-row product is the first row of the plain two-row one
         rng = np.random.default_rng(m + k + n)
-        a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
-        assert padded_matmul(a, b).tobytes() == (a @ b).tobytes()
+        a, b = rng.normal(size=(max(m, 2), k)), rng.normal(size=(k, n))
+        assert padded_matmul(a[:m], b).tobytes() == (a @ b)[:m].tobytes()
 
     @pytest.mark.parametrize("m, k, n", [(1, 1, 1), (7, 3, 5), (100, 100, 64), (64, 500, 64), (100, 50, 1030),
                                          (400, 390, 64), (3, 64, 33)])

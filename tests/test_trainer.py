@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -43,6 +44,19 @@ def small_config(seed=1, epochs=5, anchor="das", image="rhdis", **kw):
                     embedding_dim=4, sampler=sampler, seed=seed)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TrainConfig(decay_every_epochs=0).validate(), "decay_every_epochs must be >= 1 and decay_factor in (0, 1]"),
+    (lambda: TrainConfig(decay_factor=1.5).validate(), "decay_every_epochs must be >= 1 and decay_factor in (0, 1]"),
+    (lambda: TrainConfig(embedding_dim=0).validate(), "layer sizes must be >= 1"),
+    (lambda: TrainConfig(hidden_dims=(8, 0)).validate(), "layer sizes must be >= 1"),
+    (lambda: adam_step([np.zeros(2)], [], init_adam([np.zeros(2)]), 0.1),
+     "params, grads, and state must have matching lengths"),
+], ids=["decay-every", "decay-factor", "embedding", "hidden", "adam-lengths"])
+def test_rejects_settings_it_cannot_train_with(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestLrSchedule:
