@@ -120,16 +120,13 @@ def _first_failing_row(ok):
 
 @dataclass(frozen=True)
 class BatchView:
-    """One mini-batch frozen for mining: labels and embedding distances.
-
-    ``dist_norm`` is ``dist_raw`` rescaled to [0, 1] by the batch min-max rule
-    (off-diagonal statistics, zero diagonal).
-    """
+    """One mini-batch frozen for mining: labels and raw embedding distances,
+    which the loss reads as they are and ``sampler.mine_batch`` min-max
+    normalizes where a strategy scores with them."""
 
     sample_indices: np.ndarray
     labels: np.ndarray
     dist_raw: np.ndarray
-    dist_norm: np.ndarray
 
     @property
     def size(self) -> int:
@@ -137,12 +134,10 @@ class BatchView:
 
     @classmethod
     def from_embeddings(cls, sample_indices, embeddings, labels) -> "BatchView":
-        raw = similarity.pairwise_euclidean(embeddings)
         return cls(
             sample_indices=np.asarray(sample_indices, dtype=np.int64),
             labels=np.asarray(labels, dtype=np.uint8),
-            dist_raw=raw,
-            dist_norm=similarity.minmax_normalize(raw),
+            dist_raw=similarity.pairwise_euclidean(embeddings),
         )
 
 

@@ -115,31 +115,25 @@ def _feature_matrix(net: Embedder, features) -> np.ndarray:
 
 
 def _hidden_cached(net: Embedder, features):
-    """Activations ``[x, a_1, ..., a_h]`` up to the last hidden layer and
-    the hidden pre-activations, in the precision of the net's weights (the
-    features cast to it); for a net without hidden layers, ``[x]`` and
-    ``[]``."""
+    """Activations ``[x, a_1, ..., a_h]`` up to the last hidden layer, in the
+    precision of the net's weights (the features cast to it). ReLU runs in
+    place, so ``a_l > 0`` is its mask: the set ``z_l > 0``, signed zeros and NaN included."""
     dtype = net.weights[0].dtype
     x = _feature_matrix(net, features).astype(dtype, copy=False)
     # float32 rows only screen (``distance_rows``), so their bits need not
     # be the same at every thread count
     matmul = padded_matmul if dtype == np.float64 else np.matmul
     acts = [x]
-    preacts = []
-    a = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = matmul(a, w)
+        z = matmul(acts[-1], w)
         z += b
-        preacts.append(z)
-        a = np.maximum(z, 0.0)
-        acts.append(a)
-    return acts, preacts
+        acts.append(np.maximum(z, 0.0, out=z))
+    return acts
 
 
 def _forward_cached(net: Embedder, features):
-    acts, preacts = _hidden_cached(net, features)
+    acts = _hidden_cached(net, features)
     a = padded_matmul(acts[-1], net.weights[-1]) + net.biases[-1]
-    preacts.append(a)
     acts.append(a)
     if net.l2_normalize:
         norms = np.sqrt(np.einsum("ij,ij->i", a, a))
@@ -148,12 +142,12 @@ def _forward_cached(net: Embedder, features):
     else:
         norms = None
         emb = a
-    return acts, preacts, norms, emb
+    return acts, norms, emb
 
 
 def forward(net: Embedder, features) -> np.ndarray:
     """Embed a (B, F) feature matrix into (B, d)."""
-    return _forward_cached(net, features)[3]
+    return _forward_cached(net, features)[2]
 
 
 def _triplet_set(triplets) -> TripletSet:
@@ -242,7 +236,7 @@ def distance_rows(net: Embedder, features, factor, dtype=np.float64, input_sq=No
         if factor is None:
             block = forward(net, x[start:stop])
         else:
-            acts = _hidden_cached(net, x[start:stop])[0]
+            acts = _hidden_cached(net, x[start:stop])
             if input_sq is not None:
                 input_sq.append(np.einsum("ij,ij->i", acts[0], acts[0]).max())
             block = matmul(acts[-1], factor)
@@ -450,7 +444,7 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
     weight_grads = [None] * net.n_layers
     bias_grads = [None] * net.n_layers
     if net.l2_normalize:
-        acts, preacts, out_norms, emb = _forward_cached(net, x)
+        acts, out_norms, emb = _forward_cached(net, x)
         d_emb = s.sum(axis=1)[:, None] * emb - padded_matmul(s, emb)
         # y = z / |z|  =>  dz = (dy - y (y . dy)) / |z|, zero rows pass through as zero
         safe = np.where(out_norms > 0.0, out_norms, 1.0)
@@ -463,7 +457,7 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
     else:
         if factor is None:
             factor = distance_factor(net)
-        acts, preacts = _hidden_cached(net, x)
+        acts = _hidden_cached(net, x)
         h = acts[last]
         lap_h = s.sum(axis=1)[:, None] * h - padded_matmul(s, h)
         weight_grads[last] = padded_matmul(padded_matmul(h.T, lap_h), net.weights[last])
@@ -472,7 +466,7 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
             g = padded_matmul(padded_matmul(lap_h, factor), factor.T)
     # g is now the gradient of the last hidden activations
     for l in range(last - 1, -1, -1):
-        g *= preacts[l] > 0.0
+        g *= acts[l + 1] > 0.0
         weight_grads[l] = padded_matmul(acts[l].T, g)
         bias_grads[l] = g.sum(axis=0)
         if l > 0:
@@ -481,8 +475,8 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
 
 
 def _loss_and_kink_signature(net: Embedder, features, t: np.ndarray, alpha: float):
-    acts, preacts, out_norms, emb = _forward_cached(net, features)
-    sig = [b"".join((z > 0.0).tobytes() for z in preacts[:-1])]
+    acts, out_norms, emb = _forward_cached(net, features)
+    sig = [b"".join((a > 0.0).tobytes() for a in acts[1:-1])]
     if t.shape[0]:
         d_ap = _scaled_row_distances(emb, t[:, 0], t[:, 1])
         d_an = _scaled_row_distances(emb, t[:, 0], t[:, 2])

@@ -9,7 +9,8 @@ differences. ``evaluate`` searches the rows training measures
 (``_float32_pays``) it screens on those rows computed in float32, each
 query's allowance widened by their a-priori error bound
 (``embedder.float32_row_error``), and ranks the candidates on their float64
-rows, so its reports are those of the float64 search. Smaller archives, and
+rows, so its reports are those of the float64 search for layer inputs up to
+384 wide with OpenBLAS 0.3.31 (``distance_rows``). Smaller archives, and
 nets whose rows float32 cannot carry (``l2_normalize``, or an a-priori row
 scale outside 2**-40 to 2**40), are screened in float64. Metric averaging
 is macro: per-pair metrics are averaged over the k retrieved items of a

@@ -200,10 +200,13 @@ def build_triplets(anchors, positives, negatives, combination: str = "cartesian"
 
 def mine_batch(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -> TripletSet:
     """Run the configured anchor and image strategies over one batch. Images
-    are selected for all anchors in one call, then assembled in one call."""
+    are selected for all anchors in one call, then assembled in one call.
+    The distances are min-max normalized once, only where das or rhdis reads them."""
     h = cfg.num_anchors(batch.size)
+    if cfg.anchor_strategy == "das" or cfg.image_strategy == "rhdis":
+        dist_norm = similarity.minmax_normalize(batch.dist_raw)
     if cfg.anchor_strategy == "das":
-        anchors = select_anchors_das(batch.dist_norm, h, rng, reduce=cfg.das_reduce)
+        anchors = select_anchors_das(dist_norm, h, rng, reduce=cfg.das_reduce)
     elif cfg.anchor_strategy == "ras":
         anchors = select_anchors_ras(batch.size, h, rng)
     elif cfg.anchor_strategy == "bas":
@@ -213,9 +216,9 @@ def mine_batch(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -
     c_pos, c_neg = cfg.positives_per_anchor, cfg.negatives_per_anchor
     if cfg.image_strategy == "rhdis":
         s_matrix = similarity.label_similarity_matrix(batch.labels, cfg.label_similarity)
-        rows = informativeness(anchors, batch.dist_norm, s_matrix[anchors], cfg.beta)
-        pos = select_positives_rhdis(anchors, rows, batch.dist_norm, c_pos, cfg.gamma)
-        neg = select_negatives_rhdis(anchors, rows, batch.dist_norm, c_neg, cfg.gamma, exclude=pos)
+        rows = informativeness(anchors, dist_norm, s_matrix[anchors], cfg.beta)
+        pos = select_positives_rhdis(anchors, rows, dist_norm, c_pos, cfg.gamma)
+        neg = select_negatives_rhdis(anchors, rows, dist_norm, c_neg, cfg.gamma, exclude=pos)
     elif cfg.image_strategy == "ris":
         pos, neg = select_images_ris(anchors, batch.size, c_pos, c_neg, rng)
     elif cfg.image_strategy == "bis":
@@ -233,7 +236,8 @@ def mine_debug_lines(batch_index: int, batch: BatchView, cfg: SamplerConfig,
     and chosen positives/negatives."""
     tset = mine_batch(batch, cfg, rng)
     s_matrix = similarity.label_similarity_matrix(batch.labels, cfg.label_similarity)
-    rows = informativeness(tset.anchors, batch.dist_norm, s_matrix[tset.anchors], cfg.beta)
+    dist_norm = similarity.minmax_normalize(batch.dist_raw)
+    rows = informativeness(tset.anchors, dist_norm, s_matrix[tset.anchors], cfg.beta)
     anchors = tset.anchors.tolist()
     lines = [json.dumps({"batch": batch_index, "anchors": anchors, "triplet_count": len(tset)})]
     for k, a in enumerate(anchors):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tripmine.core import (
     validate_config,
 )
 from tripmine.sampler import mine_batch
+from tripmine.similarity import minmax_normalize, pairwise_euclidean
 
 
 class TestSeededRng:
@@ -246,18 +248,21 @@ def test_every_accepted_configuration_mines_a_triplet(data):
 
 
 class TestBatchView:
-    def test_from_embeddings_builds_both_distance_matrices(self):
+    def test_from_embeddings_builds_the_raw_distance_matrix(self):
         rng = seeded_rng(3)
         emb = rng.normal(size=(5, 2))
         labels = np.eye(5, 4, dtype=np.uint8)
         labels[:, 0] = 1
         bv = BatchView.from_embeddings(np.arange(5), emb, labels)
+        # the normalized matrix is the sampler's to build, where it scores with it
+        assert [f.name for f in fields(BatchView)] == ["sample_indices", "labels", "dist_raw"]
         assert bv.size == 5
-        assert bv.dist_raw.shape == (5, 5)
-        assert np.all(np.diagonal(bv.dist_norm) == 0)
+        assert bv.dist_raw.tobytes() == pairwise_euclidean(emb).tobytes()
+        dist_norm = minmax_normalize(bv.dist_raw)
+        assert np.all(np.diagonal(dist_norm) == 0)
         off = ~np.eye(5, dtype=bool)
-        assert bv.dist_norm[off].min() == 0.0
-        assert bv.dist_norm[off].max() == 1.0
+        assert dist_norm[off].min() == 0.0
+        assert dist_norm[off].max() == 1.0
 
 
 class TestTripletSet:

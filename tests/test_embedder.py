@@ -50,7 +50,7 @@ def backward_oracle(net, x, t, alpha):
     Builds (T, d) arrays, so it is for small inputs only. Returns
     (weight_grads, bias_grads, loss).
     """
-    acts, preacts, out_norms, emb = _forward_cached(net, x)
+    acts, out_norms, emb = _forward_cached(net, x)
     t = np.asarray(t, dtype=np.int64).reshape(-1, 3)
     a_idx, p_idx, n_idx = t[:, 0], t[:, 1], t[:, 2]
     diff_ap = emb[a_idx] - emb[p_idx]
@@ -82,7 +82,7 @@ def backward_oracle(net, x, t, alpha):
         weight_grads[l] = acts[l].T @ g
         bias_grads[l] = g.sum(axis=0)
         if l > 0:
-            g = (g @ net.weights[l].T) * (preacts[l - 1] > 0.0)
+            g = (g @ net.weights[l].T) * (acts[l] > 0.0)
     return weight_grads, bias_grads, loss
 
 
@@ -480,7 +480,7 @@ def flat_list_backward(net, x, t, alpha, dist):
     if s is None:
         return GradientBundle([np.zeros_like(w) for w in net.weights],
                               [np.zeros_like(b) for b in net.biases], loss)
-    acts, preacts, out_norms, emb = _forward_cached(net, x)
+    acts, out_norms, emb = _forward_cached(net, x)
     d_emb = s.sum(axis=1)[:, None] * emb - padded_matmul(s, emb)
     if net.l2_normalize:
         safe = np.where(out_norms > 0.0, out_norms, 1.0)
@@ -493,7 +493,7 @@ def flat_list_backward(net, x, t, alpha, dist):
         weight_grads[l] = padded_matmul(acts[l].T, g)
         bias_grads[l] = g.sum(axis=0)
         if l > 0:
-            g = padded_matmul(g, net.weights[l].T) * (preacts[l - 1] > 0.0)
+            g = padded_matmul(g, net.weights[l].T) * (acts[l] > 0.0)
     return GradientBundle(weight_grads, bias_grads, loss)
 
 
@@ -502,7 +502,7 @@ def hidden_width_term_bounds(net, x, s):
     both ``flat_list_backward`` and the l2-off ``backward``: the products
     with ``|S|``, the activations and weights taken absolutely, and the
     hidden metric ``F F^T`` (or ``W W^T``) bounded by ``|W_i| |W_j|``."""
-    acts, preacts = embedder_mod._hidden_cached(net, x)
+    acts = embedder_mod._hidden_cached(net, x)
     w, b = net.weights[-1], net.biases[-1]
     lap = np.diag(np.abs(s).sum(axis=1)) + np.abs(s)
     lap_h = lap @ np.abs(acts[-1])
@@ -513,7 +513,7 @@ def hidden_width_term_bounds(net, x, s):
     bias_terms[-1] = lap_e.sum(axis=0)
     g = lap_h @ np.outer(norms, norms) + lap_e @ np.abs(w).T
     for l in range(net.n_layers - 2, -1, -1):
-        g = g * (preacts[l] > 0.0)
+        g = g * (acts[l + 1] > 0.0)
         weight_terms[l] = np.abs(acts[l]).T @ g
         bias_terms[l] = g.sum(axis=0)
         g = g @ np.abs(net.weights[l]).T
@@ -737,7 +737,7 @@ class TestDistanceFactor:
         rows = distance_rows(net, x, factor)
         d_f = pairwise_euclidean(rows)
         d_e = pairwise_euclidean(forward(net, x))
-        hid = embedder_mod._hidden_cached(net, x)[0][-1]
+        hid = embedder_mod._hidden_cached(net, x)[-1]
         w_norms = np.linalg.norm(w, axis=1)
         sigma = np.abs(hid[:, None] - hid[None]) @ w_norms
         row_sums = np.abs(hid) @ w_norms
@@ -798,7 +798,7 @@ class TestBlockedDistanceRows:
         for n in sorted({0, 1, 2, step - 1, step, step + 1, 2 * step + 1}):
             x = rng.normal(size=(n, dims[0]))
             one_pass = (forward(net, x) if factor is None
-                        else padded_matmul(real(net, x)[0][-1], factor))
+                        else padded_matmul(real(net, x)[-1], factor))
             del blocks[:]
             with monkeypatch.context() as patch:
                 patch.setattr(embedder_mod, "_CHUNK_VALUES", widest * step + widest - 1)

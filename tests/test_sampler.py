@@ -568,14 +568,15 @@ def _reference_iterative_pick(scores, dist_norm, count, gamma, blocked):
 def _reference_select_pair(anchor, batch, cfg, s_matrix, rng):
     b = batch.size
     if cfg.image_strategy == "rhdis":
-        s, d = s_matrix[anchor], batch.dist_norm[anchor]
+        dist_norm = minmax_normalize(batch.dist_raw)
+        s, d = s_matrix[anchor], dist_norm[anchor]
         i_pos = cfg.beta * s + (1.0 - cfg.beta) * d
         i_neg = cfg.beta * (1.0 - s) + (1.0 - cfg.beta) * (1.0 - d)
         blocked = np.zeros(b, dtype=bool)
         blocked[anchor] = True
-        pos = _reference_iterative_pick(i_pos, batch.dist_norm, cfg.positives_per_anchor, cfg.gamma, blocked)
+        pos = _reference_iterative_pick(i_pos, dist_norm, cfg.positives_per_anchor, cfg.gamma, blocked)
         blocked[pos] = True
-        neg = _reference_iterative_pick(i_neg, batch.dist_norm, cfg.negatives_per_anchor, cfg.gamma, blocked)
+        neg = _reference_iterative_pick(i_neg, dist_norm, cfg.negatives_per_anchor, cfg.gamma, blocked)
         return pos, neg
     if cfg.image_strategy == "ris":
         pool = np.delete(np.arange(b), anchor)
@@ -590,7 +591,7 @@ def mine_batch_reference(batch, cfg, rng):
     """(anchors, {anchor: (positives, negatives)}, (T, 3) triplets)."""
     h = cfg.num_anchors(batch.size)
     if cfg.anchor_strategy == "das":
-        anchors = select_anchors_das(batch.dist_norm, h, rng, reduce=cfg.das_reduce)
+        anchors = select_anchors_das(minmax_normalize(batch.dist_raw), h, rng, reduce=cfg.das_reduce)
     elif cfg.anchor_strategy == "ras":
         anchors = select_anchors_ras(batch.size, h, rng)
     else:

@@ -17,6 +17,8 @@ from tripmine.data import (
     write_features_binary,
 )
 import tripmine.embedder as emb_mod
+import tripmine.sampler as sampler_mod
+import tripmine.similarity as similarity
 import tripmine.trainer as trainer
 from tripmine.embedder import Embedder, forward
 from tripmine.sampler import mine_batch
@@ -294,6 +296,30 @@ class TestTrain:
         assert [r.mean_loss for r in log.rows] == [r.mean_loss for r in want_log.rows]
         for w1, w2 in zip(net.weights, want_net.weights):
             assert np.array_equal(w1, w2)
+
+    @pytest.mark.parametrize("anchor", ["das", "ras", "bas"])
+    @pytest.mark.parametrize("image", ["rhdis", "ris", "bis"])
+    def test_distances_are_normalized_only_where_mining_scores_with_them(self, anchor, image, monkeypatch):
+        # das and rhdis score with the min-max distances, once per mined
+        # batch; the other cells and each epoch's closing re-measure read none
+        events = []
+        real_mine, real_normalize = sampler_mod.mine_batch, similarity.minmax_normalize
+
+        def mine(*args):
+            events.append("mine")
+            return real_mine(*args)
+
+        def normalize(dist_raw):
+            events.append("normalize")
+            return real_normalize(dist_raw)
+
+        monkeypatch.setattr(sampler_mod, "mine_batch", mine)
+        monkeypatch.setattr(similarity, "minmax_normalize", normalize)
+        ds = small_dataset()
+        train(ds, small_config(epochs=2, anchor=anchor, image=image))
+        mined = 2 * (len(ds.train_idx) // 16)
+        scored = anchor == "das" or image == "rhdis"
+        assert events == (["mine", "normalize"] if scored else ["mine"]) * mined
 
     @pytest.mark.parametrize("rows", ["zero", "duplicate", "all zero"])
     def test_rank_deficient_output_weights_train(self, rows):
