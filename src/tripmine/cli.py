@@ -1,9 +1,9 @@
 """Command-line entry point: train, evaluate, ablate, mine-debug.
 
-Sampler and trainer flags set ``SamplerConfig`` and ``TrainConfig`` fields
-(``_sampler_config`` and ``_train_config`` hold the mapping). Most share
-the field's name, nine do not: ``--lr`` sets ``lr0``, for example, and
-``--sampler`` sets both strategy fields.
+Sampler, trainer and synthetic-data flags set, and take their defaults
+from, ``SamplerConfig``, ``TrainConfig`` and ``SyntheticSpec`` fields
+(``_sampler_config``, ``_train_config`` and ``_load_data`` map them):
+``--lr`` sets ``lr0``, for example, and ``--sampler`` both strategy fields.
 
 train, evaluate and ablate write a ``manifest.txt`` of fully resolved
 key=value options into --out; feeding that file back through ``--config``
@@ -34,6 +34,7 @@ from .sampler import mine_debug_lines
 from .trainer import TrainConfig, batch_stream, train, write_train_log
 
 SAMPLER_CHOICES = tuple(f"{a}-{i}" for a in ANCHOR_STRATEGIES for i in IMAGE_STRATEGIES)
+_TRAIN, _SPEC = TrainConfig(), SyntheticSpec()
 
 # the split permutation draws from seed + 1 so it is a stream independent
 # of both generation (seed) and training (seed)
@@ -58,44 +59,46 @@ DATA_OPTS = (
     Opt("features", str, None, "features CSV (or binary) path"),
     Opt("labels", str, None, "labels CSV path"),
     Opt("synthetic", flag=True, default=False, help="use the synthetic generator instead of files"),
-    Opt("n_samples", int, 200, "synthetic: number of samples"),
-    Opt("n_classes", int, 8, "synthetic: number of classes"),
-    Opt("feature_dim", int, 16, "synthetic: feature dimension"),
-    Opt("prototypes", int, 4, "synthetic: number of prototypes"),
-    Opt("label_noise", float, 0.05, "synthetic: per-bit label flip rate"),
-    Opt("feature_noise", float, 0.1, "synthetic: feature noise sigma"),
+    Opt("n_samples", int, _SPEC.n_samples, "synthetic: number of samples"),
+    Opt("n_classes", int, _SPEC.n_classes, "synthetic: number of classes"),
+    Opt("feature_dim", int, _SPEC.feature_dim, "synthetic: feature dimension"),
+    Opt("prototypes", int, _SPEC.n_prototypes, "synthetic: number of prototypes"),
+    Opt("label_noise", float, _SPEC.label_noise_rate, "synthetic: per-bit label flip rate"),
+    Opt("feature_noise", float, _SPEC.feature_noise_sigma, "synthetic: feature noise sigma"),
     Opt("split", str, "0.6,0.2,0.2", "train,val,test fractions"),
 )
 
 SAMPLER_OPTS = (
-    Opt("sampler", str, "das-rhdis", "anchor-image strategy pair", choices=SAMPLER_CHOICES),
-    Opt("anchors_fraction", float, 0.1, "anchor count H = ceil(fraction * batch)"),
-    Opt("positives", int, 3, "positives per anchor"),
-    Opt("negatives", int, 3, "negatives per anchor"),
-    Opt("beta", float, 0.5, "relevancy vs hardness weight"),
-    Opt("gamma", float, 0.1, "informativeness vs diversity weight"),
-    Opt("combination", str, "cartesian", "triplet combination mode", choices=COMBINATIONS),
-    Opt("label_sim", str, "cosine", "label similarity kind", choices=LABEL_SIMILARITY_KINDS),
-    Opt("das_reduce", str, "max", "reduction over selected anchors", choices=DAS_REDUCTIONS),
+    Opt("sampler", str, f"{_TRAIN.sampler.anchor_strategy}-{_TRAIN.sampler.image_strategy}",
+        "anchor-image strategy pair", choices=SAMPLER_CHOICES),
+    Opt("anchors_fraction", float, _TRAIN.sampler.anchor_fraction, "anchor count H = ceil(fraction * batch)"),
+    Opt("positives", int, _TRAIN.sampler.positives_per_anchor, "positives per anchor"),
+    Opt("negatives", int, _TRAIN.sampler.negatives_per_anchor, "negatives per anchor"),
+    Opt("beta", float, _TRAIN.sampler.beta, "relevancy vs hardness weight"),
+    Opt("gamma", float, _TRAIN.sampler.gamma, "informativeness vs diversity weight"),
+    Opt("combination", str, _TRAIN.sampler.combination, "triplet combination mode", choices=COMBINATIONS),
+    Opt("label_sim", str, _TRAIN.sampler.label_similarity, "label similarity kind", choices=LABEL_SIMILARITY_KINDS),
+    Opt("das_reduce", str, _TRAIN.sampler.das_reduce, "reduction over selected anchors", choices=DAS_REDUCTIONS),
 )
 
-L2_NORMALIZE = Opt("l2_normalize", flag=True, default=False, help="L2-normalize embeddings")
+L2_NORMALIZE = Opt("l2_normalize", flag=True, default=_TRAIN.l2_normalize, help="L2-normalize embeddings")
 CHECKPOINT = Opt("checkpoint", str, None, "model checkpoint (default: <out>/model.ckpt)")
+BATCH_SIZE = Opt("batch_size", int, _TRAIN.batch_size, "mini-batch size (trailing remainder dropped)")
 
 TRAIN_OPTS = (
-    Opt("epochs", int, 100, "training epochs"),
-    Opt("batch_size", int, 100, "mini-batch size (trailing remainder dropped)"),
-    Opt("lr", float, 0.001, "initial learning rate"),
-    Opt("decay_every", int, 5, "decay the learning rate every this many epochs"),
-    Opt("decay_factor", float, 0.95, "multiplicative learning-rate decay"),
-    Opt("alpha", float, 0.2, "triplet margin"),
-    Opt("embedding", int, 1024, "embedding dimension"),
-    Opt("hidden", str, "64", "comma-separated hidden layer sizes"),
+    Opt("epochs", int, _TRAIN.epochs, "training epochs"),
+    BATCH_SIZE,
+    Opt("lr", float, _TRAIN.lr0, "initial learning rate"),
+    Opt("decay_every", int, _TRAIN.decay_every_epochs, "decay the learning rate every this many epochs"),
+    Opt("decay_factor", float, _TRAIN.decay_factor, "multiplicative learning-rate decay"),
+    Opt("alpha", float, _TRAIN.alpha, "triplet margin"),
+    Opt("embedding", int, _TRAIN.embedding_dim, "embedding dimension"),
+    Opt("hidden", str, ",".join(map(str, _TRAIN.hidden_dims)), "comma-separated hidden layer sizes"),
     L2_NORMALIZE,
 )
 
-SEED = Opt("seed", int, 0, "master seed")
-SEEDS = Opt("seed", str, "0", "master seed, or comma-separated seeds to average the grid over")
+SEED = Opt("seed", int, _TRAIN.seed, "master seed")
+SEEDS = Opt("seed", str, str(_TRAIN.seed), "master seed, or comma-separated seeds to average the grid over")
 
 COMMON_OPTS = (
     Opt("out", str, "out", "output directory"),
@@ -125,8 +128,7 @@ COMMAND_OPTS = {
     "evaluate": (SEED,) + COMMON_OPTS + DATA_OPTS + EVAL_OPTS + (L2_NORMALIZE,),
     "ablate": (SEEDS,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + TRAIN_OPTS + (
         Opt("k", int, None, "retrieved neighbors per query"),),
-    "mine-debug": (SEED,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + MINE_DEBUG_OPTS + (
-        Opt("batch_size", int, 100, "mini-batch size"), L2_NORMALIZE),
+    "mine-debug": (SEED,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + MINE_DEBUG_OPTS + (BATCH_SIZE, L2_NORMALIZE),
 }
 
 
@@ -136,8 +138,8 @@ def _add_opts(parser, opts):
         if o.flag:
             parser.add_argument(flag, action="store_true", default=argparse.SUPPRESS, help=o.help)
         else:
-            parser.add_argument(flag, type=o.type, default=argparse.SUPPRESS,
-                                choices=o.choices, help=o.help)
+            parser.add_argument(flag, type=o.type, default=argparse.SUPPRESS, choices=o.choices,
+                                help=o.help if o.default is None else f"{o.help} (default: {o.default})")
 
 
 def build_parser() -> argparse.ArgumentParser:

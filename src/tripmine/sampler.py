@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import similarity
-from .core import COMBINATIONS, DAS_REDUCTIONS, BatchView, SamplerConfig, TripletSet
+from .core import COMBINATIONS, DAS_REDUCTIONS, BatchView, SamplerConfig, TripletSet, validate_config
 
 
 @dataclass(frozen=True)
@@ -199,9 +199,10 @@ def build_triplets(anchors, positives, negatives, combination: str = "cartesian"
 
 
 def mine_batch(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -> TripletSet:
-    """Run the configured anchor and image strategies over one batch. Images
-    are selected for all anchors in one call, then assembled in one call.
-    The distances are min-max normalized once, only where das or rhdis reads them."""
+    """Check ``cfg`` with ``validate_config``, then run its anchor and image
+    strategies over one batch: images for all anchors in one call, assembled
+    in one call. Distances are min-max normalized once, only where das or rhdis reads them."""
+    validate_config(cfg, batch.size)
     h = cfg.num_anchors(batch.size)
     if cfg.anchor_strategy == "das" or cfg.image_strategy == "rhdis":
         dist_norm = similarity.minmax_normalize(batch.dist_raw)
@@ -209,10 +210,8 @@ def mine_batch(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -
         anchors = select_anchors_das(dist_norm, h, rng, reduce=cfg.das_reduce)
     elif cfg.anchor_strategy == "ras":
         anchors = select_anchors_ras(batch.size, h, rng)
-    elif cfg.anchor_strategy == "bas":
-        anchors = select_anchors_bas(batch.size)
     else:
-        raise ValueError(f"unknown anchor strategy {cfg.anchor_strategy!r}")
+        anchors = select_anchors_bas(batch.size)
     c_pos, c_neg = cfg.positives_per_anchor, cfg.negatives_per_anchor
     if cfg.image_strategy == "rhdis":
         s_matrix = similarity.label_similarity_matrix(batch.labels, cfg.label_similarity)
@@ -221,10 +220,8 @@ def mine_batch(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -
         neg = select_negatives_rhdis(anchors, rows, dist_norm, c_neg, cfg.gamma, exclude=pos)
     elif cfg.image_strategy == "ris":
         pos, neg = select_images_ris(anchors, batch.size, c_pos, c_neg, rng)
-    elif cfg.image_strategy == "bis":
-        pos, neg = select_images_bis(anchors, batch.size)
     else:
-        raise ValueError(f"unknown image strategy {cfg.image_strategy!r}")
+        pos, neg = select_images_bis(anchors, batch.size)
     return build_triplets(anchors, pos, neg, cfg.combination)
 
 

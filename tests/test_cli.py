@@ -792,7 +792,8 @@ def test_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
 
 
 class TestDefaults:
-    """The option tables restate the library's defaults; these pin them."""
+    """The option tables read their defaults from ``TrainConfig()`` and
+    ``SyntheticSpec()``; these check that each option maps onto its field."""
 
     def test_train_defaults_are_train_config(self):
         assert cli._train_config(cli.resolve_options("train", {})) == TrainConfig()
@@ -807,6 +808,21 @@ class TestDefaults:
         o = cli.resolve_options("mine-debug", {})
         assert cli._sampler_config(o) == SamplerConfig()
         assert o["batch_size"] == TrainConfig().batch_size
+
+    def test_one_batch_size_option_serves_every_command_that_batches(self):
+        found = {cmd: [o for o in opts if o.name == "batch_size"] for cmd, opts in cli.COMMAND_OPTS.items()}
+        one = [cli.BATCH_SIZE]
+        assert found == {"train": one, "evaluate": [], "ablate": one, "mine-debug": one}
+
+    @pytest.mark.parametrize("command", list(cli.COMMAND_OPTS))
+    def test_help_prints_each_default_of_the_option_table(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside a help text
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        shown = [o for o in cli.COMMAND_OPTS[command] if not o.flag and o.default is not None]
+        assert shown
+        assert [o.name for o in shown if f"{o.help} (default: {o.default})" not in text] == []
 
     @pytest.mark.parametrize("command", list(cli.COMMAND_OPTS))
     def test_synthetic_spec_is_the_default_spec_seed_aside(self, monkeypatch, command):

@@ -571,11 +571,14 @@ def test_block_backward_bit_identical_to_flat_list(seed, pair, combination, labe
     b = int(rng.integers(3, 25))
     c_pos = int(rng.integers(1, b - 1))
     c_neg = int(rng.integers(1, b - c_pos))
-    # bis with paired combination clears every triple, which backward must handle too
+    # bis with paired combination clears every triple, which backward must
+    # handle too; mine_batch rejects that configuration, so its all-cleared
+    # block is built from bis's cartesian selection
+    all_cleared = image_strategy == "bis" and combination == "paired"
     cfg = SamplerConfig(
         anchor_strategy=anchor_strategy, image_strategy=image_strategy,
         anchor_fraction=float(rng.uniform(0.01, 1.0)), positives_per_anchor=c_pos, negatives_per_anchor=c_neg,
-        combination=combination, label_similarity=label_sim,
+        combination="cartesian" if all_cleared else combination, label_similarity=label_sim,
     )
     net = integer_net(rng, l2)
     mine_rng = seeded_rng(seed + 1)
@@ -585,6 +588,9 @@ def test_block_backward_bit_identical_to_flat_list(seed, pair, combination, labe
         labels[labels.sum(axis=1) == 0, 0] = 1
         batch = BatchView.from_embeddings(np.arange(b), forward(net, x), labels)
         tset = mine_batch(batch, cfg, mine_rng)
+        if all_cleared:
+            tset = build_triplets(tset.anchors, tset.positives, tset.negatives, "paired")
+            assert len(tset) == 0
         got = backward(net, x, tset, alpha, batch.dist_raw)
         assert_bit_identical(backward(net, x, tset.triplets, alpha, batch.dist_raw), got)
         assert_matches_flat_list(net, x, tset.triplets, alpha, batch.dist_raw, got)

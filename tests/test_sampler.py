@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tripmine.core import (
-    ANCHOR_STRATEGIES, IMAGE_STRATEGIES, LABEL_SIMILARITY_KINDS, BatchView, SamplerConfig, seeded_rng,
-    validate_config,
+    ANCHOR_STRATEGIES, COMBINATIONS, DAS_REDUCTIONS, IMAGE_STRATEGIES, LABEL_SIMILARITY_KINDS, BatchView,
+    SamplerConfig, seeded_rng, validate_config,
 )
 from tripmine.sampler import (
     InformativenessRow,
@@ -502,6 +502,40 @@ class TestMineBatch:
             validate_config(cfg, batch.size)
         with pytest.raises(ValueError, match=re.escape(message)):
             mine_batch(batch, cfg, rng)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_rejects_exactly_what_validate_config_rejects(self, data):
+        # mine_batch checks what train checks, with the same message, and
+        # every configuration it accepts mines a triplet
+        def one_of(known, unknown):
+            return st.sampled_from(tuple(known) + unknown)
+
+        b = data.draw(st.integers(2, 30), label="batch size")
+        weights = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-3.0, -1e-9, 1.0 + 1e-9, 2.0, np.nan]))
+        cfg = SamplerConfig(
+            anchor_strategy=data.draw(one_of(ANCHOR_STRATEGIES, ("DAS", "", "magic")), label="anchors"),
+            image_strategy=data.draw(one_of(IMAGE_STRATEGIES, ("RHDIS", "all")), label="images"),
+            anchor_fraction=data.draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+                                                st.sampled_from([0.0, -0.5, 1.5, 1e-12, np.nan])), label="fraction"),
+            positives_per_anchor=data.draw(st.integers(0, b), label="positives"),
+            negatives_per_anchor=data.draw(st.integers(0, b), label="negatives"),
+            beta=data.draw(weights, label="beta"),
+            gamma=data.draw(weights, label="gamma"),
+            combination=data.draw(one_of(COMBINATIONS, ("zip",)), label="combination"),
+            label_similarity=data.draw(one_of(LABEL_SIMILARITY_KINDS, ("dice",)), label="label similarity"),
+            das_reduce=data.draw(one_of(DAS_REDUCTIONS, ("mean",)), label="das reduction"),
+        )
+        rng = seeded_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        batch = _random_batch(rng, b=b)
+        try:
+            validate_config(cfg, b)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                mine_batch(batch, cfg, rng)
+            assert str(raised.value) == str(exc)
+        else:
+            assert len(mine_batch(batch, cfg, rng)) >= 1
 
     def test_das_spreads_anchors_more_than_ras(self):
         rng = seeded_rng(33)
