@@ -84,6 +84,7 @@ SAMPLER_OPTS = (
 L2_NORMALIZE = Opt("l2_normalize", flag=True, default=_TRAIN.l2_normalize, help="L2-normalize embeddings")
 CHECKPOINT = Opt("checkpoint", str, None, "model checkpoint (default: <out>/model.ckpt)")
 BATCH_SIZE = Opt("batch_size", int, _TRAIN.batch_size, "mini-batch size (trailing remainder dropped)")
+K = Opt("k", int, None, "retrieved neighbors per query (default: 10, or 30 for archives >= 10000)")
 
 TRAIN_OPTS = (
     Opt("epochs", int, _TRAIN.epochs, "training epochs"),
@@ -108,7 +109,7 @@ COMMON_OPTS = (
 
 EVAL_OPTS = (
     CHECKPOINT,
-    Opt("k", int, None, "retrieved neighbors per query (default: 10, or 30 for archives >= 10000)"),
+    K,
     Opt("method", str, "model", "method label used in reports"),
 )
 
@@ -126,8 +127,7 @@ COMMAND_OPTS = {
     "train": (SEED,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + TRAIN_OPTS + (
         Opt("checkpoint_every", int, 0, "also write model_epoch{N}.ckpt every N epochs (0: final only)"),),
     "evaluate": (SEED,) + COMMON_OPTS + DATA_OPTS + EVAL_OPTS + (L2_NORMALIZE,),
-    "ablate": (SEEDS,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + TRAIN_OPTS + (
-        Opt("k", int, None, "retrieved neighbors per query"),),
+    "ablate": (SEEDS,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + TRAIN_OPTS + (K,),
     "mine-debug": (SEED,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + MINE_DEBUG_OPTS + (BATCH_SIZE, L2_NORMALIZE),
 }
 

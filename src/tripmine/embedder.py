@@ -208,8 +208,7 @@ def distance_rows(net: Embedder, features, factor, dtype=np.float64, input_sq=No
     features, hidden 64 and d = 1024 (twice as many in float32), 128 rows
     with ``l2_normalize`` on. A row's float64 products sum in the same
     order in any block, one row included (``padded_matmul``), so the result
-    is bit-identical to one pass, for layer inputs up to 384 wide with
-    OpenBLAS (wider products of a few dozen rows sum in another order).
+    is bit-identical to one pass.
 
     Features are read in their own type, float32 or float64, and each
     block is cast to ``dtype`` as it is embedded. With ``dtype`` float32

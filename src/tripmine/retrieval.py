@@ -5,14 +5,12 @@ Douze and Jegou, arXiv 1702.08734) in numpy: one GEMM screens a block of
 queries against the whole archive, each query with one rounding allowance,
 and the rows the screen cannot rule out are re-measured from row
 differences. ``evaluate`` searches the rows training measures
-(``embedder.distance_rows``). On archives large enough to pay for it
-(``_float32_pays``) it screens on those rows computed in float32, each
-query's allowance widened by their a-priori error bound
+(``embedder.distance_rows``). It screens on those rows computed in float32,
+each query's allowance widened by their a-priori error bound
 (``embedder.float32_row_error``), and ranks the candidates on their float64
-rows, so its reports are those of the float64 search for layer inputs up to
-384 wide with OpenBLAS 0.3.31 (``distance_rows``). Smaller archives, and
-nets whose rows float32 cannot carry (``l2_normalize``, or an a-priori row
-scale outside 2**-40 to 2**40), are screened in float64. Metric averaging
+rows, so its reports are those of the float64 search (``distance_rows``).
+Nets whose rows float32 cannot carry (``l2_normalize``, or an a-priori row
+scale outside 2**-40 to 2**40) are screened in float64. Metric averaging
 is macro: per-pair metrics are averaged over the k retrieved items of a
 query, then over queries.
 """
@@ -32,13 +30,6 @@ from .similarity import _check_binary_rows, _gram_allowance, _scaled_row_distanc
 # divided by the archive size queries, at least one; candidates pending a
 # re-measure are ranked once they reach as many
 _SCREEN_VALUES = 1 << 21
-# ``evaluate`` screens in float32 only on archives of at least this many
-# rows, and of at least this many times the rows of extra work that takes
-# (``_float32_pays``): timed on both paths, with float64 and with float32
-# features, it keeps float64 at every shape where float32 measured slower
-# (README, "Float32 screen")
-_FLOAT32_MIN_ROWS = 10_000
-_FLOAT32_MIN_RATIO = 2
 
 
 @dataclass(frozen=True)
@@ -219,28 +210,13 @@ def default_k(archive_size: int) -> int:
     return 30 if archive_size >= 10_000 else 10
 
 
-def _float32_pays(net, factor, n_archive: int, n_pairs: int) -> bool:
-    """Whether ``evaluate`` screens an archive of ``n_archive`` rows in
-    float32. Below ``_FLOAT32_MIN_ROWS`` rows the float32 pass saves less
-    than its fixed costs; above, the archive must still hold
-    ``_FLOAT32_MIN_RATIO`` times the rows of extra work the float32 path
-    does: ``n_pairs`` (queries times k) candidates embedded again in
-    float64, and the spectral norms of the weights and ``factor`` counted in
-    rows of the forward (a p x q Gram product and its eigenvalues, p <= q,
-    cost about p^2 (p + q) multiply-adds)."""
-    shapes = [w.shape for w in net.weights[:-1]] + [factor.shape]
-    norm_rows = sum(min(s) ** 2 * sum(s) for s in shapes) / sum(n * m for n, m in shapes)
-    return n_archive >= max(_FLOAT32_MIN_ROWS, _FLOAT32_MIN_RATIO * (n_pairs + norm_rows))
-
-
-def _archive_rows(net, features, factor, n_pairs: int):
+def _archive_rows(net, features, factor):
     """``(rows, row_error, exact_rows)`` for ``knn_retrieve``: the float32
     ``distance_rows`` of ``features``, their bound and the float64 rows by
-    index where float32 can carry the rows and ``_float32_pays``; else the
-    float64 rows, 0 and None. The weight and bias norms are tested before
-    the float32 pass, the input norm after it."""
-    if (factor is not None and _float32_pays(net, factor, len(features), n_pairs)
-            and emb_mod.float32_products(net, factor) is not None):
+    index where float32 can carry the rows; else the float64 rows, 0 and
+    None. The weight and bias norms are tested before the float32 pass, the
+    input norm after it."""
+    if emb_mod.float32_products(net, factor) is not None:
         input_sq = []
         try:
             rows = emb_mod.distance_rows(net, features, factor, np.float32, input_sq)
@@ -259,10 +235,9 @@ def evaluate(net, queries, archive, k: int) -> MetricReport:
     present in the archive (matched by id) never retrieves the archive row
     with that id. Each call embeds both splits as ``distance_rows`` under
     one ``distance_factor``, so without ``l2_normalize`` the (M, d)
-    embedding is never built. Where ``_float32_pays`` and float32 can
-    carry the rows, the archive is embedded once in float32 for the screen,
-    and its candidates once more in float64 for the ranking; elsewhere it
-    is embedded in float64 alone. A
+    embedding is never built. Where float32 can carry the rows, the archive
+    is embedded once in float32 for the screen, and its candidates once more
+    in float64 for the ranking; elsewhere it is embedded in float64 alone. A
     net whose rows are not finite on the features raises
     ``FloatingPointError`` from ``distance_rows``, without numpy's warnings;
     finite rows are searched however large they are.
@@ -271,7 +246,7 @@ def evaluate(net, queries, archive, k: int) -> MetricReport:
         raise ValueError("queries and archive must be nonempty")
     factor = emb_mod.distance_factor(net)
     q_rows = emb_mod.distance_rows(net, queries.features, factor)
-    a_rows, error, exact_rows = _archive_rows(net, archive.features, factor, len(queries) * k)
+    a_rows, error, exact_rows = _archive_rows(net, archive.features, factor)
     exclude = [archive.row_of.get(i) for i in queries.ids]
     idxs, _ = knn_retrieve(q_rows, a_rows, k, exclude, error, exact_rows)
     metrics = np.stack(pair_metrics(queries.labels[:, None, :], archive.labels[idxs]), axis=-1)

@@ -23,6 +23,16 @@ _CHUNK_VALUES = 1 << 17
 # shapes (B 2-300, d 3-2048) and inner dimensions past 384 (the Gram product of
 # (100, 500) rows, a 400-row batch's backward) differed at 1 and 2 threads.
 _GEMM_PAD = 32
+# OpenBLAS 0.3.31 multiplies a product of at most _SMALL_GEMM_MNK m n k (its
+# padded shape) in a small-matrix kernel, which past an inner dimension of
+# _SMALL_GEMM_MAX_K sums in another order than the blocked kernel. On the VM
+# above, at 1 and 2 threads, row 0 of a product of m rows differed from the
+# same row of a 1,100-row product at every m up to 10**6 // (n k) for inner
+# dimensions 400-4096 into 32-128 columns, and at no m for inner dimensions
+# up to 384 or for m past that bound (``padded_matmul`` pads a short product
+# past it; ``TestPaddedMatmul`` scans heights 1-300)
+_SMALL_GEMM_MNK = 10**6
+_SMALL_GEMM_MAX_K = 384
 # Rounding allowance of a Gram-form squared distance g = |x|^2 + |y|^2 - 2 x.y
 # of d-wide rows, per dimension, in units of S = |x|^2 + |y|^2 (u = 2**-53).
 # A d-term dot product in any order is within d u times the sum of its
@@ -142,14 +152,18 @@ def _scaled_row_distances(x, rows_i, rows_j, exp: int = 0, y=None) -> np.ndarray
 def padded_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for an (m, k) ``a`` and a (k, n) ``b``, computed with k and n
     zero-padded to a multiple of ``_GEMM_PAD``, so its bits are the same at
-    any BLAS thread count, and a one-row ``a`` as two rows: numpy would send
-    it through matrix-vector code, which sums in another order. Nothing is
-    copied when nothing is padded; the zero terms and rows change no value,
-    and the result may be a view of a larger product."""
+    any BLAS thread count. A row of the result has the same bits at any m
+    for a row-major ``b``: a one-row ``a`` is multiplied as two rows (numpy
+    would send it through matrix-vector code, which sums in another order),
+    and past an inner dimension of ``_SMALL_GEMM_MAX_K`` a short ``a`` as
+    enough rows to leave OpenBLAS's small-matrix kernel (``_SMALL_GEMM_MNK``).
+    Nothing is copied when nothing is padded; the zero terms and rows change
+    no value, and the result may be a view of a larger product."""
     m, (k, n) = len(a), b.shape
     k_pad, n_pad = k + -k % _GEMM_PAD, n + -n % _GEMM_PAD
-    if k_pad > k or m == 1:
-        wide = np.zeros((max(m, 2), k_pad), dtype=a.dtype)
+    rows = max(m, 2, _SMALL_GEMM_MNK // (k_pad * n_pad) + 1 if k_pad > _SMALL_GEMM_MAX_K else 0)
+    if k_pad > k or rows > m:
+        wide = np.zeros((rows, k_pad), dtype=a.dtype)
         wide[:m, :k] = a
         a = wide
     if (k_pad, n_pad) != (k, n):

@@ -814,6 +814,16 @@ class TestDefaults:
         one = [cli.BATCH_SIZE]
         assert found == {"train": one, "evaluate": [], "ablate": one, "mine-debug": one}
 
+    def test_evaluate_and_ablate_print_one_k_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside a help text
+        lines = []
+        for command in ("evaluate", "ablate"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            lines.append([line.strip() for line in capsys.readouterr().out.splitlines()
+                          if line.strip().startswith("--k ")])
+        assert lines[0] == lines[1] and len(lines[0]) == 1 and "30 for archives" in lines[0][0]
+
     @pytest.mark.parametrize("command", list(cli.COMMAND_OPTS))
     def test_help_prints_each_default_of_the_option_table(self, capsys, monkeypatch, command):
         monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside a help text

@@ -521,15 +521,14 @@ class TestArchiveMemo:
             archive = archive[:-1]
         del forward_rows[:]
         warm = evaluate(net, queries, archive, k=5)
-        assert forward_rows == [9, len(archive)]
+        # both splits, then (without l2) the archive's float32 screen candidates
+        assert forward_rows[:2] == [9, len(archive)]
         assert warm == evaluate_without_memo(net, queries, archive, k=5)
 
     @pytest.mark.parametrize("change", ["adam_step", "one_ulp", "archive_features", "other_archive"])
     def test_any_bit_change_recomputes_the_float32_screen(self, monkeypatch, setup, change):
-        # with the float32 screen taken on any archive, every call embeds the
-        # 9 queries in float64, the whole archive in float32, then its
-        # candidates in float64
-        monkeypatch.setattr(retrieval, "_float32_pays", lambda *args: True)
+        # every call embeds the 9 queries in float64, the whole archive in
+        # float32, then its candidates in float64
         calls, real = [], embedder._hidden_cached
 
         def recording(net, features):
@@ -616,13 +615,19 @@ class TestHiddenWidthSearch:
         assert peak < n_archive * d * 8 / 4
 
 
-def float64_rows_oracle(net, queries, archive, k):
-    """``evaluate`` as a brute-force search of the float64 ``distance_rows``,
-    the rows ``evaluate`` ranks on, with the report's summation order."""
+def float64_rows_knn(net, queries, archive, k):
+    """Indices and distances of a brute-force search of the float64
+    ``distance_rows``, the rows ``evaluate`` ranks on, each split embedded
+    in one call."""
     factor = embedder.distance_factor(net)
     q_rows, a_rows = (embedder.distance_rows(net, t.features, factor) for t in (queries, archive))
-    idxs = np.array([knn_oracle(q_rows[i], a_rows, k, archive.row_of.get(qid))[0]
-                     for i, qid in enumerate(queries.ids)])
+    found = [knn_oracle(q_rows[i], a_rows, k, archive.row_of.get(qid)) for i, qid in enumerate(queries.ids)]
+    return np.array([idx for idx, _ in found]), np.array([dist for _, dist in found])
+
+
+def float64_rows_oracle(net, queries, archive, k):
+    """``evaluate`` as ``float64_rows_knn``, with the report's summation order."""
+    idxs = float64_rows_knn(net, queries, archive, k)[0]
     metrics = np.stack(pair_metrics(queries.labels[:, None, :], archive.labels[idxs]), axis=-1)
     per_query = np.cumsum(metrics, axis=1)[:, -1] / k
     totals = np.cumsum(per_query, axis=0)[-1]
@@ -646,12 +651,7 @@ def screen_case(rng, n_features, n_archive, n_queries, grid):
 class TestFloat32Screen:
     """``evaluate`` screens the archive in float32 and ranks the candidates
     on their float64 rows; its reports are those of the float64 search.
-    Except where a test says otherwise, the screen is taken on any archive
-    float32 can carry, however small."""
-
-    @pytest.fixture(autouse=True)
-    def any_archive(self, monkeypatch):
-        monkeypatch.setattr(retrieval, "_float32_pays", lambda *args: True)
+    The screen is taken on any archive float32 can carry, however small."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -766,8 +766,26 @@ class TestFloat32Screen:
         assert passes == ["float64", "float32", "float64"]
         assert searches == [(np.float64, 0.0, None)]
         assert report == float64_rows_oracle(net, queries, archive, 9)
-        monkeypatch.setattr(retrieval, "_float32_pays", lambda *args: False)
-        assert evaluate(net, queries, archive, 9) == report
+
+    def test_wide_layer_input_ranks_on_the_rows_of_one_float64_pass(self, monkeypatch):
+        # the 512 hidden units feed the factor W, so each candidate's float64
+        # row sums 512 products; fetched in a call of a few rows, it must keep
+        # the bits of the archive's one pass
+        rng = seeded_rng(190)
+        net = Embedder.init([16, 512, 64], rng)
+        queries, archive = random_split(rng, 2, 16, 4, "q"), random_split(rng, 10000, 16, 4, "a")
+        found, real_search = [], retrieval.knn_retrieve
+
+        def search(q_rows, a_rows, k, exclude, row_error, exact_rows):
+            found.append((a_rows.dtype, real_search(q_rows, a_rows, k, exclude, row_error, exact_rows)))
+            return found[-1][1]
+
+        monkeypatch.setattr(retrieval, "knn_retrieve", search)
+        evaluate(net, queries, archive, 10)
+        [(dtype, (idx, dist))] = found
+        want_idx, want_dist = float64_rows_knn(net, queries, archive, 10)
+        assert dtype == np.float32
+        assert np.array_equal(idx, want_idx) and dist.tobytes() == want_dist.tobytes()
 
     def test_one_candidate_is_fetched_alone(self):
         archive = np.array([[0.0, 1.0]])
@@ -821,12 +839,11 @@ class TestFloat32Screen:
 
 
 class TestScreenPrecisionChoice:
-    """``evaluate`` screens in float32 only on archives large enough to pay
-    for the float32 pass, for embedding the candidates again and for the
-    weights' norms."""
+    """``evaluate`` screens in float32 wherever float32 can carry the rows,
+    whatever the archive's size."""
 
-    @pytest.mark.parametrize("n_archive, dtypes", [(9999, ["float64"] * 2), (10000, ["float64", "float32", "float64"])])
-    def test_archive_size_decides(self, monkeypatch, n_archive, dtypes):
+    def test_small_archive_takes_the_float32_screen(self, monkeypatch):
+        # ablate's per-epoch scoring: 40 queries against 40 archive rows
         calls, real = [], embedder._hidden_cached
 
         def recording(net, features):
@@ -835,11 +852,11 @@ class TestScreenPrecisionChoice:
 
         monkeypatch.setattr(embedder, "_hidden_cached", recording)
         rng = seeded_rng(180)
-        net = Embedder.init([5, 7, 4], rng)
-        queries, archive = random_split(rng, 3, 5, 4, "q"), random_split(rng, n_archive, 5, 4, "a")
-        report = evaluate(net, queries, archive, 4)
-        assert calls == dtypes
-        assert report == float64_rows_oracle(net, queries, archive, 4)
+        net = Embedder.init([16, 64, 1024], rng)
+        queries, archive = random_split(rng, 40, 16, 4, "q"), random_split(rng, 40, 16, 4, "a")
+        report = evaluate(net, queries, archive, 10)
+        assert calls == ["float64", "float32", "float64"]
+        assert report == float64_rows_oracle(net, queries, archive, 10)
 
     def test_weights_float32_cannot_carry_skip_the_float32_pass(self, monkeypatch):
         # the first layer scaled by 1e13 casts to float32, but its norm is
@@ -855,30 +872,9 @@ class TestScreenPrecisionChoice:
         net = Embedder.init([128, 64, 1024], rng)
         net.weights[0] *= 1e13
         queries, archive = random_split(rng, 30, 128, 4, "q"), random_split(rng, 20000, 128, 4, "a")
-        factor = embedder.distance_factor(net)
-        assert retrieval._float32_pays(net, factor, len(archive), 30 * 30)
         monkeypatch.setattr(embedder, "_hidden_cached", counting)
         evaluate(net, queries, archive, 30)
         assert {dtype for _, dtype in rows} == {"float64"} and sum(n for n, _ in rows) == 20030
-
-    @pytest.mark.parametrize("dims, n_queries, n_archive, k, float32", [
-        ((128, 64, 1024), 30, 20000, 30, True),  # the eval-archive benchmark's calls
-        ((128, 64, 1024), 300, 20000, 30, True),  # three query blocks
-        ((128, 64, 1024), 400, 20000, 30, False),  # 12,000 candidates at most
-        ((128, 64, 1024), 30, 8000, 30, False),
-        ((16, 64, 1024), 40, 40, 10, False),  # ablate's default val -> test scoring
-        ((128, 64, 1024), 1200, 1200, 10, False),
-        ((128, 1000, 1024), 10, 10000, 10, True),
-        # a 6000 x 6000 Gram's eigenvalues cost about 12,000 rows' forward
-        ((128, 6000, 6000), 10, 20000, 10, False),
-        ((128, 6000, 6000), 10, 30000, 10, True),
-    ])
-    def test_rule_on_measured_and_extreme_shapes(self, dims, n_queries, n_archive, k, float32):
-        # only the shapes count: zero-stride weights stand in for large nets
-        weights = [np.broadcast_to(0.0, shape) for shape in zip(dims[:-1], dims[1:])]
-        net = Embedder(dims, weights, [np.zeros(n) for n in dims[1:]])
-        factor = weights[-1][:, :64] if dims[1] < dims[2] and dims[1] <= 96 else weights[-1]
-        assert retrieval._float32_pays(net, factor, n_archive, n_queries * k) == float32
 
 
 def float32_twins(table):
@@ -895,7 +891,7 @@ class TestFloat32Table:
     every report is the one of the same values held in float64."""
 
     @pytest.mark.parametrize("l2", [False, True])
-    @pytest.mark.parametrize("n_archive", [9999, 10000])  # both sides of _float32_pays
+    @pytest.mark.parametrize("n_archive", [9999, 10000])
     def test_reports_bit_identical_to_the_float64_table(self, monkeypatch, n_archive, l2):
         calls, real = [], embedder._hidden_cached
 
@@ -917,7 +913,7 @@ class TestFloat32Table:
         assert reports == [reports[0]] * 4
         assert paths == [paths[0]] * 4
         screens = [dtype for rows, dtype in paths[0] if rows == n_archive]
-        assert screens == ["float32" if n_archive == 10000 and not l2 else "float64"]
+        assert screens == ["float64" if l2 else "float32"]
 
     def test_float32_pass_reads_the_archive_as_stored(self, monkeypatch):
         seen, real = [], embedder._hidden_cached

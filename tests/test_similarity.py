@@ -195,7 +195,29 @@ def test_rejects_input_it_cannot_measure(call, message):
         call()
 
 
+# per inner width and output width, the heights 1-300 at which the rows of
+# a product differ from the same rows of a 1,100-row product
+_HEIGHT_SCRIPT = """
+import numpy as np
+from tripmine.similarity import padded_matmul
+rng = np.random.default_rng(0)
+for k in (8, 128, 384, 416, 512, 1024, 2048):
+    for n in (32, 64):
+        a, b = rng.normal(size=(1100, k)), rng.normal(size=(k, n))
+        full = padded_matmul(a, b)
+        print(f"{k}x{n}:" + ",".join(str(m) for m in range(1, 301)
+                                     if padded_matmul(a[:m], b).tobytes() != full[:m].tobytes()))
+"""
+
+
 class TestPaddedMatmul:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_do_not_depend_on_the_product_height(self, stdout_at_blas_threads, threads):
+        # past an inner width of 384, OpenBLAS sums a short product in its
+        # small-matrix kernel, in another order; padding leaves that kernel
+        lines = stdout_at_blas_threads(_HEIGHT_SCRIPT, threads)
+        assert len(lines) == 14 and all(line.endswith(":") for line in lines), lines
+
     @pytest.mark.parametrize("m, k, n", [(100, 128, 64), (100, 64, 1024), (32, 32, 32), (1, 64, 96)])
     def test_aligned_shapes_give_the_plain_product(self, m, k, n):
         # a one-row product is the first row of the plain two-row one
