@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .core import (ANCHOR_STRATEGIES, COMBINATIONS, DAS_REDUCTIONS, IMAGE_STRATEGIES,
-                   LABEL_SIMILARITY_KINDS, SamplerConfig, seeded_rng, validate_config)
+from .core import ANCHOR_STRATEGIES, DAS_REDUCTIONS, IMAGE_STRATEGIES, SamplerConfig, seeded_rng, validate_config
 from .data import SyntheticSpec, generate_synthetic, load_dataset, split_dataset
 from .embedder import load_checkpoint, save_checkpoint
 from .retrieval import MetricReport, default_k, evaluate, format_metric_table, metric_cells, write_metrics_csv
@@ -68,18 +67,18 @@ DATA_OPTS = (
     Opt("split", str, "0.6,0.2,0.2", "train,val,test fractions"),
 )
 
-SAMPLER_OPTS = (
-    Opt("sampler", str, f"{_TRAIN.sampler.anchor_strategy}-{_TRAIN.sampler.image_strategy}",
-        "anchor-image strategy pair", choices=SAMPLER_CHOICES),
+SAMPLER = Opt("sampler", str, f"{_TRAIN.sampler.anchor_strategy}-{_TRAIN.sampler.image_strategy}",
+              "anchor-image strategy pair", choices=SAMPLER_CHOICES)
+# ablate runs every strategy pair, so it takes these without --sampler
+MINING_OPTS = (
     Opt("anchors_fraction", float, _TRAIN.sampler.anchor_fraction, "anchor count H = ceil(fraction * batch)"),
     Opt("positives", int, _TRAIN.sampler.positives_per_anchor, "positives per anchor"),
     Opt("negatives", int, _TRAIN.sampler.negatives_per_anchor, "negatives per anchor"),
     Opt("beta", float, _TRAIN.sampler.beta, "relevancy vs hardness weight"),
     Opt("gamma", float, _TRAIN.sampler.gamma, "informativeness vs diversity weight"),
-    Opt("combination", str, _TRAIN.sampler.combination, "triplet combination mode", choices=COMBINATIONS),
-    Opt("label_sim", str, _TRAIN.sampler.label_similarity, "label similarity kind", choices=LABEL_SIMILARITY_KINDS),
     Opt("das_reduce", str, _TRAIN.sampler.das_reduce, "reduction over selected anchors", choices=DAS_REDUCTIONS),
 )
+SAMPLER_OPTS = (SAMPLER,) + MINING_OPTS
 
 L2_NORMALIZE = Opt("l2_normalize", flag=True, default=_TRAIN.l2_normalize, help="L2-normalize embeddings")
 CHECKPOINT = Opt("checkpoint", str, None, "model checkpoint (default: <out>/model.ckpt)")
@@ -127,7 +126,7 @@ COMMAND_OPTS = {
     "train": (SEED,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + TRAIN_OPTS + (
         Opt("checkpoint_every", int, 0, "also write model_epoch{N}.ckpt every N epochs (0: final only)"),),
     "evaluate": (SEED,) + COMMON_OPTS + DATA_OPTS + EVAL_OPTS + (L2_NORMALIZE,),
-    "ablate": (SEEDS,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + TRAIN_OPTS + (K,),
+    "ablate": (SEEDS,) + COMMON_OPTS + DATA_OPTS + MINING_OPTS + TRAIN_OPTS + (K,),
     "mine-debug": (SEED,) + COMMON_OPTS + DATA_OPTS + SAMPLER_OPTS + MINE_DEBUG_OPTS + (BATCH_SIZE, L2_NORMALIZE),
 }
 
@@ -165,6 +164,11 @@ def _known_option_names():
     return {o.name for opts in COMMAND_OPTS.values() for o in opts}
 
 
+# options since removed, each with the one value every run now takes: older
+# manifests name them, and still load
+REMOVED_OPTIONS = {"combination": "cartesian", "label_sim": "cosine"}
+
+
 def _read_config_file(path, opts_by_name):
     if not os.path.exists(path):
         raise UserError(f"config file not found: {path}")
@@ -179,6 +183,11 @@ def _read_config_file(path, opts_by_name):
             if not sep:
                 raise UserError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key = key.strip().replace("-", "_")
+            if key in REMOVED_OPTIONS:
+                if value.strip() != REMOVED_OPTIONS[key]:
+                    raise UserError(f"{path}:{line_no}: option {key!r} was removed; "
+                                    f"only {key}={REMOVED_OPTIONS[key]} is still accepted")
+                continue
             if key not in opts_by_name:
                 # a manifest from another subcommand stays loadable: skip its
                 # keys, but still reject names no subcommand knows
@@ -278,8 +287,7 @@ def _sampler_config(o: dict) -> SamplerConfig:
         anchor_strategy=anchor, image_strategy=image,
         anchor_fraction=o["anchors_fraction"],
         positives_per_anchor=o["positives"], negatives_per_anchor=o["negatives"],
-        beta=o["beta"], gamma=o["gamma"], combination=o["combination"],
-        label_similarity=o["label_sim"], das_reduce=o["das_reduce"],
+        beta=o["beta"], gamma=o["gamma"], das_reduce=o["das_reduce"],
     )
 
 

@@ -16,8 +16,6 @@ from . import similarity
 
 ANCHOR_STRATEGIES = ("das", "ras", "bas")
 IMAGE_STRATEGIES = ("rhdis", "ris", "bis")
-COMBINATIONS = ("cartesian", "paired")
-LABEL_SIMILARITY_KINDS = ("cosine", "jaccard")
 DAS_REDUCTIONS = ("max", "min")
 
 # Upper bound on H*P*N, the triplets one batch may mine. Mining plus backward
@@ -161,8 +159,6 @@ class SamplerConfig:
     negatives_per_anchor: int = 3
     beta: float = 0.5
     gamma: float = 0.1
-    combination: str = "cartesian"
-    label_similarity: str = "cosine"
     das_reduce: str = "max"
     seed: int = 0
 
@@ -177,8 +173,6 @@ def validate_config(cfg: SamplerConfig, batch_size: int) -> SamplerConfig:
     batch of that size, and at most ``MAX_TRIPLETS_PER_BATCH``."""
     for what, value, known in (("anchor strategy", cfg.anchor_strategy, ANCHOR_STRATEGIES),
                                ("image strategy", cfg.image_strategy, IMAGE_STRATEGIES),
-                               ("combination", cfg.combination, COMBINATIONS),
-                               ("label similarity", cfg.label_similarity, LABEL_SIMILARITY_KINDS),
                                ("das reduction", cfg.das_reduce, DAS_REDUCTIONS)):
         if value not in known:
             raise ValueError(f"unknown {what} {value!r}")
@@ -192,8 +186,6 @@ def validate_config(cfg: SamplerConfig, batch_size: int) -> SamplerConfig:
         # triples are dropped, so bis reads no per-anchor counts
         if batch_size < 3:
             raise ValueError(f"bis needs a batch size of at least 3 to mine a triplet, got {batch_size}")
-        if cfg.combination == "paired":  # positive i and negative i are the same image
-            raise ValueError("bis with paired combination mines no triplets; use cartesian")
         c_pos = c_neg = batch_size - 1
     else:
         c_pos, c_neg = cfg.positives_per_anchor, cfg.negatives_per_anchor
@@ -205,7 +197,7 @@ def validate_config(cfg: SamplerConfig, batch_size: int) -> SamplerConfig:
     anchors = batch_size if cfg.anchor_strategy == "bas" else cfg.num_anchors(batch_size)
     if anchors < 1:
         raise ValueError(f"anchor_fraction {cfg.anchor_fraction} selects no anchor from a batch of {batch_size}")
-    pairs = c_pos * c_neg if cfg.combination == "cartesian" else min(c_pos, c_neg)
+    pairs = c_pos * c_neg
     if anchors * pairs > MAX_TRIPLETS_PER_BATCH:
         raise ValueError(
             f"{anchors} anchors x {pairs} pairs = {anchors * pairs} triplets per batch "
@@ -221,9 +213,8 @@ class TripletSet:
 
     ``anchors`` (H,) lists the anchors in selection order; row k of
     ``positives`` (H, P) and ``negatives`` (H, N) holds anchor k's ordered
-    positive and negative indices. ``keep`` marks the triples of the block:
-    (H, P, N) pairs every positive with every negative ("cartesian"), and
-    (H, t) pairs them by rank over the first t of each ("paired"). ``len``
+    positive and negative indices. ``keep`` (H, P, N) marks the triples of
+    the block, which pairs every positive with every negative. ``len``
     counts ``keep``; ``triplets`` builds the anchor-major (T, 3) list on
     access.
     """
@@ -235,23 +226,20 @@ class TripletSet:
 
     @classmethod
     def from_triplets(cls, triplets) -> "TripletSet":
-        """A (T, 3) index list as the H = T, P = N = 1 paired block, every
-        triple kept (p == n included)."""
+        """A (T, 3) index list as the H = T, P = N = 1 block, every triple
+        kept (p == n included)."""
         t = np.asarray(triplets, dtype=np.int64)
         if t.size == 0:
             t = np.empty((0, 3), dtype=np.int64)
         elif t.ndim != 2 or t.shape[1] != 3:
             raise ValueError(f"triplets must be a (T, 3) index array, got shape {t.shape}")
         return cls(anchors=t[:, 0], positives=t[:, 1:2], negatives=t[:, 2:3],
-                   keep=np.ones((t.shape[0], 1), dtype=bool))
+                   keep=np.ones((t.shape[0], 1, 1), dtype=bool))
 
     def columns(self) -> tuple:
         """Anchor, positive and negative index blocks, each broadcastable to
         ``keep.shape``."""
-        if self.keep.ndim == 3:
-            return self.anchors[:, None, None], self.positives[:, :, None], self.negatives[:, None, :]
-        t = self.keep.shape[1]
-        return self.anchors[:, None], self.positives[:, :t], self.negatives[:, :t]
+        return self.anchors[:, None, None], self.positives[:, :, None], self.negatives[:, None, :]
 
     @property
     def triplets(self) -> np.ndarray:

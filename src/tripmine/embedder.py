@@ -409,9 +409,9 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
         raise ValueError(f"triplet indices must lie in [0, {size})")
     a_col, p_col, n_col = cols
 
-    # pre-hinge values over the block: (H, P, N) from (H, P, 1) and (H, 1, N)
-    # reads when cartesian, (H, t) when paired; kept triples in C order are
-    # the anchor-major list, so the loss sums the same values in the same order
+    # pre-hinge values over the (H, P, N) block from (H, P, 1) and (H, 1, N)
+    # reads; kept triples in C order are the anchor-major list, so the loss
+    # sums the same values in the same order
     pre = np.subtract(dist[a_col, p_col], dist[a_col, n_col])
     pre += alpha
     active = pre > 0.0
@@ -424,12 +424,9 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
     # #active with (a, x) as the negative pair; each adds +-(e_a - e_x) / D(a, x)
     # to row a and the opposite to row x. Each positive (negative) slot of the
     # block adds its count of active triplets, an exact integer, to its bin.
-    cartesian = active.ndim == 3
-    pos_counts = active.sum(axis=2) if cartesian else active
-    neg_counts = active.sum(axis=1) if cartesian else active
     n_bins = size * size
-    coef = (np.bincount((a_col * size + p_col).ravel(), weights=pos_counts.ravel(), minlength=n_bins)
-            - np.bincount((a_col * size + n_col).ravel(), weights=neg_counts.ravel(), minlength=n_bins)
+    coef = (np.bincount((a_col * size + p_col).ravel(), weights=active.sum(axis=2).ravel(), minlength=n_bins)
+            - np.bincount((a_col * size + n_col).ravel(), weights=active.sum(axis=1).ravel(), minlength=n_bins)
             ).reshape(size, size)
     # subgradient choice at coincident points: zero direction
     m = np.divide(coef, dist, out=np.zeros((size, size)), where=dist > 0.0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import similarity
-from .core import COMBINATIONS, DAS_REDUCTIONS, BatchView, SamplerConfig, TripletSet, validate_config
+from .core import DAS_REDUCTIONS, BatchView, SamplerConfig, TripletSet, validate_config
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,11 @@ def _check_anchors(anchors: np.ndarray, batch_size: int) -> None:
         raise ValueError(f"anchor {anchors[outside][0]} is outside a batch of {batch_size}")
 
 
-def informativeness(anchors: np.ndarray, dist_norm: np.ndarray, label_sim_rows, beta: float) -> InformativenessRow:
+def informativeness(anchors: np.ndarray, dist_norm: np.ndarray, s_rows, beta: float) -> InformativenessRow:
     """Score every batch item as a candidate positive and negative for each
     of the (H,) ``anchors``, from their (H, B) label-similarity rows ``S[anchors]``."""
     _check_anchors(anchors, len(dist_norm))
-    s, d = label_sim_rows, dist_norm[anchors]
+    s, d = s_rows, dist_norm[anchors]
     i_pos = beta * s + (1.0 - beta) * d
     i_neg = beta * (1.0 - s) + (1.0 - beta) * (1.0 - d)
     return InformativenessRow(i_pos=i_pos, i_neg=i_neg)
@@ -178,33 +178,25 @@ def select_images_bis(anchors: np.ndarray, batch_size: int):
     return others, others
 
 
-def build_triplets(anchors, positives, negatives, combination: str = "cartesian") -> TripletSet:
+def build_triplets(anchors, positives, negatives) -> TripletSet:
     """Combine (H,) anchors with their (H, P) positives and (H, N) negatives
-    into the block of (a, p, n) triples, ordered by anchor, then positive,
-    then negative.
-
-    "cartesian" pairs every positive with every negative; "paired" matches
-    them by rank. Degenerate triples with p == n are cleared from ``keep``
-    in both modes (bis inherently generates them).
+    into the block pairing every positive with every negative, ordered by
+    anchor, then positive, then negative. Degenerate triples with p == n
+    are cleared from ``keep`` (bis inherently generates them).
     """
-    if combination not in COMBINATIONS:
-        raise ValueError(f"unknown combination {combination!r}")
     a, p, n = (np.asarray(x, dtype=np.int64) for x in (anchors, positives, negatives))
-    if combination == "cartesian":
-        keep = p[:, :, None] != n[:, None, :]
-    else:
-        t = min(p.shape[1], n.shape[1])
-        keep = p[:, :t] != n[:, :t]
-    return TripletSet(anchors=a, positives=p, negatives=n, keep=keep)
+    return TripletSet(anchors=a, positives=p, negatives=n, keep=p[:, :, None] != n[:, None, :])
 
 
-def mine_batch(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -> TripletSet:
-    """Check ``cfg`` with ``validate_config``, then run its anchor and image
-    strategies over one batch: images for all anchors in one call, assembled
-    in one call. Distances are min-max normalized once, only where das or rhdis reads them."""
+def _mine(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator, score_all: bool = False):
+    """``mine_batch``'s selection, with the anchors' informativeness rows:
+    scored where rhdis reads them, for every image strategy with
+    ``score_all``, else None. Distances are min-max normalized once, only
+    where das or the scores read them."""
     validate_config(cfg, batch.size)
     h = cfg.num_anchors(batch.size)
-    if cfg.anchor_strategy == "das" or cfg.image_strategy == "rhdis":
+    scored = score_all or cfg.image_strategy == "rhdis"
+    if cfg.anchor_strategy == "das" or scored:
         dist_norm = similarity.minmax_normalize(batch.dist_raw)
     if cfg.anchor_strategy == "das":
         anchors = select_anchors_das(dist_norm, h, rng, reduce=cfg.das_reduce)
@@ -212,17 +204,26 @@ def mine_batch(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -
         anchors = select_anchors_ras(batch.size, h, rng)
     else:
         anchors = select_anchors_bas(batch.size)
+    rows = None
+    if scored:
+        s_matrix = similarity.label_similarity_matrix(batch.labels)
+        rows = informativeness(anchors, dist_norm, s_matrix[anchors], cfg.beta)
     c_pos, c_neg = cfg.positives_per_anchor, cfg.negatives_per_anchor
     if cfg.image_strategy == "rhdis":
-        s_matrix = similarity.label_similarity_matrix(batch.labels, cfg.label_similarity)
-        rows = informativeness(anchors, dist_norm, s_matrix[anchors], cfg.beta)
         pos = select_positives_rhdis(anchors, rows, dist_norm, c_pos, cfg.gamma)
         neg = select_negatives_rhdis(anchors, rows, dist_norm, c_neg, cfg.gamma, exclude=pos)
     elif cfg.image_strategy == "ris":
         pos, neg = select_images_ris(anchors, batch.size, c_pos, c_neg, rng)
     else:
         pos, neg = select_images_bis(anchors, batch.size)
-    return build_triplets(anchors, pos, neg, cfg.combination)
+    return build_triplets(anchors, pos, neg), rows
+
+
+def mine_batch(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -> TripletSet:
+    """Check ``cfg`` with ``validate_config``, then run its anchor and image
+    strategies over one batch: images for all anchors in one call, assembled
+    in one call. Distances are min-max normalized once, only where das or rhdis reads them."""
+    return _mine(batch, cfg, rng)[0]
 
 
 def mine_debug_lines(batch_index: int, batch: BatchView, cfg: SamplerConfig,
@@ -231,10 +232,7 @@ def mine_debug_lines(batch_index: int, batch: BatchView, cfg: SamplerConfig,
     one JSON line per batch header, then one per anchor with its
     informativeness row (scored for every image strategy), score extremes,
     and chosen positives/negatives."""
-    tset = mine_batch(batch, cfg, rng)
-    s_matrix = similarity.label_similarity_matrix(batch.labels, cfg.label_similarity)
-    dist_norm = similarity.minmax_normalize(batch.dist_raw)
-    rows = informativeness(tset.anchors, dist_norm, s_matrix[tset.anchors], cfg.beta)
+    tset, rows = _mine(batch, cfg, rng, score_all=True)
     anchors = tset.anchors.tolist()
     lines = [json.dumps({"batch": batch_index, "anchors": anchors, "triplet_count": len(tset)})]
     for k, a in enumerate(anchors):

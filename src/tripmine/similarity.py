@@ -112,23 +112,18 @@ def _check_binary_rows(labels: np.ndarray) -> np.ndarray:
     return arr
 
 
-def label_similarity_matrix(labels, kind: str = "cosine") -> np.ndarray:
-    """All-pairs "cosine" (default) or "jaccard" similarity of a (B, N) 0/1
-    label matrix: symmetric, in [0, 1], exactly 1 for identical rows and
-    exactly 0 for disjoint label sets. An all-zero row raises ``ValueError``."""
+def label_similarity_matrix(labels) -> np.ndarray:
+    """All-pairs cosine similarity of a (B, N) 0/1 label matrix: symmetric,
+    in [0, 1], exactly 1 for identical rows and exactly 0 for disjoint
+    label sets. An all-zero row raises ``ValueError``."""
     arr = _check_binary_rows(np.asarray(labels))
     if arr.ndim != 2:
         raise ValueError(f"expected a (B, N) label matrix, got shape {arr.shape}")
     # plain: the counts of 0/1 products are exact integers in any order
     inter = arr @ arr.T
     sizes = arr.sum(axis=1)
-    if kind == "cosine":
-        # sqrt(s_i * s_j) instead of sqrt(s_i) * sqrt(s_j): exactly 1 for identical rows
-        return inter / np.sqrt(np.outer(sizes, sizes))
-    if kind == "jaccard":
-        union = sizes[:, None] + sizes[None, :] - inter
-        return inter / union
-    raise ValueError(f"unknown label similarity kind {kind!r}")
+    # sqrt(s_i * s_j) instead of sqrt(s_i) * sqrt(s_j): exactly 1 for identical rows
+    return inter / np.sqrt(np.outer(sizes, sizes))
 
 
 def _scaled_row_distances(x, rows_i, rows_j, exp: int = 0, y=None) -> np.ndarray:

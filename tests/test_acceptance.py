@@ -94,7 +94,7 @@ def test_criterion_1_selection_oracle_equivalence():
         dist = minmax_normalize(raw)
         labels = (rng.random((b, 4)) < 0.5).astype(np.uint8)
         labels[labels.sum(axis=1) == 0, 0] = 1
-        s = label_similarity_matrix(labels, "cosine")
+        s = label_similarity_matrix(labels)
         beta = float(rng.random())
         gamma = float(rng.random())
         first = int(rng.integers(b))

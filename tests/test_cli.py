@@ -28,6 +28,87 @@ TINY = TINY_DATA + [
 ]
 
 
+# manifests written before --combination and --label-sim were removed (and
+# before ablate stopped taking --sampler), by train with TINY and by ablate
+# with CI_ABLATE --seed 1 --epochs 1
+OLD_TRAIN_MANIFEST = """\
+# tripmine 0.1.0
+# command: train
+alpha=0.2
+anchors_fraction=0.1
+batch_size=16
+beta=0.5
+checkpoint_every=0
+combination=cartesian
+das_reduce=max
+decay_every=5
+decay_factor=0.95
+embedding=8
+epochs=3
+feature_dim=16
+feature_noise=0.1
+features=
+gamma=0.1
+hidden=8
+l2_normalize=false
+label_noise=0.05
+label_sim=cosine
+labels=
+lr=0.01
+n_classes=8
+n_samples=60
+negatives=3
+out={out}
+positives=3
+preset=full
+prototypes=4
+sampler=das-rhdis
+seed=1
+split=0.6,0.2,0.2
+synthetic=true
+"""
+OLD_ABLATE_MANIFEST = """\
+# tripmine 0.1.0
+# command: ablate
+alpha=0.2
+anchors_fraction=0.1
+batch_size=32
+beta=0.5
+combination=cartesian
+das_reduce=max
+decay_every=5
+decay_factor=0.95
+embedding=16
+epochs=1
+feature_dim=16
+feature_noise=0.1
+features=
+gamma=0.1
+hidden=32
+k=
+l2_normalize=false
+label_noise=0.05
+label_sim=cosine
+labels=
+lr=0.01
+n_classes=8
+n_samples=100
+negatives=3
+out={out}
+positives=3
+preset=ci
+prototypes=4
+sampler=das-rhdis
+seed=1
+split=0.6,0.2,0.2
+synthetic=true
+"""
+
+
+def without_keys(manifest_lines, *keys):
+    return [line for line in manifest_lines if line.partition("=")[0] not in keys]
+
+
 def read_log_without_seconds(path):
     lines = path.read_text().splitlines()
     return [",".join(line.split(",")[:4]) for line in lines]
@@ -107,13 +188,6 @@ class TestTrain:
         assert code == 2
         assert f"{which}.csv: not UTF-8 text" in err
         assert "Traceback" not in err
-
-    def test_bis_with_paired_combination_exits_2(self, tmp_path, capsys):
-        code, _, err = run(capsys, "train", *TINY, "--sampler", "bas-bis", "--combination", "paired",
-                           "--out", str(tmp_path / "o"))
-        assert code == 2
-        assert "paired" in err
-        assert not (tmp_path / "o" / "model.ckpt").exists()
 
     def test_triplet_count_over_limit_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--synthetic", "--n-samples", "600", "--seed", "1",
@@ -281,6 +355,15 @@ class TestTrain:
         assert code == 2
         assert f"{cfg}:2: {key}:" in err
         assert "Traceback" not in err
+
+    def test_old_manifest_naming_removed_options_replays_identically(self, tmp_path, capsys):
+        old = tmp_path / "old.txt"
+        old.write_text(OLD_TRAIN_MANIFEST.format(out=tmp_path / "old"))
+        assert run(capsys, "train", *TINY, "--out", str(tmp_path / "new"))[0] == 0
+        assert run(capsys, "train", "--config", str(old), "--out", str(tmp_path / "replay"))[0] == 0
+        assert (tmp_path / "replay" / "model.ckpt").read_bytes() == (tmp_path / "new" / "model.ckpt").read_bytes()
+        replayed = (tmp_path / "replay" / "manifest.txt").read_text().splitlines()
+        assert without_keys(replayed, "out") == without_keys(old.read_text().splitlines(), "out", *cli.REMOVED_OPTIONS)
 
     def test_other_subcommands_manifest_keys_are_skipped(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -475,6 +558,18 @@ class TestAblate:
         assert code == 2
         assert f"manifest.txt:{lines.index('seed=1,2') + 1}: seed:" in err
 
+    def test_old_manifest_replays_to_the_same_grid(self, tmp_path, capsys):
+        old = tmp_path / "old.txt"
+        old.write_text(OLD_ABLATE_MANIFEST.format(out=tmp_path / "old"))
+        grid, curve = ablate(capsys, tmp_path / "new", "--seed", "1", "--epochs", "1")
+        assert run(capsys, "ablate", "--config", str(old), "--out", str(tmp_path / "replay"))[0] == 0
+        assert (tmp_path / "replay" / "grid.csv").read_bytes() == (tmp_path / "new" / "grid.csv").read_bytes()
+        assert without_seconds(read_csv_rows(tmp_path / "replay" / "curve.csv")) == without_seconds(curve)
+        # the sampler= line is train's key, skipped; the removed options' lines are dropped
+        replayed = (tmp_path / "replay" / "manifest.txt").read_text().splitlines()
+        assert without_keys(replayed, "out") == without_keys(old.read_text().splitlines(), "out", "sampler",
+                                                             *cli.REMOVED_OPTIONS)
+
     def test_zero_epochs_scores_the_untrained_nets(self, tmp_path, capsys):
         grid, curve = ablate(capsys, tmp_path / "grid", "--seed", "1", "--epochs", "0")
         assert [cell_of(r) for r in grid] == list(SAMPLER_CHOICES)
@@ -522,15 +617,6 @@ class TestAblate:
         assert code == 2
         assert err == f"error: --split {split} leaves the {name} split of 100 samples empty\n"
         assert stdout == "" and built_batches == []
-
-    def test_bis_with_paired_rejected_before_training(self, tmp_path, capsys):
-        out = tmp_path / "grid"
-        code, stdout, err = run(capsys, "ablate", *TINY, "--combination", "paired",
-                                "--out", str(out), "--k", "5")
-        assert code == 2
-        assert "paired" in err
-        assert stdout == ""
-
 
 @pytest.fixture
 def built_batches(monkeypatch):
@@ -637,17 +723,6 @@ class TestMineDebug:
         assert code == 2
         assert "checkpoint" in err
 
-    def test_bis_with_paired_combination_exits_2_like_train(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert run(capsys, "train", *TINY, "--out", str(out))[0] == 0
-        flags = ["--batch-size", "16", "--sampler", "bas-bis", "--combination", "paired"]
-        train_code, _, train_err = run(capsys, "train", *TINY, *flags, "--out", str(tmp_path / "o"))
-        code, stdout, err = run(capsys, "mine-debug", *TINY_DATA, *flags, "--out", str(out))
-        assert (code, train_code) == (2, 2)
-        assert err == train_err
-        assert "paired" in err
-        assert stdout == ""
-
     def test_triplet_count_over_limit_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(capsys, "train", *TINY, "--out", str(out))[0] == 0
@@ -730,6 +805,19 @@ class TestParser:
         assert "--checkpoint-every" in capsys.readouterr().err
         assert not (tmp_path / "grid").exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        # ablate trains every strategy pair, so it would ignore a --sampler
+        ("ablate", "--sampler", "das-rhdis"),
+        *[(command, flag, value) for command in ("train", "ablate", "mine-debug")
+          for flag, value in (("--combination", "cartesian"), ("--label-sim", "cosine"))],
+    ])
+    def test_rejects_options_it_does_not_take(self, tmp_path, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *TINY_DATA, "--out", str(tmp_path / "o"), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_sampler_choices_cover_the_grid_anchor_major(self):
         assert SAMPLER_CHOICES == ("das-rhdis", "das-ris", "das-bis", "ras-rhdis", "ras-ris",
                                    "ras-bis", "bas-rhdis", "bas-ris", "bas-bis")
@@ -764,6 +852,10 @@ class TestParser:
      ["--features", "{tmp}/f.csv", "--labels", "{tmp}/l.csv"], "{tmp}/f.csv: row 2 has no feature columns"),
     ({"f.csv": "a,\nb,\n", "l.csv": "id,c0\na,1\nb,1\n"}, ["--features", "{tmp}/f.csv", "--labels", "{tmp}/l.csv"],
      "{tmp}/f.csv: non-numeric feature in row 2: could not convert string to float: ''"),
+    ({"run.cfg": "beta=0.7\ncombination=paired\n"}, ["--synthetic", "--config", "{tmp}/run.cfg"],
+     "{tmp}/run.cfg:2: option 'combination' was removed; only combination=cartesian is still accepted"),
+    ({"run.cfg": "label_sim=jaccard\n"}, ["--synthetic", "--config", "{tmp}/run.cfg"],
+     "{tmp}/run.cfg:1: option 'label_sim' was removed; only label_sim=cosine is still accepted"),
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, files, argv, message):
     for name, text in files.items():
@@ -802,7 +894,7 @@ class TestDefaults:
         o = cli.resolve_options("ablate", {})
         seeds = cli._parse_int_list(o["seed"])
         assert seeds == (0,)
-        assert cli._train_config(dict(o, seed=seeds[0])) == TrainConfig()
+        assert cli._train_config(dict(o, seed=seeds[0], sampler=cli.SAMPLER.default)) == TrainConfig()
 
     def test_mine_debug_sampler_and_batch_size_are_the_library_defaults(self):
         o = cli.resolve_options("mine-debug", {})

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from tripmine.core import (
     ANCHOR_STRATEGIES,
-    COMBINATIONS,
     IMAGE_STRATEGIES,
     BatchView,
     SampleTable,
@@ -174,11 +173,6 @@ class TestValidateConfig:
         with pytest.raises(ValueError, match="positives \\+ negatives"):
             validate_config(cfg, batch_size=6)
 
-    def test_rejects_bis_with_paired_combination(self):
-        cfg = SamplerConfig(anchor_strategy="bas", image_strategy="bis", combination="paired")
-        with pytest.raises(ValueError, match="paired"):
-            validate_config(cfg, batch_size=16)
-
     def test_rejects_triplet_count_over_limit(self):
         cfg = SamplerConfig(anchor_strategy="bas", image_strategy="bis")
         assert validate_config(cfg, batch_size=256) is cfg  # 256 * 255 * 255 triplets
@@ -190,8 +184,6 @@ class TestValidateConfig:
             validate_config(SamplerConfig(anchor_strategy="magic"), batch_size=10)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("combination", "zip", "unknown combination 'zip'"),
-        ("label_similarity", "dice", "unknown label similarity 'dice'"),
         ("das_reduce", "mean", "unknown das reduction 'mean'"),
         ("anchor_fraction", 0.0, "anchor_fraction must be in (0, 1], got 0.0"),
         ("anchor_fraction", 1.5, "anchor_fraction must be in (0, 1], got 1.5"),
@@ -234,7 +226,6 @@ def test_every_accepted_configuration_mines_a_triplet(data):
                                             st.sampled_from([1e-12, 0.5 / b, 1.0 / b])), label="fraction"),
         positives_per_anchor=data.draw(st.integers(0, b), label="positives"),
         negatives_per_anchor=data.draw(st.integers(0, b), label="negatives"),
-        combination=data.draw(st.sampled_from(COMBINATIONS), label="combination"),
     )
     try:
         validate_config(cfg, b)
@@ -275,7 +266,7 @@ class TestTripletSet:
     def test_from_triplets_is_the_paired_block_of_one(self):
         t = np.array([[4, 1, 1], [0, 2, 3], [4, 1, 1]])
         ts = TripletSet.from_triplets(t)
-        assert ts.keep.shape == (3, 1) and ts.keep.all()
+        assert ts.keep.shape == (3, 1, 1) and ts.keep.all()
         assert len(ts) == 3
         assert ts.triplets.tolist() == t.tolist()
 
@@ -296,10 +287,3 @@ class TestTripletSet:
                         negatives=np.array([[1, 3]]), keep=keep)
         assert len(ts) == 3
         assert ts.triplets.tolist() == [[7, 1, 1], [7, 2, 1], [7, 2, 3]]
-
-    def test_paired_block_reads_the_first_t_of_each(self):
-        # three positives and two negatives pair by rank over the first two
-        ts = TripletSet(anchors=np.array([0, 5]), positives=np.array([[1, 2, 3], [6, 7, 8]]),
-                        negatives=np.array([[4, 2], [9, 1]]), keep=np.array([[True, False], [True, True]]))
-        assert len(ts) == 3
-        assert ts.triplets.tolist() == [[0, 1, 4], [5, 6, 9], [5, 7, 1]]

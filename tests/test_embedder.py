@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import tripmine.embedder as embedder_mod
 from tripmine.core import (
-    ANCHOR_STRATEGIES, IMAGE_STRATEGIES, LABEL_SIMILARITY_KINDS, BatchView, SamplerConfig, TripletSet, seeded_rng,
+    ANCHOR_STRATEGIES, IMAGE_STRATEGIES, BatchView, SamplerConfig, TripletSet, seeded_rng,
 )
 from tripmine.embedder import (
     Embedder,
@@ -560,9 +560,8 @@ def integer_net(rng, l2):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(list(itertools.product(ANCHOR_STRATEGIES, IMAGE_STRATEGIES))),
-       st.sampled_from(["cartesian", "paired"]), st.sampled_from(LABEL_SIMILARITY_KINDS), st.booleans(),
-       st.sampled_from([0.0, 0.2, 1.0]))
-def test_block_backward_bit_identical_to_flat_list(seed, pair, combination, label_sim, l2, alpha):
+       st.booleans(), st.sampled_from([0.0, 0.2, 1.0]))
+def test_block_backward_bit_identical_to_flat_list(seed, pair, l2, alpha):
     # the block and its flat list give the same bits; against the d-wide
     # reference, the same bits with l2 and the same loss and rounding-level
     # gradients without (assert_matches_flat_list)
@@ -571,14 +570,9 @@ def test_block_backward_bit_identical_to_flat_list(seed, pair, combination, labe
     b = int(rng.integers(3, 25))
     c_pos = int(rng.integers(1, b - 1))
     c_neg = int(rng.integers(1, b - c_pos))
-    # bis with paired combination clears every triple, which backward must
-    # handle too; mine_batch rejects that configuration, so its all-cleared
-    # block is built from bis's cartesian selection
-    all_cleared = image_strategy == "bis" and combination == "paired"
     cfg = SamplerConfig(
         anchor_strategy=anchor_strategy, image_strategy=image_strategy,
         anchor_fraction=float(rng.uniform(0.01, 1.0)), positives_per_anchor=c_pos, negatives_per_anchor=c_neg,
-        combination="cartesian" if all_cleared else combination, label_similarity=label_sim,
     )
     net = integer_net(rng, l2)
     mine_rng = seeded_rng(seed + 1)
@@ -587,13 +581,16 @@ def test_block_backward_bit_identical_to_flat_list(seed, pair, combination, labe
         labels = (rng.random((b, 2)) < 0.5).astype(np.uint8)
         labels[labels.sum(axis=1) == 0, 0] = 1
         batch = BatchView.from_embeddings(np.arange(b), forward(net, x), labels)
-        tset = mine_batch(batch, cfg, mine_rng)
-        if all_cleared:
-            tset = build_triplets(tset.anchors, tset.positives, tset.negatives, "paired")
-            assert len(tset) == 0
-        got = backward(net, x, tset, alpha, batch.dist_raw)
-        assert_bit_identical(backward(net, x, tset.triplets, alpha, batch.dist_raw), got)
-        assert_matches_flat_list(net, x, tset.triplets, alpha, batch.dist_raw, got)
+        tsets = [mine_batch(batch, cfg, mine_rng)]
+        if image_strategy == "bis":
+            # a block whose every triple is cleared, which backward must handle too
+            a, p = tsets[0].anchors[0], tsets[0].positives[0, 0]
+            tsets.append(build_triplets([a], [[p]], [[p]]))
+            assert len(tsets[1]) == 0
+        for tset in tsets:
+            got = backward(net, x, tset, alpha, batch.dist_raw)
+            assert_bit_identical(backward(net, x, tset.triplets, alpha, batch.dist_raw), got)
+            assert_matches_flat_list(net, x, tset.triplets, alpha, batch.dist_raw, got)
 
 
 class TestBlockBackward:

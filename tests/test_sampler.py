@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tripmine import similarity
 from tripmine.core import (
-    ANCHOR_STRATEGIES, COMBINATIONS, DAS_REDUCTIONS, IMAGE_STRATEGIES, LABEL_SIMILARITY_KINDS, BatchView,
-    SamplerConfig, seeded_rng, validate_config,
+    ANCHOR_STRATEGIES, DAS_REDUCTIONS, IMAGE_STRATEGIES, BatchView, SamplerConfig, seeded_rng, validate_config,
 )
 from tripmine.sampler import (
     InformativenessRow,
@@ -91,7 +91,7 @@ def random_instance(rng, b=None, quantized=False):
     dist = minmax_normalize(raw)
     labels = (rng.random((b, 4)) < 0.5).astype(np.uint8)
     labels[labels.sum(axis=1) == 0, 0] = 1
-    s = label_similarity_matrix(labels, "cosine")
+    s = label_similarity_matrix(labels)
     return b, dist, s
 
 
@@ -359,7 +359,7 @@ class TestBatchImages:
         b = 6
         anchors = np.array([0])
         pos, neg = select_images_bis(anchors, b)
-        ts = build_triplets(anchors, pos, neg, "cartesian")
+        ts = build_triplets(anchors, pos, neg)
         # counting oracle: (B-1)^2 pairs minus the B-1 cases with p == n
         assert len(ts) == (b - 1) * (b - 2)
 
@@ -410,8 +410,7 @@ def test_anchor_that_is_not_an_anchor_array_is_rejected(selector, anchor):
     (lambda: select_anchors_das(np.zeros((3, 3)), 2, seeded_rng(0), reduce="mean"), "unknown das reduction 'mean'"),
     (lambda: select_anchors_bas(0), "batch must be nonempty"),
     (lambda: select_images_bis(np.array([0]), 1), "bis needs a batch of at least 2"),
-    (lambda: build_triplets([0], [[1]], [[2]], "zip"), "unknown combination 'zip'"),
-], ids=["das-no-anchor", "das-reduction", "bas-empty-batch", "bis-batch-of-one", "combination"])
+], ids=["das-no-anchor", "das-reduction", "bas-empty-batch", "bis-batch-of-one"])
 def test_selector_rejects_what_it_cannot_select(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -419,15 +418,11 @@ def test_selector_rejects_what_it_cannot_select(call, message):
 
 class TestBuildTriplets:
     def test_cartesian_two_by_two(self):
-        ts = build_triplets([0], [[1, 2]], [[3, 4]], "cartesian")
+        ts = build_triplets([0], [[1, 2]], [[3, 4]])
         assert ts.triplets.tolist() == [[0, 1, 3], [0, 1, 4], [0, 2, 3], [0, 2, 4]]
 
-    def test_paired_matches_by_rank(self):
-        ts = build_triplets([0], [[1, 2]], [[3, 4]], "paired")
-        assert ts.triplets.tolist() == [[0, 1, 3], [0, 2, 4]]
-
     def test_cartesian_drops_p_equals_n(self):
-        ts = build_triplets([0], [[1, 2]], [[2, 5]], "cartesian")
+        ts = build_triplets([0], [[1, 2]], [[2, 5]])
         assert ts.triplets.tolist() == [[0, 1, 2], [0, 1, 5], [0, 2, 5]]
 
     def test_exhaustive_build_peaks_below_40_bytes_per_triplet(self):
@@ -440,7 +435,7 @@ class TestBuildTriplets:
         pos, neg = select_images_bis(anchors, b)
         tracemalloc.start()
         try:
-            ts = build_triplets(anchors, pos, neg, "cartesian")
+            ts = build_triplets(anchors, pos, neg)
             assert ts.triplets.shape == (len(ts), 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -449,7 +444,7 @@ class TestBuildTriplets:
         assert peak < 40 * len(ts)
 
     def test_per_anchor_preserved(self):
-        ts = build_triplets([3, 1], [[0], [2]], [[2], [0]], "cartesian")
+        ts = build_triplets([3, 1], [[0], [2]], [[2], [0]])
         assert ts.anchors.tolist() == [3, 1]
         assert (ts.positives[0].tolist(), ts.negatives[0].tolist()) == ([0], [2])
         assert ts.triplets.tolist() == [[3, 0, 2], [1, 2, 0]]
@@ -522,8 +517,6 @@ class TestMineBatch:
             negatives_per_anchor=data.draw(st.integers(0, b), label="negatives"),
             beta=data.draw(weights, label="beta"),
             gamma=data.draw(weights, label="gamma"),
-            combination=data.draw(one_of(COMBINATIONS, ("zip",)), label="combination"),
-            label_similarity=data.draw(one_of(LABEL_SIMILARITY_KINDS, ("dice",)), label="label similarity"),
             das_reduce=data.draw(one_of(DAS_REDUCTIONS, ("mean",)), label="das reduction"),
         )
         rng = seeded_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -562,6 +555,21 @@ class TestMineBatch:
         entry = json.loads(lines[1])
         assert set(entry) >= {"anchor", "i_pos_max", "i_neg_min", "positives", "negatives", "i_pos", "i_neg"}
         assert all(0 <= i < batch.size for i in entry["positives"] + entry["negatives"])
+
+    @pytest.mark.parametrize("anchor_strategy", ANCHOR_STRATEGIES)
+    @pytest.mark.parametrize("image_strategy", IMAGE_STRATEGIES)
+    def test_debug_lines_normalize_and_score_each_batch_once(self, anchor_strategy, image_strategy, monkeypatch):
+        # the dump scores the anchors in every cell, so it reads D and S: once each
+        calls = []
+        for name in ("minmax_normalize", "label_similarity_matrix"):
+            real = getattr(similarity, name)
+            monkeypatch.setattr(similarity, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        rng = seeded_rng(35)
+        batch = _random_batch(rng)
+        cfg = SamplerConfig(anchor_strategy=anchor_strategy, image_strategy=image_strategy,
+                            anchor_fraction=0.25, positives_per_anchor=2, negatives_per_anchor=2)
+        mine_debug_lines(0, batch, cfg, rng)
+        assert sorted(calls) == ["label_similarity_matrix", "minmax_normalize"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -631,16 +639,12 @@ def mine_batch_reference(batch, cfg, rng):
     else:
         anchors = select_anchors_bas(batch.size)
     anchors = anchors.tolist()
-    s_matrix = label_similarity_matrix(batch.labels, cfg.label_similarity)
+    s_matrix = label_similarity_matrix(batch.labels)
     per_anchor = {a: _reference_select_pair(a, batch, cfg, s_matrix, rng) for a in anchors}
     rows = []
     for a in anchors:
         p, n = (np.asarray(x, dtype=np.int64) for x in per_anchor[a])
-        if cfg.combination == "cartesian":
-            pp, nn = (m.ravel() for m in np.meshgrid(p, n, indexing="ij"))
-        else:
-            t = min(len(p), len(n))
-            pp, nn = p[:t], n[:t]
+        pp, nn = (m.ravel() for m in np.meshgrid(p, n, indexing="ij"))
         keep = pp != nn
         rows.append(np.column_stack([np.full(keep.sum(), a, dtype=np.int64), pp[keep], nn[keep]]))
     return anchors, per_anchor, np.concatenate(rows, axis=0)
@@ -648,9 +652,8 @@ def mine_batch_reference(batch, cfg, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(list(itertools.product(ANCHOR_STRATEGIES, IMAGE_STRATEGIES))),
-       st.sampled_from(["cartesian", "paired"]), st.sampled_from(LABEL_SIMILARITY_KINDS),
        st.sampled_from(["max", "min"]), st.booleans())
-def test_lockstep_mining_matches_per_anchor_reference(seed, pair, combination, label_sim, das_reduce, quantized):
+def test_lockstep_mining_matches_per_anchor_reference(seed, pair, das_reduce, quantized):
     anchor_strategy, image_strategy = pair
     rng = seeded_rng(seed)
     b = int(rng.integers(3, 25))
@@ -661,8 +664,7 @@ def test_lockstep_mining_matches_per_anchor_reference(seed, pair, combination, l
         anchor_fraction=float(rng.uniform(0.01, 1.0)), positives_per_anchor=c_pos, negatives_per_anchor=c_neg,
         beta=float(rng.choice([0.0, 0.5, 1.0, rng.random()])),
         gamma=float(rng.choice([0.0, 0.1, 1.0, rng.random()])),
-        combination="cartesian" if image_strategy == "bis" else combination,
-        label_similarity=label_sim, das_reduce=das_reduce,
+        das_reduce=das_reduce,
     )
     lockstep_rng, reference_rng = seeded_rng(seed + 1), seeded_rng(seed + 1)
     for _ in range(3):

@@ -52,34 +52,26 @@ class TestCheckBinaryRows:
                 _check_binary_rows(arr)
 
 
-def label_similarity_oracle(a, b, kind):
-    """Similarity of two 0/1 label lists, in plain Python."""
+def label_similarity_oracle(a, b):
+    """Cosine similarity of two 0/1 label lists, in plain Python."""
     inter = sum(x * y for x, y in zip(a, b))
-    if kind == "cosine":
-        return inter / math.sqrt(sum(a) * sum(b))
-    return inter / (sum(a) + sum(b) - inter)
+    return inter / math.sqrt(sum(a) * sum(b))
 
 
 class TestLabelSimilarity:
-    @pytest.mark.parametrize("kind", ["cosine", "jaccard"])
-    def test_identical_vectors_give_one(self, kind):
-        mat = label_similarity_matrix([[1, 0, 1], [1, 0, 1], [1, 1, 1]], kind)
+    def test_identical_vectors_give_one(self):
+        mat = label_similarity_matrix([[1, 0, 1], [1, 0, 1], [1, 1, 1]])
         assert mat[0, 1] == mat[1, 0] == 1.0
         assert np.diagonal(mat).tolist() == [1.0, 1.0, 1.0]
 
-    @pytest.mark.parametrize("kind", ["cosine", "jaccard"])
-    def test_disjoint_supports_give_zero(self, kind):
-        mat = label_similarity_matrix([[1, 0, 0], [0, 1, 1]], kind)
+    def test_disjoint_supports_give_zero(self):
+        mat = label_similarity_matrix([[1, 0, 0], [0, 1, 1]])
         assert mat[0, 1] == mat[1, 0] == 0.0
 
     def test_cosine_worked_example(self):
         # dot = 1, norms sqrt(2) and 1
         expected = 1.0 / math.sqrt(2.0)
-        assert label_similarity_matrix([[1, 1, 0], [1, 0, 0]], "cosine")[0, 1] == pytest.approx(expected, abs=1e-15)
-
-    def test_jaccard_worked_example(self):
-        # intersection 1, union 2
-        assert label_similarity_matrix([[1, 1, 0], [1, 0, 0]], "jaccard")[0, 1] == 0.5
+        assert label_similarity_matrix([[1, 1, 0], [1, 0, 0]])[0, 1] == pytest.approx(expected, abs=1e-15)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -89,22 +81,21 @@ class TestLabelSimilarity:
         with pytest.raises(ValueError, match=r"expected a \(B, N\) label matrix"):
             label_similarity_matrix([1, 0, 1])
 
-    @given(label_vectors(), label_vectors(), st.sampled_from(["cosine", "jaccard"]))
-    def test_symmetric_and_bounded(self, a, b, kind):
-        mat = label_similarity_matrix([a, b], kind)
+    @given(label_vectors(), label_vectors())
+    def test_symmetric_and_bounded(self, a, b):
+        mat = label_similarity_matrix([a, b])
         assert mat[0, 1] == mat[1, 0]
         assert 0.0 <= mat[0, 1] <= 1.0
 
-    @pytest.mark.parametrize("kind", ["cosine", "jaccard"])
-    def test_matrix_agrees_with_pairs(self, kind):
+    def test_matrix_agrees_with_pairs(self):
         rng = np.random.default_rng(5)
         labels = (rng.random((7, 4)) < 0.5).astype(np.uint8)
         labels[labels.sum(axis=1) == 0, 0] = 1
-        mat = label_similarity_matrix(labels, kind)
+        mat = label_similarity_matrix(labels)
         rows = labels.tolist()
         for i in range(7):
             for j in range(7):
-                assert mat[i, j] == pytest.approx(label_similarity_oracle(rows[i], rows[j], kind), abs=1e-15)
+                assert mat[i, j] == pytest.approx(label_similarity_oracle(rows[i], rows[j]), abs=1e-15)
 
 
 def pairwise_euclidean_loop(x):
@@ -182,14 +173,13 @@ for b, d in ((100, 1024), (161, 1024), (161, 17), (7, 3), (100, 64), (100, 96), 
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: label_similarity_matrix(np.eye(2), "dice"), "unknown label similarity kind 'dice'"),
     (lambda: pairwise_euclidean(np.zeros(3)), "expected a (B, d) embedding matrix, got shape (3,)"),
     # the centred entry of the row holding the minimum overflows
     (lambda: pairwise_euclidean([[-1.7e308], [1.7e308], [1.7e308]]), "embedding distances overflow float64"),
     (lambda: minmax_normalize(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
     (lambda: minmax_normalize(np.eye(2)), "distance matrix must have a zero diagonal"),
     (lambda: minmax_normalize([[0.0, 1.0], [2.0, 0.0]]), "distance matrix must be symmetric"),
-], ids=["label-kind", "embedding-shape", "column-spread-overflow", "square", "diagonal", "symmetric"])
+], ids=["embedding-shape", "column-spread-overflow", "square", "diagonal", "symmetric"])
 def test_rejects_input_it_cannot_measure(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
