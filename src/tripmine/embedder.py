@@ -15,7 +15,7 @@ Without L2 normalization the output layer is linear, so the distance of two
 embeddings is ``|(h_i - h_j) W|`` for the last hidden activations ``h`` and
 the output weights ``W``: the metric ``W W^T`` of the hidden space. Training
 and retrieval measure it on the rows ``h @ F`` (``distance_factor``,
-``distance_rows``), ``F`` the Cholesky factor of ``W W^T`` when the hidden
+``forward``), ``F`` the Cholesky factor of ``W W^T`` when the hidden
 layer is at most 96 wide and narrower than the embedding, else ``W``;
 ``backward`` works in the same width and never forms the d-wide embedding.
 """
@@ -120,7 +120,7 @@ def _hidden_cached(net: Embedder, features):
     place, so ``a_l > 0`` is its mask: the set ``z_l > 0``, signed zeros and NaN included."""
     dtype = net.weights[0].dtype
     x = _feature_matrix(net, features).astype(dtype, copy=False)
-    # float32 rows only screen (``distance_rows``), so their bits need not
+    # float32 rows only screen (``float32_rows``), so their bits need not
     # be the same at every thread count
     matmul = padded_matmul if dtype == np.float64 else np.matmul
     acts = [x]
@@ -143,11 +143,6 @@ def _forward_cached(net: Embedder, features):
         norms = None
         emb = a
     return acts, norms, emb
-
-
-def forward(net: Embedder, features) -> np.ndarray:
-    """Embed a (B, F) feature matrix into (B, d)."""
-    return _forward_cached(net, features)[2]
 
 
 def _triplet_set(triplets) -> TripletSet:
@@ -194,46 +189,22 @@ def distance_factor(net: Embedder):
     return w
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def distance_rows(net: Embedder, features, factor, dtype=np.float64, input_sq=None) -> np.ndarray:
-    """Rows whose pairwise Euclidean distances are those of
-    ``forward(net, features)``: ``h @ factor`` for the last hidden
-    activations ``h`` and ``factor = distance_factor(net)``, or the
-    embedding itself when ``factor`` is None (``l2_normalize`` on). Rows
-    that outgrow ``dtype`` raise ``FloatingPointError``, without numpy's warnings.
-
-    The rows are embedded in blocks of ``_CHUNK_VALUES // widest`` rows,
-    ``widest`` the widest of the input, the hidden layers and the result, so
-    each block's intermediates stay near 1 MB, within L2: 1,024 rows for 128
-    features, hidden 64 and d = 1024 (twice as many in float32), 128 rows
-    with ``l2_normalize`` on. A row's float64 products sum in the same
-    order in any block, one row included (``padded_matmul``), so the result
-    is bit-identical to one pass.
-
-    Features are read in their own type, float32 or float64, and each
-    block is cast to ``dtype`` as it is embedded. With ``dtype`` float32
-    (which needs a ``factor``) the weights and ``factor`` are cast once,
-    and every product is computed in float32, unpadded: these rows only screen
-    (``retrieval.knn_retrieve``), so their bits may change with the thread
-    count. ``input_sq``, a list, gets each cast block's largest squared row
-    norm, summed in ``dtype``, for ``float32_row_error``."""
-    if dtype != np.float64:
-        if factor is None:
-            raise ValueError("rows with l2_normalize are computed in float64 only")
-        net = Embedder(net.layer_dims, [w.astype(dtype) for w in net.weights],
-                       [b.astype(dtype) for b in net.biases])
-        factor = factor.astype(dtype)
+def _rows(net: Embedder, features, factor, input_sq=None) -> np.ndarray:
+    """``forward``'s rows in the precision of ``net``'s weights, float64 or
+    float32, embedded in row blocks. ``input_sq``, a list, gets each cast
+    block's largest squared row norm, summed in that precision."""
+    dtype = net.weights[0].dtype
     x = _feature_matrix(net, features)
     width = net.layer_dims[-1] if factor is None else factor.shape[1]
     # _CHUNK_VALUES counts float64 values: twice as many float32 ones fit
-    step = max(1, _CHUNK_VALUES * 8 // np.dtype(dtype).itemsize // max(*net.layer_dims[:-1], width))
+    step = max(1, _CHUNK_VALUES * 8 // dtype.itemsize // max(*net.layer_dims[:-1], width))
     stops = [*range(step, len(x), step), len(x)]
     matmul = padded_matmul if dtype == np.float64 else np.matmul
     rows = None if len(stops) == 1 else np.empty((len(x), width), dtype=dtype)
     start = 0
     for stop in stops:
         if factor is None:
-            block = forward(net, x[start:stop])
+            block = _forward_cached(net, x[start:stop])[2]
         else:
             acts = _hidden_cached(net, x[start:stop])
             if input_sq is not None:
@@ -246,6 +217,26 @@ def distance_rows(net: Embedder, features, factor, dtype=np.float64, input_sq=No
         rows[start:stop] = block
         start = stop
     return rows
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def forward(net: Embedder, features, factor=None) -> np.ndarray:
+    """Embed a (B, F) feature matrix into (B, d); or, given ``factor =
+    distance_factor(net)``, into the rows ``h @ factor`` of the last hidden
+    activations ``h``, whose pairwise Euclidean distances are those of the
+    (B, d) embedding. Rows that are not finite raise ``FloatingPointError``,
+    without numpy's warnings.
+
+    The rows are embedded in blocks of ``_CHUNK_VALUES // widest`` rows,
+    ``widest`` the widest of the input, the hidden layers and the result, so
+    each block's intermediates stay near 1 MB, within L2: 1,024 rows for 128
+    features, hidden 64 and d = 1024 with a ``factor`` (twice as many in
+    ``float32_rows``), 128 rows without one. A row's float64 products sum in
+    the same order in any block, one row included (``padded_matmul``), so
+    the result is bit-identical to one pass. Features are read in their own
+    type, float32 or float64, and each block is cast to float64 as it is
+    embedded."""
+    return _rows(net, features, factor)
 
 
 def _spectral_norm(w: np.ndarray) -> float:
@@ -264,41 +255,59 @@ def _gamma(n: int, unit: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def float32_products(net: Embedder, factor):
-    """The matrices float32 ``distance_rows`` multiplies by, the hidden
-    weights and then ``factor``, each as ``(matrix, Frobenius norm, bias
-    norm)`` (0 for ``factor``), the norms grown by ``_NORM_SLACK``; or None
-    where ``factor`` is None or a norm is above ``_FLOAT32_SCALE``. This
-    part of ``float32_row_error``'s test needs no input norm, so it can be
-    made before a float32 pass."""
+def float32_rows(net: Embedder, features, factor):
+    """``(rows, e)``: ``forward(net, features, factor)`` computed in float32,
+    and a bound ``e`` on every row's Euclidean distance from its float64
+    row; or None where float32 cannot carry the rows: ``factor`` None
+    (``l2_normalize`` on), a weight, bias or a-priori row norm outside the
+    float32-safe range ``_FLOAT32_SCALE`` states, or rows that overflow
+    float32 (a NaN feature included). The weight and bias norms are tested
+    before the float32 pass, the input norm after it.
+
+    The weights and ``factor`` are cast once, and every product is computed
+    in float32, unpadded: these rows only screen (``retrieval.knn_retrieve``),
+    so their bits may change with the thread count.
+
+    The bound ``e``. A layer z = h W + b (ReLU on hidden layers; the last
+    product h F has no bias) of n inputs and m outputs, computed from an
+    input h' with |h' - h| <= err and |h| <= size (row norms), with
+    W' = fl(W) and b' = fl(b), is within
+    gamma_{n+1} (|h'| |W'|_F + |b'|) + 2 (n + 1) tiny sqrt(m) of h' W' + b'
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1: an
+    (n+1)-term sum in any order is within gamma_{n+1} of its |terms|, and the
+    row of |h'| |W'| is at most |h'| |W'|_F long; each product's underflow
+    adds at most tiny). So |z' - z| <= that + err |W'|_2 + size |W' - W|_2
+    + |b' - b|, with |W' - W|_2 <= |W' - W|_F <= u |W|_F + tiny sqrt(n m)
+    and |b' - b| <= u |b| + tiny sqrt(m). ReLU is 1-Lipschitz entrywise, so
+    it keeps err, and |h| <= size |W|_2 + |b|. The spectral norms come from
+    the largest eigenvalue of the smaller Gram matrix, the input's size from
+    the float32 square sums of the cast rows. The float64 rows obey the same
+    recursion with u = 2**-53 and no casts; e is the sum of the two. The
+    float32 path is taken only while every size, |W|_F and |b| is at most
+    2**40 and the last size at least 2**-40: squares and products stay below
+    2**82, far inside float32, and the tiny terms far below the rows'
+    rounding.
+    """
     if factor is None:
         return None
+    # per product: the matrix, its Frobenius norm and its bias norm (0 for
+    # factor), the norms grown by _NORM_SLACK
     products = [(w, np.linalg.norm(w) * _NORM_SLACK, 0.0 if b is None else np.linalg.norm(b) * _NORM_SLACK)
                 for w, b in [*zip(net.weights[:-1], net.biases[:-1]), (factor, None)]]
-    return products if max(max(frob, b_norm) for _, frob, b_norm in products) <= _FLOAT32_SCALE else None
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def float32_row_error(net: Embedder, factor, input_sq) -> float | None:
-    """A bound ``e`` on every row's Euclidean distance between the float32
-    and the float64 ``distance_rows`` of the same features, ``input_sq``
-    being the largest squared row norm the float32 call measured; or None
-    where float32 cannot carry the rows: ``factor`` None (``l2_normalize``
-    on), or an a-priori row scale outside the float32-safe range
-    ``_FLOAT32_SCALE`` states (a NaN ``input_sq`` included).
-
-    ``e`` is derived at ``similarity._GRAM_ERR_PER_DIM``: each layer's
-    rounding and casts, ReLU being 1-Lipschitz, the spectral and Frobenius
-    norms of the weights and ``factor``, and the largest input row norm, for
-    the float32 rows and the float64 ones alike."""
-    products = float32_products(net, factor)
-    if products is None:
+    if not max(max(frob, b_norm) for _, frob, b_norm in products) <= _FLOAT32_SCALE:
+        return None
+    net32 = Embedder(net.layer_dims, [w.astype(np.float32) for w in net.weights],
+                     [b.astype(np.float32) for b in net.biases])
+    input_sq = []
+    try:
+        rows = _rows(net32, features, factor.astype(np.float32), input_sq)
+    except FloatingPointError:  # float32 overflow; the float64 rows decide
         return None
     # per product: spectral and Frobenius norms of the matrix, bias norm, shape
     layers = [(_spectral_norm(w) * _NORM_SLACK, frob, b_norm, *w.shape) for w, frob, b_norm in products]
     n_in, u32 = net.layer_dims[0], 2.0**-24
     # |x| <= |x32| + u |x| + tiny sqrt(F), and |x32|^2 from its float32 sum
-    x32_norm = np.sqrt((float(input_sq) + n_in * _F32_TINY) / (1.0 - _gamma(n_in, u32)))
+    x32_norm = np.sqrt((float(max(input_sq)) + n_in * _F32_TINY) / (1.0 - _gamma(n_in, u32)))
     x_norm = (x32_norm + _F32_TINY * np.sqrt(n_in)) / (1.0 - u32) * _NORM_SLACK
 
     def bound(unit, tiny, cast):
@@ -320,7 +329,7 @@ def float32_row_error(net: Embedder, factor, input_sq) -> float | None:
     err32, size, top = bound(u32, _F32_TINY, 1.0)
     if not (top <= _FLOAT32_SCALE and size >= 1.0 / _FLOAT32_SCALE):
         return None
-    return (err32 + bound(2.0**-53, _F64_TINY, 0.0)[0]) * _NORM_SLACK
+    return rows, (err32 + bound(2.0**-53, _F64_TINY, 0.0)[0]) * _NORM_SLACK
 
 
 def hinge_terms(d_ap, d_an, alpha: float) -> np.ndarray:
@@ -373,7 +382,7 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
     """Analytic gradient of the margin loss through the network.
 
     ``dist_raw`` is the (B, B) Euclidean distance matrix of the batch's
-    embeddings (its ``BatchView.dist_raw``, measured on ``distance_rows``).
+    embeddings (its ``BatchView.dist_raw``, measured on ``forward``'s rows).
     The loss and the pair coefficients are read off it over the
     ``TripletSet`` block (a raw (T, 3) list goes in through
     ``TripletSet.from_triplets``): each anchor's (P,) positive and (N,)
@@ -510,7 +519,7 @@ def finite_difference_check(net: Embedder, features, triplets, alpha: float,
     tset = _triplet_set(triplets)
     t = tset.triplets
     factor = distance_factor(net)
-    bundle = backward(net, x, tset, alpha, pairwise_euclidean(distance_rows(net, x, factor)), factor)
+    bundle = backward(net, x, tset, alpha, pairwise_euclidean(forward(net, x, factor)), factor)
     grads = gradient_list(bundle)
     g_scale = max((float(np.abs(g).max()) for g in grads if g.size), default=0.0)
     floor = max(0.01 * g_scale, 1e-12)

@@ -5,14 +5,13 @@ Douze and Jegou, arXiv 1702.08734) in numpy: one GEMM screens a block of
 queries against the whole archive, each query with one rounding allowance,
 and the rows the screen cannot rule out are re-measured from row
 differences. ``evaluate`` searches the rows training measures
-(``embedder.distance_rows``). It screens on those rows computed in float32,
-each query's allowance widened by their a-priori error bound
-(``embedder.float32_row_error``), and ranks the candidates on their float64
-rows, so its reports are those of the float64 search (``distance_rows``).
-Nets whose rows float32 cannot carry (``l2_normalize``, or an a-priori row
-scale outside 2**-40 to 2**40) are screened in float64. Metric averaging
-is macro: per-pair metrics are averaged over the k retrieved items of a
-query, then over queries.
+(``embedder.forward``). It screens on those rows computed in float32, each
+query's allowance widened by their a-priori error bound (both from
+``embedder.float32_rows``), and ranks the candidates on their float64 rows,
+so its reports are those of the float64 search. Nets whose rows float32
+cannot carry (``float32_rows`` returns None) are screened in float64.
+Metric averaging is macro: per-pair metrics are averaged over the k
+retrieved items of a query, then over queries.
 """
 
 from __future__ import annotations
@@ -210,43 +209,30 @@ def default_k(archive_size: int) -> int:
     return 30 if archive_size >= 10_000 else 10
 
 
-def _archive_rows(net, features, factor):
-    """``(rows, row_error, exact_rows)`` for ``knn_retrieve``: the float32
-    ``distance_rows`` of ``features``, their bound and the float64 rows by
-    index where float32 can carry the rows; else the float64 rows, 0 and
-    None. The weight and bias norms are tested before the float32 pass, the
-    input norm after it."""
-    if emb_mod.float32_products(net, factor) is not None:
-        input_sq = []
-        try:
-            rows = emb_mod.distance_rows(net, features, factor, np.float32, input_sq)
-        except FloatingPointError:  # float32 overflow; the float64 rows decide
-            rows = None
-        error = None if rows is None else emb_mod.float32_row_error(net, factor, max(input_sq))
-        if error is not None:
-            return rows, error, lambda idx: emb_mod.distance_rows(net, features[idx], factor)
-    return emb_mod.distance_rows(net, features, factor), 0.0, None
-
-
 def evaluate(net, queries, archive, k: int) -> MetricReport:
     """Embed both splits, retrieve top-k per query, macro-average the metrics.
 
     ``queries`` and ``archive`` are ``SampleTable``s. A query that is also
     present in the archive (matched by id) never retrieves the archive row
-    with that id. Each call embeds both splits as ``distance_rows`` under
-    one ``distance_factor``, so without ``l2_normalize`` the (M, d)
-    embedding is never built. Where float32 can carry the rows, the archive
-    is embedded once in float32 for the screen, and its candidates once more
-    in float64 for the ranking; elsewhere it is embedded in float64 alone. A
-    net whose rows are not finite on the features raises
-    ``FloatingPointError`` from ``distance_rows``, without numpy's warnings;
-    finite rows are searched however large they are.
+    with that id. Each call embeds both splits as ``embedder.forward`` rows
+    under one ``distance_factor``, so without ``l2_normalize`` the (M, d)
+    embedding is never built. Where ``embedder.float32_rows`` can carry the
+    rows, the archive is embedded once in float32 for the screen, and its
+    candidates once more by ``forward`` for the ranking; elsewhere it is
+    embedded by ``forward`` alone. A net whose rows are not finite on the
+    features raises ``FloatingPointError`` from ``forward``, without numpy's
+    warnings; finite rows are searched however large they are.
     """
     if not queries or not archive:
         raise ValueError("queries and archive must be nonempty")
     factor = emb_mod.distance_factor(net)
-    q_rows = emb_mod.distance_rows(net, queries.features, factor)
-    a_rows, error, exact_rows = _archive_rows(net, archive.features, factor)
+    q_rows = emb_mod.forward(net, queries.features, factor)
+    screen = emb_mod.float32_rows(net, archive.features, factor)
+    if screen is None:
+        a_rows, error, exact_rows = emb_mod.forward(net, archive.features, factor), 0.0, None
+    else:
+        a_rows, error = screen
+        exact_rows = lambda idx: emb_mod.forward(net, archive.features[idx], factor)
     exclude = [archive.row_of.get(i) for i in queries.ids]
     idxs, _ = knn_retrieve(q_rows, a_rows, k, exclude, error, exact_rows)
     metrics = np.stack(pair_metrics(queries.labels[:, None, :], archive.labels[idxs]), axis=-1)

@@ -64,37 +64,18 @@ _SMALL_GEMM_MAX_K = 384
 # Underflow: the d products of the doubled q, the d squares of |a|^2 and those
 # of r^2 add 3 d half-subnormals to E, within A_q's 8 d + 48.
 #
-# A float32 screen (``evaluate``'s archive rows b, the float32
-# ``embedder.distance_rows``) does the same sums with u = 2**-24 and
+# A float32 screen (``evaluate``'s archive rows b, from
+# ``embedder.float32_rows``) does the same sums with u = 2**-24 and
 # float32's tiny, so the same A_q in those units covers them
 # (``_gram_allowance(d, np.float32)``). The query is cast to float32, which
 # moves 2 q.b by at most 2 u |q| |b| <= u S_q, inside A_q's slack. Each b
-# stands for the float64 row a it screens, |b - a| <= e, and
-# ||b|^2 - 2 q.b - |a|^2 + 2 q.a| <= 2 |q| e + e (2 R + e) with R >= max |b|:
-# added to E on both sides of the threshold, that term, grown by
-# 2 (d + 8) u to cover the computed norms' rounding and the float64
+# stands for the float64 row a it screens, |b - a| <= e (``float32_rows``
+# derives e), and ||b|^2 - 2 q.b - |a|^2 + 2 q.a| <= 2 |q| e + e (2 R + e)
+# with R >= max |b|: added to E on both sides of the threshold, that term,
+# grown by 2 (d + 8) u to cover the computed norms' rounding and the float64
 # re-measure's (d + 6) u t on the part of t that e adds, is the rest of the
 # query's margin. The candidates are then ranked on r from their float64
 # rows, so the result is the float64 search's.
-#
-# The bound e (``embedder.float32_row_error``). A layer z = h W + b
-# (ReLU on hidden layers; the last product h F has no bias) of n inputs and
-# m outputs, computed from an input h' with |h' - h| <= err and |h| <= size
-# (row norms), with W' = fl(W) and b' = fl(b), is within
-# gamma_{n+1} (|h'| |W'|_F + |b'|) + 2 (n + 1) tiny sqrt(m) of h' W' + b'
-# (Higham sec. 3.1: an (n+1)-term sum in any order is within gamma_{n+1} of
-# its |terms|, and the row of |h'| |W'| is at most |h'| |W'|_F long; each
-# product's underflow adds at most tiny). So |z' - z| <= that
-# + err |W'|_2 + size |W' - W|_2 + |b' - b|, with |W' - W|_2 <= |W' - W|_F
-# <= u |W|_F + tiny sqrt(n m) and |b' - b| <= u |b| + tiny sqrt(m). ReLU is
-# 1-Lipschitz entrywise, so it keeps err, and |h| <= size |W|_2 + |b|. The
-# spectral norms come from the largest eigenvalue of the smaller Gram
-# matrix, the input's size from the float32 square sums of the cast rows.
-# The float64 rows obey the same recursion with u = 2**-53 and no casts;
-# e is the sum of the two. The float32 path is taken only while every
-# size, |W|_F and |b| is at most 2**40 and the last size at least 2**-40:
-# squares and products stay below 2**82, far inside float32, and the tiny
-# terms far below the rows' rounding.
 _GRAM_ERR_PER_DIM = 8 * 2.0**-53
 # Pairs whose Gram value is at most this many allowances are re-measured from
 # row differences; every other one is over 2**41 times its rounding error, so

@@ -146,8 +146,8 @@ def batch_stream(dataset, cfg: TrainConfig) -> tuple:
     and yields every full batch as ``(x, factor, BatchView)``, measured by
     ``net`` as it stands (mining draws from ``rng`` in between):
     ``factor`` is ``net``'s ``distance_factor``, and the view's distances are
-    those of the ``distance_rows`` it gives, so without ``l2_normalize`` the
-    (B, d) embedding is never built. Any net of the same layer sizes, such
+    those of the rows ``forward(net, x, factor)``, so without
+    ``l2_normalize`` the (B, d) embedding is never built. Any net of the same layer sizes, such
     as a checkpoint, sees training's batches. The last batch is measured
     again after its yield, so the step taken on it is checked before the
     epoch ends. A batch with non-finite distances raises
@@ -176,7 +176,7 @@ def batch_stream(dataset, cfg: TrainConfig) -> tuple:
     def measure(net, n, b, idx, x):
         factor = emb_mod.distance_factor(net)
         try:
-            return factor, BatchView.from_embeddings(idx, emb_mod.distance_rows(net, x, factor), labels[idx])
+            return factor, BatchView.from_embeddings(idx, emb_mod.forward(net, x, factor), labels[idx])
         except (FloatingPointError, ValueError) as exc:  # finite features: the weights outgrew float64
             where = f"batch {b}" if n is None else f"training diverged at epoch {n}, batch {b}"
             raise FloatingPointError(f"{where}: {exc}") from None

@@ -1,6 +1,7 @@
 import itertools
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,8 @@ from tripmine.embedder import (
     _forward_cached,
     backward,
     distance_factor,
-    distance_rows,
     finite_difference_check,
-    float32_row_error,
+    float32_rows,
     forward,
     gradient_list,
     hinge_terms,
@@ -124,6 +124,18 @@ class TestForward:
         net = Embedder.init([4, 3], seeded_rng(4), l2_normalize=True)
         out = forward(net, seeded_rng(5).normal(size=(6, 4)))
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0)
+
+    @pytest.mark.parametrize("l2, with_factor", [(False, False), (False, True), (True, False)])
+    def test_overflowing_net_raises_without_numpy_warnings(self, l2, with_factor):
+        # the hidden layer overflows to inf, and the output to inf and NaN
+        net = Embedder.init([4, 6, 8], seeded_rng(6), l2_normalize=l2)
+        factor = distance_factor(net) if with_factor else None
+        net.weights[0] *= 1e300
+        x = 1e10 * seeded_rng(7).normal(size=(5, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                forward(net, x, factor)
 
 
 class TestTripletLoss:
@@ -656,7 +668,7 @@ digest = lambda arrays: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).he
 
 def cases(net, x, counts):
     factor = E.distance_factor(net)
-    dist = pairwise_euclidean(E.distance_rows(net, x, factor))
+    dist = pairwise_euclidean(E.forward(net, x, factor))
     print(*net.layer_dims[1:], "none" if factor is None else factor.shape[1], digest([dist]))
     for k in counts:
         r = rng.permutation(len(x))[:k]
@@ -737,7 +749,7 @@ class TestDistanceFactor:
             assert factor.shape == (h, h) and np.array_equal(factor, np.tril(factor))
         if h >= d or h > embedder_mod._CHOLESKY_MAX or kind == "zero rows":
             assert factor is w
-        rows = distance_rows(net, x, factor)
+        rows = forward(net, x, factor)
         d_f = pairwise_euclidean(rows)
         d_e = pairwise_euclidean(forward(net, x))
         hid = embedder_mod._hidden_cached(net, x)[-1]
@@ -757,7 +769,7 @@ class TestDistanceFactor:
         net = Embedder.init([4, 6, 9], rng, l2_normalize=True)
         x = rng.normal(size=(5, 4))
         assert distance_factor(net) is None
-        assert np.array_equal(distance_rows(net, x, None), forward(net, x))
+        assert np.array_equal(forward(net, x, None), _forward_cached(net, x)[2])
 
     @pytest.mark.parametrize("dims", [[6, 10, 8, 16], [6, 10, 12, 5]])
     def test_matches_finite_differences_with_two_hidden_layers(self, dims):
@@ -780,8 +792,8 @@ class TestDistanceFactor:
 
 
 class TestBlockedDistanceRows:
-    """``distance_rows`` embeds its input in blocks of ``_CHUNK_VALUES //
-    widest`` rows, one-row blocks included, bit for bit as one pass would."""
+    """``forward`` embeds its input in blocks of ``_CHUNK_VALUES // widest``
+    rows, one-row blocks included, bit for bit as one pass would."""
 
     @pytest.mark.parametrize("l2", [False, True])
     @pytest.mark.parametrize("dims", [[128, 64, 1024], [37, 50, 20, 70]])
@@ -806,7 +818,7 @@ class TestBlockedDistanceRows:
             with monkeypatch.context() as patch:
                 patch.setattr(embedder_mod, "_CHUNK_VALUES", widest * step + widest - 1)
                 patch.setattr(embedder_mod, "_hidden_cached", spy)
-                rows = distance_rows(net, x, factor)
+                rows = forward(net, x, factor)
             assert rows.shape == one_pass.shape and rows.tobytes() == one_pass.tobytes()
             assert sum(blocks) == n
             # full blocks of step rows, then the rest, a lone row included
@@ -821,10 +833,10 @@ class TestBlockedDistanceRows:
         net = Embedder.init([128, 64, 1024], rng, l2_normalize=l2)
         factor = distance_factor(net)
         x = rng.normal(size=(50, 128))
-        emb, rows = forward(net, x), distance_rows(net, x, factor)
+        emb, rows = forward(net, x), forward(net, x, factor)
         for i in range(50):
             assert forward(net, x[i:i + 1]).tobytes() == emb[i:i + 1].tobytes()
-            assert distance_rows(net, x[i:i + 1], factor).tobytes() == rows[i:i + 1].tobytes()
+            assert forward(net, x[i:i + 1], factor).tobytes() == rows[i:i + 1].tobytes()
 
     def test_non_finite_rows_in_a_later_block_raise(self, monkeypatch):
         rng = seeded_rng(151)
@@ -834,7 +846,7 @@ class TestBlockedDistanceRows:
         x[7] = 1e300
         monkeypatch.setattr(embedder_mod, "_CHUNK_VALUES", 8 * 4)
         with pytest.raises(FloatingPointError, match="non-finite"):
-            distance_rows(net, x, distance_factor(net))
+            forward(net, x, distance_factor(net))
 
 
 @st.composite
@@ -860,29 +872,17 @@ def float32_nets(draw):
     return net, x
 
 
-def float32_distance_rows(net, x, factor):
-    """The float32 ``distance_rows`` of ``x`` and their bound ``e``, or None
-    where ``evaluate`` would screen in float64."""
-    input_sq = []
-    try:
-        rows = distance_rows(net, x, factor, np.float32, input_sq)
-    except FloatingPointError:
-        return None
-    e = float32_row_error(net, factor, max(input_sq))
-    return None if e is None else (rows, e)
-
-
 class TestFloat32DistanceRows:
-    """``distance_rows`` embeds in float32 and ``float32_row_error`` bounds
-    every row's distance from the float64 ``distance_rows``."""
+    """``float32_rows`` embeds in float32 and bounds every row's distance
+    from the float64 ``forward`` rows."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(float32_nets(), hidden_width_nets().map(lambda case: case[:2])))
     def test_rows_lie_within_the_bound_of_the_float64_rows(self, case):
         net, x = case
         factor = distance_factor(net)
-        rows64 = distance_rows(net, x, factor)
-        screen = float32_distance_rows(net, x, factor)
+        rows64 = forward(net, x, factor)
+        screen = float32_rows(net, x, factor)
         if screen is None:
             return
         rows32, e = screen
@@ -896,16 +896,14 @@ class TestFloat32DistanceRows:
         net = Embedder.init([128, 64, 1024], rng)
         x = rng.normal(size=(3000, 128))
         factor = distance_factor(net)
-        rows32, e = float32_distance_rows(net, x, factor)
-        rows64 = distance_rows(net, x, factor)
+        rows32, e = float32_rows(net, x, factor)
+        rows64 = forward(net, x, factor)
         top = np.linalg.norm(rows64, axis=1).max()
         assert np.linalg.norm(rows32 - rows64, axis=1).max() <= e < 1e-3 * top
 
     def test_l2_normalize_rows_stay_float64(self):
         net = Embedder.init([6, 8, 20], seeded_rng(161), l2_normalize=True)
-        with pytest.raises(ValueError, match="float64 only"):
-            distance_rows(net, np.ones((3, 6)), None, np.float32)
-        assert float32_row_error(net, None, 6.0) is None
+        assert float32_rows(net, np.ones((3, 6)), distance_factor(net)) is None
 
     @pytest.mark.parametrize("case", ["weights 1e13", "features 1e13", "features 1e39", "zero net",
                                       "features nan"])
@@ -924,14 +922,14 @@ class TestFloat32DistanceRows:
                 p[...] = 0.0
         elif case == "features nan":
             x[17, 2] = np.nan
-        assert float32_distance_rows(net, x, distance_factor(net)) is None
+        assert float32_rows(net, x, distance_factor(net)) is None
 
     def test_in_range_net_takes_the_float32_rows(self):
         rng = seeded_rng(162)
         net = Embedder.init([6, 8, 20], rng)
         net.weights[0] *= 1e5
         x = 1e3 * rng.normal(size=(30, 6))
-        rows32, e = float32_distance_rows(net, x, distance_factor(net))
+        rows32, e = float32_rows(net, x, distance_factor(net))
         assert rows32.dtype == np.float32 and 0.0 < e < np.inf
 
 

@@ -593,7 +593,7 @@ class TestHiddenWidthSearch:
         def refuse(*args):
             raise AssertionError("evaluate embedded at the output width")
 
-        monkeypatch.setattr(embedder, "forward", refuse)
+        # _forward_cached is the one path that embeds at the output width
         monkeypatch.setattr(embedder, "_forward_cached", refuse)
         assert evaluate(net, queries, archive, k=7) == expected
 
@@ -617,10 +617,10 @@ class TestHiddenWidthSearch:
 
 def float64_rows_knn(net, queries, archive, k):
     """Indices and distances of a brute-force search of the float64
-    ``distance_rows``, the rows ``evaluate`` ranks on, each split embedded
+    ``forward`` rows, the rows ``evaluate`` ranks on, each split embedded
     in one call."""
     factor = embedder.distance_factor(net)
-    q_rows, a_rows = (embedder.distance_rows(net, t.features, factor) for t in (queries, archive))
+    q_rows, a_rows = (embedder.forward(net, t.features, factor) for t in (queries, archive))
     found = [knn_oracle(q_rows[i], a_rows, k, archive.row_of.get(qid)) for i, qid in enumerate(queries.ids)]
     return np.array([idx for idx, _ in found]), np.array([dist for _, dist in found])
 

@@ -262,6 +262,35 @@ class TestTrain:
             train(small_dataset(), small_config(epochs=2), epoch_callback=lambda *args: seen.append(args))
         assert seen == []
 
+    @pytest.mark.parametrize("anchor, image", [("das", "rhdis"), ("bas", "bis")])
+    @pytest.mark.parametrize("l2", [False, True])
+    def test_forward_embeds_every_batch_and_every_evaluated_row(self, anchor, image, l2, monkeypatch):
+        # one call per batch and one more per epoch, which checks the step
+        # taken on its last batch; then evaluate's queries, and the archive
+        # rows it ranks: the float32 screen's candidates, or with l2 the archive
+        from tripmine.retrieval import evaluate
+
+        calls, real = [], emb_mod.forward
+
+        def spy(net, features, factor=None):
+            calls.append((len(features), factor is None))
+            return real(net, features, factor)
+
+        ds = small_dataset()
+        cfg = small_config(epochs=2, anchor=anchor, image=image, l2_normalize=l2)
+        monkeypatch.setattr(emb_mod, "forward", spy)
+        net, _ = train(ds, cfg)
+        n_batches = len(ds.train_idx) // cfg.batch_size
+        assert calls == [(cfg.batch_size, l2)] * (cfg.epochs * (n_batches + 1))
+        queries, archive = ds.subset(ds.val_idx), ds.subset(ds.test_idx)
+        del calls[:]
+        evaluate(net, queries, archive, 5)
+        assert len(calls) == 2 and calls[0] == (len(queries), l2)
+        if l2:
+            assert calls[1] == (len(archive), True)
+        else:
+            assert calls[1][1] is False and 5 <= calls[1][0] <= len(archive)
+
     def test_output_bias_stays_zero_without_l2_normalization(self):
         ds = small_dataset()
         plain, _ = train(ds, small_config(epochs=3))
