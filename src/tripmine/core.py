@@ -27,6 +27,9 @@ DAS_REDUCTIONS = ("max", "min")
 # bas-bis passes up to batch size 256.
 MAX_TRIPLETS_PER_BATCH = 1 << 24
 
+# files are read, and feature matrices checked, in blocks of about this size
+_READ_BLOCK_BYTES = 1 << 20
+
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """Deterministic random stream backed by the PCG64 bit generator.
@@ -44,9 +47,9 @@ class SampleTable:
     other type becomes float64. Widening float32 to float64 is exact, so
     the embedder computes the same bits from either.
 
-    The constructor holds the sample checks, each one whole-array test:
-    finite features, 0/1 labels, at least one label per row, and one
-    distinct id per row; ``row_of`` maps each id to its row. The arrays
+    The constructor holds the sample checks: finite features (tested block
+    by block), 0/1 labels, at least one label per row, and one distinct id
+    per row; ``row_of`` maps each id to its row. The arrays
     are not copied when they already have the right dtype, so they stay
     the caller's to edit.
 
@@ -65,7 +68,7 @@ class SampleTable:
             raise ValueError(
                 f"{len(ids)} ids, {feats.shape[0]} feature rows and {labs.shape[0]} label rows differ"
             )
-        bad = _first_failing_row(np.isfinite(feats))
+        bad = _first_non_finite_row(feats)
         if bad is not None:
             raise ValueError(f"sample {ids[bad]!r} has non-finite feature values")
         bad = _first_failing_row((labs == 0) | (labs == 1))
@@ -114,6 +117,18 @@ def _first_failing_row(ok):
     """Index of the first row of the boolean array ``ok`` holding a False,
     else None; rows are searched only when the whole-array test fails."""
     return None if ok.all() else int(ok.reshape(len(ok), -1).all(axis=1).argmin())
+
+
+def _first_non_finite_row(x):
+    """Index of the first row of the matrix ``x`` holding a NaN or an
+    infinity, else None. Rows are tested ``_READ_BLOCK_BYTES`` of values at
+    a time, so the test holds one block's flags, not a mask of ``x``."""
+    step = max(1, _READ_BLOCK_BYTES // max(1, x.itemsize * x.shape[1]))
+    for start in range(0, len(x), step):
+        bad = _first_failing_row(np.isfinite(x[start : start + step]))
+        if bad is not None:
+            return start + bad
+    return None
 
 
 @dataclass(frozen=True)

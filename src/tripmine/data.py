@@ -21,15 +21,18 @@ float32 as a binary file stores them, float64 as a CSV file's parse.
 from __future__ import annotations
 
 import csv
+import io
 import os
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import SampleTable, _first_failing_row, _row_of_ids, seeded_rng
+from . import core
+from .core import SampleTable, _first_non_finite_row, _row_of_ids, seeded_rng
 
 FEATURES_MAGIC = b"TMFEAT01"
-_READ_BLOCK_BYTES = 1 << 20  # a binary payload is checked in blocks of about this size
 _REDRAW_ATTEMPTS = 16
 
 
@@ -114,70 +117,130 @@ def _csv_rows(path):
 def _read_features_csv(path):
     parsed = _parse_features_loadtxt(path)
     ids, feats, line_nos = parsed if parsed is not None else _parse_features_rows(path)
-    bad = _first_failing_row(np.isfinite(feats))
+    bad = _first_non_finite_row(feats)
     if bad is not None:
         raise ValueError(f"{path}: non-finite feature value in row {line_nos[bad]} (id {ids[bad]!r})")
     return ids, feats
 
 
-def _plain_csv_lines(path):
-    """The lines of a plain CSV file, its bytes and the offset of each
-    line's newline; None where only ``csv`` can split the file into rows.
+def _line_blocks(fh):
+    """The binary file ``fh``, read ``core._READ_BLOCK_BYTES`` at a time, as
+    blocks of whole lines, each ending in a LF (a last line without one
+    gets it), so no CRLF pair or UTF-8 character straddles two blocks. A
+    line that outgrows ``csv``'s field limit (plus one byte for a CR)
+    raises ``ValueError`` before it is held whole, and so does a last line
+    ending in a bare CR, which the added LF would make a CRLF line end."""
+    limit, rest = csv.field_size_limit() + 1, b""
+    while chunk := fh.read(core._READ_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            block = b"".join((rest, memoryview(chunk)[:cut])) if rest else chunk[:cut]
+            rest, chunk = chunk[cut:], None  # the block is the one copy held while it is read
+            yield block
+        else:
+            rest += chunk
+        if len(rest) > limit:
+            raise ValueError("line over the field limit")
+    if rest.endswith(b"\r"):
+        raise ValueError("bare carriage return")
+    if rest:
+        yield rest + b"\n"
+
+
+def _plain_csv_blocks(fh):
+    """The lines of the plain CSV file ``fh`` (open in binary mode) in
+    ``_line_blocks``. Each block is ``(n, ids, buf, stops, text)``: the
+    commas per line, its lines' ids (the text before each first comma), its
+    bytes as a uint8 array, the offset each line's text stops at (its CR or
+    LF) in them, and its text. It raises ``ValueError`` at the first block
+    that shows the file is not plain: then only ``csv`` can split it into
+    rows. An empty file has no block.
 
     A plain file is UTF-8 text with no quote, no NUL, no carriage return
-    outside a CRLF line end, no blank line and no line longer than ``csv``'s
-    field limit: ``csv`` splits it into rows at its newlines and into fields
-    at its commas. Line ends read as LF, and a missing final newline as
-    present.
+    outside a CRLF line end, no blank line, no line longer than ``csv``'s
+    field limit, and n commas per line in all, n >= 1 being its first
+    line's count: ``csv`` splits it into rows at its newlines and into
+    fields at its commas. A reader that rejects a line with fewer than n
+    commas thus has every line hold exactly n.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if b'"' in raw or b"\0" in raw:
-        return None
-    if b"\r" in raw:
-        if raw.count(b"\r") != raw.count(b"\r\n"):
-            return None
-        raw = raw.replace(b"\r\n", b"\n")
-    if not raw.endswith(b"\n"):
-        raw += b"\n"
-    try:
-        lines = raw.decode("utf-8").split("\n")[:-1]
-    except UnicodeDecodeError:
-        return None
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    lengths = np.diff(ends, prepend=-1) - 1
-    if lengths.min() == 0 or lengths.max() > csv.field_size_limit():
-        return None
-    return lines, buf, ends
+    limit, n = csv.field_size_limit(), None
+    for raw in _line_blocks(fh):
+        text = raw.decode("utf-8")
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        crlf = buf[ends - 1] == ord("\r")  # buf[-1], before a first line end at 0, is a LF
+        lengths = np.diff(ends, prepend=-1) - 1 - crlf
+        if n is None:
+            n = raw.count(b",", 0, ends[0])
+        if (b'"' in raw or b"\0" in raw or n == 0 or lengths.min() == 0 or lengths.max() > limit
+                or b"\r" in raw and np.count_nonzero(buf == ord("\r")) != np.count_nonzero(crlf)
+                or np.count_nonzero(buf == ord(",")) != n * len(ends)):
+            raise ValueError("not a plain CSV file")
+        yield n, _line_ids(raw, text, ends), buf, ends - crlf, text
+
+
+def _line_ids(raw, text, ends):
+    """The text before each first comma in the block ``raw`` (its ``text``
+    and line ends). One regex pass costs a little per byte, a search from
+    each line start a little more per line; measured on 1 MB blocks, they
+    break even at about 300 bytes a line, and each costs about twice the
+    other at 2.6 KB (features) and 40 bytes (labels) a line. A line with no
+    comma gets a wrong id or raises ``ValueError``; both readers reject a
+    file that holds one."""
+    if len(raw) < 256 * len(ends):
+        return _LINE_IDS.findall("\n" + text)[:-1]
+    return [raw[s : raw.index(b",", s)].decode("utf-8") for s in [0, *(ends[:-1] + 1).tolist()]]
+
+
+_LINE_IDS = re.compile("\n([^,\n]*)")  # after each newline, the text up to a comma or the next newline
+
+
+def _first_line(text):
+    """The first line of a block's text, without its line end."""
+    return text.partition("\n")[0].removesuffix("\r")
 
 
 def _parse_features_loadtxt(path):
     """Ids, values and file line numbers of a plain features CSV, the values
     parsed by ``np.loadtxt``; None where the row-by-row parser must decide.
 
-    That is a file ``_plain_csv_lines`` does not split; a ragged or
-    featureless row; and any value ``np.loadtxt`` rejects (``float()`` also
-    accepts spellings such as ``1_0`` and non-ASCII digits). ``np.loadtxt``
-    reads each line after its id, so it rejects ragged rows; it skips a row
-    with nothing there, which the row count catches. Both parsers round
+    That is a file ``_plain_csv_blocks`` does not split, one with no data
+    row, and any value ``np.loadtxt`` rejects (``float()`` also accepts
+    spellings such as ``1_0`` and non-ASCII digits). The scan keeps the ids
+    and one block; ``np.loadtxt`` then reads the open file again, each data
+    line's n columns after its id, into the one array it returns, and
+    rejects a line with fewer. A file whose size or modification time
+    changed between the two reads is also left to the row-by-row parser,
+    so ids are not paired with another file's values. Both parsers round
     values with Python's string-to-double conversion: their bits match.
     """
-    plain = _plain_csv_lines(path)
-    if plain is None:
-        return None
-    lines = plain[0]
-    header = int(_looks_like_header(lines[0].split(",")))
-    cut = [line.partition(",") for line in lines[header:]]
-    if not cut or not cut[0][2]:  # np.loadtxt warns on lines that are all empty
-        return None
+    ids, header = [], 0
     try:
-        feats = np.loadtxt([c[2] for c in cut], dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        # np.loadtxt reads the file again line by line, refilling this buffer a block at a time
+        with open(path, "rb", buffering=max(core._READ_BLOCK_BYTES, io.DEFAULT_BUFFER_SIZE)) as fh:
+            scanned = _size_and_mtime(fh)
+            for n, block_ids, _, _, text in _plain_csv_blocks(fh):
+                if not ids:
+                    header = int(_looks_like_header(_first_line(text).split(",")))
+                ids += block_ids
+            del ids[:header]
+            if not ids:
+                return None
+            fh.seek(0)
+            feats = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, skiprows=header,
+                               usecols=range(1, n + 1), max_rows=len(ids), ndmin=2, encoding="utf-8")
+            if _size_and_mtime(fh) != scanned:
+                return None
     except ValueError:
         return None
-    if len(feats) != len(cut):
+    if len(feats) != len(ids):
         return None
-    return [c[0] for c in cut], feats, range(header + 1, header + 1 + len(cut))
+    return ids, feats, range(header + 1, header + 1 + len(ids))
+
+
+def _size_and_mtime(fh):
+    st = os.fstat(fh.fileno())
+    return st.st_size, st.st_mtime_ns
 
 
 def _parse_features_rows(path):
@@ -222,11 +285,9 @@ def read_features_binary(path):
         feats = np.empty((m, f), dtype="<f4")
         if (got := fh.readinto(feats)) != expected:  # the file shrank since its size was checked
             raise ValueError(f"{path}: payload is {got} bytes, expected {expected}")
-    step = max(1, _READ_BLOCK_BYTES // (4 * f))
-    for start in range(0, m, step):
-        bad = _first_failing_row(np.isfinite(feats[start : start + step]))
-        if bad is not None:
-            raise ValueError(f"{path}: non-finite feature value in row {start + bad + 1} of {m}")
+    bad = _first_non_finite_row(feats)
+    if bad is not None:
+        raise ValueError(f"{path}: non-finite feature value in row {bad + 1} of {m}")
     return feats
 
 
@@ -246,29 +307,38 @@ def _read_labels_csv(path):
 
 
 def _parse_labels_plain(path):
-    """Class names, ids and bits of a plain labels CSV, the bits read from
-    its bytes as one grid; None where the row-by-row parser must decide.
+    """Class names, ids and bits of a plain labels CSV, the bits read block
+    by block from its bytes; None where the row-by-row parser must decide.
 
-    That is a file ``_plain_csv_lines`` does not split, one with no label
-    row, and one whose header or label rows are not an id followed by n
-    ``,0``/``,1`` cells, or that has a row with no label set.
+    That is a file ``_plain_csv_blocks`` does not split, one with no label
+    row, and one whose label rows do not end in n ``,0``/``,1`` cells, or
+    that has a row with no label set.
     """
-    plain = _plain_csv_lines(path)
-    if plain is None:
+    names, ids, labels = None, [], []
+    try:
+        with open(path, "rb") as fh:
+            for n, block_ids, buf, stops, text in _plain_csv_blocks(fh):
+                if names is None:
+                    names = _first_line(text).split(",")[1:]
+                    stops = stops[1:]
+                # each label row ends in n ",0"/",1" cells: the 2n bytes
+                # before its line end. Those bytes of a row too short for them
+                # hold a line end: the one before the row or, where they are
+                # taken from the block's start, its own. So every row holds n
+                # commas or more, with n per line in all exactly n, and no id
+                # holds one
+                cells = sliding_window_view(buf, 2 * n)[np.maximum(stops - 2 * n, 0)]
+                bits = cells[:, 1::2] - ord("0")
+                if (bits > 1).any() or (cells[:, ::2] != ord(",")).any() or not bits.any(axis=1).all():
+                    return None
+                ids += block_ids
+                labels.append(bits)
+    except ValueError:
         return None
-    lines, buf, ends = plain
-    n = lines[0].count(",")
-    if len(lines) < 2 or n == 0 or np.count_nonzero(buf == ord(",")) != n * len(lines):
+    del ids[:1]  # the header's
+    if not ids:
         return None
-    # each label row ends in n ",0"/",1" cells (the offsets of their digits,
-    # then of their commas), so with n commas per line no id holds one
-    digits = ends[1:, None] + np.arange(1 - 2 * n, 0, 2)
-    labels = buf[digits] - ord("0")
-    digits -= 1
-    if (labels > 1).any() or (buf[digits] != ord(",")).any() or not labels.any(axis=1).all():
-        return None
-    cut = -2 * n
-    return lines[0].split(",")[1:], [line[:cut] for line in lines[1:]], labels
+    return names, ids, np.concatenate(labels)
 
 
 def _parse_labels_rows(path):

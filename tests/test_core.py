@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tripmine import core
 from tripmine.core import (
     ANCHOR_STRATEGIES,
     IMAGE_STRATEGIES,
@@ -73,6 +75,28 @@ class TestSampleTable:
         feats[1, 1] = value
         with pytest.raises(ValueError, match="sample 'b' has non-finite feature values"):
             SampleTable(["a", "b", "c"], feats, np.ones((3, 1)))
+
+    @pytest.mark.parametrize("block", [1, 24, 1 << 20])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("row", [0, 2, 3, 6])
+    def test_the_block_by_block_finite_test_names_the_first_bad_row(self, monkeypatch, block, dtype, row):
+        # 24 bytes hold one float64 row of 3 values or two float32 rows
+        monkeypatch.setattr(core, "_READ_BLOCK_BYTES", block)
+        feats = np.zeros((7, 3), dtype=dtype)
+        feats[row, 2] = np.nan
+        feats[6, 0] = np.inf
+        with pytest.raises(ValueError, match=f"sample '{'abcdefg'[row]}' has non-finite feature values"):
+            SampleTable(list("abcdefg"), feats, np.ones((7, 1)))
+
+    def test_the_finite_test_holds_one_block_of_flags(self):
+        feats = np.zeros((20_000, 128))
+        tracemalloc.start()
+        try:
+            assert core._first_non_finite_row(feats) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < core._READ_BLOCK_BYTES  # a mask of the matrix is 2.5 MB
 
     @pytest.mark.parametrize("value", [2, -1, 0.5, np.nan])
     def test_rejects_non_binary_labels_naming_the_sample(self, value):

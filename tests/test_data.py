@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import re
 import struct
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tripmine import data
+from tripmine import core, data
 from tripmine.core import SampleTable, seeded_rng
 from tripmine.data import (
     FEATURES_MAGIC,
@@ -221,42 +222,57 @@ def outcome(reader, path):
     return names, ids, labels.dtype, labels.shape, labels.tobytes()
 
 
+def check_labels_reader(tmp_path_factory, data):
+    """Draw a labels file and check that the readers agree with the
+    row-by-row reference on it."""
+    n = data.draw(st.integers(1, 4), label="classes")
+    cell = st.sampled_from(["0", "1", "1", "0", " 1", "0 ", "\t1", "2", "", "x", "1.0"])
+    mostly_valid = data.draw(st.booleans(), label="mostly valid")
+    rows = []
+    for r in range(data.draw(st.integers(1, 8), label="rows")):
+        width = n if mostly_valid or data.draw(st.integers(0, 5)) else data.draw(st.integers(0, n + 2))
+        values = [data.draw(st.sampled_from(["0", "1"]) if mostly_valid else cell) for _ in range(width)]
+        row_id = data.draw(st.sampled_from(["r", "r", "\u00e9t\u00e9", "\ufeffr", " r"])) + str(r)
+        rows.append(",".join([row_id] + values))
+    if mostly_valid and data.draw(st.booleans(), label="one bad cell"):
+        r = data.draw(st.integers(0, len(rows) - 1))
+        extra_cell = data.draw(st.booleans())
+        rows[r] = rows[r] + "," + data.draw(cell) if extra_cell else rows[r].replace(",1", ",2", 1)
+    lines = [",".join(["id"] + [f"c{j}" for j in range(n)])] + rows
+    if data.draw(st.booleans(), label="one odd line"):
+        r = data.draw(st.integers(0, len(lines) - 1))
+        head, sep, tail = lines[r].partition(",")
+        odd = data.draw(st.sampled_from(["blank", "bom", "quoted comma", "nul", "trailing comma"]))
+        if odd == "blank":
+            lines.insert(r, "")
+        else:
+            lines[r] = {"bom": "\ufeff" + lines[r], "quoted comma": f'"{head},q"{sep}{tail}',
+                        "nul": f"{head}\x00{sep}{tail}", "trailing comma": lines[r] + ","}[odd]
+    end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
+    text = end.join(lines) + (end if data.draw(st.booleans(), label="final newline") else "")
+    path = tmp_path_factory.mktemp("labels") / "labels.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(_read_labels_csv, path) == outcome(read_labels_row_by_row, path)
+    parsed = _parse_labels_plain(path)
+    if parsed is not None:
+        # the bulk parse accepts only files the row-by-row reader reads to the same triple
+        assert outcome(lambda _: parsed, path) == outcome(read_labels_row_by_row, path)
+
+
 class TestLabelsReader:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_the_row_by_row_reader(self, tmp_path_factory, data):
-        n = data.draw(st.integers(1, 4), label="classes")
-        cell = st.sampled_from(["0", "1", "1", "0", " 1", "0 ", "\t1", "2", "", "x", "1.0"])
-        mostly_valid = data.draw(st.booleans(), label="mostly valid")
-        rows = []
-        for r in range(data.draw(st.integers(1, 8), label="rows")):
-            width = n if mostly_valid or data.draw(st.integers(0, 5)) else data.draw(st.integers(0, n + 2))
-            values = [data.draw(st.sampled_from(["0", "1"]) if mostly_valid else cell) for _ in range(width)]
-            row_id = data.draw(st.sampled_from(["r", "r", "\u00e9t\u00e9", "\ufeffr", " r"])) + str(r)
-            rows.append(",".join([row_id] + values))
-        if mostly_valid and data.draw(st.booleans(), label="one bad cell"):
-            r = data.draw(st.integers(0, len(rows) - 1))
-            extra_cell = data.draw(st.booleans())
-            rows[r] = rows[r] + "," + data.draw(cell) if extra_cell else rows[r].replace(",1", ",2", 1)
-        lines = [",".join(["id"] + [f"c{j}" for j in range(n)])] + rows
-        if data.draw(st.booleans(), label="one odd line"):
-            r = data.draw(st.integers(0, len(lines) - 1))
-            head, sep, tail = lines[r].partition(",")
-            odd = data.draw(st.sampled_from(["blank", "bom", "quoted comma", "nul", "trailing comma"]))
-            if odd == "blank":
-                lines.insert(r, "")
-            else:
-                lines[r] = {"bom": "\ufeff" + lines[r], "quoted comma": f'"{head},q"{sep}{tail}',
-                            "nul": f"{head}\x00{sep}{tail}", "trailing comma": lines[r] + ","}[odd]
-        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
-        text = end.join(lines) + (end if data.draw(st.booleans(), label="final newline") else "")
-        path = tmp_path_factory.mktemp("labels") / "labels.csv"
-        path.write_bytes(text.encode("utf-8"))
-        assert outcome(_read_labels_csv, path) == outcome(read_labels_row_by_row, path)
-        parsed = _parse_labels_plain(path)
-        if parsed is not None:
-            # the bulk parse accepts only files the row-by-row reader reads to the same triple
-            assert outcome(lambda _: parsed, path) == outcome(read_labels_row_by_row, path)
+        check_labels_reader(tmp_path_factory, data)
+
+    # CRLF pairs, BOMs, non-ASCII ids, headers and odd lines straddle the reads
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_row_by_row_reader_across_read_chunks(self, tmp_path_factory, chunk, data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("tripmine.core._READ_BLOCK_BYTES", chunk)
+            check_labels_reader(tmp_path_factory, data)
 
     def test_written_dataset_takes_the_bulk_parse(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(n_samples=40, n_classes=5, seed=8))
@@ -344,40 +360,113 @@ ODD_FEATURE_CELLS = [
 ]
 
 
+def check_features_reader(tmp_path_factory, data):
+    """Draw a features file and check that the readers agree with the
+    ``float()`` reference on it."""
+    width = data.draw(st.integers(1, 4), label="features")
+    mostly_valid = data.draw(st.booleans(), label="mostly valid")
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=data.draw(st.sampled_from([16, 32, 64])))
+    value = finite.map(repr) | st.integers(-10**20, 10**20).map(str)
+    odd = st.sampled_from(ODD_FEATURE_CELLS)
+    lines = []
+    if data.draw(st.booleans(), label="header"):
+        lines.append(",".join(["id"] + [f"f{j}" for j in range(width)]))
+    for r in range(data.draw(st.integers(0, 6), label="rows")):
+        n = width if mostly_valid or data.draw(st.integers(0, 3)) else data.draw(st.integers(0, width + 2))
+        cells = [data.draw(value if mostly_valid or data.draw(st.booleans()) else odd) for _ in range(n)]
+        row_id = data.draw(st.sampled_from(["s", "\u00e9t\u00e9", "\ufeffs", " s"])) + str(r)
+        lines.append(",".join([row_id] + cells))
+    if lines and mostly_valid and data.draw(st.booleans(), label="one odd line"):
+        r = data.draw(st.integers(0, len(lines) - 1))
+        lines[r] = data.draw(st.sampled_from(["", lines[r] + ",", lines[r].replace(",", ",1_0", 1),
+                                              lines[r].replace(",", ',"', 1) + '"', "s\x00,1"]))
+    end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
+    text = end.join(lines) + (end if data.draw(st.booleans(), label="final newline") else "")
+    path = tmp_path_factory.mktemp("features") / "features.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = features_outcome(read_features_row_by_row, path)
+    assert features_outcome(_read_features_csv, path) == expected
+    parsed = _parse_features_loadtxt(path)
+    if parsed is not None:
+        # the loadtxt parse accepts only files the float() parse reads to the same bits
+        ids, feats, line_nos = parse_features_with_float(path)
+        assert parsed[0] == ids
+        assert parsed[1].shape == feats.shape and parsed[1].tobytes() == feats.tobytes()
+        assert list(parsed[2]) == line_nos
+
+
 class TestFeaturesReader:
     @settings(max_examples=250, deadline=None)
     @given(data=st.data())
     def test_matches_the_float_reader(self, tmp_path_factory, data):
-        width = data.draw(st.integers(1, 4), label="features")
-        mostly_valid = data.draw(st.booleans(), label="mostly valid")
-        finite = st.floats(allow_nan=False, allow_infinity=False, width=data.draw(st.sampled_from([16, 32, 64])))
-        value = finite.map(repr) | st.integers(-10**20, 10**20).map(str)
-        odd = st.sampled_from(ODD_FEATURE_CELLS)
-        lines = []
-        if data.draw(st.booleans(), label="header"):
-            lines.append(",".join(["id"] + [f"f{j}" for j in range(width)]))
-        for r in range(data.draw(st.integers(0, 6), label="rows")):
-            n = width if mostly_valid or data.draw(st.integers(0, 3)) else data.draw(st.integers(0, width + 2))
-            cells = [data.draw(value if mostly_valid or data.draw(st.booleans()) else odd) for _ in range(n)]
-            row_id = data.draw(st.sampled_from(["s", "\u00e9t\u00e9", "\ufeffs", " s"])) + str(r)
-            lines.append(",".join([row_id] + cells))
-        if lines and mostly_valid and data.draw(st.booleans(), label="one odd line"):
-            r = data.draw(st.integers(0, len(lines) - 1))
-            lines[r] = data.draw(st.sampled_from(["", lines[r] + ",", lines[r].replace(",", ",1_0", 1),
-                                                  lines[r].replace(",", ',"', 1) + '"', "s\x00,1"]))
-        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
-        text = end.join(lines) + (end if data.draw(st.booleans(), label="final newline") else "")
-        path = tmp_path_factory.mktemp("features") / "features.csv"
-        path.write_bytes(text.encode("utf-8"))
-        expected = features_outcome(read_features_row_by_row, path)
-        assert features_outcome(_read_features_csv, path) == expected
-        parsed = _parse_features_loadtxt(path)
-        if parsed is not None:
-            # the loadtxt parse accepts only files the float() parse reads to the same bits
-            ids, feats, line_nos = parse_features_with_float(path)
-            assert parsed[0] == ids
-            assert parsed[1].shape == feats.shape and parsed[1].tobytes() == feats.tobytes()
-            assert list(parsed[2]) == line_nos
+        check_features_reader(tmp_path_factory, data)
+
+    # CRLF pairs, BOMs, non-ASCII ids, headers and odd lines straddle the reads
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_float_reader_across_read_chunks(self, tmp_path_factory, chunk, data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("tripmine.core._READ_BLOCK_BYTES", chunk)
+            check_features_reader(tmp_path_factory, data)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 20])
+    def test_a_row_with_an_extra_column_takes_the_row_reader(self, tmp_path, monkeypatch, chunk):
+        # np.loadtxt reading n columns after the id would skip the extra one
+        monkeypatch.setattr(core, "_READ_BLOCK_BYTES", chunk)
+        path = tmp_path / "features.csv"
+        path.write_text("id,f0,f1\ns0,1.0,2.0\ns1,1.0,2.0,3.0\ns2,1.0,2.0\n")
+        assert _parse_features_loadtxt(path) is None
+        with pytest.raises(ValueError, match=re.escape("features.csv: ragged row 3 (id 's1')")):
+            _read_features_csv(path)
+
+    @pytest.mark.parametrize("pad", [0, 300])
+    def test_short_and_long_lines_give_the_same_ids(self, pad):
+        # lines under 256 bytes are cut by one regex pass, longer ones by a search per line
+        ids = ["s0", "\ufeffs1", "\u00e9t\u00e92", " s3", ""]
+        raw = "".join(f"{i},{'1' * pad}0,2\r\n" for i in ids).encode()
+        assert [i for block in data._plain_csv_blocks(io.BytesIO(raw)) for i in block[1]] == ids
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+    def test_a_bare_carriage_return_at_the_end_takes_the_row_reader(self, tmp_path, monkeypatch, chunk):
+        # the LF added to a last line without one must not make its CR a CRLF line end
+        monkeypatch.setattr(core, "_READ_BLOCK_BYTES", chunk)
+        path = tmp_path / "features.csv"
+        path.write_bytes(b"s0,1.0,2.0\r\ns1,3.0,4.0\r")
+        assert _parse_features_loadtxt(path) is None
+        assert features_outcome(_read_features_csv, path) == features_outcome(read_features_row_by_row, path)
+
+    def test_a_file_rewritten_between_the_two_reads_takes_the_row_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "features.csv"
+        path.write_text("s0,1.0\ns1,2.0\n")
+        scan = data._plain_csv_blocks
+
+        def scan_then_rewrite(fh):
+            yield from scan(fh)
+            path.write_text("t0,3.0\nt1,4.0\n")  # same size and row count
+            st = os.stat(path)
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+        monkeypatch.setattr(data, "_plain_csv_blocks", scan_then_rewrite)
+        assert _parse_features_loadtxt(path) is None
+        ids, feats = _read_features_csv(path)
+        assert ids == ["t0", "t1"] and feats.tolist() == [[3.0], [4.0]]
+
+    def test_reading_holds_the_array_the_ids_and_one_block(self, tmp_path):
+        m, f = 20_000, 128
+        # short values keep the file small (about 16 MB) and the test quick
+        table = SampleTable([f"s{i:05d}" for i in range(m)], seeded_rng(4).normal(size=(m, f)).round(3),
+                            np.ones((m, 1), dtype=np.uint8))
+        fpath = tmp_path / "features.csv"
+        write_dataset(data.Dataset(samples=table, class_names=["c0"]), fpath, tmp_path / "labels.csv")
+        tracemalloc.start()
+        try:
+            ids, feats = _read_features_csv(fpath)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert feats.tobytes() == table.features.tobytes() and ids == list(table.ids)
+        assert peak < feats.nbytes + 8 * 2**20
 
     def test_written_dataset_takes_the_loadtxt_parse(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(n_samples=40, feature_dim=5, seed=8))
@@ -492,7 +581,7 @@ def write_binary_payload(path, values):
 
 def block_rows(f):
     """Rows per read block of a binary file with ``f`` features."""
-    return max(1, data._READ_BLOCK_BYTES // (4 * f))
+    return max(1, core._READ_BLOCK_BYTES // (4 * f))
 
 
 class TestBinaryReader:
