@@ -11,13 +11,17 @@ inside the loss, so batch extremes do not couple into the gradient. Training
 reads the loss and its gradient off the batch's (B, B) raw distance matrix,
 the same one the miner uses.
 
-Without L2 normalization the output layer is linear, so the distance of two
-embeddings is ``|(h_i - h_j) W|`` for the last hidden activations ``h`` and
-the output weights ``W``: the metric ``W W^T`` of the hidden space. Training
-and retrieval measure it on the rows ``h @ F`` (``distance_factor``,
-``forward``), ``F`` the Cholesky factor of ``W W^T`` when the hidden
-layer is at most 96 wide and narrower than the embedding, else ``W``;
-``backward`` works in the same width and never forms the d-wide embedding.
+The output layer is linear, so the embeddings ``e = h W + b`` of the last
+hidden activations ``h`` are ``[h, 1] A`` for ``A = [W; b^T]``, and their
+dot products are those of the metric ``A A^T`` of the hidden width.
+Training and retrieval measure on rows of that width (``distance_factor``,
+``forward``): without L2 normalization the rows ``h F``, ``F F^T = W W^T``
+(the bias cancels from every distance); with it the rows ``[h, 1] F``,
+``F F^T = A A^T``, scaled to unit length, which are as far apart as the
+normalized embeddings. ``F`` is a Cholesky factor when the hidden layer is
+at most 96 wide and narrower than the embedding, else ``W`` or ``A``
+itself; ``backward`` works in the same width and never forms the d-wide
+embedding.
 """
 
 from __future__ import annotations
@@ -136,9 +140,7 @@ def _forward_cached(net: Embedder, features):
     a = padded_matmul(acts[-1], net.weights[-1]) + net.biases[-1]
     acts.append(a)
     if net.l2_normalize:
-        norms = np.sqrt(np.einsum("ij,ij->i", a, a))
-        safe = np.where(norms > 0.0, norms, 1.0)
-        emb = a / safe[:, None]
+        emb, norms = _unit_rows(a)
     else:
         norms = None
         emb = a
@@ -150,15 +152,25 @@ def _triplet_set(triplets) -> TripletSet:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def distance_factor(net: Embedder):
-    """The (h, k) map ``F`` with ``F F^T = W W^T`` for the output weights
-    ``W`` (h, d), or None with ``l2_normalize`` on.
+def distance_factor(net: Embedder) -> np.ndarray:
+    """The map ``F`` whose rows measure the net's embedding distances in the
+    last hidden width: (h, k) with ``F F^T = W W^T`` for the output weights
+    ``W`` (h, d), or with ``l2_normalize`` on (h + 1, k) with
+    ``F F^T = A A^T`` for ``A = [W; b^T]``, ``b`` the output bias.
 
     Then ``|(h_i - h_j) F| = |e_i - e_j|`` for embeddings ``e = h W + b``,
-    up to rounding. ``F`` is the Cholesky factor ``L`` of ``W W^T`` when
-    h < d, h <= ``_CHOLESKY_MAX`` and the factorisation succeeds; otherwise
-    it is ``W`` itself, which is exact (h >= d, a wider hidden layer, or a
-    rank-deficient ``W`` such as zero weights).
+    and the rows ``r = [h, 1] F`` have ``r_i . r_j = e_i . e_j``, so the
+    unit rows ``r / |r|`` are as far apart as the normalized embeddings,
+    all up to rounding. ``F`` is ``W`` itself (``A`` with ``l2_normalize``),
+    which is exact, where h >= d, h > ``_CHOLESKY_MAX`` or ``W W^T`` is not
+    positive definite (a rank-deficient ``W`` such as zero weights);
+    otherwise the Cholesky factor ``L`` of ``W W^T``, with ``l2_normalize``
+    bordered by the bias: ``[[L, 0], [l^T, c]]`` with ``L l = W b`` and
+    ``c = sqrt(max(|b|^2 - |l|^2, 0))``. That border needs no factorization
+    of the singular ``A A^T`` of a zero bias (every initialization's), where
+    it is ``l = 0``, ``c = 0``. ``l`` is the last row of the Cholesky factor
+    of ``W W^T`` bordered by ``W b`` and ``2 |b|^2 + 1``, a pivot that stays
+    positive while ``|l| <= |b|`` holds to within rounding.
 
     The computed ``L`` satisfies ``L L^T = W W^T + E`` with
     ``|E_ij| <= (d + h + 2) u |W_i| |W_j|`` (rows ``W_i``, u = 2**-53;
@@ -171,22 +183,44 @@ def distance_factor(net: Embedder):
     ``A = (d + h + 2) u sigma^2``, ``sigma = sum_a |delta_a| |W_a|``, so its
     relative distance error scales like ``(d + h) u kappa(W)^2`` and reaches
     about ``sqrt((d + h) u) sigma`` for pairs nearer than ``sqrt(A)``, where
-    the forward's own error is O(u). ``TestDistanceFactor`` holds the factor
-    distances to this bound.
+    the forward's own error is O(u). The border adds ``b`` as one more row
+    of ``A`` to the same bound, ``c`` included: it loses relative accuracy
+    as ``b`` nears the row space of ``W``, but its square moves ``|r|^2``
+    by no more than that bound. ``TestDistanceFactor`` holds the factor
+    distances to it.
     """
-    if net.l2_normalize:
-        return None
     w = net.weights[-1]
     h, d = w.shape
     if h < d and h <= _CHOLESKY_MAX:
+        # plain: a symmetric rank-k product, thread-stable up to _CHOLESKY_MAX,
+        # as is the factorization bordered to _CHOLESKY_MAX + 1
+        gram = w @ w.T
+        if net.l2_normalize:
+            # einsum sums in its own loops, at any BLAS thread count
+            b = net.biases[-1]
+            b_sq = np.einsum("i,i->", b, b)
+            bordered = np.empty((h + 1, h + 1))
+            bordered[:h, :h] = gram
+            bordered[h, :h] = bordered[:h, h] = np.einsum("ij,j->i", w, b)
+            bordered[h, h] = 2.0 * b_sq + 1.0
+            gram = bordered
         try:
-            # plain: a symmetric rank-k product, thread-stable up to _CHOLESKY_MAX
-            low = np.linalg.cholesky(w @ w.T)
+            low = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            return w
-        if np.isfinite(low).all():
+            low = None
+        if low is not None and np.isfinite(low).all():
+            if net.l2_normalize:
+                border = low[h, :h]
+                low[h, h] = np.sqrt(max(b_sq - np.einsum("i,i->", border, border), 0.0))
             return low
-    return w
+    return np.vstack([w, net.biases[-1]]) if net.l2_normalize else w
+
+
+def _unit_rows(rows):
+    """``(rows / |rows|, |rows|)`` per row; a zero row stays zero."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    safe = np.where(norms > 0.0, norms, 1.0)
+    return rows / safe[:, None], norms
 
 
 def _rows(net: Embedder, features, factor, input_sq=None) -> np.ndarray:
@@ -209,7 +243,10 @@ def _rows(net: Embedder, features, factor, input_sq=None) -> np.ndarray:
             acts = _hidden_cached(net, x[start:stop])
             if input_sq is not None:
                 input_sq.append(np.einsum("ij,ij->i", acts[0], acts[0]).max())
-            block = matmul(acts[-1], factor)
+            if net.l2_normalize:  # [h, 1] F as h F[:h] + F[h], a product of the plain rows' shape
+                block = _unit_rows(matmul(acts[-1], factor[:-1]) + factor[-1])[0]
+            else:
+                block = matmul(acts[-1], factor)
         if not np.isfinite(block).all():
             raise FloatingPointError("embeddings contain non-finite values")
         if rows is None:
@@ -222,10 +259,11 @@ def _rows(net: Embedder, features, factor, input_sq=None) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def forward(net: Embedder, features, factor=None) -> np.ndarray:
     """Embed a (B, F) feature matrix into (B, d); or, given ``factor =
-    distance_factor(net)``, into the rows ``h @ factor`` of the last hidden
-    activations ``h``, whose pairwise Euclidean distances are those of the
-    (B, d) embedding. Rows that are not finite raise ``FloatingPointError``,
-    without numpy's warnings.
+    distance_factor(net)``, into rows of the factor's width whose pairwise
+    Euclidean distances are those of the (B, d) embedding: ``h @ factor``
+    for the last hidden activations ``h``, or with ``l2_normalize`` the rows
+    ``[h, 1] @ factor`` scaled to unit length. Rows that are not finite
+    raise ``FloatingPointError``, without numpy's warnings.
 
     The rows are embedded in blocks of ``_CHUNK_VALUES // widest`` rows,
     ``widest`` the widest of the input, the hidden layers and the result, so
@@ -258,11 +296,12 @@ def _gamma(n: int, unit: float) -> float:
 def float32_rows(net: Embedder, features, factor):
     """``(rows, e)``: ``forward(net, features, factor)`` computed in float32,
     and a bound ``e`` on every row's Euclidean distance from its float64
-    row; or None where float32 cannot carry the rows: ``factor`` None
-    (``l2_normalize`` on), a weight, bias or a-priori row norm outside the
-    float32-safe range ``_FLOAT32_SCALE`` states, or rows that overflow
-    float32 (a NaN feature included). The weight and bias norms are tested
-    before the float32 pass, the input norm after it.
+    row; or None where float32 cannot carry the rows: ``l2_normalize`` on
+    (the bound is not carried through the normalization), a weight, bias
+    or a-priori row norm outside the float32-safe range ``_FLOAT32_SCALE``
+    states, or rows that overflow float32 (a NaN feature included). The
+    weight and bias norms are tested before the float32 pass, the input
+    norm after it.
 
     The weights and ``factor`` are cast once, and every product is computed
     in float32, unpadded: these rows only screen (``retrieval.knn_retrieve``),
@@ -288,7 +327,7 @@ def float32_rows(net: Embedder, features, factor):
     2**82, far inside float32, and the tiny terms far below the rows'
     rounding.
     """
-    if factor is None:
+    if net.l2_normalize:
         return None
     # per product: the matrix, its Frobenius norm and its bias norm (0 for
     # factor), the norms grown by _NORM_SLACK
@@ -397,13 +436,19 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
     through the layers: the rest get an exactly-zero embedding gradient and
     add nothing to any parameter gradient.
 
-    Without ``l2_normalize`` the touched rows are embedded only to their last
-    hidden activations ``h``. With ``Lap(S) = diag(S 1) - S``, the embedding
-    gradient would be ``Lap(S) h W``, so the output weights get
-    ``(h^T Lap(S) h) W`` and ``h`` gets ``Lap(S) h F F^T``, where ``factor``
-    is the net's ``distance_factor`` (computed when not given). The output
-    bias gradient is exact zeros: the loss reads only distances, which a
-    common shift leaves alone.
+    The touched rows are embedded only to their last hidden activations
+    ``h``; ``factor`` is the net's ``distance_factor`` (computed when not
+    given), and ``Lap(S) = diag(S 1) - S``. Without ``l2_normalize`` the
+    embedding gradient would be ``Lap(S) h W``, so the output weights get
+    ``(h^T Lap(S) h) W`` and ``h`` gets ``Lap(S) h F F^T``. The output bias
+    gradient is exact zeros: the loss reads only distances, which a common
+    shift leaves alone. With ``l2_normalize`` the rows ``r = [h, 1] F`` have
+    norms ``D = diag |r_i|`` and unit rows ``u``; with
+    ``M = D^-1 (Lap(S) - diag(rowsum(Lap(S) * u u^T))) D^-1`` the embedding
+    gradient would be ``M [h, 1] A`` (``A = [W; b^T]``), so the output
+    weights and bias get ``([h, 1]^T M [h, 1]) A`` and ``h`` gets
+    ``(M r) F[:h]^T``. Nothing is d wide but the products with ``W`` (and
+    ``F F^T`` where ``F`` is ``A`` itself).
     """
     x = _feature_matrix(net, features)
     size = x.shape[0]
@@ -448,22 +493,37 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
     last = net.n_layers - 1
     weight_grads = [None] * net.n_layers
     bias_grads = [None] * net.n_layers
+    if factor is None:
+        factor = distance_factor(net)
+    acts = _hidden_cached(net, x)
+    h = acts[last]
     if net.l2_normalize:
-        acts, out_norms, emb = _forward_cached(net, x)
-        d_emb = s.sum(axis=1)[:, None] * emb - padded_matmul(s, emb)
-        # y = z / |z|  =>  dz = (dy - y (y . dy)) / |z|, zero rows pass through as zero
-        safe = np.where(out_norms > 0.0, out_norms, 1.0)
-        proj = np.einsum("ij,ij->i", emb, d_emb)
-        g = np.where((out_norms > 0.0)[:, None], (d_emb - emb * proj[:, None]) / safe[:, None], 0.0)
-        weight_grads[last] = padded_matmul(acts[last].T, g)
-        bias_grads[last] = g.sum(axis=0)
+        # the rows r = [h, 1] F have dot products [h, 1] G [h, 1]^T for
+        # G = F F^T = A A^T. For unit rows u and S's zero diagonal, M is
+        # D^-1 K D^-1 with K = diag(u_i . (S u)_i) - S
+        gram = padded_matmul(factor, factor.T)
+        h_one = np.ones((len(h), h.shape[1] + 1))
+        h_one[:, :-1] = h
+        h_gram = padded_matmul(h_one, gram)
+        norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", h_gram, h_one), 0.0))
+        inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)[:, None]
+        # h^ = D^-1 [h, 1], so u = h^ F and u_i . (S u)_i = (h^ G)_i . (S h^)_i
+        scaled = h_one * inv
+        s_scaled = padded_matmul(s, scaled)
+        k_scaled = np.einsum("ij,ij->i", h_gram, s_scaled)[:, None] * scaled
+        k_scaled *= inv
+        k_scaled -= s_scaled
+        # [h, 1]^T M [h, 1] = h^T K h^; [dW; db^T] = that times A. dW is the
+        # plain path's d-wide product (and array size) plus a rank-one term
+        inner = padded_matmul(scaled.T, k_scaled)
+        w, b = net.weights[last], net.biases[last]
+        weight_grads[last] = padded_matmul(inner[:-1, :-1], w)
+        weight_grads[last] += inner[:-1, -1:] * b
+        bias_grads[last] = padded_matmul(inner[-1:, :-1], w)[0] + inner[-1, -1] * b
         if last > 0:
-            g = padded_matmul(g, net.weights[last].T)
+            # (M r) F[:h]^T = M [h, 1] G[:, :h]
+            g = padded_matmul(k_scaled * inv, gram[:, :-1])
     else:
-        if factor is None:
-            factor = distance_factor(net)
-        acts = _hidden_cached(net, x)
-        h = acts[last]
         lap_h = s.sum(axis=1)[:, None] * h - padded_matmul(s, h)
         weight_grads[last] = padded_matmul(padded_matmul(h.T, lap_h), net.weights[last])
         bias_grads[last] = np.zeros_like(net.biases[last])

@@ -215,8 +215,7 @@ def evaluate(net, queries, archive, k: int) -> MetricReport:
     ``queries`` and ``archive`` are ``SampleTable``s. A query that is also
     present in the archive (matched by id) never retrieves the archive row
     with that id. Each call embeds both splits as ``embedder.forward`` rows
-    under one ``distance_factor``, so without ``l2_normalize`` the (M, d)
-    embedding is never built. Where ``embedder.float32_rows`` can carry the
+    under one ``distance_factor``, so the (M, d) embedding is never built. Where ``embedder.float32_rows`` can carry the
     rows, the archive is embedded once in float32 for the screen, and its
     candidates once more by ``forward`` for the ranking; elsewhere it is
     embedded by ``forward`` alone. A net whose rows are not finite on the

@@ -1,7 +1,7 @@
 """Mini-batch training loop: shuffle, embed, mine, step Adam, log.
 
 Mining always runs on the current network's embedding distances (online
-mining), measured in the last hidden width when the output layer is linear.
+mining), measured in the last hidden width.
 Trailing partial batches are dropped so per-batch triplet counts stay
 comparable across epochs. One Adam step per batch, a single logical
 training thread, sequential accumulation everywhere: two runs with the
@@ -146,8 +146,8 @@ def batch_stream(dataset, cfg: TrainConfig) -> tuple:
     and yields every full batch as ``(x, factor, BatchView)``, measured by
     ``net`` as it stands (mining draws from ``rng`` in between):
     ``factor`` is ``net``'s ``distance_factor``, and the view's distances are
-    those of the rows ``forward(net, x, factor)``, so without
-    ``l2_normalize`` the (B, d) embedding is never built. Any net of the same layer sizes, such
+    those of the rows ``forward(net, x, factor)``, so the (B, d) embedding
+    is never built. Any net of the same layer sizes, such
     as a checkpoint, sees training's batches. The last batch is measured
     again after its yield, so the step taken on it is checked before the
     epoch ends. A batch with non-finite distances raises

@@ -125,7 +125,7 @@ class TestForward:
         out = forward(net, seeded_rng(5).normal(size=(6, 4)))
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0)
 
-    @pytest.mark.parametrize("l2, with_factor", [(False, False), (False, True), (True, False)])
+    @pytest.mark.parametrize("l2, with_factor", [(False, False), (False, True), (True, False), (True, True)])
     def test_overflowing_net_raises_without_numpy_warnings(self, l2, with_factor):
         # the hidden layer overflows to inf, and the output to inf and NaN
         net = Embedder.init([4, 6, 8], seeded_rng(6), l2_normalize=l2)
@@ -241,6 +241,40 @@ class TestBackward:
         t = random_triplets(rng, 12)
         report = finite_difference_check(net, x, t, 0.3, step=1e-5)
         assert report.max_rel_error < 1e-4
+
+    @pytest.mark.parametrize("dims", [[8, 6, 20], [8, 10, 6, 16], [8, 12, 5]])
+    def test_matches_finite_differences_with_l2_normalization_and_biases(self, dims):
+        # the bordered factor (hidden 6 < 20, and 6 < 16 behind two hidden
+        # layers) and [W; b^T] itself (hidden 12 >= 5), every bias nonzero
+        rng = seeded_rng(14)
+        net = Embedder.init(dims, rng, l2_normalize=True)
+        for b in net.biases:
+            b += rng.normal(size=b.shape)
+        h = dims[-2]
+        assert distance_factor(net).shape == (h + 1, h + 1 if h < dims[-1] else dims[-1])
+        x = rng.normal(size=(12, 8))
+        report = finite_difference_check(net, x, random_triplets(rng, 12, count=30), 0.3, step=1e-5)
+        assert report.n_checked > 0
+        assert report.max_rel_error < 1e-4
+
+    def test_l2_backward_never_embeds_at_the_output_width(self, monkeypatch):
+        rng = seeded_rng(15)
+        net = Embedder.init([8, 6, 20], rng, l2_normalize=True)
+        net.biases[-1] += rng.normal(size=20)
+        x = rng.normal(size=(12, 8))
+        t = random_triplets(rng, 12, count=30)
+        want = pair_backward(net, x, t, 0.3)
+        assert want.loss_value > 0.0
+
+        def refuse(*args):
+            raise AssertionError("backward embedded at the output width")
+
+        monkeypatch.setattr(embedder_mod, "_forward_cached", refuse)
+        factor = distance_factor(net)
+        got = backward(net, x, t, 0.3, pairwise_euclidean(forward(net, x, factor)), factor)
+        assert got.loss_value == pytest.approx(want.loss_value, rel=1e-12)
+        for g, w in zip(gradient_list(got), gradient_list(want)):
+            assert np.allclose(g, w, rtol=1e-9, atol=1e-12)
 
     def test_gradient_descent_step_decreases_active_loss(self):
         rng = seeded_rng(10)
@@ -510,20 +544,47 @@ def flat_list_backward(net, x, t, alpha, dist):
 
 
 def hidden_width_term_bounds(net, x, s):
-    """Per gradient entry, a bound on the sum of absolute terms behind it in
-    both ``flat_list_backward`` and the l2-off ``backward``: the products
-    with ``|S|``, the activations and weights taken absolutely, and the
-    hidden metric ``F F^T`` (or ``W W^T``) bounded by ``|W_i| |W_j|``."""
+    """Per gradient entry, a bound on the terms behind it in both
+    ``flat_list_backward`` and the hidden-width ``backward``, to be scaled by
+    the rounding of the products and the factor.
+
+    Without ``l2_normalize``: the sum of absolute terms, the products taken
+    with ``|S|``, the activations and weights absolutely, and the hidden
+    metric ``F F^T`` (or ``W W^T``) bounded by ``|W_i| |W_j|``.
+
+    With it, each touched row's embedding gradient ``(M e)_i`` is bounded
+    as a whole. Let ``sigma_i = sum_a |[h, 1]_ia| |A_a|`` over the rows of
+    ``A = [W; b^T]`` and ``rho_i = sigma_i / |e_i| >= 1``, the cancellation
+    in ``e_i``. Both paths' dot products of embedding rows, the computed
+    ``e_i`` and the factor rows, are within the rounding times
+    ``sigma_i sigma_j`` of the exact ones; the unit rows' dot products and
+    the norms ``1 / |e_i|`` then move by that times ``rho_i rho_j``,
+    ``rho_i^2`` and ``rho_j^2``, so the row moves by at most
+    ``q_i = sum_j |Lap(S)|_ij (rho_i + rho_j)^2 / |e_i|`` times it, with
+    ``|Lap(S)| = diag(|S| 1) + |S|``. The output weights get ``|h|^T q``,
+    the bias ``sum q``, and the last hidden activations ``q_i |W_a|``. A
+    zero embedding row has zero rows on both paths and adds nothing."""
     acts = embedder_mod._hidden_cached(net, x)
     w, b = net.weights[-1], net.biases[-1]
     lap = np.diag(np.abs(s).sum(axis=1)) + np.abs(s)
-    lap_h = lap @ np.abs(acts[-1])
-    lap_e = lap @ (np.abs(acts[-1]) @ np.abs(w) + np.abs(b))
     norms = np.linalg.norm(w, axis=1)
     weight_terms, bias_terms = [None] * net.n_layers, [None] * net.n_layers
-    weight_terms[-1] = np.abs(acts[-1]).T @ lap_e
-    bias_terms[-1] = lap_e.sum(axis=0)
-    g = lap_h @ np.outer(norms, norms) + lap_e @ np.abs(w).T
+    if net.l2_normalize:
+        a = np.vstack([w, b])
+        h_one = np.hstack([acts[-1], np.ones((len(x), 1))])
+        e_norms = np.linalg.norm(h_one @ a, axis=1)
+        inv = np.divide(1.0, e_norms, out=np.zeros_like(e_norms), where=e_norms > 0.0)
+        rho = (np.abs(h_one) @ np.linalg.norm(a, axis=1)) * inv
+        q = inv * (lap * (rho[:, None] + rho[None]) ** 2).sum(axis=1)
+        weight_terms[-1] = np.repeat((np.abs(acts[-1]).T @ q)[:, None], w.shape[1], axis=1)
+        bias_terms[-1] = np.full(w.shape[1], q.sum())
+        g = np.outer(q, norms)
+    else:
+        lap_h = lap @ np.abs(acts[-1])
+        lap_e = lap @ (np.abs(acts[-1]) @ np.abs(w) + np.abs(b))
+        weight_terms[-1] = np.abs(acts[-1]).T @ lap_e
+        bias_terms[-1] = lap_e.sum(axis=0)
+        g = lap_h @ np.outer(norms, norms) + lap_e @ np.abs(w).T
     for l in range(net.n_layers - 2, -1, -1):
         g = g * (acts[l + 1] > 0.0)
         weight_terms[l] = np.abs(acts[l]).T @ g
@@ -540,18 +601,19 @@ def assert_bit_identical(got, want):
 
 
 def assert_matches_flat_list(net, x, t, alpha, dist, got):
-    """``got`` is ``flat_list_backward``'s bundle: bit for bit with l2
-    normalization (the same products in the same order) or with no active
-    triplet; without, the same loss, an exactly-zero output bias gradient,
-    and every entry within the rounding of its terms, of which the factor
-    adds ``(d + h + 2) u`` and each product its length times u."""
+    """``got`` is ``flat_list_backward``'s bundle: bit for bit with no
+    active triplet; else the same loss, without l2 normalization an
+    exactly-zero output bias gradient, and every entry within the rounding
+    of its terms (``hidden_width_term_bounds``), of which the factor adds
+    ``(d + h + 2) u`` and each product its length times u."""
     want = flat_list_backward(net, x, t, alpha, dist)
     _, x_touched, s = flat_list_coefficients(x, t, alpha, dist)
-    if net.l2_normalize or s is None:
+    if s is None:
         assert_bit_identical(got, want)
         return
     assert got.loss_value == want.loss_value
-    assert np.all(got.bias_grads[-1] == 0.0)
+    if not net.l2_normalize:
+        assert np.all(got.bias_grads[-1] == 0.0)
     tol = 8 * (len(s) + sum(net.layer_dims)) * U
     terms = hidden_width_term_bounds(net, x_touched, s)
     for g, w, m in zip(gradient_list(got), gradient_list(want), gradient_list(terms), strict=True):
@@ -575,8 +637,8 @@ def integer_net(rng, l2):
        st.booleans(), st.sampled_from([0.0, 0.2, 1.0]))
 def test_block_backward_bit_identical_to_flat_list(seed, pair, l2, alpha):
     # the block and its flat list give the same bits; against the d-wide
-    # reference, the same bits with l2 and the same loss and rounding-level
-    # gradients without (assert_matches_flat_list)
+    # reference, the same loss and rounding-level gradients
+    # (assert_matches_flat_list)
     anchor_strategy, image_strategy = pair
     rng = seeded_rng(seed)
     b = int(rng.integers(3, 25))
@@ -652,7 +714,9 @@ class TestBlockBackward:
 # nets cover the Cholesky factor at hidden widths 64 and 96, the output
 # weights themselves as the factor at hidden 100 and 128 (over the widest
 # factored width) and 128 >= d = 100, embedding sizes 500, 1024 and 1030
-# (padded products), and l2 normalization at d = 1024 and 500. The last
+# (padded products), and l2 normalization with a nonzero output bias: the
+# bordered factor at hidden 64 (d = 1024 and 500) and 96, and [W; b^T]
+# itself at hidden 100. The last
 # case is a 400-row batch whose backward sums over 390 touched rows: an
 # inner dimension past 384, which OpenBLAS splits differently at 1 and 2
 # threads unless it is padded
@@ -669,7 +733,7 @@ digest = lambda arrays: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).he
 def cases(net, x, counts):
     factor = E.distance_factor(net)
     dist = pairwise_euclidean(E.forward(net, x, factor))
-    print(*net.layer_dims[1:], "none" if factor is None else factor.shape[1], digest([dist]))
+    print(*net.layer_dims[1:], factor.shape[1], digest([dist]))
     for k in counts:
         r = rng.permutation(len(x))[:k]
         # one anchor pulls r[1] and pushes the rest; r[0] as its own negative adds nothing
@@ -680,9 +744,12 @@ def cases(net, x, counts):
 
 nets = [(128, h, d, False) for h in (64, 96, 128) for d in (500, 1024, 1030)]
 nets += [(128, 128, 100, False), (128, 64, 1024, True), (128, 100, 1024, False), (128, 64, 500, True)]
+nets += [(128, 96, 1024, True), (128, 100, 1024, True)]
 for seed, (f, h, d, l2) in enumerate(nets):
     rng = np.random.default_rng(7 + seed)
     net = E.Embedder.init([f, h, d], rng, l2_normalize=l2)
+    if l2:
+        net.biases[-1] += 0.1 * rng.normal(size=d)
     cases(net, rng.normal(size=(100, f)), (2, 3, 7, 29, 70, 99, 100))
 rng = np.random.default_rng(3)
 net = E.Embedder.init([128, 64, 1024], rng)
@@ -696,7 +763,8 @@ def test_gradients_bit_identical_across_blas_thread_counts(stdout_at_blas_thread
     nets = [one[i:i + per_net] for i in range(0, len(one) - 6, per_net)]
     assert [n[:3] for n in nets] == (
         [[str(h), str(d), str(h if h <= 96 else d)] for h in (64, 96, 128) for d in (500, 1024, 1030)]
-        + [["128", "100", "100"], ["64", "1024", "none"], ["100", "1024", "1024"], ["64", "500", "none"]])
+        + [["128", "100", "100"], ["64", "1024", "65"], ["100", "1024", "1024"], ["64", "500", "65"],
+           ["96", "1024", "97"], ["100", "1024", "1024"]])
     assert all([int(c) for c in n[4::2]] == [2, 3, 7, 29, 70, 99, 100] for n in nets)
     assert one[-6:-3] == ["64", "1024", "64"] and one[-2] == "390"
     assert stdout_at_blas_threads(_THREAD_SCRIPT, 2) == one
@@ -764,12 +832,58 @@ class TestDistanceFactor:
         gap = np.divide(a, lower, out=np.zeros_like(a), where=lower > 0.0)
         assert np.all(np.abs(d_f - d_e) <= 2.0 * (noise + gap))
 
+    @settings(max_examples=200, deadline=None)
+    @given(hidden_width_nets())
+    def test_l2_rows_within_bound_of_normalized_embedding_distances(self, case):
+        # unit rows of [h, 1] F against the forward's d-wide normalized
+        # embedding. With A = [W; b^T], sigma_i = sum_a |[h, 1]_ia| |A_a| and
+        # rho_i = sigma_i / |e_i|: F F^T is within (d + h + 3) u |A_a| |A_b|
+        # of A A^T, and each side's rows within (h + 1) u sigma_i of exact,
+        # so the rows' dot products are within eta sigma_i sigma_j, eta =
+        # (d + 3 h + 5) u. The unit rows' dot products, their squared
+        # distance halved, then move by eta (rho_i + rho_j)^2, and the
+        # distances by at most a / max(t_F + t, sqrt(a)) for a = 2 eta
+        # (rho_i + rho_j)^2. Each side also carries its normalization's
+        # rounding (a few (k + 4) u, k its width) and pairwise_euclidean's
+        # relative error; every term is doubled
+        net, x, kind = case
+        net.l2_normalize = True
+        w, b = net.weights[-1], net.biases[-1]
+        h, d = w.shape
+        factor = distance_factor(net)
+        if kind == "glorot" and h < d and h <= embedder_mod._CHOLESKY_MAX:
+            assert factor.shape == (h + 1, h + 1) and np.array_equal(factor, np.tril(factor))
+        if h >= d or h > embedder_mod._CHOLESKY_MAX or kind == "zero rows":
+            assert np.array_equal(factor, np.vstack([w, b]))
+        rows = forward(net, x, factor)
+        emb = forward(net, x)
+        d_f, d_e = pairwise_euclidean(rows), pairwise_euclidean(emb)
+        hid = embedder_mod._hidden_cached(net, x)[-1]
+        sigma = np.abs(hid) @ np.linalg.norm(w, axis=1) + np.linalg.norm(b)
+        e_norms = np.linalg.norm(hid @ w + b, axis=1)
+        # a zero embedding row has no direction: its pairs are not compared
+        rho = np.divide(sigma, e_norms, out=np.full_like(e_norms, np.inf), where=e_norms > 0.0)
+        eta = (d + 3 * h + 5) * U
+        a = 2.0 * eta * (rho[:, None] + rho[None]) ** 2
+        pairs = np.isfinite(a)
+        a[~pairs] = 0.0
+        k = rows.shape[1]
+        noise = (4 * (k + d + 8) * U + (2.0**-41 + (k + 4) * U) * d_f + (2.0**-41 + (d + 4) * U) * d_e)
+        lower = np.maximum(d_f + d_e - 2.0 * noise, np.sqrt(a))
+        gap = np.divide(a, lower, out=np.zeros_like(a), where=lower > 0.0)
+        assert np.all(np.abs(d_f - d_e)[pairs] <= 2.0 * (noise + gap)[pairs])
+
     def test_rows_are_the_embedding_with_l2_normalization(self):
+        # without a factor, forward gives the d-wide normalized embedding;
+        # with one, unit rows of the bordered factor's width h + 1
         rng = seeded_rng(140)
         net = Embedder.init([4, 6, 9], rng, l2_normalize=True)
         x = rng.normal(size=(5, 4))
-        assert distance_factor(net) is None
+        factor = distance_factor(net)
+        assert factor.shape == (7, 7) and np.array_equal(factor, np.tril(factor))
         assert np.array_equal(forward(net, x, None), _forward_cached(net, x)[2])
+        rows = forward(net, x, factor)
+        assert rows.shape == (5, 7) and np.allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0.0, atol=4 * U * 7)
 
     @pytest.mark.parametrize("dims", [[6, 10, 8, 16], [6, 10, 12, 5]])
     def test_matches_finite_differences_with_two_hidden_layers(self, dims):
@@ -802,7 +916,7 @@ class TestBlockedDistanceRows:
         rng = seeded_rng(150)
         net = Embedder.init(dims, rng, l2_normalize=l2)
         factor = distance_factor(net)
-        widest = max(*dims[:-1], dims[-1] if factor is None else factor.shape[1])
+        widest = max(*dims[:-1], factor.shape[1])
         blocks = []
         real = embedder_mod._hidden_cached
 
@@ -812,8 +926,9 @@ class TestBlockedDistanceRows:
 
         for n in sorted({0, 1, 2, step - 1, step, step + 1, 2 * step + 1}):
             x = rng.normal(size=(n, dims[0]))
-            one_pass = (forward(net, x) if factor is None
-                        else padded_matmul(real(net, x)[-1], factor))
+            hidden = real(net, x)[-1]
+            one_pass = (embedder_mod._unit_rows(padded_matmul(hidden, factor[:-1]) + factor[-1])[0] if l2
+                        else padded_matmul(hidden, factor))
             del blocks[:]
             with monkeypatch.context() as patch:
                 patch.setattr(embedder_mod, "_CHUNK_VALUES", widest * step + widest - 1)

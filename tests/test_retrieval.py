@@ -581,12 +581,21 @@ class TestArchiveMemo:
 
 
 class TestHiddenWidthSearch:
-    """Without ``l2_normalize``, ``evaluate`` searches the rows ``h F`` and
-    never the (M, d) embedding."""
+    """``evaluate`` searches the rows ``h F`` (with ``l2_normalize`` the unit
+    rows ``[h, 1] F``) and never the (M, d) embedding."""
 
     def test_never_runs_the_full_forward(self, monkeypatch):
+        self.check_never_runs_the_full_forward(monkeypatch, l2=False)
+
+    def test_l2_never_runs_the_full_forward(self, monkeypatch):
+        self.check_never_runs_the_full_forward(monkeypatch, l2=True)
+
+    @staticmethod
+    def check_never_runs_the_full_forward(monkeypatch, l2):
         rng = seeded_rng(5)
-        net = Embedder.init([6, 10, 30], rng)
+        net = Embedder.init([6, 10, 30], rng, l2_normalize=l2)
+        if l2:
+            net.biases[-1] += rng.normal(size=30)
         queries, archive = random_split(rng, 20, 6, 4, "q"), random_split(rng, 80, 6, 4, "a")
         expected = evaluate_without_memo(net, queries, archive, k=7)
 

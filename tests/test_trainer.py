@@ -267,7 +267,8 @@ class TestTrain:
     def test_forward_embeds_every_batch_and_every_evaluated_row(self, anchor, image, l2, monkeypatch):
         # one call per batch and one more per epoch, which checks the step
         # taken on its last batch; then evaluate's queries, and the archive
-        # rows it ranks: the float32 screen's candidates, or with l2 the archive
+        # rows it ranks: the float32 screen's candidates, or with l2 the
+        # archive. Every call measures in the hidden width, with a factor
         from tripmine.retrieval import evaluate
 
         calls, real = [], emb_mod.forward
@@ -281,13 +282,13 @@ class TestTrain:
         monkeypatch.setattr(emb_mod, "forward", spy)
         net, _ = train(ds, cfg)
         n_batches = len(ds.train_idx) // cfg.batch_size
-        assert calls == [(cfg.batch_size, l2)] * (cfg.epochs * (n_batches + 1))
+        assert calls == [(cfg.batch_size, False)] * (cfg.epochs * (n_batches + 1))
         queries, archive = ds.subset(ds.val_idx), ds.subset(ds.test_idx)
         del calls[:]
         evaluate(net, queries, archive, 5)
-        assert len(calls) == 2 and calls[0] == (len(queries), l2)
+        assert len(calls) == 2 and calls[0] == (len(queries), False)
         if l2:
-            assert calls[1] == (len(archive), True)
+            assert calls[1] == (len(archive), False)
         else:
             assert calls[1][1] is False and 5 <= calls[1][0] <= len(archive)
 
@@ -313,12 +314,19 @@ class TestTrain:
             assert np.array_equal(w1, w2)
 
     def test_l2_off_training_never_builds_the_embedding(self, monkeypatch):
+        self.check_never_builds_the_embedding(monkeypatch, l2=False)
+
+    def test_l2_training_never_builds_the_embedding(self, monkeypatch):
+        self.check_never_builds_the_embedding(monkeypatch, l2=True)
+
+    @staticmethod
+    def check_never_builds_the_embedding(monkeypatch, l2):
         # hidden 8 < embedding 16: distances and gradients in the hidden width
         def refuse(*args):
             raise AssertionError("training built the d-wide embedding")
 
         ds = small_dataset()
-        cfg = small_config(epochs=2, embedding_dim=16)
+        cfg = small_config(epochs=2, embedding_dim=16, l2_normalize=l2)
         want_net, want_log = train(ds, cfg)
         monkeypatch.setattr(emb_mod, "_forward_cached", refuse)
         net, log = train(ds, cfg)
