@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .core import ANCHOR_STRATEGIES, DAS_REDUCTIONS, IMAGE_STRATEGIES, SamplerConfig, seeded_rng, validate_config
+from .core import ANCHOR_STRATEGIES, IMAGE_STRATEGIES, SamplerConfig, seeded_rng, validate_config
 from .data import SyntheticSpec, generate_synthetic, load_dataset, split_dataset
 from .embedder import load_checkpoint, save_checkpoint
 from .retrieval import MetricReport, default_k, evaluate, format_metric_table, metric_cells, write_metrics_csv
@@ -76,7 +76,6 @@ MINING_OPTS = (
     Opt("negatives", int, _TRAIN.sampler.negatives_per_anchor, "negatives per anchor"),
     Opt("beta", float, _TRAIN.sampler.beta, "relevancy vs hardness weight"),
     Opt("gamma", float, _TRAIN.sampler.gamma, "informativeness vs diversity weight"),
-    Opt("das_reduce", str, _TRAIN.sampler.das_reduce, "reduction over selected anchors", choices=DAS_REDUCTIONS),
 )
 SAMPLER_OPTS = (SAMPLER,) + MINING_OPTS
 
@@ -166,7 +165,7 @@ def _known_option_names():
 
 # options since removed, each with the one value every run now takes: older
 # manifests name them, and still load
-REMOVED_OPTIONS = {"combination": "cartesian", "label_sim": "cosine"}
+REMOVED_OPTIONS = {"combination": "cartesian", "label_sim": "cosine", "das_reduce": "max"}
 
 
 def _read_config_file(path, opts_by_name):
@@ -287,7 +286,7 @@ def _sampler_config(o: dict) -> SamplerConfig:
         anchor_strategy=anchor, image_strategy=image,
         anchor_fraction=o["anchors_fraction"],
         positives_per_anchor=o["positives"], negatives_per_anchor=o["negatives"],
-        beta=o["beta"], gamma=o["gamma"], das_reduce=o["das_reduce"],
+        beta=o["beta"], gamma=o["gamma"],
     )
 
 

@@ -16,7 +16,6 @@ from . import similarity
 
 ANCHOR_STRATEGIES = ("das", "ras", "bas")
 IMAGE_STRATEGIES = ("rhdis", "ris", "bis")
-DAS_REDUCTIONS = ("max", "min")
 
 # Upper bound on H*P*N, the triplets one batch may mine. Mining plus backward
 # peak at 10.6 bytes per triplet at bas-bis B = 256 (16.6M triplets, 168 MB),
@@ -161,9 +160,8 @@ class SamplerConfig:
     ``anchor_fraction`` determines the anchor count H = ceil(fraction * B);
     ``beta`` weights relevancy vs hardness in the informativeness scores and
     ``gamma`` weights informativeness vs diversity during iterative picks.
-    ``das_reduce`` selects the reduction over already-chosen anchors:
-    "max" is the default scoring rule, "min" is the classic farthest-point
-    variant kept for comparison only. ``seed`` is not read: mining draws
+    das scores a candidate by its farthest already-chosen anchor (see
+    ``sampler.select_anchors_das``). ``seed`` is not read: mining draws
     from the trainer's random stream, which ``TrainConfig.seed`` seeds.
     """
 
@@ -174,7 +172,6 @@ class SamplerConfig:
     negatives_per_anchor: int = 3
     beta: float = 0.5
     gamma: float = 0.1
-    das_reduce: str = "max"
     seed: int = 0
 
     def num_anchors(self, batch_size: int) -> int:
@@ -187,8 +184,7 @@ def validate_config(cfg: SamplerConfig, batch_size: int) -> SamplerConfig:
     valid. A valid configuration mines at least one triplet from every
     batch of that size, and at most ``MAX_TRIPLETS_PER_BATCH``."""
     for what, value, known in (("anchor strategy", cfg.anchor_strategy, ANCHOR_STRATEGIES),
-                               ("image strategy", cfg.image_strategy, IMAGE_STRATEGIES),
-                               ("das reduction", cfg.das_reduce, DAS_REDUCTIONS)):
+                               ("image strategy", cfg.image_strategy, IMAGE_STRATEGIES)):
         if value not in known:
             raise ValueError(f"unknown {what} {value!r}")
     if not 0.0 < cfg.anchor_fraction <= 1.0:

@@ -139,12 +139,7 @@ def _forward_cached(net: Embedder, features):
     acts = _hidden_cached(net, features)
     a = padded_matmul(acts[-1], net.weights[-1]) + net.biases[-1]
     acts.append(a)
-    if net.l2_normalize:
-        emb, norms = _unit_rows(a)
-    else:
-        norms = None
-        emb = a
-    return acts, norms, emb
+    return acts, _unit_rows(a) if net.l2_normalize else a
 
 
 def _triplet_set(triplets) -> TripletSet:
@@ -217,10 +212,19 @@ def distance_factor(net: Embedder) -> np.ndarray:
 
 
 def _unit_rows(rows):
-    """``(rows / |rows|, |rows|)`` per row; a zero row stays zero."""
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return rows / safe[:, None], norms
+    """``rows / |rows|`` per row; a zero row stays zero. A nonzero row whose
+    square sum overflows or leaves the normal range is scaled by a power of
+    two, exactly, and normalized again; every other row keeps its bits."""
+    sq = np.einsum("ij,ij->i", rows, rows)
+    norms = np.sqrt(sq)
+    unit = rows / np.where(norms > 0.0, norms, 1.0)[:, None]
+    odd = np.flatnonzero(~((sq >= np.finfo(sq.dtype).tiny) & (sq < np.inf)))
+    odd = odd[rows[odd].any(axis=1)]
+    if odd.size:
+        part = rows[odd]
+        part = np.ldexp(part, -np.frexp(np.abs(part).max(axis=1))[1][:, None])
+        unit[odd] = part / np.sqrt(np.einsum("ij,ij->i", part, part))[:, None]
+    return unit
 
 
 def _rows(net: Embedder, features, factor, input_sq=None) -> np.ndarray:
@@ -238,13 +242,13 @@ def _rows(net: Embedder, features, factor, input_sq=None) -> np.ndarray:
     start = 0
     for stop in stops:
         if factor is None:
-            block = _forward_cached(net, x[start:stop])[2]
+            block = _forward_cached(net, x[start:stop])[1]
         else:
             acts = _hidden_cached(net, x[start:stop])
             if input_sq is not None:
                 input_sq.append(np.einsum("ij,ij->i", acts[0], acts[0]).max())
             if net.l2_normalize:  # [h, 1] F as h F[:h] + F[h], a product of the plain rows' shape
-                block = _unit_rows(matmul(acts[-1], factor[:-1]) + factor[-1])[0]
+                block = _unit_rows(matmul(acts[-1], factor[:-1]) + factor[-1])
             else:
                 block = matmul(acts[-1], factor)
         if not np.isfinite(block).all():
@@ -501,11 +505,15 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
         # the rows r = [h, 1] F have dot products [h, 1] G [h, 1]^T for
         # G = F F^T = A A^T. For unit rows u and S's zero diagonal, M is
         # D^-1 K D^-1 with K = diag(u_i . (S u)_i) - S
-        gram = padded_matmul(factor, factor.T)
         h_one = np.ones((len(h), h.shape[1] + 1))
         h_one[:, :-1] = h
-        h_gram = padded_matmul(h_one, gram)
-        norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", h_gram, h_one), 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = padded_matmul(factor, factor.T)
+            h_gram = padded_matmul(h_one, gram)
+            norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", h_gram, h_one), 0.0))
+        if not (np.isfinite(gram).all() and np.isfinite(norms).all()):
+            # a zero inverse norm would silently zero those rows' gradients
+            raise FloatingPointError("squared norms of the l2 rows overflow float64")
         inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)[:, None]
         # h^ = D^-1 [h, 1], so u = h^ F and u_i . (S u)_i = (h^ G)_i . (S h^)_i
         scaled = h_one * inv
@@ -540,7 +548,7 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
 
 
 def _loss_and_kink_signature(net: Embedder, features, t: np.ndarray, alpha: float):
-    acts, out_norms, emb = _forward_cached(net, features)
+    acts, emb = _forward_cached(net, features)
     sig = [b"".join((a > 0.0).tobytes() for a in acts[1:-1])]
     if t.shape[0]:
         d_ap = _scaled_row_distances(emb, t[:, 0], t[:, 1])

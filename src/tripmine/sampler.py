@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import similarity
-from .core import DAS_REDUCTIONS, BatchView, SamplerConfig, TripletSet, validate_config
+from .core import BatchView, SamplerConfig, TripletSet, validate_config
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,17 @@ def informativeness(anchors: np.ndarray, dist_norm: np.ndarray, s_rows, beta: fl
     return InformativenessRow(i_pos=i_pos, i_neg=i_neg)
 
 
-def select_anchors_das(dist_norm: np.ndarray, h: int, rng: np.random.Generator,
-                       first_anchor: int | None = None, reduce: str = "max") -> np.ndarray:
+def select_anchors_das(dist: np.ndarray, h: int, rng: np.random.Generator,
+                       first_anchor: int | None = None) -> np.ndarray:
     """Iteratively select ``h`` mutually distant anchors, as an (h,) int64 array.
 
     The first anchor is drawn uniformly at random (or forced via
     ``first_anchor``); each subsequent anchor is the unselected candidate
-    whose reduced distance to the already-selected set is largest. The
-    default reduction is "max" (score = farthest already-selected anchor);
-    "min" gives the classic farthest-point rule and is kept for comparison.
+    whose distance to its farthest already-selected anchor is largest.
+    ``dist`` is any (B, B) distance matrix: the rule only compares its
+    entries, and ``mine_batch`` passes the raw ones.
     """
-    b = len(dist_norm)
+    b = len(dist)
     if h > b:
         raise ValueError(f"cannot select {h} anchors from a batch of {b}")
     if h < 1:
@@ -80,16 +80,13 @@ def select_anchors_das(dist_norm: np.ndarray, h: int, rng: np.random.Generator,
     selected = [first]
     taken = np.zeros(b, dtype=bool)
     taken[first] = True
-    combine = np.maximum if reduce == "max" else np.minimum
-    if reduce not in DAS_REDUCTIONS:
-        raise ValueError(f"unknown das reduction {reduce!r}")
-    score = dist_norm[:, first].copy()
+    score = dist[:, first].copy()
     while len(selected) < h:
         masked = np.where(taken, -np.inf, score)
         nxt = int(np.argmax(masked))  # argmax takes the first maximum: lowest index wins ties
         selected.append(nxt)
         taken[nxt] = True
-        score = combine(score, dist_norm[:, nxt])
+        score = np.maximum(score, dist[:, nxt])
     return np.array(selected, dtype=np.int64)
 
 
@@ -191,21 +188,19 @@ def build_triplets(anchors, positives, negatives) -> TripletSet:
 def _mine(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator, score_all: bool = False):
     """``mine_batch``'s selection, with the anchors' informativeness rows:
     scored where rhdis reads them, for every image strategy with
-    ``score_all``, else None. Distances are min-max normalized once, only
-    where das or the scores read them."""
+    ``score_all``, else None. das ranks the raw distances; they are min-max
+    normalized once, only where the scores read them."""
     validate_config(cfg, batch.size)
     h = cfg.num_anchors(batch.size)
-    scored = score_all or cfg.image_strategy == "rhdis"
-    if cfg.anchor_strategy == "das" or scored:
-        dist_norm = similarity.minmax_normalize(batch.dist_raw)
     if cfg.anchor_strategy == "das":
-        anchors = select_anchors_das(dist_norm, h, rng, reduce=cfg.das_reduce)
+        anchors = select_anchors_das(batch.dist_raw, h, rng)
     elif cfg.anchor_strategy == "ras":
         anchors = select_anchors_ras(batch.size, h, rng)
     else:
         anchors = select_anchors_bas(batch.size)
     rows = None
-    if scored:
+    if score_all or cfg.image_strategy == "rhdis":
+        dist_norm = similarity.minmax_normalize(batch.dist_raw)
         s_matrix = similarity.label_similarity_matrix(batch.labels)
         rows = informativeness(anchors, dist_norm, s_matrix[anchors], cfg.beta)
     c_pos, c_neg = cfg.positives_per_anchor, cfg.negatives_per_anchor
@@ -222,7 +217,7 @@ def _mine(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator, score_
 def mine_batch(batch: BatchView, cfg: SamplerConfig, rng: np.random.Generator) -> TripletSet:
     """Check ``cfg`` with ``validate_config``, then run its anchor and image
     strategies over one batch: images for all anchors in one call, assembled
-    in one call. Distances are min-max normalized once, only where das or rhdis reads them."""
+    in one call. Distances are min-max normalized once, only where rhdis scores with them."""
     return _mine(batch, cfg, rng)[0]
 
 

@@ -856,6 +856,8 @@ class TestParser:
      "{tmp}/run.cfg:2: option 'combination' was removed; only combination=cartesian is still accepted"),
     ({"run.cfg": "label_sim=jaccard\n"}, ["--synthetic", "--config", "{tmp}/run.cfg"],
      "{tmp}/run.cfg:1: option 'label_sim' was removed; only label_sim=cosine is still accepted"),
+    ({"run.cfg": "beta=0.7\nlabel_sim=cosine\ndas_reduce=min\n"}, ["--synthetic", "--config", "{tmp}/run.cfg"],
+     "{tmp}/run.cfg:3: option 'das_reduce' was removed; only das_reduce=max is still accepted"),
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, files, argv, message):
     for name, text in files.items():

@@ -208,7 +208,7 @@ class TestValidateConfig:
             validate_config(SamplerConfig(anchor_strategy="magic"), batch_size=10)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("das_reduce", "mean", "unknown das reduction 'mean'"),
+        ("image_strategy", "all", "unknown image strategy 'all'"),
         ("anchor_fraction", 0.0, "anchor_fraction must be in (0, 1], got 0.0"),
         ("anchor_fraction", 1.5, "anchor_fraction must be in (0, 1], got 1.5"),
         ("anchor_fraction", float("nan"), "anchor_fraction must be in (0, 1], got nan"),

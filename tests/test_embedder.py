@@ -50,7 +50,7 @@ def backward_oracle(net, x, t, alpha):
     Builds (T, d) arrays, so it is for small inputs only. Returns
     (weight_grads, bias_grads, loss).
     """
-    acts, out_norms, emb = _forward_cached(net, x)
+    acts, emb = _forward_cached(net, x)
     t = np.asarray(t, dtype=np.int64).reshape(-1, 3)
     a_idx, p_idx, n_idx = t[:, 0], t[:, 1], t[:, 2]
     diff_ap = emb[a_idx] - emb[p_idx]
@@ -72,6 +72,7 @@ def backward_oracle(net, x, t, alpha):
     np.add.at(d_emb, p_idx[active], -u_ap)
     np.add.at(d_emb, n_idx[active], u_an)
     if net.l2_normalize:
+        out_norms = np.sqrt(np.einsum("ij,ij->i", acts[-1], acts[-1]))
         safe = np.where(out_norms > 0.0, out_norms, 1.0)
         proj = np.einsum("ij,ij->i", emb, d_emb)
         g = np.where((out_norms > 0.0)[:, None], (d_emb - emb * proj[:, None]) / safe[:, None], 0.0)
@@ -136,6 +137,25 @@ class TestForward:
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="non-finite"):
                 forward(net, x, factor)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    @pytest.mark.parametrize("with_factor", [False, True])
+    def test_l2_rows_of_a_huge_or_tiny_net_are_the_unscaled_nets(self, scale, with_factor):
+        # the output rows' square sums overflow (1e160) or underflow (1e-170),
+        # yet the unit rows measure as the unscaled net's: up to the rounding
+        # of two factors (the scaled net's W W^T is not factored) and of two
+        # normalizations, a few units of 2**-53 on distances of at most 2
+        net = Embedder.init([4, 6, 8], seeded_rng(6), l2_normalize=True)
+        net.biases[-1][:] = seeded_rng(8).normal(size=8)
+        x = seeded_rng(7).normal(size=(5, 4))
+
+        def distances():
+            return pairwise_euclidean(forward(net, x, distance_factor(net) if with_factor else None))
+
+        want = distances()
+        net.weights[-1] *= scale
+        net.biases[-1] *= scale
+        assert np.abs(distances() - want).max() <= 64 * U
 
 
 class TestTripletLoss:
@@ -207,6 +227,19 @@ def test_loss_of_no_triplets_is_zero(triplets):
 
 
 class TestBackward:
+    def test_l2_net_whose_square_norms_overflow_raises(self):
+        # the rows' squared norms come from F F^T, which overflows first:
+        # zero inverse norms would silently zero those rows' gradients
+        net = Embedder.init([4, 6, 8], seeded_rng(6), l2_normalize=True)
+        net.weights[-1] *= 1e160
+        x = seeded_rng(7).normal(size=(5, 4))
+        factor = distance_factor(net)
+        dist = pairwise_euclidean(forward(net, x, factor))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                backward(net, x, np.array([[0, 1, 2], [1, 3, 4], [2, 0, 4]]), 0.2, dist, factor)
+
     def test_all_trivial_triplets_give_zero_gradient(self):
         net = Embedder(layer_dims=(1, 1), weights=[np.eye(1)], biases=[np.zeros(1)])
         x = np.array([[0.0], [0.1], [5.0]])
@@ -526,9 +559,10 @@ def flat_list_backward(net, x, t, alpha, dist):
     if s is None:
         return GradientBundle([np.zeros_like(w) for w in net.weights],
                               [np.zeros_like(b) for b in net.biases], loss)
-    acts, out_norms, emb = _forward_cached(net, x)
+    acts, emb = _forward_cached(net, x)
     d_emb = s.sum(axis=1)[:, None] * emb - padded_matmul(s, emb)
     if net.l2_normalize:
+        out_norms = np.sqrt(np.einsum("ij,ij->i", acts[-1], acts[-1]))
         safe = np.where(out_norms > 0.0, out_norms, 1.0)
         proj = np.einsum("ij,ij->i", emb, d_emb)
         g = np.where((out_norms > 0.0)[:, None], (d_emb - emb * proj[:, None]) / safe[:, None], 0.0)
@@ -881,7 +915,7 @@ class TestDistanceFactor:
         x = rng.normal(size=(5, 4))
         factor = distance_factor(net)
         assert factor.shape == (7, 7) and np.array_equal(factor, np.tril(factor))
-        assert np.array_equal(forward(net, x, None), _forward_cached(net, x)[2])
+        assert np.array_equal(forward(net, x, None), _forward_cached(net, x)[1])
         rows = forward(net, x, factor)
         assert rows.shape == (5, 7) and np.allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0.0, atol=4 * U * 7)
 
@@ -927,7 +961,7 @@ class TestBlockedDistanceRows:
         for n in sorted({0, 1, 2, step - 1, step, step + 1, 2 * step + 1}):
             x = rng.normal(size=(n, dims[0]))
             hidden = real(net, x)[-1]
-            one_pass = (embedder_mod._unit_rows(padded_matmul(hidden, factor[:-1]) + factor[-1])[0] if l2
+            one_pass = (embedder_mod._unit_rows(padded_matmul(hidden, factor[:-1]) + factor[-1]) if l2
                         else padded_matmul(hidden, factor))
             del blocks[:]
             with monkeypatch.context() as patch:

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from tripmine import similarity
 from tripmine.core import (
-    ANCHOR_STRATEGIES, DAS_REDUCTIONS, IMAGE_STRATEGIES, BatchView, SamplerConfig, seeded_rng, validate_config,
+    ANCHOR_STRATEGIES, IMAGE_STRATEGIES, BatchView, SamplerConfig, seeded_rng, validate_config,
 )
 from tripmine.sampler import (
     InformativenessRow,
@@ -131,15 +131,13 @@ class TestDiverseAnchors:
             got = select_anchors_das(dist, h, rng, first_anchor=first)
             assert got.tolist() == oracle_das(dist.tolist(), h, first)
 
-    def test_min_reduction_is_farthest_point_rule(self):
-        # classic farthest-point picks the point maximizing the distance to the
-        # NEAREST selected anchor; craft an instance where the rules disagree
+    def test_scores_by_the_farthest_chosen_anchor(self):
+        # a candidate scores its distance to the FARTHEST selected anchor, not
+        # the nearest (Gonzalez's farthest-point rule would pick 2 third)
         pts = np.array([[0.0], [10.0], [5.5], [9.0]])
-        dist = minmax_normalize(pairwise_euclidean(pts))
-        max_rule = select_anchors_das(dist, 3, seeded_rng(0), first_anchor=0, reduce="max")
-        min_rule = select_anchors_das(dist, 3, seeded_rng(0), first_anchor=0, reduce="min")
-        assert max_rule.tolist() == [0, 1, 3]
-        assert min_rule.tolist() == [0, 1, 2]
+        dist = pairwise_euclidean(pts)
+        assert select_anchors_das(dist, 3, seeded_rng(0), first_anchor=0).tolist() == [0, 1, 3]
+        assert oracle_das(dist.tolist(), 3, 0) == [0, 1, 3]
 
 
 class TestRandomAnchors:
@@ -407,10 +405,9 @@ def test_anchor_that_is_not_an_anchor_array_is_rejected(selector, anchor):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: select_anchors_das(np.zeros((3, 3)), 0, seeded_rng(0)), "anchor count must be >= 1"),
-    (lambda: select_anchors_das(np.zeros((3, 3)), 2, seeded_rng(0), reduce="mean"), "unknown das reduction 'mean'"),
     (lambda: select_anchors_bas(0), "batch must be nonempty"),
     (lambda: select_images_bis(np.array([0]), 1), "bis needs a batch of at least 2"),
-], ids=["das-no-anchor", "das-reduction", "bas-empty-batch", "bis-batch-of-one"])
+], ids=["das-no-anchor", "bas-empty-batch", "bis-batch-of-one"])
 def test_selector_rejects_what_it_cannot_select(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -517,7 +514,6 @@ class TestMineBatch:
             negatives_per_anchor=data.draw(st.integers(0, b), label="negatives"),
             beta=data.draw(weights, label="beta"),
             gamma=data.draw(weights, label="gamma"),
-            das_reduce=data.draw(one_of(DAS_REDUCTIONS, ("mean",)), label="das reduction"),
         )
         rng = seeded_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         batch = _random_batch(rng, b=b)
@@ -633,7 +629,7 @@ def mine_batch_reference(batch, cfg, rng):
     """(anchors, {anchor: (positives, negatives)}, (T, 3) triplets)."""
     h = cfg.num_anchors(batch.size)
     if cfg.anchor_strategy == "das":
-        anchors = select_anchors_das(minmax_normalize(batch.dist_raw), h, rng, reduce=cfg.das_reduce)
+        anchors = select_anchors_das(batch.dist_raw, h, rng)
     elif cfg.anchor_strategy == "ras":
         anchors = select_anchors_ras(batch.size, h, rng)
     else:
@@ -652,8 +648,8 @@ def mine_batch_reference(batch, cfg, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(list(itertools.product(ANCHOR_STRATEGIES, IMAGE_STRATEGIES))),
-       st.sampled_from(["max", "min"]), st.booleans())
-def test_lockstep_mining_matches_per_anchor_reference(seed, pair, das_reduce, quantized):
+       st.booleans())
+def test_lockstep_mining_matches_per_anchor_reference(seed, pair, quantized):
     anchor_strategy, image_strategy = pair
     rng = seeded_rng(seed)
     b = int(rng.integers(3, 25))
@@ -664,7 +660,6 @@ def test_lockstep_mining_matches_per_anchor_reference(seed, pair, das_reduce, qu
         anchor_fraction=float(rng.uniform(0.01, 1.0)), positives_per_anchor=c_pos, negatives_per_anchor=c_neg,
         beta=float(rng.choice([0.0, 0.5, 1.0, rng.random()])),
         gamma=float(rng.choice([0.0, 0.1, 1.0, rng.random()])),
-        das_reduce=das_reduce,
     )
     lockstep_rng, reference_rng = seeded_rng(seed + 1), seeded_rng(seed + 1)
     for _ in range(3):
