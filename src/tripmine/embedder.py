@@ -59,9 +59,8 @@ _NORM_SLACK = 1.0 + 2.0**-20
 
 @dataclass
 class Embedder:
-    """Layer dimensions [F, h1, ..., d] with per-layer weight matrix and bias."""
+    """Per-layer weight matrices (fan_in, fan_out) and bias vectors."""
 
-    layer_dims: tuple
     weights: list
     biases: list
     l2_normalize: bool = False
@@ -77,20 +76,15 @@ class Embedder:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
             biases.append(np.zeros(fan_out, dtype=np.float64))
-        return cls(layer_dims=dims, weights=weights, biases=biases, l2_normalize=l2_normalize)
+        return cls(weights=weights, biases=biases, l2_normalize=l2_normalize)
+
+    @property
+    def layer_dims(self) -> tuple:
+        return (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
-
-
-@dataclass
-class GradientBundle:
-    """Per-parameter gradients matching the Embedder's shapes, plus the loss value."""
-
-    weight_grads: list
-    bias_grads: list
-    loss_value: float
 
 
 def parameters(net: Embedder) -> list:
@@ -98,14 +92,6 @@ def parameters(net: Embedder) -> list:
     out = []
     for w, b in zip(net.weights, net.biases):
         out.extend((w, b))
-    return out
-
-
-def gradient_list(bundle: GradientBundle) -> list:
-    """Gradients in the same order as ``parameters``."""
-    out = []
-    for gw, gb in zip(bundle.weight_grads, bundle.bias_grads):
-        out.extend((gw, gb))
     return out
 
 
@@ -165,7 +151,9 @@ def distance_factor(net: Embedder) -> np.ndarray:
     of the singular ``A A^T`` of a zero bias (every initialization's), where
     it is ``l = 0``, ``c = 0``. ``l`` is the last row of the Cholesky factor
     of ``W W^T`` bordered by ``W b`` and ``2 |b|^2 + 1``, a pivot that stays
-    positive while ``|l| <= |b|`` holds to within rounding.
+    positive while ``|l| <= |b|`` holds to within rounding. A ``W W^T``
+    whose diagonal leaves the normal range is factored as that of
+    ``2**-e W`` (and ``2**-e b``), times ``2**e`` (``_gram_at_scale``).
 
     The computed ``L`` satisfies ``L L^T = W W^T + E`` with
     ``|E_ij| <= (d + h + 2) u |W_i| |W_j|`` (rows ``W_i``, u = 2**-53;
@@ -189,14 +177,14 @@ def distance_factor(net: Embedder) -> np.ndarray:
     if h < d and h <= _CHOLESKY_MAX:
         # plain: a symmetric rank-k product, thread-stable up to _CHOLESKY_MAX,
         # as is the factorization bordered to _CHOLESKY_MAX + 1
-        gram = w @ w.T
+        e, w_e, gram = _gram_at_scale(w, np.matmul)
         if net.l2_normalize:
             # einsum sums in its own loops, at any BLAS thread count
-            b = net.biases[-1]
+            b = np.ldexp(net.biases[-1], -e)
             b_sq = np.einsum("i,i->", b, b)
             bordered = np.empty((h + 1, h + 1))
             bordered[:h, :h] = gram
-            bordered[h, :h] = bordered[:h, h] = np.einsum("ij,j->i", w, b)
+            bordered[h, :h] = bordered[:h, h] = np.einsum("ij,j->i", w_e, b)
             bordered[h, h] = 2.0 * b_sq + 1.0
             gram = bordered
         try:
@@ -207,8 +195,20 @@ def distance_factor(net: Embedder) -> np.ndarray:
             if net.l2_normalize:
                 border = low[h, :h]
                 low[h, h] = np.sqrt(max(b_sq - np.einsum("i,i->", border, border), 0.0))
-            return low
+            return np.ldexp(low, e) if e else low
     return np.vstack([w, net.biases[-1]]) if net.l2_normalize else w
+
+
+def _gram_at_scale(f, matmul):
+    """``(e, g, matmul(g, g^T))`` for ``g = 2**-e f``, exactly: e = 0 unless
+    the largest diagonal entry of ``f f^T`` overflows or falls below the
+    normal range, where ``e`` puts the largest entry of ``g`` in [0.5, 1)."""
+    gram = matmul(f, f.T)
+    if _F64_TINY <= gram.diagonal().max() < np.inf:
+        return 0, f, gram
+    e = int(np.frexp(np.abs(f).max())[1])
+    f = np.ldexp(f, -e)
+    return e, f, matmul(f, f.T)
 
 
 def _unit_rows(rows):
@@ -339,8 +339,7 @@ def float32_rows(net: Embedder, features, factor):
                 for w, b in [*zip(net.weights[:-1], net.biases[:-1]), (factor, None)]]
     if not max(max(frob, b_norm) for _, frob, b_norm in products) <= _FLOAT32_SCALE:
         return None
-    net32 = Embedder(net.layer_dims, [w.astype(np.float32) for w in net.weights],
-                     [b.astype(np.float32) for b in net.biases])
+    net32 = Embedder([w.astype(np.float32) for w in net.weights], [b.astype(np.float32) for b in net.biases])
     input_sq = []
     try:
         rows = _rows(net32, features, factor.astype(np.float32), input_sq)
@@ -417,12 +416,9 @@ def _masked_sum(values: np.ndarray, mask: np.ndarray) -> float:
     return float(flat_v[:k].sum())
 
 
-def _zero_gradients(net: Embedder, loss: float) -> GradientBundle:
-    return GradientBundle([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases], loss)
-
-
-def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=None) -> GradientBundle:
-    """Analytic gradient of the margin loss through the network.
+def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=None) -> tuple:
+    """``(loss, grads)``: the margin loss and its analytic gradient through
+    the network, one array per parameter in ``parameters(net)`` order.
 
     ``dist_raw`` is the (B, B) Euclidean distance matrix of the batch's
     embeddings (its ``BatchView.dist_raw``, measured on ``forward``'s rows).
@@ -452,7 +448,9 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
     gradient would be ``M [h, 1] A`` (``A = [W; b^T]``), so the output
     weights and bias get ``([h, 1]^T M [h, 1]) A`` and ``h`` gets
     ``(M r) F[:h]^T``. Nothing is d wide but the products with ``W`` (and
-    ``F F^T`` where ``F`` is ``A`` itself).
+    ``F F^T`` where ``F`` is ``A`` itself). The unit rows do not depend on
+    the scale of ``F``: ``F F^T`` is taken at ``4**-e`` (``_gram_at_scale``),
+    which only the output layer's gradients carry, after their products with ``W``.
     """
     x = _feature_matrix(net, features)
     size = x.shape[0]
@@ -460,10 +458,8 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
     if dist.shape != (size, size):
         raise ValueError(f"distance matrix of shape {dist.shape} does not match batch size {size}")
     tset = _triplet_set(triplets)
-    if not len(tset):
-        return _zero_gradients(net, 0.0)
     cols = tset.columns()
-    if min(c.min() for c in cols) < 0 or max(c.max() for c in cols) >= size:
+    if min(c.min(initial=0) for c in cols) < 0 or max(c.max(initial=-1) for c in cols) >= size:
         raise ValueError(f"triplet indices must lie in [0, {size})")
     a_col, p_col, n_col = cols
 
@@ -476,7 +472,7 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
     active &= tset.keep
     loss = _masked_sum(pre, active)
     if not active.any():
-        return _zero_gradients(net, loss)
+        return loss, [np.zeros_like(p) for p in parameters(net)]
 
     # coef[a, x] = #active triplets with (a, x) as the positive pair minus
     # #active with (a, x) as the negative pair; each adds +-(e_a - e_x) / D(a, x)
@@ -495,8 +491,7 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
         x = x[touched]
         s = s[np.ix_(touched, touched)]
     last = net.n_layers - 1
-    weight_grads = [None] * net.n_layers
-    bias_grads = [None] * net.n_layers
+    grads = [None] * (2 * net.n_layers)
     if factor is None:
         factor = distance_factor(net)
     acts = _hidden_cached(net, x)
@@ -508,7 +503,7 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
         h_one = np.ones((len(h), h.shape[1] + 1))
         h_one[:, :-1] = h
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = padded_matmul(factor, factor.T)
+            e, _, gram = _gram_at_scale(factor, padded_matmul)
             h_gram = padded_matmul(h_one, gram)
             norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", h_gram, h_one), 0.0))
         if not (np.isfinite(gram).all() and np.isfinite(norms).all()):
@@ -525,26 +520,25 @@ def backward(net: Embedder, features, triplets, alpha: float, dist_raw, factor=N
         # plain path's d-wide product (and array size) plus a rank-one term
         inner = padded_matmul(scaled.T, k_scaled)
         w, b = net.weights[last], net.biases[last]
-        weight_grads[last] = padded_matmul(inner[:-1, :-1], w)
-        weight_grads[last] += inner[:-1, -1:] * b
-        bias_grads[last] = padded_matmul(inner[-1:, :-1], w)[0] + inner[-1, -1] * b
+        d_w = padded_matmul(inner[:-1, :-1], w)
+        d_w += inner[:-1, -1:] * b
+        d_b = padded_matmul(inner[-1:, :-1], w)[0] + inner[-1, -1] * b
+        grads[-2:] = np.ldexp(d_w, -2 * e, out=d_w), np.ldexp(d_b, -2 * e, out=d_b)
         if last > 0:
             # (M r) F[:h]^T = M [h, 1] G[:, :h]
             g = padded_matmul(k_scaled * inv, gram[:, :-1])
     else:
         lap_h = s.sum(axis=1)[:, None] * h - padded_matmul(s, h)
-        weight_grads[last] = padded_matmul(padded_matmul(h.T, lap_h), net.weights[last])
-        bias_grads[last] = np.zeros_like(net.biases[last])
+        grads[-2:] = padded_matmul(padded_matmul(h.T, lap_h), net.weights[last]), np.zeros_like(net.biases[last])
         if last > 0:
             g = padded_matmul(padded_matmul(lap_h, factor), factor.T)
     # g is now the gradient of the last hidden activations
     for l in range(last - 1, -1, -1):
         g *= acts[l + 1] > 0.0
-        weight_grads[l] = padded_matmul(acts[l].T, g)
-        bias_grads[l] = g.sum(axis=0)
+        grads[2 * l:2 * l + 2] = padded_matmul(acts[l].T, g), g.sum(axis=0)
         if l > 0:
             g = padded_matmul(g, net.weights[l].T)
-    return GradientBundle(weight_grads, bias_grads, loss)
+    return loss, grads
 
 
 def _loss_and_kink_signature(net: Embedder, features, t: np.ndarray, alpha: float):
@@ -587,8 +581,7 @@ def finite_difference_check(net: Embedder, features, triplets, alpha: float,
     tset = _triplet_set(triplets)
     t = tset.triplets
     factor = distance_factor(net)
-    bundle = backward(net, x, tset, alpha, pairwise_euclidean(forward(net, x, factor)), factor)
-    grads = gradient_list(bundle)
+    grads = backward(net, x, tset, alpha, pairwise_euclidean(forward(net, x, factor)), factor)[1]
     g_scale = max((float(np.abs(g).max()) for g in grads if g.size), default=0.0)
     floor = max(0.01 * g_scale, 1e-12)
     worst = 0.0
@@ -693,6 +686,5 @@ def load_checkpoint(path, l2_normalize: bool | None = None) -> Embedder:
                 f"{path}: checkpoint was saved with l2_normalize={saved}, not l2_normalize={bool(l2_normalize)}"
             )
         l2_normalize = saved
-    return Embedder(layer_dims=tuple(dims), weights=weights, biases=biases,
-                    l2_normalize=bool(l2_normalize))
+    return Embedder(weights=weights, biases=biases, l2_normalize=bool(l2_normalize))
 

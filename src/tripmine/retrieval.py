@@ -74,9 +74,9 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, row_error
     A block holds one (Q, M) screen and the copy ``np.partition`` makes of
     it; the pending candidates are ranked before a block whose pairs would
     take them past one screen's size, so they never outnumber the larger of
-    one screen and one block's pairs. Rows whose squares could overflow are screened
-    at one power-of-two scale 2**-s, as are the differences whose squares
-    overflow.
+    one screen and one block's pairs. Rows whose squares could overflow, or
+    an archive of subnormal squares, are screened at one power-of-two scale
+    2**-s; the re-measure scales each difference itself.
     """
     q = np.asarray(query_embedding, dtype=np.float64)
     a = float32_or_float64(archive)
@@ -96,12 +96,11 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, row_error
     info = np.finfo(a.dtype)
     screen_q, screen_a, scale_exp = q.astype(a.dtype, copy=False), a, 0
     q_sq, a_sq = (np.einsum("ij,ij->i", r, r) for r in (screen_q, screen_a))
-    # every term of the screen and re-measure is at most 4 max |row|^2, so
-    # below 8 max |row|^2 <= the type's largest: compared, not multiplied,
-    # whatever type numpy gives a float32 scalar times a float. False for a
-    # non-finite row
+    # every term of the screen is at most 4 max |row|^2, so below 8 max
+    # |row|^2 <= the type's largest: compared, not multiplied, whatever type
+    # numpy gives a float32 scalar times a float. False for a non-finite row
     limit = float(info.max) / 8.0
-    if not (q_sq.max(initial=0.0) <= limit and a_sq.max() <= limit):
+    if not (q_sq.max(initial=0.0) <= limit and info.tiny <= a_sq.max() <= limit):
         for rows, what in ((q, "query"), (a, "archive")):
             if not np.isfinite(rows).all():
                 raise ValueError(f"{what} embeddings contain non-finite values")
@@ -134,10 +133,6 @@ def knn_retrieve(query_embedding, archive, k: int, exclude_index=None, row_error
             union = np.unique(a_rows)
             exact_a, exact_at = exact_rows(union), np.searchsorted(union, a_rows)
         exact = _scaled_row_distances(q, q_rows, exact_at, y=exact_a)
-        if scale_exp:  # squares that overflow at scale 1 are summed at the screen's
-            over = np.flatnonzero(exact == np.inf)
-            far = _scaled_row_distances(q, q_rows[over], exact_at[over], scale_exp, y=exact_a)
-            exact[over] = np.ldexp(far, scale_exp)
         # lexsort is stable: each query's pairs stay one run, ordered by
         # distance with equal distances in index order
         order = np.lexsort((exact, q_rows))

@@ -107,10 +107,12 @@ def label_similarity_matrix(labels) -> np.ndarray:
     return inter / np.sqrt(np.outer(sizes, sizes))
 
 
-def _scaled_row_distances(x, rows_i, rows_j, exp: int = 0, y=None) -> np.ndarray:
-    """``|x[rows_i[t]] - y[rows_j[t]]| * 2**-exp`` for every pair t (``y`` is
-    ``x`` by default), from row differences rescaled before squaring
-    (identical rows give exactly 0), in 1 MB chunks of rows."""
+@np.errstate(over="ignore")
+def _scaled_row_distances(x, rows_i, rows_j, y=None) -> np.ndarray:
+    """``|x[rows_i[t]] - y[rows_j[t]]|`` for every pair t (``y`` is ``x`` by
+    default), from row differences in 1 MB chunks of rows. A nonzero one
+    whose square sum overflows or leaves the normal range is summed again at
+    the power of two that puts its largest entry in [0.5, 1), exactly."""
     y = x if y is None else y
     dist = np.empty(len(rows_i), dtype=np.float64)
     step = max(1, _CHUNK_VALUES // x.shape[1])
@@ -119,9 +121,14 @@ def _scaled_row_distances(x, rows_i, rows_j, exp: int = 0, y=None) -> np.ndarray
         # in place: a fresh difference array took twice as long
         diff = x[rows_i[part]]
         diff -= y[rows_j[part]]
-        if exp:
-            np.ldexp(diff, -exp, out=diff)
-        dist[part] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        sq = np.einsum("ij,ij->i", diff, diff)
+        odd = np.flatnonzero(~((sq >= _FLOAT_TINY) & (sq < np.inf)))
+        odd = odd[diff[odd].any(axis=1)]
+        dist[part] = np.sqrt(sq)
+        if odd.size:
+            exp = np.frexp(np.abs(diff[odd]).max(axis=1))[1]
+            far = np.ldexp(diff[odd], -exp[:, None])
+            dist[start + odd] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", far, far)), exp)
     return dist
 
 
@@ -210,7 +217,7 @@ def pairwise_euclidean(embeddings) -> np.ndarray:
     np.fill_diagonal(dist, 0.0)
     if near.any():
         rows_i, rows_j = np.nonzero(np.triu(near))
-        exact = _scaled_row_distances(x, rows_i, rows_j, exp)
+        exact = np.ldexp(_scaled_row_distances(x, rows_i, rows_j), -exp)
         dist[rows_i, rows_j] = exact
         dist[rows_j, rows_i] = exact
     with np.errstate(over="ignore"):

@@ -219,9 +219,9 @@ def train(dataset, cfg: TrainConfig, epoch_callback=None) -> tuple:
             # validate_config admits only configurations that mine a triplet from every batch
             tset = sampler.mine_batch(batch, cfg.sampler, rng)
             cum_triplets += len(tset)
-            bundle = emb_mod.backward(net, x, tset, cfg.alpha, batch.dist_raw, factor)
-            adam_step(params, emb_mod.gradient_list(bundle), state, lr)
-            losses.append(bundle.loss_value)
+            loss, grads = emb_mod.backward(net, x, tset, cfg.alpha, batch.dist_raw, factor)
+            adam_step(params, grads, state, lr)
+            losses.append(loss)
         # batch_stream yields at least one batch per epoch
         mean_loss = float(np.mean(losses))
         if not np.isfinite(mean_loss):

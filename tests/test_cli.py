@@ -148,6 +148,12 @@ class TestTrain:
         assert "nope_labels.csv" in err
         assert "Traceback" not in err
 
+    def test_no_synthetic_samples_exits_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--synthetic", "--n-samples", "0", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "n_samples, n_classes, and feature_dim must be >= 1" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("name, content", [
         ("nan.csv", b"a,1.0,nan\nb,2.0,3.0\n"),
         ("huge.csv", b"a,1.0,2.0\nb,1e309,3.0\n"),

@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -119,6 +120,15 @@ class TestLoadDataset:
     def test_malformed_csv_names_the_file(self, tmp_path):
         fpath, lpath = write_toy_files(tmp_path, ["a,1.0,2.0"], ["a,1,0"])
         fpath.write_text("a,1.0,2.0\nb,3.0," + "1" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(ValueError, match=r"features\.csv: line 2: field larger than field limit"):
+            load_dataset(fpath, lpath)
+
+    def test_a_line_over_the_field_limit_across_read_blocks_names_the_file(self, tmp_path, monkeypatch):
+        # the scan stops the line once the blocks read of it pass the limit,
+        # before holding it whole; the row reader names it
+        monkeypatch.setattr(core, "_READ_BLOCK_BYTES", 4096)
+        fpath, lpath = write_toy_files(tmp_path, ["a,1.0,2.0"], ["a,1,0"])
+        fpath.write_text("a,1.0,2.0\nb,3.0," + "1" * (2 * csv.field_size_limit()) + "\n")
         with pytest.raises(ValueError, match=r"features\.csv: line 2: field larger than field limit"):
             load_dataset(fpath, lpath)
 
@@ -452,6 +462,23 @@ class TestFeaturesReader:
         ids, feats = _read_features_csv(path)
         assert ids == ["t0", "t1"] and feats.tolist() == [[3.0], [4.0]]
 
+    def test_a_rewrite_the_size_and_mtime_miss_takes_the_row_reader(self, tmp_path, monkeypatch):
+        # a rewrite within the clock's resolution to the same size: the
+        # second read finds fewer rows than the scan's ids
+        path = tmp_path / "features.csv"
+        path.write_text("s0,1.0\ns1,2.0\ns2,3.0\n")
+        scan = data._plain_csv_blocks
+
+        def scan_then_rewrite(fh):
+            yield from scan(fh)
+            path.write_text("t0,4.0\n")
+
+        monkeypatch.setattr(data, "_plain_csv_blocks", scan_then_rewrite)
+        monkeypatch.setattr(data, "_size_and_mtime", lambda fh: (0, 0))
+        assert _parse_features_loadtxt(path) is None
+        ids, feats = _read_features_csv(path)
+        assert ids == ["t0"] and feats.tolist() == [[4.0]]
+
     def test_reading_holds_the_array_the_ids_and_one_block(self, tmp_path):
         m, f = 20_000, 128
         # short values keep the file small (about 16 MB) and the test quick
@@ -669,6 +696,14 @@ class TestSplitDataset:
         assert len(all_idx) == len(set(all_idx)) == 31
         assert min(all_idx) >= 0 and max(all_idx) < 31
 
+    def test_fractions_whose_floors_overfill_the_dataset_rejected(self):
+        # the sum's 1e-9 slack lets two floors pass the sample count only
+        # past about 10**9 samples; the check reads the count alone, before
+        # anything is drawn, so a range stands in for that table
+        ds = SimpleNamespace(samples=range(1_100_000_001))
+        with pytest.raises(ValueError, match="leave no room"):
+            split_dataset(ds, (0.5 + 4.9e-10, 0.5 + 4.9e-10, 1e-12), seeded_rng(0))
+
     def test_invalid_fractions_rejected(self):
         ds = generate_synthetic(SyntheticSpec(n_samples=10, seed=11))
         with pytest.raises(ValueError, match="fractions"):
@@ -716,6 +751,8 @@ class TestGenerateSynthetic:
             assert row.tolist() == [1]
 
     def test_invalid_spec_rejected(self):
+        with pytest.raises(ValueError, match="n_samples, n_classes, and feature_dim must be >= 1"):
+            generate_synthetic(SyntheticSpec(n_samples=0))
         with pytest.raises(ValueError, match="n_prototypes"):
             generate_synthetic(SyntheticSpec(n_prototypes=1))
         with pytest.raises(ValueError, match="label_noise_rate"):

@@ -13,14 +13,12 @@ from tripmine.core import (
 )
 from tripmine.embedder import (
     Embedder,
-    GradientBundle,
     _forward_cached,
     backward,
     distance_factor,
     finite_difference_check,
     float32_rows,
     forward,
-    gradient_list,
     hinge_terms,
     load_checkpoint,
     parameters,
@@ -106,7 +104,7 @@ class TestForward:
         assert np.all(out == 0.0)
 
     def test_identity_single_layer_passes_through(self):
-        net = Embedder(layer_dims=(3, 3), weights=[np.eye(3)], biases=[np.zeros(3)])
+        net = Embedder(weights=[np.eye(3)], biases=[np.zeros(3)])
         x = seeded_rng(1).normal(size=(4, 3))
         assert np.array_equal(forward(net, x), x)
 
@@ -228,10 +226,11 @@ def test_loss_of_no_triplets_is_zero(triplets):
 
 class TestBackward:
     def test_l2_net_whose_square_norms_overflow_raises(self):
-        # the rows' squared norms come from F F^T, which overflows first:
-        # zero inverse norms would silently zero those rows' gradients
+        # the rows' squared norms [h, 1] F F^T [h, 1]^T overflow with the
+        # hidden activations h: zero inverse norms would silently zero those
+        # rows' gradients
         net = Embedder.init([4, 6, 8], seeded_rng(6), l2_normalize=True)
-        net.weights[-1] *= 1e160
+        net.weights[0] *= 1e160
         x = seeded_rng(7).normal(size=(5, 4))
         factor = distance_factor(net)
         dist = pairwise_euclidean(forward(net, x, factor))
@@ -240,23 +239,51 @@ class TestBackward:
             with pytest.raises(FloatingPointError, match="overflow"):
                 backward(net, x, np.array([[0, 1, 2], [1, 3, 4], [2, 0, 4]]), 0.2, dist, factor)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+    def test_l2_gradients_do_not_depend_on_the_output_scale(self, scale):
+        # unit rows are the same at any scale of the output layer, so the
+        # loss and the hidden layers' gradients are the unscaled net's, and
+        # the output layer's 1 / scale times its: F F^T overflows (1e160),
+        # is subnormal (1e-160) or underflows to zero (1e-170)
+        rng = seeded_rng(16)
+        net = Embedder.init([8, 6, 20], rng, l2_normalize=True)
+        net.biases[-1] += rng.normal(size=20)
+        x = rng.normal(size=(12, 8))
+        t = random_triplets(rng, 12, count=30)
+
+        def loss_and_gradients():
+            factor = distance_factor(net)
+            return backward(net, x, t, 0.5, pairwise_euclidean(forward(net, x, factor)), factor)
+
+        want_loss, want = loss_and_gradients()
+        assert want_loss > 0.0
+        net.weights[-1] *= scale
+        net.biases[-1] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grads = loss_and_gradients()
+        assert loss == pytest.approx(want_loss, rel=1e-13)
+        grads[-2:] = (g * scale for g in grads[-2:])
+        for g, w in zip(grads, want, strict=True):
+            assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
     def test_all_trivial_triplets_give_zero_gradient(self):
-        net = Embedder(layer_dims=(1, 1), weights=[np.eye(1)], biases=[np.zeros(1)])
+        net = Embedder(weights=[np.eye(1)], biases=[np.zeros(1)])
         x = np.array([[0.0], [0.1], [5.0]])
-        bundle = pair_backward(net, x, np.array([[0, 1, 2]]), 0.2)
-        assert bundle.loss_value == 0.0
-        assert all(np.all(g == 0.0) for g in gradient_list(bundle))
+        loss, grads = pair_backward(net, x, np.array([[0, 1, 2]]), 0.2)
+        assert loss == 0.0
+        assert all(np.all(g == 0.0) for g in grads)
 
     def test_single_active_triplet_identity_net_closed_form(self):
         # identity 2x2 net, rows (0,0), (1,0), (0,2): d(a,p)=1, d(a,n)=2
         # active with alpha=1.5; unit vectors give dE rows, and dW = X^T dE
-        net = Embedder(layer_dims=(2, 2), weights=[np.eye(2)], biases=[np.zeros(2)])
+        net = Embedder(weights=[np.eye(2)], biases=[np.zeros(2)])
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        bundle = pair_backward(net, x, np.array([[0, 1, 2]]), 1.5)
-        assert bundle.loss_value == pytest.approx(0.5, abs=1e-15)
+        loss, (d_w, d_b) = pair_backward(net, x, np.array([[0, 1, 2]]), 1.5)
+        assert loss == pytest.approx(0.5, abs=1e-15)
         expected_dw = np.array([[1.0, 0.0], [0.0, -2.0]])
-        assert np.allclose(bundle.weight_grads[0], expected_dw, atol=1e-14)
-        assert np.allclose(bundle.bias_grads[0], [0.0, 0.0], atol=1e-14)
+        assert np.allclose(d_w, expected_dw, atol=1e-14)
+        assert np.allclose(d_b, [0.0, 0.0], atol=1e-14)
 
     def test_matches_finite_differences(self):
         rng = seeded_rng(8)
@@ -296,17 +323,17 @@ class TestBackward:
         net.biases[-1] += rng.normal(size=20)
         x = rng.normal(size=(12, 8))
         t = random_triplets(rng, 12, count=30)
-        want = pair_backward(net, x, t, 0.3)
-        assert want.loss_value > 0.0
+        want_loss, want = pair_backward(net, x, t, 0.3)
+        assert want_loss > 0.0
 
         def refuse(*args):
             raise AssertionError("backward embedded at the output width")
 
         monkeypatch.setattr(embedder_mod, "_forward_cached", refuse)
         factor = distance_factor(net)
-        got = backward(net, x, t, 0.3, pairwise_euclidean(forward(net, x, factor)), factor)
-        assert got.loss_value == pytest.approx(want.loss_value, rel=1e-12)
-        for g, w in zip(gradient_list(got), gradient_list(want)):
+        got_loss, got = backward(net, x, t, 0.3, pairwise_euclidean(forward(net, x, factor)), factor)
+        assert got_loss == pytest.approx(want_loss, rel=1e-12)
+        for g, w in zip(got, want):
             assert np.allclose(g, w, rtol=1e-9, atol=1e-12)
 
     def test_gradient_descent_step_decreases_active_loss(self):
@@ -314,24 +341,24 @@ class TestBackward:
         net = Embedder.init([4, 6, 3], rng)
         x = rng.normal(size=(5, 4))
         t = np.array([[0, 1, 2]])
-        before = pair_backward(net, x, t, 1.0)
-        assert before.loss_value > 0.0
-        for p, g in zip(parameters(net), gradient_list(before)):
+        before, grads = pair_backward(net, x, t, 1.0)
+        assert before > 0.0
+        for p, g in zip(parameters(net), grads):
             p -= 1e-3 * g
         after = triplet_loss(forward(net, x), t, 1.0)
-        assert after < before.loss_value
+        assert after < before
 
 
 def assert_matches_oracle(net, x, t, alpha):
-    bundle = pair_backward(net, x, t, alpha)
+    loss, grads = pair_backward(net, x, t, alpha)
     ref_w, ref_b, ref_loss = backward_oracle(net, x, t, alpha)
     ref = [g for pair in zip(ref_w, ref_b) for g in pair]
     scale = max(float(np.abs(g).max()) for g in ref)
-    for got, want in zip(gradient_list(bundle), ref):
+    for got, want in zip(grads, ref):
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(scale, 1e-300)
-    assert bundle.loss_value == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
-    assert bundle.loss_value == pytest.approx(triplet_loss(forward(net, x), t, alpha), rel=1e-12, abs=0.0)
-    return bundle
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+    assert loss == pytest.approx(triplet_loss(forward(net, x), t, alpha), rel=1e-12, abs=0.0)
+    return loss, grads
 
 
 class TestPairMatrixBackward:
@@ -342,8 +369,8 @@ class TestPairMatrixBackward:
         net = Embedder.init([8, 16, 6], rng, l2_normalize=l2)
         x = rng.normal(size=(14, 8))
         t = random_triplets(rng, 14, count=60)
-        bundle = assert_matches_oracle(net, x, t, 0.5)
-        assert bundle.loss_value > 0.0
+        loss, _ = assert_matches_oracle(net, x, t, 0.5)
+        assert loss > 0.0
 
     @pytest.mark.parametrize("l2", [False, True])
     def test_duplicated_triplets_count_each_time(self, l2):
@@ -362,16 +389,16 @@ class TestPairMatrixBackward:
         x[1] = x[0]
         t = np.array([[0, 1, 2], [0, 3, 1], [2, 0, 1], [1, 0, 4], [3, 4, 5]])
         assert pairwise_euclidean(forward(net, x))[0, 1] == 0.0
-        bundle = assert_matches_oracle(net, x, t, 0.7)
-        assert all(np.isfinite(g).all() for g in gradient_list(bundle))
+        _, grads = assert_matches_oracle(net, x, t, 0.7)
+        assert all(np.isfinite(g).all() for g in grads)
 
     def test_hinge_exactly_zero_is_inactive(self):
         # d(a,p) = d(a,n) = 1 with alpha = 0: pre-hinge value is exactly 0
-        net = Embedder(layer_dims=(2, 2), weights=[np.eye(2)], biases=[np.zeros(2)])
+        net = Embedder(weights=[np.eye(2)], biases=[np.zeros(2)])
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        bundle = assert_matches_oracle(net, x, np.array([[0, 1, 2]]), 0.0)
-        assert bundle.loss_value == 0.0
-        assert all(np.all(g == 0.0) for g in gradient_list(bundle))
+        loss, grads = assert_matches_oracle(net, x, np.array([[0, 1, 2]]), 0.0)
+        assert loss == 0.0
+        assert all(np.all(g == 0.0) for g in grads)
 
     @pytest.mark.parametrize("bad", [[[0, 1, 5]], [[0, -1, 2]], [[-5, 1, 2]]])
     def test_out_of_range_indices_rejected(self, bad):
@@ -466,8 +493,8 @@ class TestTouchedRowBackward:
         t = sparse_triplets(40, [5, 25], 2, rng)
         x[t[0, 1]] = x[t[0, 0]]
         assert pairwise_euclidean(forward(net, x))[t[0, 0], t[0, 1]] == 0.0
-        bundle = assert_matches_oracle(net, x, t, self.ALPHA)
-        assert all(np.isfinite(g).all() for g in gradient_list(bundle))
+        _, grads = assert_matches_oracle(net, x, t, self.ALPHA)
+        assert all(np.isfinite(g).all() for g in grads)
 
     @pytest.mark.parametrize("l2", [False, True])
     def test_single_active_triplet(self, l2, monkeypatch):
@@ -475,8 +502,8 @@ class TestTouchedRowBackward:
         net = Embedder.init([6, 9, 5], rng, l2_normalize=l2)
         x = rng.normal(size=(40, 6))
         t = np.array([[31, 4, 17]])
-        bundle = assert_matches_oracle(net, x, t, self.ALPHA)
-        assert bundle.loss_value > 0.0
+        loss, _ = assert_matches_oracle(net, x, t, self.ALPHA)
+        assert loss > 0.0
         seen = embedded_by_backward(monkeypatch, net, x, t, self.ALPHA)
         assert len(seen) == 1 and np.array_equal(seen[0], x[[4, 17, 31]])
 
@@ -497,9 +524,9 @@ class TestTouchedRowBackward:
         net = Embedder.init([4, 5, 3], rng)
         x = rng.normal(size=(10, 4))
         t = np.array([[2, 7, 7]])
-        bundle = assert_matches_oracle(net, x, t, 0.5)
-        assert bundle.loss_value == 0.5
-        assert all(np.all(g == 0.0) for g in gradient_list(bundle))
+        loss, grads = assert_matches_oracle(net, x, t, 0.5)
+        assert loss == 0.5
+        assert all(np.all(g == 0.0) for g in grads)
         seen = embedded_by_backward(monkeypatch, net, x, t, 0.5)
         assert len(seen) == 1 and seen[0].shape == (0, 4)
 
@@ -510,14 +537,21 @@ class TestTouchedRowBackward:
         with pytest.raises(ValueError, match="does not match input dim"):
             backward(net, np.ones((5, 4)), triplets, 0.0, np.zeros((5, 5)))
 
+    def test_empty_batch_without_triplets_gives_zero_gradients(self):
+        net = Embedder.init([3, 4, 2], seeded_rng(128))
+        loss, grads = backward(net, np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), 0.2, np.empty((0, 0)))
+        assert loss == 0.0
+        assert [g.shape for g in grads] == [p.shape for p in parameters(net)]
+        assert all(np.all(g == 0.0) for g in grads)
+
     @pytest.mark.parametrize("l2", [False, True])
     def test_output_bias_gradient(self, l2):
         rng = seeded_rng(127)
         net = Embedder.init([8, 16, 6], rng, l2_normalize=l2)
         x = rng.normal(size=(14, 8))
-        bundle = pair_backward(net, x, random_triplets(rng, 14, count=60), 0.5)
-        assert bundle.loss_value > 0.0
-        assert np.all(bundle.bias_grads[-1] == 0.0) != l2
+        loss, grads = pair_backward(net, x, random_triplets(rng, 14, count=60), 0.5)
+        assert loss > 0.0
+        assert np.all(grads[-1] == 0.0) != l2
 
 
 def flat_list_coefficients(x, t, alpha, dist):
@@ -557,8 +591,7 @@ def flat_list_backward(net, x, t, alpha, dist):
     ``backward``."""
     loss, x, s = flat_list_coefficients(x, t, alpha, dist)
     if s is None:
-        return GradientBundle([np.zeros_like(w) for w in net.weights],
-                              [np.zeros_like(b) for b in net.biases], loss)
+        return loss, [np.zeros_like(p) for p in parameters(net)]
     acts, emb = _forward_cached(net, x)
     d_emb = s.sum(axis=1)[:, None] * emb - padded_matmul(s, emb)
     if net.l2_normalize:
@@ -568,19 +601,18 @@ def flat_list_backward(net, x, t, alpha, dist):
         g = np.where((out_norms > 0.0)[:, None], (d_emb - emb * proj[:, None]) / safe[:, None], 0.0)
     else:
         g = d_emb
-    weight_grads, bias_grads = [None] * net.n_layers, [None] * net.n_layers
+    grads = [None] * (2 * net.n_layers)
     for l in range(net.n_layers - 1, -1, -1):
-        weight_grads[l] = padded_matmul(acts[l].T, g)
-        bias_grads[l] = g.sum(axis=0)
+        grads[2 * l:2 * l + 2] = padded_matmul(acts[l].T, g), g.sum(axis=0)
         if l > 0:
             g = padded_matmul(g, net.weights[l].T) * (acts[l] > 0.0)
-    return GradientBundle(weight_grads, bias_grads, loss)
+    return loss, grads
 
 
 def hidden_width_term_bounds(net, x, s):
-    """Per gradient entry, a bound on the terms behind it in both
-    ``flat_list_backward`` and the hidden-width ``backward``, to be scaled by
-    the rounding of the products and the factor.
+    """Per gradient entry, in ``parameters`` order, a bound on the terms
+    behind it in both ``flat_list_backward`` and the hidden-width
+    ``backward``, to be scaled by the rounding of the products and the factor.
 
     Without ``l2_normalize``: the sum of absolute terms, the products taken
     with ``|S|``, the activations and weights absolutely, and the hidden
@@ -602,7 +634,7 @@ def hidden_width_term_bounds(net, x, s):
     w, b = net.weights[-1], net.biases[-1]
     lap = np.diag(np.abs(s).sum(axis=1)) + np.abs(s)
     norms = np.linalg.norm(w, axis=1)
-    weight_terms, bias_terms = [None] * net.n_layers, [None] * net.n_layers
+    terms = [None] * (2 * net.n_layers)
     if net.l2_normalize:
         a = np.vstack([w, b])
         h_one = np.hstack([acts[-1], np.ones((len(x), 1))])
@@ -610,34 +642,31 @@ def hidden_width_term_bounds(net, x, s):
         inv = np.divide(1.0, e_norms, out=np.zeros_like(e_norms), where=e_norms > 0.0)
         rho = (np.abs(h_one) @ np.linalg.norm(a, axis=1)) * inv
         q = inv * (lap * (rho[:, None] + rho[None]) ** 2).sum(axis=1)
-        weight_terms[-1] = np.repeat((np.abs(acts[-1]).T @ q)[:, None], w.shape[1], axis=1)
-        bias_terms[-1] = np.full(w.shape[1], q.sum())
+        terms[-2:] = np.repeat((np.abs(acts[-1]).T @ q)[:, None], w.shape[1], axis=1), np.full(w.shape[1], q.sum())
         g = np.outer(q, norms)
     else:
         lap_h = lap @ np.abs(acts[-1])
         lap_e = lap @ (np.abs(acts[-1]) @ np.abs(w) + np.abs(b))
-        weight_terms[-1] = np.abs(acts[-1]).T @ lap_e
-        bias_terms[-1] = lap_e.sum(axis=0)
+        terms[-2:] = np.abs(acts[-1]).T @ lap_e, lap_e.sum(axis=0)
         g = lap_h @ np.outer(norms, norms) + lap_e @ np.abs(w).T
     for l in range(net.n_layers - 2, -1, -1):
         g = g * (acts[l + 1] > 0.0)
-        weight_terms[l] = np.abs(acts[l]).T @ g
-        bias_terms[l] = g.sum(axis=0)
+        terms[2 * l:2 * l + 2] = np.abs(acts[l]).T @ g, g.sum(axis=0)
         g = g @ np.abs(net.weights[l]).T
-    return GradientBundle(weight_terms, bias_terms, 0.0)
+    return terms
 
 
 def assert_bit_identical(got, want):
-    assert got.loss_value == want.loss_value
-    for g, w in zip(gradient_list(got), gradient_list(want), strict=True):
+    assert got[0] == want[0]
+    for g, w in zip(got[1], want[1], strict=True):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
 
 
 def assert_matches_flat_list(net, x, t, alpha, dist, got):
-    """``got`` is ``flat_list_backward``'s bundle: bit for bit with no
-    active triplet; else the same loss, without l2 normalization an
-    exactly-zero output bias gradient, and every entry within the rounding
+    """``got``, ``backward``'s ``(loss, grads)``, is ``flat_list_backward``'s:
+    bit for bit with no active triplet; else the same loss, without l2
+    normalization an exactly-zero output bias gradient, and every entry within the rounding
     of its terms (``hidden_width_term_bounds``), of which the factor adds
     ``(d + h + 2) u`` and each product its length times u."""
     want = flat_list_backward(net, x, t, alpha, dist)
@@ -645,12 +674,12 @@ def assert_matches_flat_list(net, x, t, alpha, dist, got):
     if s is None:
         assert_bit_identical(got, want)
         return
-    assert got.loss_value == want.loss_value
+    assert got[0] == want[0]
     if not net.l2_normalize:
-        assert np.all(got.bias_grads[-1] == 0.0)
+        assert np.all(got[1][-1] == 0.0)
     tol = 8 * (len(s) + sum(net.layer_dims)) * U
     terms = hidden_width_term_bounds(net, x_touched, s)
-    for g, w, m in zip(gradient_list(got), gradient_list(want), gradient_list(terms), strict=True):
+    for g, w, m in zip(got[1], want[1], terms, strict=True):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert np.all(np.abs(g - w) <= tol * m)
 
@@ -662,8 +691,7 @@ def integer_net(rng, l2):
     (on the Cholesky factor when W W^T is positive definite)."""
     dims = (2, 4, 3) if rng.random() < 0.5 else (2, 3, 5)
     weights = [rng.integers(-2, 3, size=shape).astype(np.float64) for shape in zip(dims[:-1], dims[1:])]
-    return Embedder(layer_dims=dims, weights=weights, biases=[np.zeros(n) for n in dims[1:]],
-                    l2_normalize=l2)
+    return Embedder(weights=weights, biases=[np.zeros(n) for n in dims[1:]], l2_normalize=l2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -734,12 +762,12 @@ class TestBlockBackward:
         tracemalloc.start()
         try:
             tset = mine_batch(batch, cfg, seeded_rng(134))
-            bundle = backward(net, x, tset, 0.2, batch.dist_raw)
+            loss, _ = backward(net, x, tset, 0.2, batch.dist_raw)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(tset) == b * (b - 1) * (b - 2)
-        assert bundle.loss_value > 0.0
+        assert loss > 0.0
         assert peak / len(tset) < 20.0
 
 
@@ -773,8 +801,8 @@ def cases(net, x, counts):
         # one anchor pulls r[1] and pushes the rest; r[0] as its own negative adds nothing
         t = np.array([(r[0], r[1], r[j]) for j in range(2, k)] or [(r[0], r[1], r[0])])
         del rows[:]
-        g = E.backward(net, x, t, 1e3, dist, factor)
-        print(rows[-1], digest(E.gradient_list(g)))
+        grads = E.backward(net, x, t, 1e3, dist, factor)[1]
+        print(rows[-1], digest(grads))
 
 nets = [(128, h, d, False) for h in (64, 96, 128) for d in (500, 1024, 1030)]
 nets += [(128, 128, 100, False), (128, 64, 1024, True), (128, 100, 1024, False), (128, 64, 500, True)]
@@ -831,18 +859,67 @@ def hidden_width_nets(draw):
     return net, x, kind
 
 
+def assert_factor_distances_within_bound(net, x, d_f, width, factored):
+    """``d_f``, the distances of ``net``'s rows of the factor's ``width``,
+    against those of the forward's d-wide embedding. With E = L L^T - W W^T,
+    |E_ab| <= (d + h + 2) u |W_a| |W_b| (0 unless ``factored``), so the
+    squared distances of a pair d = h_i - h_j differ by at most
+    A = (d + h + 2) u sigma^2 with sigma = sum_a |d_a| |W_a|, and the
+    distances by at most A / max(t_F + t, sqrt(A)). Each side also carries
+    its products' rounding (at most (h + 1) u rho per row pair,
+    rho = sum_a (|h_ia| + |h_ja|) |W_a| + 2 |b|) and pairwise_euclidean's
+    relative error; every term is doubled."""
+    w = net.weights[-1]
+    h, d = w.shape
+    d_e = pairwise_euclidean(forward(net, x))
+    hid = embedder_mod._hidden_cached(net, x)[-1]
+    w_norms = np.linalg.norm(w, axis=1)
+    sigma = np.abs(hid[:, None] - hid[None]) @ w_norms
+    row_sums = np.abs(hid) @ w_norms
+    rho = row_sums[:, None] + row_sums[None] + 2.0 * np.linalg.norm(net.biases[-1])
+    noise = ((2 * h + 3) * U * rho + (2.0**-41 + (width + 4) * U) * d_f
+             + (2.0**-41 + (d + 4) * U) * d_e)
+    a = ((d + h + 2) * U if factored else 0.0) * sigma**2
+    lower = np.maximum(d_f + d_e - 2.0 * noise, np.sqrt(a))
+    gap = np.divide(a, lower, out=np.zeros_like(a), where=lower > 0.0)
+    assert np.all(np.abs(d_f - d_e) <= 2.0 * (noise + gap))
+
+
+def assert_l2_distances_within_bound(net, x, d_f, width):
+    """``d_f``, the distances of ``net``'s unit rows of [h, 1] F, F of
+    ``width`` columns, against those of the forward's d-wide normalized
+    embedding. With A = [W; b^T], sigma_i = sum_a |[h, 1]_ia| |A_a| and
+    rho_i = sigma_i / |e_i|: F F^T is within (d + h + 3) u |A_a| |A_b| of
+    A A^T, and each side's rows within (h + 1) u sigma_i of exact, so the
+    rows' dot products are within eta sigma_i sigma_j, eta = (d + 3 h + 5) u.
+    The unit rows' dot products, their squared distance halved, then move
+    by eta (rho_i + rho_j)^2, and the distances by at most
+    a / max(t_F + t, sqrt(a)) for a = 2 eta (rho_i + rho_j)^2. Each side
+    also carries its normalization's rounding (a few (k + 4) u, k its
+    width) and pairwise_euclidean's relative error; every term is doubled."""
+    w, b = net.weights[-1], net.biases[-1]
+    h, d = w.shape
+    d_e = pairwise_euclidean(forward(net, x))
+    hid = embedder_mod._hidden_cached(net, x)[-1]
+    sigma = np.abs(hid) @ np.linalg.norm(w, axis=1) + np.linalg.norm(b)
+    e_norms = np.linalg.norm(hid @ w + b, axis=1)
+    # a zero embedding row has no direction: its pairs are not compared
+    rho = np.divide(sigma, e_norms, out=np.full_like(e_norms, np.inf), where=e_norms > 0.0)
+    eta = (d + 3 * h + 5) * U
+    a = 2.0 * eta * (rho[:, None] + rho[None]) ** 2
+    pairs = np.isfinite(a)
+    a[~pairs] = 0.0
+    noise = (4 * (width + d + 8) * U + (2.0**-41 + (width + 4) * U) * d_f + (2.0**-41 + (d + 4) * U) * d_e)
+    lower = np.maximum(d_f + d_e - 2.0 * noise, np.sqrt(a))
+    gap = np.divide(a, lower, out=np.zeros_like(a), where=lower > 0.0)
+    assert np.all(np.abs(d_f - d_e)[pairs] <= 2.0 * (noise + gap)[pairs])
+
+
 class TestDistanceFactor:
     @settings(max_examples=200, deadline=None)
     @given(hidden_width_nets())
     def test_factor_distances_within_bound_of_embedding_distances(self, case):
-        # rows h F of the last hidden activations h, against the forward's
-        # d-wide embedding. With E = L L^T - W W^T, |E_ab| <= (d + h + 2) u
-        # |W_a| |W_b|, so the squared distances of a pair d = h_i - h_j differ
-        # by at most A = (d + h + 2) u sigma^2 with sigma = sum_a |d_a| |W_a|,
-        # and the distances by at most A / max(t_F + t, sqrt(A)). Each side
-        # also carries its products' rounding (at most (h + 1) u rho per row
-        # pair, rho = sum_a (|h_ia| + |h_ja|) |W_a| + 2 |b|) and
-        # pairwise_euclidean's relative error; every term is doubled.
+        # rows h F of the last hidden activations h
         net, x, kind = case
         w = net.weights[-1]
         h, d = w.shape
@@ -851,35 +928,12 @@ class TestDistanceFactor:
             assert factor.shape == (h, h) and np.array_equal(factor, np.tril(factor))
         if h >= d or h > embedder_mod._CHOLESKY_MAX or kind == "zero rows":
             assert factor is w
-        rows = forward(net, x, factor)
-        d_f = pairwise_euclidean(rows)
-        d_e = pairwise_euclidean(forward(net, x))
-        hid = embedder_mod._hidden_cached(net, x)[-1]
-        w_norms = np.linalg.norm(w, axis=1)
-        sigma = np.abs(hid[:, None] - hid[None]) @ w_norms
-        row_sums = np.abs(hid) @ w_norms
-        rho = row_sums[:, None] + row_sums[None] + 2.0 * np.linalg.norm(net.biases[-1])
-        noise = ((2 * h + 3) * U * rho + (2.0**-41 + (rows.shape[1] + 4) * U) * d_f
-                 + (2.0**-41 + (d + 4) * U) * d_e)
-        a = (0.0 if factor is w else (d + h + 2) * U) * sigma**2
-        lower = np.maximum(d_f + d_e - 2.0 * noise, np.sqrt(a))
-        gap = np.divide(a, lower, out=np.zeros_like(a), where=lower > 0.0)
-        assert np.all(np.abs(d_f - d_e) <= 2.0 * (noise + gap))
+        d_f = pairwise_euclidean(forward(net, x, factor))
+        assert_factor_distances_within_bound(net, x, d_f, factor.shape[1], factor is not w)
 
     @settings(max_examples=200, deadline=None)
     @given(hidden_width_nets())
     def test_l2_rows_within_bound_of_normalized_embedding_distances(self, case):
-        # unit rows of [h, 1] F against the forward's d-wide normalized
-        # embedding. With A = [W; b^T], sigma_i = sum_a |[h, 1]_ia| |A_a| and
-        # rho_i = sigma_i / |e_i|: F F^T is within (d + h + 3) u |A_a| |A_b|
-        # of A A^T, and each side's rows within (h + 1) u sigma_i of exact,
-        # so the rows' dot products are within eta sigma_i sigma_j, eta =
-        # (d + 3 h + 5) u. The unit rows' dot products, their squared
-        # distance halved, then move by eta (rho_i + rho_j)^2, and the
-        # distances by at most a / max(t_F + t, sqrt(a)) for a = 2 eta
-        # (rho_i + rho_j)^2. Each side also carries its normalization's
-        # rounding (a few (k + 4) u, k its width) and pairwise_euclidean's
-        # relative error; every term is doubled
         net, x, kind = case
         net.l2_normalize = True
         w, b = net.weights[-1], net.biases[-1]
@@ -889,23 +943,28 @@ class TestDistanceFactor:
             assert factor.shape == (h + 1, h + 1) and np.array_equal(factor, np.tril(factor))
         if h >= d or h > embedder_mod._CHOLESKY_MAX or kind == "zero rows":
             assert np.array_equal(factor, np.vstack([w, b]))
-        rows = forward(net, x, factor)
-        emb = forward(net, x)
-        d_f, d_e = pairwise_euclidean(rows), pairwise_euclidean(emb)
-        hid = embedder_mod._hidden_cached(net, x)[-1]
-        sigma = np.abs(hid) @ np.linalg.norm(w, axis=1) + np.linalg.norm(b)
-        e_norms = np.linalg.norm(hid @ w + b, axis=1)
-        # a zero embedding row has no direction: its pairs are not compared
-        rho = np.divide(sigma, e_norms, out=np.full_like(e_norms, np.inf), where=e_norms > 0.0)
-        eta = (d + 3 * h + 5) * U
-        a = 2.0 * eta * (rho[:, None] + rho[None]) ** 2
-        pairs = np.isfinite(a)
-        a[~pairs] = 0.0
-        k = rows.shape[1]
-        noise = (4 * (k + d + 8) * U + (2.0**-41 + (k + 4) * U) * d_f + (2.0**-41 + (d + 4) * U) * d_e)
-        lower = np.maximum(d_f + d_e - 2.0 * noise, np.sqrt(a))
-        gap = np.divide(a, lower, out=np.zeros_like(a), where=lower > 0.0)
-        assert np.all(np.abs(d_f - d_e)[pairs] <= 2.0 * (noise + gap)[pairs])
+        assert_l2_distances_within_bound(net, x, pairwise_euclidean(forward(net, x, factor)), factor.shape[1])
+
+    @pytest.mark.parametrize("exp", [-531, 498])
+    @pytest.mark.parametrize("l2", [False, True])
+    @pytest.mark.parametrize("h, d", [(6, 8), (64, 1024)])
+    def test_factor_distances_within_bound_at_tiny_and_huge_output_scales(self, exp, l2, h, d):
+        # the output layer times 2**-531 (about 1e-160), where W W^T is
+        # subnormal, or 2**498 (about 1e150): the scaled net's distances are
+        # 2**exp times the unscaled net's (1 with l2), which the bound holds
+        rng = seeded_rng(144)
+        net = Embedder.init([5, h, d], rng, l2_normalize=l2)
+        net.biases[-1] = rng.normal(size=d)
+        x = rng.normal(size=(20, 5))
+        scaled = Embedder([*net.weights[:-1], np.ldexp(net.weights[-1], exp)],
+                          [*net.biases[:-1], np.ldexp(net.biases[-1], exp)], l2_normalize=l2)
+        factor = distance_factor(scaled)
+        assert factor.shape == (h + l2, h + l2)
+        d_f = pairwise_euclidean(forward(scaled, x, factor))
+        if l2:
+            assert_l2_distances_within_bound(net, x, d_f, factor.shape[1])
+        else:
+            assert_factor_distances_within_bound(net, x, np.ldexp(d_f, -exp), h, True)
 
     def test_rows_are_the_embedding_with_l2_normalization(self):
         # without a factor, forward gives the d-wide normalized embedding;
@@ -1083,8 +1142,15 @@ class TestFloat32DistanceRows:
 
 
 class TestFiniteDifferenceCheck:
+    def test_no_triplets_report_zero(self):
+        net = Embedder.init([3, 4, 2], seeded_rng(150))
+        x = seeded_rng(151).normal(size=(5, 3))
+        report = finite_difference_check(net, x, np.empty((0, 3), dtype=np.int64), 0.2)
+        assert report.max_rel_error == 0.0
+        assert report.n_checked > 0 and report.n_checked + report.n_skipped == sum(p.size for p in parameters(net))
+
     def test_zero_gradient_case_reports_zero_error(self):
-        net = Embedder(layer_dims=(1, 1), weights=[np.eye(1)], biases=[np.zeros(1)])
+        net = Embedder(weights=[np.eye(1)], biases=[np.zeros(1)])
         x = np.array([[0.0], [0.1], [5.0]])
         report = finite_difference_check(net, x, np.array([[0, 1, 2]]), 0.2, step=1e-5)
         assert report.max_rel_error == 0.0

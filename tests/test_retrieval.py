@@ -23,7 +23,7 @@ from tripmine.retrieval import (
 
 
 def identity_net(d):
-    return Embedder(layer_dims=(d, d), weights=[np.eye(d)], biases=[np.zeros(d)])
+    return Embedder(weights=[np.eye(d)], biases=[np.zeros(d)])
 
 
 class TestKnnRetrieve:
@@ -106,20 +106,33 @@ class TestKnnRetrieve:
         assert np.array_equal(dist[0], np.ldexp(want_dist, 600))
         assert np.all(np.isfinite(dist)) and dist.max() >= 1e200
 
-    def test_rows_whose_squares_overflow_rank_as_unscaled(self):
-        # at 2**600 every squared norm and squared distance overflows float64,
-        # while the distances themselves are representable
+    @pytest.mark.parametrize("exp", [600, -700])
+    def test_rows_whose_squares_leave_float64_rank_as_unscaled(self, exp, monkeypatch):
+        # at 2**600 every squared norm and squared distance overflows
+        # float64, while the distances themselves are representable; at
+        # 2**-700 they underflow to 0. The screen runs at a power-of-two
+        # scale and keeps the unscaled rows' candidates, and each one's
+        # difference is summed at its own
         rng = seeded_rng(4)
         archive = rng.normal(size=(40, 5))
         archive[30:] = archive[:10]
         queries = np.vstack([rng.normal(size=(6, 5)), archive[3:5]])
         exclude = [None] * 6 + [3, 4]
+        measured = []
+        real = retrieval._scaled_row_distances
+
+        def spy(x, rows_i, rows_j, y=None):
+            measured.append(len(rows_i))
+            return real(x, rows_i, rows_j, y=y)
+
+        monkeypatch.setattr(retrieval, "_scaled_row_distances", spy)
         want_idx, want_dist = knn_retrieve(queries, archive, 9, exclude_index=exclude)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            idx, dist = knn_retrieve(np.ldexp(queries, 600), np.ldexp(archive, 600), 9, exclude_index=exclude)
+            idx, dist = knn_retrieve(np.ldexp(queries, exp), np.ldexp(archive, exp), 9, exclude_index=exclude)
         assert np.array_equal(idx, want_idx)
-        assert np.array_equal(dist, np.ldexp(want_dist, 600))
+        assert np.array_equal(dist, np.ldexp(want_dist, exp))
+        assert measured[1] == measured[0] < 8 * 40 // 2
 
     def test_small_differences_beside_huge_entries_stay_exact(self):
         # the first column's 2**600 forces a scaled screen; the pairs differ
@@ -287,9 +300,14 @@ class TestKnnRetrieve:
 
 
 def knn_oracle(query, archive, k, exclude):
-    """Stable argsort of per-row difference distances, the excluded row dropped."""
+    """Stable argsort of per-row difference distances, the excluded row
+    dropped. Each difference is measured at the power of two that brings its
+    largest |entry| into [0.5, 1), so no square over- or underflows (the
+    convention of ``test_similarity.rescaled_loop``)."""
     diff = archive - query
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    exp = np.frexp(np.abs(diff).max(axis=1))[1]
+    diff = np.ldexp(diff, -exp[:, None])
+    dist = np.ldexp(np.sqrt(np.einsum("ij,ij->i", diff, diff)), exp)
     order = np.array([i for i in np.argsort(dist, kind="stable") if i != exclude][:k])
     return order, dist[order]
 
@@ -688,6 +706,23 @@ class TestFloat32Screen:
         for grid in (False, True):
             queries, archive = screen_case(rng, dims[0], 120, 20, grid)
             assert evaluate(net, queries, archive, 9) == evaluate_without_memo(net, queries, archive, 9)
+
+    @pytest.mark.parametrize("layers, exp", [("all", -332), ("all", -465), ("output", -531), ("output", -565)])
+    def test_tiny_nets_report_as_the_unscaled_net(self, layers, exp):
+        # every layer times 2**-332 (about 1e-100) or 2**-465 (1e-140) puts
+        # the rows' squares, and their differences', below float64's normal
+        # range; the output layer times 2**-531 (1e-160) or 2**-565 (1e-170)
+        # puts W W^T there too, subnormal or zero. The distances are the
+        # unscaled net's times a power of two
+        rng = seeded_rng(171)
+        net = Embedder.init([6, 16, 100], rng)
+        for b in net.biases:
+            b += rng.normal(size=b.shape)
+        queries, archive = screen_case(rng, 6, 120, 20, False)
+        want = evaluate(net, queries, archive, 9)
+        for p in parameters(net) if layers == "all" else parameters(net)[-2:]:
+            p[:] = np.ldexp(p, exp)
+        assert evaluate(net, queries, archive, 9) == want
 
     @settings(deadline=None)
     @given(st.data())

@@ -237,9 +237,8 @@ class TestPairwiseEuclidean:
     def test_bit_identical_to_per_row_loop(self, b, d, scale):
         # the exact re-measure of near pairs is the loop on rescaled rows
         x = np.random.default_rng(b * 7 + d).normal(size=(b, d)) * scale
-        e = max_exponent(x)
         rows_i, rows_j = np.triu_indices(b, 1)
-        got = np.ldexp(_scaled_row_distances(x, rows_i, rows_j, e), e)
+        got = _scaled_row_distances(x, rows_i, rows_j)
         want = rescaled_loop(x)[rows_i, rows_j]
         assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 

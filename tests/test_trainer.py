@@ -262,6 +262,17 @@ class TestTrain:
             train(small_dataset(), small_config(epochs=2), epoch_callback=lambda *args: seen.append(args))
         assert seen == []
 
+    def test_a_loss_beyond_float64_raises_naming_the_epoch(self):
+        # features near 2e305 keep every distance finite, while a batch's
+        # hinge terms sum past float64
+        ds = split_dataset(generate_synthetic(SyntheticSpec(n_samples=40, seed=1, feature_dim=4)),
+                           (0.5, 0.25, 0.25), seeded_rng(0))
+        ds.samples.features[:] *= 2e305 / np.abs(ds.samples.features).max()
+        cfg = TrainConfig(epochs=1, batch_size=20, hidden_dims=(4,), embedding_dim=4,
+                          sampler=SamplerConfig(anchor_strategy="bas", image_strategy="bis"))
+        with pytest.raises(FloatingPointError, match="training diverged at epoch 0: non-finite loss"):
+            train(ds, cfg)
+
     @pytest.mark.parametrize("anchor, image", [("das", "rhdis"), ("bas", "bis")])
     @pytest.mark.parametrize("l2", [False, True])
     def test_forward_embeds_every_batch_and_every_evaluated_row(self, anchor, image, l2, monkeypatch):
@@ -378,9 +389,9 @@ class TestTrain:
         state = init_adam(params)
         for x, factor, batch in epoch_batches(net):
             tset = mine_batch(batch, cfg.sampler, rng)
-            bundle = emb_mod.backward(net, x, tset, cfg.alpha, batch.dist_raw, factor)
-            assert np.isfinite(bundle.loss_value)
-            adam_step(params, emb_mod.gradient_list(bundle), state, cfg.lr0)
+            loss, grads = emb_mod.backward(net, x, tset, cfg.alpha, batch.dist_raw, factor)
+            assert np.isfinite(loss)
+            adam_step(params, grads, state, cfg.lr0)
         assert all(np.isfinite(p).all() for p in params)
 
     def test_empty_train_split_rejected(self):
