@@ -159,10 +159,10 @@ class SamplerConfig:
 
     ``anchor_fraction`` determines the anchor count H = ceil(fraction * B);
     ``beta`` weights relevancy vs hardness in the informativeness scores and
-    ``gamma`` weights informativeness vs diversity during iterative picks.
-    das scores a candidate by its farthest already-chosen anchor (see
-    ``sampler.select_anchors_das``). ``seed`` is not read: mining draws
-    from the trainer's random stream, which ``TrainConfig.seed`` seeds.
+    ``gamma`` weights informativeness vs diversity in ``sampler._greedy``,
+    the one pick rule of rhdis and das (its one-row, gamma-0 case). ``seed``
+    is not read: mining draws from the trainer's random stream, which
+    ``TrainConfig.seed`` seeds.
     """
 
     anchor_strategy: str = "das"

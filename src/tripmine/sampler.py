@@ -2,10 +2,10 @@
 
 Two families are implemented:
 
-* diversity-driven selection: ``select_anchors_das`` picks anchors that are
-  mutually far apart in embedding space, ``select_positives_rhdis`` /
-  ``select_negatives_rhdis`` pick per-anchor images that are relevant, hard,
-  and diverse, scored from label similarity S and normalized distance D;
+* diversity-driven selection by one greedy rule, ``_greedy``: das anchors
+  far apart in embedding space (its one-row, gamma-0 case) and rhdis images
+  per anchor that are relevant, hard and diverse, scored from label
+  similarity S and normalized distance D;
 * baselines: random anchors (ras), all-batch anchors (bas), random images
   (ris), all-batch images (bis).
 
@@ -64,10 +64,10 @@ def select_anchors_das(dist: np.ndarray, h: int, rng: np.random.Generator,
     """Iteratively select ``h`` mutually distant anchors, as an (h,) int64 array.
 
     The first anchor is drawn uniformly at random (or forced via
-    ``first_anchor``); each subsequent anchor is the unselected candidate
-    whose distance to its farthest already-selected anchor is largest.
-    ``dist`` is any (B, B) distance matrix: the rule only compares its
-    entries, and ``mine_batch`` passes the raw ones.
+    ``first_anchor``); then ``_greedy`` runs on one row with gamma 0: each
+    next anchor is the unselected candidate whose distance to its farthest
+    already-selected anchor is largest. ``dist`` is any symmetric (B, B)
+    distance matrix; ``mine_batch`` passes the raw ones.
     """
     b = len(dist)
     if h > b:
@@ -77,17 +77,9 @@ def select_anchors_das(dist: np.ndarray, h: int, rng: np.random.Generator,
     first = int(rng.integers(b)) if first_anchor is None else int(first_anchor)
     if not 0 <= first < b:
         raise ValueError(f"first anchor {first} is outside a batch of {b}")
-    selected = [first]
-    taken = np.zeros(b, dtype=bool)
-    taken[first] = True
-    score = dist[:, first].copy()
-    while len(selected) < h:
-        masked = np.where(taken, -np.inf, score)
-        nxt = int(np.argmax(masked))  # argmax takes the first maximum: lowest index wins ties
-        selected.append(nxt)
-        taken[nxt] = True
-        score = np.maximum(score, dist[:, nxt])
-    return np.array(selected, dtype=np.int64)
+    blocked = (np.arange(b) == first)[None]
+    rest = _greedy(0.0, dist, h - 1, 0.0, blocked, spread=dist[first][None])
+    return np.concatenate(([first], rest[0]))
 
 
 def select_anchors_ras(batch_size: int, h: int, rng: np.random.Generator) -> np.ndarray:
@@ -104,47 +96,51 @@ def select_anchors_bas(batch_size: int) -> np.ndarray:
     return np.arange(batch_size, dtype=np.int64)
 
 
-def _pick_rhdis(anchors: np.ndarray, scores: np.ndarray, dist_norm: np.ndarray, count: int,
-                gamma: float, exclude=()) -> np.ndarray:
-    """Iterative argmax, each step for every anchor at once: first pick by
-    score alone, then score blended with the farthest-from-already-chosen
-    diversity term. (H, count) for (H,) anchors and (H, B) scores; an
-    anchor's own index and its ``exclude`` row are never picked."""
-    h, b = scores.shape
-    _check_anchors(anchors, b)
-    rows = np.arange(h)
-    blocked = np.zeros((h, b), dtype=bool)
-    blocked[rows, anchors] = True
-    blocked[rows[:, None], np.asarray(exclude, dtype=np.int64).reshape(h, -1)] = True
-    available = int(b - blocked.sum(axis=1).max(initial=0))
+def _greedy(scores, dist, count: int, gamma: float, blocked, spread=None) -> np.ndarray:
+    """The one greedy pick rule of das and rhdis, for H rows: (H, count) picks.
+
+    Each step takes, per row, the candidate not yet ``blocked`` (H, B) with
+    the largest ``gamma * scores + (1 - gamma) * spread`` (``scores`` alone
+    while ``spread`` is None), the lowest index on ties, blocks it and folds
+    its row of the symmetric ``dist`` into ``spread`` with ``np.maximum``:
+    Gonzalez's (1985) greedy k-center rule, with max where Gonzalez takes min.
+    """
+    available = int(blocked.shape[1] - blocked.sum(axis=1).max(initial=0))
     if count > available:
         raise ValueError(f"cannot select {count} images from {available} candidates")
-    chosen = np.empty((h, count), dtype=np.int64)
-    spread = None
+    rows = np.arange(len(blocked))
+    weighted = gamma * scores
+    chosen = np.empty((len(blocked), count), dtype=np.int64)
     for k in range(count):
-        blended = scores if spread is None else gamma * scores + (1.0 - gamma) * spread
-        # argmax takes the first maximum: the lowest index wins ties
-        nxt = np.argmax(np.where(blocked, -np.inf, blended), axis=1)
+        blended = scores if spread is None else weighted + (1.0 - gamma) * spread
+        nxt = np.where(blocked, -np.inf, blended).argmax(axis=1)
         chosen[:, k] = nxt
         blocked[rows, nxt] = True
-        column = dist_norm[:, nxt].T
-        spread = column if spread is None else np.maximum(spread, column)
+        spread = dist[nxt] if spread is None else np.maximum(spread, dist[nxt])
     return chosen
+
+
+def _rhdis_blocked(anchors: np.ndarray, scores: np.ndarray, exclude=()) -> np.ndarray:
+    """What rhdis may not pick: each anchor's own index and its ``exclude`` row."""
+    h, b = scores.shape
+    _check_anchors(anchors, b)
+    blocked = np.zeros((h, b), dtype=bool)
+    blocked[np.arange(h), anchors] = True
+    blocked[np.arange(h)[:, None], np.asarray(exclude, dtype=np.int64).reshape(h, -1)] = True
+    return blocked
 
 
 def select_positives_rhdis(anchors: np.ndarray, row: InformativenessRow, dist_norm: np.ndarray,
                            c: int, gamma: float) -> np.ndarray:
-    """(H, c) ordered positives: highest ``i_pos`` first, then iterative
-    argmax of ``gamma * i_pos + (1 - gamma) * max-distance-to-chosen``."""
-    return _pick_rhdis(anchors, row.i_pos, dist_norm, c, gamma)
+    """(H, c) ordered positives: ``_greedy`` from the ``i_pos`` scores."""
+    return _greedy(row.i_pos, dist_norm, c, gamma, _rhdis_blocked(anchors, row.i_pos))
 
 
 def select_negatives_rhdis(anchors: np.ndarray, row: InformativenessRow, dist_norm: np.ndarray,
                            c: int, gamma: float, exclude=()) -> np.ndarray:
-    """Mirror of the positive selection with ``i_neg`` scores. ``exclude``
-    (one row per anchor) removes the anchor's chosen positives, keeping the
-    two sets disjoint."""
-    return _pick_rhdis(anchors, row.i_neg, dist_norm, c, gamma, exclude)
+    """(H, c) ordered negatives: ``_greedy`` from the ``i_neg`` scores, never
+    an ``exclude`` entry (one row per anchor: its chosen positives)."""
+    return _greedy(row.i_neg, dist_norm, c, gamma, _rhdis_blocked(anchors, row.i_neg, exclude))
 
 
 def _all_but_anchor(anchors: np.ndarray, batch_size: int) -> np.ndarray:

@@ -137,6 +137,12 @@ def adam_step(params, grads, state: AdamState, lr: float) -> AdamState:
     return state
 
 
+def _located(exc: Exception, n, b: int) -> FloatingPointError:
+    """``exc`` as a ``FloatingPointError`` naming batch ``b`` and any epoch ``n``."""
+    where = f"batch {b}" if n is None else f"training diverged at epoch {n}, batch {b}"
+    return FloatingPointError(f"{where}: {exc}")
+
+
 def batch_stream(dataset, cfg: TrainConfig) -> tuple:
     """Training's seeded batch stream, for ``train`` and ``mine-debug``.
 
@@ -178,8 +184,7 @@ def batch_stream(dataset, cfg: TrainConfig) -> tuple:
         try:
             return factor, BatchView.from_embeddings(idx, emb_mod.forward(net, x, factor), labels[idx])
         except (FloatingPointError, ValueError) as exc:  # finite features: the weights outgrew float64
-            where = f"batch {b}" if n is None else f"training diverged at epoch {n}, batch {b}"
-            raise FloatingPointError(f"{where}: {exc}") from None
+            raise _located(exc, n, b) from None
 
     def epoch(net, n=None):
         perm = rng.permutation(train_idx)
@@ -215,11 +220,14 @@ def train(dataset, cfg: TrainConfig, epoch_callback=None) -> tuple:
         started = time.perf_counter()
         lr = lr_schedule(epoch, cfg)
         losses = []
-        for x, factor, batch in epoch_batches(net, epoch):
+        for b, (x, factor, batch) in enumerate(epoch_batches(net, epoch)):
             # validate_config admits only configurations that mine a triplet from every batch
             tset = sampler.mine_batch(batch, cfg.sampler, rng)
             cum_triplets += len(tset)
-            loss, grads = emb_mod.backward(net, x, tset, cfg.alpha, batch.dist_raw, factor)
+            try:
+                loss, grads = emb_mod.backward(net, x, tset, cfg.alpha, batch.dist_raw, factor)
+            except FloatingPointError as exc:  # an l2 net whose hidden rows' squared norms overflow
+                raise _located(exc, epoch, b) from None
             adam_step(params, grads, state, lr)
             losses.append(loss)
         # batch_stream yields at least one batch per epoch

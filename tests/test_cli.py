@@ -240,6 +240,16 @@ class TestTrain:
         assert err == "error: training diverged at epoch 0, batch 0: embeddings contain non-finite values\n"
         assert not (tmp_path / "o" / "model.ckpt").exists()
 
+    def test_an_l2_backward_overflow_exits_2_naming_epoch_and_batch(self, tmp_path, capsys):
+        # the first epoch's steps leave embeddings forward can rescale, whose
+        # hidden rows' squared norms backward cannot take
+        code, _, err = run(capsys, "train", "--synthetic", "--seed", "1", "--n-samples", "200",
+                           "--epochs", "3", "--lr", "1e100", "--l2-normalize", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err == ("error: training diverged at epoch 1, batch 0: "
+                       "squared norms of the l2 rows overflow float64\n")
+        assert not (tmp_path / "o" / "model.ckpt").exists()
+
     @pytest.mark.parametrize("argv", [
         ["train", "--n-samples", "200", "--epochs", "1", "--lr", "1e200", "--sampler", "bas-bis"],
         ["train", "--n-samples", "200", "--epochs", "1", "--lr", "1e300", "--sampler", "bas-bis"],

@@ -273,6 +273,13 @@ class TestTrain:
         with pytest.raises(FloatingPointError, match="training diverged at epoch 0: non-finite loss"):
             train(ds, cfg)
 
+    def test_an_l2_backward_overflow_raises_naming_the_epoch_and_batch(self):
+        # a step at lr 1e100 sends the hidden rows' squared norms past float64:
+        # forward rescales such rows, and backward's l2 branch raises
+        with pytest.raises(FloatingPointError, match=r"training diverged at epoch \d+, batch \d+: "
+                                                     "squared norms of the l2 rows overflow float64"):
+            train(small_dataset(), small_config(l2_normalize=True, lr0=1e100))
+
     @pytest.mark.parametrize("anchor, image", [("das", "rhdis"), ("bas", "bis")])
     @pytest.mark.parametrize("l2", [False, True])
     def test_forward_embeds_every_batch_and_every_evaluated_row(self, anchor, image, l2, monkeypatch):
